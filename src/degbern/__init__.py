@@ -13,10 +13,7 @@ from .core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
-    lpoly_divexact,
     rat,
-    series_inverse,
-    series_pow,
 )
 from .expansion import (
     BasisExpansion,
@@ -100,7 +97,6 @@ __all__ = [
     "integral_01",
     "integral_I",
     "lower",
-    "lpoly_divexact",
     "monomial_op",
     "parse",
     "parse_poly",
@@ -108,8 +104,6 @@ __all__ = [
     "reconstruct",
     "scaled_bernoulli",
     "scaled_bernoulli_op",
-    "series_inverse",
-    "series_pow",
     "stirling2",
     "umbral_compose",
     "unit_integral_op",

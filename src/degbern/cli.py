@@ -188,12 +188,18 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     if p.is_zero:
         print("error: cannot expand the zero polynomial", file=sys.stderr)
         return 1
+    lam_value = None
+    if args.lambda_sub is not None:
+        try:
+            lam_value = Fraction(args.lambda_sub)
+        except (ValueError, ZeroDivisionError):
+            print(f"error: --lambda needs a rational P/Q with Q != 0, got {args.lambda_sub!r}", file=sys.stderr)
+            return 1
     if args.crosscheck:
         e = crosscheck(p, args.order)
     else:
         e = expand(p, args.order)
 
-    lam_value = Fraction(args.lambda_sub) if args.lambda_sub is not None else None
     if args.format == "json":
         doc = expansion_to_document(args.expr, e)
         if lam_value is not None:
@@ -279,19 +285,14 @@ _NUMBER_FAMILIES = {
     "genocchi": genocchi_number,
 }
 
-
-def _poly_family(name: str, order: int):
-    if name == "bernoulli-order":
-        return lambda n: bernoulli_poly_order(n, order)
-    if name == "deg-bernoulli":
-        return lambda n: deg_bernoulli_order(n, 1)
-    if name == "deg-bernoulli-order":
-        return lambda n: deg_bernoulli_order(n, order)
-    if name == "deg-falling":
-        return deg_falling
-    if name == "scaled-bernoulli":
-        return lambda n: scaled_bernoulli(n, order)
-    return None
+# name -> (n, order) -> XPoly; each looks its family up when called.
+_POLY_FAMILIES = {
+    "bernoulli-order": lambda n, order: bernoulli_poly_order(n, order),
+    "deg-bernoulli": lambda n, order: deg_bernoulli_order(n, 1),
+    "deg-bernoulli-order": lambda n, order: deg_bernoulli_order(n, order),
+    "deg-falling": lambda n, order: deg_falling(n),
+    "scaled-bernoulli": lambda n, order: scaled_bernoulli(n, order),
+}
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -315,14 +316,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
             for n, v in enumerate(values):
                 print(f"{n}: {v}")
         return 0
-    maker = _poly_family(family, args.order)
+    maker = _POLY_FAMILIES.get(family)
     if maker is None:
-        known = sorted(list(_NUMBER_FAMILIES) + [
-            "bernoulli-order", "deg-bernoulli", "deg-bernoulli-order", "deg-falling", "scaled-bernoulli",
-        ])
+        known = sorted([*_NUMBER_FAMILIES, *_POLY_FAMILIES])
         print(f"error: unknown family {family!r}; known: {', '.join(known)}", file=sys.stderr)
         return 1
-    polys = [maker(n) for n in range(args.n_max + 1)]
+    polys = [maker(n, args.order) for n in range(args.n_max + 1)]
     if args.format == "json":
         print(
             json.dumps(

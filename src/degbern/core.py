@@ -23,10 +23,7 @@ __all__ = [
     "Scalar",
     "TruncSeries",
     "XPoly",
-    "lpoly_divexact",
     "rat",
-    "series_inverse",
-    "series_pow",
 ]
 
 Scalar = Union[int, Fraction]
@@ -264,11 +261,6 @@ class LambdaPoly:
 
 
 LAMBDA = LambdaPoly.lam()
-
-
-def lpoly_divexact(p: LambdaPoly, k: int) -> LambdaPoly:
-    """Exact division p / l**k; raises ExactDivisionError if inexact."""
-    return p.divexact(k)
 
 
 class XPoly:
@@ -676,13 +668,3 @@ class TruncSeries:
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self._coeffs)
         return f"TruncSeries[{self._ring.__name__}; O(t^{self._order + 1})]({inner})"
-
-
-def series_inverse(f: TruncSeries) -> TruncSeries:
-    """Inverse series g with f*g = 1 through the truncation order."""
-    return f.inverse()
-
-
-def series_pow(f: TruncSeries, r: int) -> TruncSeries:
-    """f**r through the truncation order; f**0 is 1."""
-    return f**r

@@ -25,6 +25,12 @@ with k >= r come from an alternating sum over f(t)^{k-r} p(j) (either a
 forward difference with symbolic step divided exactly by l^{k-r}, route
 ``delta_lambda``, or a Stirling sum, route ``stirling_sum``).
 
+Every route is one entry of the table ``_ROUTES``, keyed by (branch, name)
+with branches ``ak`` and ``a0`` (order 1) and ``g`` and ``f`` (order r).
+The ``*_ROUTES`` name tuples, the route checks, expand_order1 (the r = 1
+case), expand_higher and crosscheck all read that table; the first route
+of each branch is its default.
+
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
 """
@@ -61,11 +67,6 @@ __all__ = [
     "expand_order1",
     "reconstruct",
 ]
-
-AK_ROUTES = ("binomial_sum", "delta_lambda", "functional", "stirling_sum")
-A0_ROUTES = ("umbral_integral", "operator_functional", "residual")
-G_ROUTES = ("umbral_integral_op", "stirling_op")
-F_ROUTES = ("delta_lambda", "stirling_sum")
 
 
 class RouteMismatchError(Exception):
@@ -118,8 +119,20 @@ def _derivative_chain(p: XPoly) -> list[XPoly]:
     return out
 
 
-def _ak_binomial_sum(p: XPoly, n: int) -> list[LambdaPoly]:
+def _alternating(w: XPoly, k: int) -> LambdaPoly:
+    """sum_j (-1)^(k-j) C(k,j) w(j), the k-th forward difference of w at 0."""
+    acc = LambdaPoly.zero()
+    for j in range(k + 1):
+        acc = acc + w.eval_x(j) * Fraction((-1) ** (k - j) * comb(k, j))
+    return acc
+
+
+# -- the k >= r branch: "ak" at r = 1, "f" at any r; (p, r) -> [a_r, ..., a_n] --
+
+
+def _ak_binomial_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     # h(jl) values shared across k; one exact division per coefficient.
+    n = p.degree
     hvals = []
     for j in range(n):
         point = LambdaPoly({0: 1, 1: j}) if j else LambdaPoly.one()
@@ -133,9 +146,10 @@ def _ak_binomial_sum(p: XPoly, n: int) -> list[LambdaPoly]:
     return aks
 
 
-def _ak_delta_lambda(h: XPoly, n: int) -> list[LambdaPoly]:
+def _ak_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
+    n = p.degree
     aks = []
-    d = h
+    d = p.shift(1) - p
     for k in range(1, n + 1):
         aks.append(d.eval_x(0).divexact(k - 1) / factorial(k))
         if k < n:
@@ -143,7 +157,9 @@ def _ak_delta_lambda(h: XPoly, n: int) -> list[LambdaPoly]:
     return aks
 
 
-def _ak_functional(h: XPoly, n: int) -> list[LambdaPoly]:
+def _ak_functional(p: XPoly, r: int) -> list[LambdaPoly]:
+    n = p.degree
+    h = p.shift(1) - p
     f = delta_op(LAMBDA)
     power = f**0
     aks = []
@@ -154,7 +170,8 @@ def _ak_functional(h: XPoly, n: int) -> list[LambdaPoly]:
     return aks
 
 
-def _ak_stirling_sum(p: XPoly, n: int) -> list[LambdaPoly]:
+def _ak_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
+    n = p.degree
     derivs = _derivative_chain(p)
     jumps = [d.eval_x(1) - d.eval_x(0) for d in derivs]
     aks = []
@@ -169,69 +186,67 @@ def _ak_stirling_sum(p: XPoly, n: int) -> list[LambdaPoly]:
     return aks
 
 
-def _a0_umbral_integral(p: XPoly) -> LambdaPoly:
+def _f_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
+    coeffs = []
+    diff = p  # running forward difference D_l^{k-r} p
+    for k in range(r, p.degree + 1):
+        m = k - r
+        if m > 0:
+            diff = diff.shift(LAMBDA) - diff
+        coeffs.append(_alternating(diff.divexact(m), r) / factorial(k))
+    return coeffs
+
+
+def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
+    n = p.degree
+    derivs = _derivative_chain(p)
+    coeffs = []
+    for k in range(r, n + 1):
+        m = k - r
+        acc = LambdaPoly.zero()
+        for j in range(r + 1):
+            sign = Fraction((-1) ** (r - j) * comb(r, j))
+            inner = LambdaPoly.zero()
+            for l in range(m, n + 1):
+                s2 = stirling2(l, m)
+                if s2:
+                    weight = LambdaPoly.monomial(l - m, s2 * factorial(m) / factorial(l))
+                    inner = inner + derivs[l].eval_x(j) * weight
+            acc = acc + inner * sign
+        coeffs.append(acc / factorial(k))
+    return coeffs
+
+
+# -- the k < r branch: "a0" at r = 1, "g" at any r; (p, r, upper) -> [a_0, ...] --
+
+
+def _a0_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     composed = umbral_compose(p, lambda i: scaled_bernoulli(i, 1))
-    return integral_01(composed)
+    return [integral_01(composed)]
 
 
-def _a0_operator_functional(p: XPoly) -> LambdaPoly:
+def _a0_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
-    return functional(g, p)
+    return [functional(g, p)]
 
 
-def _a0_residual(p: XPoly, aks: list[LambdaPoly]) -> LambdaPoly:
+def _a0_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     a0 = p.eval_x(0)
-    for k, ak in enumerate(aks, start=1):
+    for k, ak in enumerate(upper, start=1):
         a0 = a0 - ak * deg_bernoulli(k).eval_x(0)
-    return a0
+    return [a0]
 
 
-def expand_order1(
-    p: XPoly,
-    ak_route: str = "binomial_sum",
-    a0_route: str = "umbral_integral",
-) -> BasisExpansion:
-    """Expand p in the degenerate Bernoulli basis (order 1)."""
-    n = _validated(p)
-    if ak_route not in AK_ROUTES:
-        raise ValueError(f"unknown ak_route {ak_route!r}; options: {AK_ROUTES}")
-    if a0_route not in A0_ROUTES:
-        raise ValueError(f"unknown a0_route {a0_route!r}; options: {A0_ROUTES}")
-
-    if ak_route == "binomial_sum":
-        aks = _ak_binomial_sum(p, n)
-    elif ak_route == "delta_lambda":
-        aks = _ak_delta_lambda(p.shift(1) - p, n)
-    elif ak_route == "functional":
-        aks = _ak_functional(p.shift(1) - p, n)
-    else:
-        aks = _ak_stirling_sum(p, n)
-
-    if a0_route == "umbral_integral":
-        a0 = _a0_umbral_integral(p)
-    elif a0_route == "operator_functional":
-        a0 = _a0_operator_functional(p)
-    else:
-        a0 = _a0_residual(p, aks)
-
-    return BasisExpansion(
-        order=1,
-        degree=n,
-        coeffs=(a0, *aks),
-        routes=(a0_route, *(ak_route,) * n),
-        source=p,
-    )
+def _g_by_integrals(composed: XPoly, m: int, derivs_len: int) -> XPoly:
+    """g(t)^m p as m unit-interval integrals of the umbral composition."""
+    w = composed
+    for _ in range(m):
+        w = integral_I(w)
+    return w
 
 
-def _g_branch_poly(p: XPoly, m: int, route: str, derivs_len: int) -> XPoly:
-    """g(t)^m p as a polynomial (m >= 1), by either realization."""
-    composed = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
-    if route == "umbral_integral_op":
-        w = composed
-        for _ in range(m):
-            w = integral_I(w)
-        return w
-    # stirling_op: ((e^t-1)/t)^m = sum_l S2(l+m,m) m!/(l+m)! t^l acting on the composition
+def _g_by_stirling(composed: XPoly, m: int, derivs_len: int) -> XPoly:
+    """g(t)^m p as ((e^t-1)/t)^m = sum_l S2(l+m,m) m!/(l+m)! t^l on the composition."""
     w = XPoly.zero()
     d = composed
     for l in range(derivs_len):
@@ -241,6 +256,68 @@ def _g_branch_poly(p: XPoly, m: int, route: str, derivs_len: int) -> XPoly:
         if l + 1 < derivs_len:
             d = d.derivative()
     return w
+
+
+def _g_branch(p: XPoly, r: int, g_power) -> list[LambdaPoly]:
+    """a_k for k < r: the k-th difference at 0 of g(t)^{r-k} p, over k!."""
+    n = p.degree
+    coeffs = []
+    for k in range(min(r, n + 1)):
+        m = r - k
+        composed = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
+        coeffs.append(_alternating(g_power(composed, m, n + 1), k) / factorial(k))
+    return coeffs
+
+
+# -- the route table ------------------------------------------------------------
+
+#: (branch, name) -> route. The first route of each branch is its default.
+_ROUTES = {
+    ("ak", "binomial_sum"): _ak_binomial_sum,
+    ("ak", "delta_lambda"): _ak_delta_lambda,
+    ("ak", "functional"): _ak_functional,
+    ("ak", "stirling_sum"): _ak_stirling_sum,
+    ("a0", "umbral_integral"): _a0_umbral_integral,
+    ("a0", "operator_functional"): _a0_operator_functional,
+    ("a0", "residual"): _a0_residual,
+    ("g", "umbral_integral_op"): lambda p, r, upper: _g_branch(p, r, _g_by_integrals),
+    ("g", "stirling_op"): lambda p, r, upper: _g_branch(p, r, _g_by_stirling),
+    ("f", "delta_lambda"): _f_delta_lambda,
+    ("f", "stirling_sum"): _f_stirling_sum,
+}
+
+
+def _names(branch: str) -> tuple[str, ...]:
+    return tuple(name for b, name in _ROUTES if b == branch)
+
+
+AK_ROUTES, A0_ROUTES, G_ROUTES, F_ROUTES = (_names(b) for b in ("ak", "a0", "g", "f"))
+
+
+def _assemble(p: XPoly, r: int, low: tuple[str, str], high: tuple[str, str]) -> BasisExpansion:
+    """Coefficients k < r by route ``low``, k >= r by route ``high``."""
+    for branch, name in (low, high):
+        if (branch, name) not in _ROUTES:
+            raise ValueError(f"unknown {branch}_route {name!r}; options: {_names(branch)}")
+    n = _validated(p)
+    upper = _ROUTES[high](p, r)
+    lower = _ROUTES[low](p, r, upper)
+    return BasisExpansion(
+        order=r,
+        degree=n,
+        coeffs=(*lower, *upper),
+        routes=(low[1],) * len(lower) + (high[1],) * len(upper),
+        source=p,
+    )
+
+
+def expand_order1(
+    p: XPoly,
+    ak_route: str = "binomial_sum",
+    a0_route: str = "umbral_integral",
+) -> BasisExpansion:
+    """Expand p in the degenerate Bernoulli basis (order 1)."""
+    return _assemble(p, 1, ("a0", a0_route), ("ak", ak_route))
 
 
 def expand_higher(
@@ -257,52 +334,7 @@ def expand_higher(
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"order r must be a positive integer, got {r!r}")
-    if g_route not in G_ROUTES:
-        raise ValueError(f"unknown g_route {g_route!r}; options: {G_ROUTES}")
-    if f_route not in F_ROUTES:
-        raise ValueError(f"unknown f_route {f_route!r}; options: {F_ROUTES}")
-    n = _validated(p)
-
-    coeffs: list[LambdaPoly] = []
-    routes: list[str] = []
-    if f_route == "stirling_sum":
-        derivs = _derivative_chain(p)
-    diff = p  # running forward difference D_l^{k-r} p for the delta_lambda route
-
-    for k in range(n + 1):
-        if k < r:
-            m = r - k
-            w = _g_branch_poly(p, m, g_route, n + 1)
-            acc = LambdaPoly.zero()
-            for j in range(k + 1):
-                acc = acc + w.eval_x(j) * Fraction((-1) ** (k - j) * comb(k, j))
-            coeffs.append(acc / factorial(k))
-            routes.append(g_route)
-            continue
-        m = k - r
-        if f_route == "delta_lambda":
-            if m > 0:
-                diff = diff.shift(LAMBDA) - diff
-            w = diff.divexact(m)
-            acc = LambdaPoly.zero()
-            for j in range(r + 1):
-                acc = acc + w.eval_x(j) * Fraction((-1) ** (r - j) * comb(r, j))
-            coeffs.append(acc / factorial(k))
-        else:
-            acc = LambdaPoly.zero()
-            for j in range(r + 1):
-                sign = Fraction((-1) ** (r - j) * comb(r, j))
-                inner = LambdaPoly.zero()
-                for l in range(m, n + 1):
-                    s2 = stirling2(l, m)
-                    if s2:
-                        weight = LambdaPoly.monomial(l - m, s2 * factorial(m) / factorial(l))
-                        inner = inner + derivs[l].eval_x(j) * weight
-                acc = acc + inner * sign
-            coeffs.append(acc / factorial(k))
-        routes.append(f_route)
-
-    return BasisExpansion(order=r, degree=n, coeffs=tuple(coeffs), routes=tuple(routes), source=p)
+    return _assemble(p, r, ("g", g_route), ("f", f_route))
 
 
 def expand(p: XPoly, r: int = 1, **route_options) -> BasisExpansion:
@@ -331,16 +363,15 @@ def classical_limit(e: BasisExpansion) -> list[Fraction]:
 
 
 def _all_expansions(p: XPoly, r: int) -> list[BasisExpansion]:
+    # At r = 1 each order-1 route runs once, beside the other branch's default;
+    # the g/f routes run in every pairing. The default expansion comes first.
+    out = []
     if r == 1:
-        out = [expand_order1(p, ak, "umbral_integral") for ak in AK_ROUTES]
-        out.extend(
-            expand_order1(p, "binomial_sum", a0)
-            for a0 in A0_ROUTES
-            if a0 != "umbral_integral"
-        )
-        out.extend(expand_higher(p, 1, g, f) for g in G_ROUTES for f in F_ROUTES)
-        return out
-    return [expand_higher(p, r, g, f) for g in G_ROUTES for f in F_ROUTES]
+        ak_default, a0_default = _names("ak")[0], _names("a0")[0]
+        out += [expand_order1(p, ak, a0_default) for ak in _names("ak")]
+        out += [expand_order1(p, ak_default, a0) for a0 in _names("a0")[1:]]
+    out += [expand_higher(p, r, g, f) for g in _names("g") for f in _names("f")]
+    return out
 
 
 def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:

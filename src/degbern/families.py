@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .core import LambdaPoly, TruncSeries, XPoly, series_pow
+from .core import LambdaPoly, TruncSeries, XPoly
 
 __all__ = [
     "FamilyTable",
@@ -156,7 +156,7 @@ class FamilyTable:
         if kind == "deg_falling":
             polys = _falling_list(n)
         elif kind == "bernoulli_r":
-            core = series_pow(_classic_core(n), key[1])
+            core = _classic_core(n) ** key[1]
             polys = self._extract(_lift(core) * _exp_x_series(n))
         elif kind == "euler":
             polys = self._extract(_lift(_euler_core(n)) * _exp_x_series(n))
@@ -166,10 +166,10 @@ class FamilyTable:
             polys = [XPoly.zero()]
             polys.extend(s.coeff(m - 1) * factorial(m) for m in range(1, n + 1))
         elif kind == "deg_bernoulli_r":
-            core = series_pow(_deg_core(n), key[1])
+            core = _deg_core(n) ** key[1]
             polys = self._extract(_lift(core) * _deg_exp_series(n))
         elif kind == "scaled_bernoulli":
-            core = series_pow(_scaled_core(n), key[1])
+            core = _scaled_core(n) ** key[1]
             polys = self._extract(_lift(core) * _exp_x_series(n))
         else:
             raise ValueError(f"unknown family {key!r}")
@@ -267,6 +267,7 @@ def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"harmonic() needs a positive integer, got {n!r}")
-    if n == 1:
-        return Fraction(1)
-    return harmonic(n - 1) + Fraction(1, n)
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += Fraction(1, k)
+    return total

@@ -20,9 +20,14 @@ Corpus (ids):
     ex_g_iop      iterated unit-interval integral of l^n B_n^(r)(x/l)
     ex_g          Genocchi products in the order-r degenerate basis
 
-Every verifier validates its parameter range first (e.g. miki needs
-n >= 2, ex_g needs n >= 3 and n >= r) and raises ValueError naming the
-constraint when violated.
+Each identity is one entry of the table ``_IDENTITIES``: its parameters
+with their minima, an optional cross-parameter constraint (``n >= r``,
+``m + n <= n_max``), its default sweep bounds, its builder and, for the
+degenerate-basis expansions, its closed-form coefficient list.
+DEFAULT_BOUNDS, parameter validation, identity_params, closed_form_coeffs
+and the verify_all sweep all read that table. A case outside the range
+raises ValueError naming the violated constraint (e.g. miki needs n >= 2,
+ex_g needs n >= 3 and n >= r).
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, inf
 from typing import Callable, Iterator, Mapping
 
 from .core import LAMBDA, LambdaPoly, XPoly
@@ -462,235 +468,109 @@ def _ex_g(n: int, r: int) -> tuple[XPoly, XPoly]:
     return _g_product_sum(n), _in_degenerate_basis(_ex_g_coeffs(n, r), r)
 
 
-# -- registry -----------------------------------------------------------------
+# -- the identity table ---------------------------------------------------------
+
+#: The sweep bound for each parameter name (n_max bounds m as well as n).
+_BOUND_OF = {"m": "n_max", "n": "n_max", "r": "r_max", "a": "a_max"}
+
+#: Cross-parameter constraints by their text. A predicate sees the parameters
+#: and, in a sweep, the bounds; a single case has no bounds to exceed.
+_CONSTRAINTS: dict[str, Callable[..., bool]] = {
+    "n >= r": lambda n, r, **_: n >= r,
+    "m + n <= n_max": lambda m, n, n_max=inf, **_: m + n <= n_max,
+}
 
 
 @dataclass(frozen=True)
-class _IdentityDef:
-    params: tuple[str, ...]
-    summary: str
+class _Identity:
     build: Callable[..., tuple[XPoly, XPoly]]
-    validate: Callable[..., None]
-    sweep: Callable[[Mapping[str, int]], Iterator[dict[str, int]]]
+    minima: Mapping[str, int]  # parameter -> least value, in argument order
+    bounds: Mapping[str, int]  # default sweep bounds
+    closed_form: Callable[..., list[LambdaPoly]] | None = None
+    constraint: str | None = None  # a key of _CONSTRAINTS
+
+    def violations(self, values: Mapping[str, int]) -> list[str]:
+        out = [f"{name} >= {lo}" for name, lo in self.minima.items() if values[name] < lo]
+        if self.constraint and not _CONSTRAINTS[self.constraint](**values):
+            out.append(self.constraint)
+        return out
+
+    def sweep(self, bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
+        """The product of the parameter ranges, in declaration order, within the constraint."""
+        ranges = [range(lo, bounds[_BOUND_OF[name]] + 1) for name, lo in self.minima.items()]
+        for values in product(*ranges):
+            params = dict(zip(self.minima, values))
+            if not self.violations({**bounds, **params}):
+                yield params
 
 
-def _need(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
-
-
-def _n_sweep(lo: int) -> Callable[[Mapping[str, int]], Iterator[dict[str, int]]]:
-    def sweep(bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
-        for n in range(lo, bounds["n_max"] + 1):
-            yield {"n": n}
-
-    return sweep
-
-
-def _mn_sweep(bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
-    # n_max bounds the total degree m + n
-    for m in range(1, bounds["n_max"]):
-        for n in range(1, bounds["n_max"] - m + 1):
-            yield {"m": m, "n": n}
-
-
-def _iop_sweep(bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
-    for n in range(bounds["n_max"] + 1):
-        for r in range(bounds["r_max"] + 1):
-            for a in range(1, bounds["a_max"] + 1):
-                yield {"n": n, "r": r, "a": a}
-
-
-def _g_sweep(bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
-    for n in range(3, bounds["n_max"] + 1):
-        for r in range(1, min(n, bounds["r_max"]) + 1):
-            yield {"n": n, "r": r}
-
-
-_REGISTRY: dict[str, _IdentityDef] = {
-    "miki_poly": _IdentityDef(
-        ("n",),
-        "quadratic Bernoulli-polynomial convolution",
-        _miki_poly,
-        lambda n: _need(n >= 2, "miki_poly requires n >= 2"),
-        _n_sweep(2),
+_IDENTITIES: dict[str, _Identity] = {
+    "miki_poly": _Identity(_miki_poly, {"n": 2}, {"n_max": 8}),
+    "miki": _Identity(_miki, {"n": 2}, {"n_max": 8}),
+    "fpz": _Identity(_fpz, {"n": 2}, {"n_max": 8}),
+    "ex_a_polyid": _Identity(_ex_a_polyid, {"n": 1}, {"n_max": 8}),
+    "ex_a": _Identity(_ex_a, {"n": 1}, {"n_max": 8}, _ex_a_coeffs),
+    "ex_b_classical": _Identity(_ex_b_classical, {"n": 2}, {"n_max": 10}),
+    "ex_b": _Identity(_ex_b, {"n": 2}, {"n_max": 8}, _ex_b_coeffs),
+    "ex_c_classical": _Identity(_ex_c_classical, {"n": 2}, {"n_max": 8}),
+    "ex_c": _Identity(_ex_c, {"n": 2}, {"n_max": 8}, _ex_c_coeffs),
+    "ex_d_classical": _Identity(_ex_d_classical, {"n": 3}, {"n_max": 10}),
+    "ex_d": _Identity(_ex_d, {"n": 3}, {"n_max": 10}, _ex_d_coeffs),
+    "ex_e_classical": _Identity(
+        _ex_e_classical, {"m": 1, "n": 1}, {"n_max": 10}, constraint="m + n <= n_max"
     ),
-    "miki": _IdentityDef(
-        ("n",),
-        "Miki's Bernoulli-number identity",
-        _miki,
-        lambda n: _need(n >= 2, "miki requires n >= 2"),
-        _n_sweep(2),
+    "ex_e": _Identity(_ex_e, {"m": 1, "n": 1}, {"n_max": 10}, _ex_e_coeffs, "m + n <= n_max"),
+    "ex_f_classical": _Identity(
+        _ex_f_classical, {"m": 1, "n": 1}, {"n_max": 10}, constraint="m + n <= n_max"
     ),
-    "fpz": _IdentityDef(
-        ("n",),
-        "Faber-Pandharipande-Zagier identity",
-        _fpz,
-        lambda n: _need(n >= 2, "fpz requires n >= 2"),
-        _n_sweep(2),
+    "ex_f": _Identity(_ex_f, {"m": 1, "n": 1}, {"n_max": 10}, _ex_f_coeffs, "m + n <= n_max"),
+    "ex_g_iop": _Identity(
+        _ex_g_iop, {"n": 0, "r": 0, "a": 1}, {"n_max": 6, "r_max": 3, "a_max": 3}
     ),
-    "ex_a_polyid": _IdentityDef(
-        ("n",),
-        "one-variable identity behind the constant coefficient of B_n(x)",
-        _ex_a_polyid,
-        lambda n: _need(n >= 1, "ex_a_polyid requires n >= 1"),
-        _n_sweep(1),
-    ),
-    "ex_a": _IdentityDef(
-        ("n",),
-        "B_n(x) in the degenerate Bernoulli basis",
-        _ex_a,
-        lambda n: _need(n >= 1, "ex_a requires n >= 1"),
-        _n_sweep(1),
-    ),
-    "ex_b_classical": _IdentityDef(
-        ("n",),
-        "Bernoulli-product sum in the Bernoulli basis",
-        _ex_b_classical,
-        lambda n: _need(n >= 2, "ex_b_classical requires n >= 2"),
-        _n_sweep(2),
-    ),
-    "ex_b": _IdentityDef(
-        ("n",),
-        "Bernoulli-product sum in the degenerate Bernoulli basis",
-        _ex_b,
-        lambda n: _need(n >= 2, "ex_b requires n >= 2"),
-        _n_sweep(2),
-    ),
-    "ex_c_classical": _IdentityDef(
-        ("n",),
-        "Euler-product sum in the Bernoulli basis",
-        _ex_c_classical,
-        lambda n: _need(n >= 2, "ex_c_classical requires n >= 2"),
-        _n_sweep(2),
-    ),
-    "ex_c": _IdentityDef(
-        ("n",),
-        "Euler-product sum in the degenerate Bernoulli basis",
-        _ex_c,
-        lambda n: _need(n >= 2, "ex_c requires n >= 2"),
-        _n_sweep(2),
-    ),
-    "ex_d_classical": _IdentityDef(
-        ("n",),
-        "Genocchi-product sum in the Bernoulli basis",
-        _ex_d_classical,
-        lambda n: _need(n >= 3, "ex_d_classical requires n >= 3"),
-        _n_sweep(3),
-    ),
-    "ex_d": _IdentityDef(
-        ("n",),
-        "Genocchi-product sum in the degenerate Bernoulli basis",
-        _ex_d,
-        lambda n: _need(n >= 3, "ex_d requires n >= 3"),
-        _n_sweep(3),
-    ),
-    "ex_e_classical": _IdentityDef(
-        ("m", "n"),
-        "Nielsen's Bernoulli-polynomial product formula",
-        _ex_e_classical,
-        lambda m, n: _need(m >= 1 and n >= 1 and m + n >= 2, "ex_e_classical requires m, n >= 1"),
-        _mn_sweep,
-    ),
-    "ex_e": _IdentityDef(
-        ("m", "n"),
-        "Nielsen's Bernoulli product in the degenerate basis",
-        _ex_e,
-        lambda m, n: _need(m >= 1 and n >= 1 and m + n >= 2, "ex_e requires m, n >= 1"),
-        _mn_sweep,
-    ),
-    "ex_f_classical": _IdentityDef(
-        ("m", "n"),
-        "Nielsen's Euler-polynomial product formula",
-        _ex_f_classical,
-        lambda m, n: _need(m >= 1 and n >= 1, "ex_f_classical requires m, n >= 1"),
-        _mn_sweep,
-    ),
-    "ex_f": _IdentityDef(
-        ("m", "n"),
-        "Nielsen's Euler product in the degenerate basis",
-        _ex_f,
-        lambda m, n: _need(m >= 1 and n >= 1, "ex_f requires m, n >= 1"),
-        _mn_sweep,
-    ),
-    "ex_g_iop": _IdentityDef(
-        ("n", "r", "a"),
-        "iterated unit-interval integral of l^n B_n^(r)(x/l)",
-        _ex_g_iop,
-        lambda n, r, a: _need(
-            n >= 0 and r >= 0 and a >= 1, "ex_g_iop requires n >= 0, r >= 0, a >= 1"
-        ),
-        _iop_sweep,
-    ),
-    "ex_g": _IdentityDef(
-        ("n", "r"),
-        "Genocchi-product sum in the order-r degenerate basis",
-        _ex_g,
-        lambda n, r: _need(
-            n >= 3 and r >= 1 and n >= r, "ex_g requires n >= 3, r >= 1 and n >= r"
-        ),
-        _g_sweep,
-    ),
-}
-
-_CLOSED_FORMS: dict[str, Callable[..., list[LambdaPoly]]] = {
-    "ex_a": _ex_a_coeffs,
-    "ex_b": _ex_b_coeffs,
-    "ex_c": _ex_c_coeffs,
-    "ex_d": _ex_d_coeffs,
-    "ex_e": _ex_e_coeffs,
-    "ex_f": _ex_f_coeffs,
-    "ex_g": _ex_g_coeffs,
+    "ex_g": _Identity(_ex_g, {"n": 3, "r": 1}, {"n_max": 6, "r_max": 4}, _ex_g_coeffs, "n >= r"),
 }
 
 DEFAULT_BOUNDS: dict[str, dict[str, int]] = {
-    "miki_poly": {"n_max": 8},
-    "miki": {"n_max": 8},
-    "fpz": {"n_max": 8},
-    "ex_a_polyid": {"n_max": 8},
-    "ex_a": {"n_max": 8},
-    "ex_b_classical": {"n_max": 10},
-    "ex_b": {"n_max": 8},
-    "ex_c_classical": {"n_max": 8},
-    "ex_c": {"n_max": 8},
-    "ex_d_classical": {"n_max": 10},
-    "ex_d": {"n_max": 10},
-    "ex_e_classical": {"n_max": 10},
-    "ex_e": {"n_max": 10},
-    "ex_f_classical": {"n_max": 10},
-    "ex_f": {"n_max": 10},
-    "ex_g_iop": {"n_max": 6, "r_max": 3, "a_max": 3},
-    "ex_g": {"n_max": 6, "r_max": 4},
+    identity_id: dict(entry.bounds) for identity_id, entry in _IDENTITIES.items()
 }
 
 
 def identity_ids() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def identity_summary(identity_id: str) -> str:
-    return _lookup(identity_id).summary
+    return tuple(sorted(_IDENTITIES))
 
 
 def identity_params(identity_id: str) -> tuple[str, ...]:
     """Parameter names an identity takes, e.g. ("n",) or ("m", "n")."""
-    return _lookup(identity_id).params
+    return tuple(_lookup(identity_id).minima)
 
 
-def _lookup(identity_id: str) -> _IdentityDef:
-    entry = _REGISTRY.get(identity_id)
+def _lookup(identity_id: str) -> _Identity:
+    entry = _IDENTITIES.get(identity_id)
     if entry is None:
         raise ValueError(f"unknown identity {identity_id!r}; known: {', '.join(identity_ids())}")
     return entry
 
 
+def _check_params(identity_id: str, entry: _Identity, params: Mapping[str, int]) -> None:
+    names = tuple(entry.minima)
+    unknown = set(params) - set(names)
+    if unknown:
+        raise ValueError(f"{identity_id} takes parameters {names}, not {sorted(unknown)}")
+    missing = set(names) - set(params)
+    if missing:
+        raise ValueError(f"{identity_id} is missing parameters {sorted(missing)}")
+    violated = entry.violations(params)
+    if violated:
+        raise ValueError(f"{identity_id} requires {' and '.join(violated)}")
+
+
 def closed_form_coeffs(identity_id: str, **params: int) -> list[LambdaPoly]:
     """Coefficient list stated by the closed-form expansion of an identity."""
-    fn = _CLOSED_FORMS.get(identity_id)
-    if fn is None:
+    entry = _IDENTITIES.get(identity_id)
+    if entry is None or entry.closed_form is None:
         raise ValueError(f"{identity_id!r} has no closed-form coefficient list")
-    _lookup(identity_id).validate(**params)
-    return fn(**params)
+    _check_params(identity_id, entry, params)
+    return entry.closed_form(**params)
 
 
 def verify(
@@ -704,13 +584,7 @@ def verify(
     entry = _lookup(identity_id)
     merged = dict(params or {})
     merged.update(kw)
-    unknown = set(merged) - set(entry.params)
-    if unknown:
-        raise ValueError(f"{identity_id} takes parameters {entry.params}, not {sorted(unknown)}")
-    missing = set(entry.params) - set(merged)
-    if missing:
-        raise ValueError(f"{identity_id} is missing parameters {sorted(missing)}")
-    entry.validate(**merged)
+    _check_params(identity_id, entry, merged)
     lhs, rhs = entry.build(**merged)
     if perturb:
         rhs = rhs + XPoly.one()
@@ -733,7 +607,7 @@ def verify_all(
     cases: list[IdentityCase] = []
     for identity_id in sorted(ids) if ids is not None else identity_ids():
         entry = _lookup(identity_id)
-        eff = dict(DEFAULT_BOUNDS[identity_id])
+        eff = dict(entry.bounds)
         if bounds and identity_id in bounds:
             eff.update(bounds[identity_id])
         for params in entry.sweep(eff):

@@ -61,16 +61,6 @@ class OperatorSeries:
         """Operator with ordinary t^k coefficient fn(k)."""
         return cls(lambda order: TruncSeries.from_fn(LambdaPoly, order, lambda k: _lp(fn(k))))
 
-    @classmethod
-    def from_series(cls, series: TruncSeries) -> "OperatorSeries":
-        """Operator equal to a t-polynomial: the given coefficients, zero tail."""
-        coeffs = series.coeffs
-
-        def build(order: int) -> TruncSeries:
-            return TruncSeries(LambdaPoly, order, coeffs[: order + 1])
-
-        return cls(build)
-
     def series(self, order: int) -> TruncSeries:
         cached = self._cached
         if cached is None or cached.order < order:

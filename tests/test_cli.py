@@ -60,6 +60,15 @@ def test_expand_bad_order_exit_1():
     assert proc.returncode == 1
 
 
+def test_expand_bad_lambda_exit_1_without_traceback():
+    for bad in ("1/0", "one"):
+        proc = run_cli("expand", "--expr", "x^2", "--lambda", bad)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
 def test_json_document_round_trip():
     proc = run_cli("expand", "--expr", "x^3 - 1/2*l*x", "--format", "json")
     doc = json.loads(proc.stdout)
@@ -188,6 +197,14 @@ def test_exact_division_failure_maps_to_exit_3(monkeypatch):
 
     monkeypatch.setattr(cli, "expand", boom)
     assert cli.main(["expand", "--expr", "x"]) == 3
+
+
+def test_bad_lambda_rejected_before_expanding(monkeypatch):
+    def boom(p, r=1, **kw):
+        raise AssertionError("expanded before --lambda was checked")
+
+    monkeypatch.setattr(cli, "expand", boom)
+    assert cli.main(["expand", "--expr", "x", "--lambda", "1/0"]) == 1
 
 
 def test_version_flag():

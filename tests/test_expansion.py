@@ -1,9 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from degbern import expansion
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.expansion import (
     A0_ROUTES,
@@ -26,6 +28,7 @@ from degbern.families import (
     deg_bernoulli_order,
     genocchi_poly,
 )
+from degbern.parser import parse_poly
 from degbern.umbral import forward_diff
 from helpers import classical_coeffs_higher, classical_coeffs_order1, random_xpoly
 
@@ -134,6 +137,21 @@ def test_zero_polynomial_rejected():
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
         expand_higher(XPoly.one(), 0)
+
+
+def test_first_route_of_each_branch_is_the_default():
+    defaults = {
+        name: param.default
+        for fn in (expand_order1, expand_higher)
+        for name, param in inspect.signature(fn).parameters.items()
+        if name.endswith("_route")
+    }
+    assert defaults == {
+        "ak_route": AK_ROUTES[0],
+        "a0_route": A0_ROUTES[0],
+        "g_route": G_ROUTES[0],
+        "f_route": F_ROUTES[0],
+    }
 
 
 def test_unknown_routes_rejected():
@@ -257,3 +275,25 @@ def test_provenance_records_routes():
     eh = expand_higher(p, 2, "stirling_op", "stirling_sum")
     assert eh.routes[0] == "stirling_op"
     assert eh.routes[-1] == "stirling_sum"
+
+
+# -- every registered route is cross-checked ------------------------------------
+
+_PERTURBED = [(1, key) for key in expansion._ROUTES] + [
+    (2, key) for key in expansion._ROUTES if key[0] in ("g", "f")
+]
+
+
+@pytest.mark.parametrize(
+    "r, key", _PERTURBED, ids=[f"r{r}-{branch}-{name}" for r, (branch, name) in _PERTURBED]
+)
+def test_crosscheck_catches_a_wrong_route(monkeypatch, r, key):
+    route = expansion._ROUTES[key]
+
+    def off_by_one(*args):
+        coeffs = route(*args)
+        return [coeffs[0] + LambdaPoly.one(), *coeffs[1:]]
+
+    monkeypatch.setitem(expansion._ROUTES, key, off_by_one)
+    with pytest.raises(RouteMismatchError):
+        crosscheck(parse_poly("x^3 - 1/2*l*x + 2"), r)

@@ -229,6 +229,11 @@ def test_harmonic_values():
     assert harmonic(4) == Fraction(25, 12)
 
 
+def test_harmonic_large_n_without_recursion():
+    harmonic.cache_clear()  # a cold cache is what used to recurse n deep
+    assert harmonic(3000) - harmonic(2999) == Fraction(1, 3000)
+
+
 def test_harmonic_rejects_zero():
     with pytest.raises(ValueError):
         harmonic(0)

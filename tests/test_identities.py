@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,19 @@ def test_default_bounds_cover_required_ranges():
     assert DEFAULT_BOUNDS["ex_d"]["n_max"] >= 10
     assert DEFAULT_BOUNDS["ex_e"]["n_max"] >= 10
     assert DEFAULT_BOUNDS["ex_g_iop"] == {"n_max": 6, "r_max": 3, "a_max": 3}
+
+
+def test_default_sweep_case_counts():
+    counts = Counter(case.id for case in verify_all())
+    assert counts == {
+        **dict.fromkeys(("ex_a", "ex_a_polyid", "ex_d", "ex_d_classical"), 8),
+        **dict.fromkeys(("ex_b", "ex_c", "ex_c_classical", "fpz", "miki", "miki_poly"), 7),
+        "ex_b_classical": 9,
+        **dict.fromkeys(("ex_e", "ex_e_classical", "ex_f", "ex_f_classical"), 45),
+        "ex_g": 15,
+        "ex_g_iop": 84,
+    }
+    assert sum(counts.values()) == 362
 
 
 # -- closed forms versus the expansion machinery -------------------------------

@@ -34,8 +34,8 @@ from .families import (
     genocchi_number,
     scaled_bernoulli,
 )
-from .identities import DEFAULT_BOUNDS, identity_ids, identity_params, verify, verify_all
-from .parser import ParseError, parse_poly
+from .identities import DEFAULT_BOUNDS, identity_ids, verify, verify_all
+from .parser import ParseError, max_degree_limit, parse_poly
 
 __all__ = [
     "document_to_expansion",
@@ -222,11 +222,6 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _case_params(args: argparse.Namespace, wanted: tuple[str, ...]) -> dict[str, int]:
-    given = {name: getattr(args, name) for name in ("n", "m", "r", "a")}
-    return {name: value for name, value in given.items() if value is not None and name in wanted}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = list(args.ids) + list(args.id_flags)
     known = identity_ids()
@@ -237,23 +232,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not ids or args.all:
         ids = list(known)
 
-    single = any(getattr(args, name) is not None for name in ("n", "m", "r", "a"))
-    if single:
-        cases = []
-        for identity_id in sorted(set(ids)):
-            params = _case_params(args, identity_params(identity_id))
-            cases.append(verify(identity_id, params, perturb=args.perturb))
+    given = {name: getattr(args, name) for name in ("n", "m", "r", "a")}
+    params = {name: value for name, value in given.items() if value is not None}
+    if params:
+        # verify() rejects, with exit 1, a flag the identity does not take
+        cases = [verify(identity_id, params, perturb=args.perturb) for identity_id in sorted(set(ids))]
     else:
         bounds: dict[str, dict[str, int]] = {}
         for identity_id in ids:
             override = {}
             if args.n_max is not None:
                 override["n_max"] = args.n_max
-            if args.r_max is not None:
-                if "r_max" in DEFAULT_BOUNDS[identity_id]:
-                    override["r_max"] = args.r_max
-                if "a_max" in DEFAULT_BOUNDS[identity_id]:
-                    override["a_max"] = args.r_max
+            if args.r_max is not None and "r_max" in DEFAULT_BOUNDS[identity_id]:
+                override["r_max"] = args.r_max
             if override:
                 bounds[identity_id] = override
         cases = verify_all(bounds or None, ids=sorted(set(ids)), perturb=args.perturb)
@@ -296,8 +287,10 @@ _POLY_FAMILIES = {
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.n_max < 0:
-        print("error: --n-max must be >= 0", file=sys.stderr)
+    limit = max_degree_limit()
+    if not 0 <= args.n_max <= limit:
+        print(f"error: --n-max must be between 0 and {limit} (DEGBERN_MAX_DEGREE), got {args.n_max}",
+              file=sys.stderr)
         return 1
     family = args.family
     if family in _NUMBER_FAMILIES:

@@ -1,23 +1,28 @@
-"""Number sequences and polynomial families, built from generating functions.
+"""Number sequences and polynomial families, grown one member at a time.
 
-All families come out of one shared truncated-series engine, so each is
-consistent with its defining series by construction (EGF convention:
-``family_n(x) = n! [t^n] F(t, x)``):
+Every polynomial family here is of Appell type: its generating function
+(EGF convention, ``family_n(x) = n! [t^n] F(t, x)``) is a core series
+``core(t)^r`` times a basis series in t and x, so member n is the numbers
+``c_k = k! [t^k] core^r`` times the basis members below n:
 
-    Bernoulli                  t/(e^t-1) * e^{xt}
-    order-r Bernoulli          (t/(e^t-1))^r * e^{xt}
-    Euler                      2/(e^t+1) * e^{xt}
-    Genocchi                   2t/(e^t+1) * e^{xt}
-    degenerate falling factorial   (x)_{n,l} = x(x-l)...(x-(n-1)l)
-    degenerate Bernoulli           t/(e_l(t)-1) * e_l^x(t)
-    order-r degenerate Bernoulli   (t/(e_l(t)-1))^r * e_l^x(t)
-    scaled order-a Bernoulli       l^n B_n^(a)(x/l) from (lt/(e^{lt}-1))^a * e^{xt}
+    family                        generating function         member n
+    order-r Bernoulli             (t/(e^t-1))^r e^{xt}        sum_j C(n,j) c_j x^{n-j}
+    Euler                         2/(e^t+1) e^{xt}            sum_j C(n,j) c_j x^{n-j}
+    scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}    sum_j C(n,j) c_j x^{n-j}
+    order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   sum_j C(n,j) c_j (x)_{n-j,l}
+    degenerate falling factorial  e_l^x(t)                    (x)_{n-1,l} (x-(n-1)l)
+    Genocchi                      2t/(e^t+1) e^{xt}           n E_{n-1}(x)
 
-where e_l^x(t) = (1+lt)^{x/l}. Stirling numbers of the second kind and
-harmonic numbers round out the kit.
+where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), order 1 gives the plain
+Bernoulli families and the scaled family is l^n B_n^(a)(x/l). Each core
+is A(t)^(-r) for a closed-form series A with A(0) = 1, so c_k follows
+from c_0..c_{k-1} by J. C. P. Miller's power recurrence, exactly in Q[l].
+Since c_k is member k at x = 0, the members are all a table stores.
+Stirling numbers of the second kind and harmonic numbers round out the kit.
 
-Family members are cached append-only; reads are safe from multiple
-threads (a reader sees either a missing entry or a complete one).
+A table computes only the members it lacks and publishes each grown list
+wholesale; reads are safe from multiple threads (a reader sees either a
+missing entry or a complete one).
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
-from .core import LambdaPoly, TruncSeries, XPoly
+from .core import LAMBDA, LambdaPoly, XPoly
 
 __all__ = [
     "FamilyTable",
@@ -53,135 +58,96 @@ def _check_index(n: int, name: str = "n") -> int:
     return n
 
 
-def _inv_fact(k: int) -> Fraction:
-    return Fraction(1, factorial(k))
-
-
-def _falling_list(n: int) -> list[XPoly]:
-    """(x)_{0,l} .. (x)_{n,l} via the product x(x-l)...(x-(k-1)l)."""
-    out = [XPoly.one()]
-    lam = LambdaPoly.lam()
-    for k in range(1, n + 1):
-        factor = XPoly((-(lam * (k - 1)), LambdaPoly.one()))
-        out.append(out[-1] * factor)
+def _deg_base(k: int) -> list[LambdaPoly]:
+    """(1)_{j+1,l}/(j+1)! for j = 0..k, where (1)_{j+1,l} = (1-l)(1-2l)...(1-jl)."""
+    out, falling = [], LambdaPoly.one()
+    for j in range(k + 1):
+        out.append(falling / factorial(j + 1))
+        falling = falling * (1 - LAMBDA * (j + 1))
     return out
 
 
-def _exp_x_series(order: int) -> TruncSeries:
-    """e^{xt}: coefficient of t^k is x^k/k!."""
-    return TruncSeries.from_fn(
-        XPoly, order, lambda k: XPoly.monomial(k, _inv_fact(k))
-    )
+# a_0..a_k of the series A(t), A(0) = 1, whose power A^(-r) is the family's core.
+_BASES = {
+    # A = (e^t-1)/t
+    "bernoulli_r": lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)],
+    # A = (e^t+1)/2
+    "euler": lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)],
+    # A = (e^{lt}-1)/(lt)
+    "scaled_bernoulli": lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)],
+    # A = (e_l(t)-1)/t
+    "deg_bernoulli_r": _deg_base,
+}
 
 
-def _deg_exp_series(order: int) -> TruncSeries:
-    """e_l^x(t): coefficient of t^k is (x)_{k,l}/k!."""
-    falling = _falling_list(order)
-    return TruncSeries(
-        XPoly, order, [falling[k] * _inv_fact(k) for k in range(order + 1)]
-    )
+def _next_number(kind: str, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
+    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1}, by Miller's power recurrence.
 
-
-def _classic_core(order: int) -> TruncSeries:
-    """t/(e^t-1), i.e. the inverse of sum_k t^k/(k+1)!."""
-    base = TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.const(_inv_fact(k + 1)))
-    return base.inverse()
-
-
-def _deg_core(order: int) -> TruncSeries:
-    """t/(e_l(t)-1), inverse of sum_k (1)_{k+1,l} t^k/(k+1)!."""
-    lam = LambdaPoly.lam()
-    one_falling = [LambdaPoly.one()]
-    for k in range(1, order + 2):
-        one_falling.append(one_falling[-1] * (LambdaPoly.one() - lam * (k - 1)))
-    base = TruncSeries(
-        LambdaPoly,
-        order,
-        [one_falling[k + 1] * _inv_fact(k + 1) for k in range(order + 1)],
-    )
-    return base.inverse()
-
-
-def _scaled_core(order: int) -> TruncSeries:
-    """lt/(e^{lt}-1), inverse of sum_k l^k t^k/(k+1)!."""
-    base = TruncSeries.from_fn(
-        LambdaPoly, order, lambda k: LambdaPoly.monomial(k, _inv_fact(k + 1))
-    )
-    return base.inverse()
-
-
-def _euler_core(order: int) -> TruncSeries:
-    """2/(e^t+1)."""
-    base = TruncSeries.from_fn(
-        LambdaPoly,
-        order,
-        lambda k: LambdaPoly.const(2 if k == 0 else _inv_fact(k)),
-    )
-    return base.inverse() * 2
-
-
-def _lift(series: TruncSeries) -> TruncSeries:
-    """Reinterpret a LambdaPoly series as an XPoly series of constants."""
-    return series.map_coeffs(XPoly.const, XPoly)
+    For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
+    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers.
+    """
+    k = len(numbers)
+    if k == 0:
+        return LambdaPoly.one()
+    base = _BASES[kind](k)
+    total = LambdaPoly.zero()
+    weight = 1
+    for j in range(1, k + 1):
+        if numbers[k - j]:
+            total = total + base[j] * (((1 - r) * j - k) * weight) * numbers[k - j]
+        weight *= k - j
+    return total
 
 
 class FamilyTable:
     """Append-only cache of polynomial families keyed by family id.
 
-    Keys are tuples such as ("bernoulli",), ("deg_bernoulli_r", r) or
-    ("scaled_bernoulli", a). Cached lists are replaced wholesale, never
-    mutated in place, so unlocked readers always see complete entries.
+    Keys are tuples such as ("deg_falling",), ("deg_bernoulli_r", r) or
+    ("scaled_bernoulli", a). A request past the cached end computes only
+    the missing members, then replaces the cached list wholesale; lists are
+    never mutated in place, so unlocked readers always see complete entries.
+    The lock is re-entrant because some families read others.
     """
 
     def __init__(self) -> None:
         self._cache: dict[tuple, list[XPoly]] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def get(self, key: tuple, n: int) -> XPoly:
         entry = self._cache.get(key)
         if entry is not None and n < len(entry):
             return entry[n]
-        with self._lock:
-            entry = self._cache.get(key)
-            if entry is None or n >= len(entry):
-                built = self._build(key, n)
-                if entry:
-                    built = list(entry) + built[len(entry):]
-                self._cache[key] = built
-                entry = built
-        return entry[n]
+        return self._grow(key, n)[n]
 
-    def _build(self, key: tuple, n: int) -> list[XPoly]:
+    def _grow(self, key: tuple, n: int) -> list[XPoly]:
+        """The published members of key, grown to at least 0..n."""
+        with self._lock:
+            members = self._cache.get(key, [])
+            if n >= len(members):
+                members = list(members)
+                for m in range(len(members), n + 1):
+                    p = self._member(key, members, m)
+                    if key[0] != "genocchi" and p.degree != m:
+                        raise ArithmeticError(f"family {key!r} member {m} has degree {p.degree}")
+                    members.append(p)
+                self._cache[key] = members
+            return members
+
+    def _member(self, key: tuple, members: list[XPoly], m: int) -> XPoly:
         kind = key[0]
         if kind == "deg_falling":
-            polys = _falling_list(n)
-        elif kind == "bernoulli_r":
-            core = _classic_core(n) ** key[1]
-            polys = self._extract(_lift(core) * _exp_x_series(n))
-        elif kind == "euler":
-            polys = self._extract(_lift(_euler_core(n)) * _exp_x_series(n))
-        elif kind == "genocchi":
-            # 2t/(e^t+1)e^{xt} = t * (Euler series): shift indices by one.
-            s = _lift(_euler_core(n)) * _exp_x_series(n)
-            polys = [XPoly.zero()]
-            polys.extend(s.coeff(m - 1) * factorial(m) for m in range(1, n + 1))
-        elif kind == "deg_bernoulli_r":
-            core = _deg_core(n) ** key[1]
-            polys = self._extract(_lift(core) * _deg_exp_series(n))
-        elif kind == "scaled_bernoulli":
-            core = _scaled_core(n) ** key[1]
-            polys = self._extract(_lift(core) * _exp_x_series(n))
-        else:
+            return members[-1] * XPoly((-(LAMBDA * (m - 1)), LambdaPoly.one())) if m else XPoly.one()
+        if kind == "genocchi":
+            return self._grow(("euler",), m - 1)[m - 1] * m if m else XPoly.zero()
+        if kind not in _BASES:
             raise ValueError(f"unknown family {key!r}")
-        if kind != "genocchi":
-            for m, p in enumerate(polys):
-                if p.degree != m:
-                    raise ArithmeticError(f"family {key!r} member {m} has degree {p.degree}")
-        return polys
-
-    @staticmethod
-    def _extract(series: TruncSeries) -> list[XPoly]:
-        return [series.coeff(m) * factorial(m) for m in range(series.order + 1)]
+        numbers = [p.coeff(0) for p in members]
+        numbers.append(_next_number(kind, 1 if kind == "euler" else key[1], numbers))
+        if kind == "deg_bernoulli_r":
+            falling = self._grow(("deg_falling",), m)
+            terms = (falling[m - j] * (c * comb(m, j)) for j, c in enumerate(numbers) if c)
+            return sum(terms, XPoly.zero())
+        return XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers))])
 
 
 _TABLE = FamilyTable()
@@ -241,25 +207,11 @@ def scaled_bernoulli(n: int, a: int) -> XPoly:
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> Fraction:
-    """Stirling number of the second kind, from (e^t-1)^k/k!.
-
-    Also recomputed through the triangle recurrence
-    S2(n,k) = k*S2(n-1,k) + S2(n-1,k-1) as a built-in self-check.
-    """
+    """Stirling number of the second kind, by the explicit integer sum
+    S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!."""
     _check_index(n)
     _check_index(k, "k")
-    if n == 0 and k == 0:
-        return Fraction(1)
-    if k == 0 or k > n:
-        return Fraction(0)
-    base = TruncSeries.from_fn(
-        LambdaPoly, n - k, lambda j: LambdaPoly.const(_inv_fact(j + 1))
-    )
-    via_series = (base**k).coeff(n - k).as_rational() * factorial(n) / factorial(k)
-    via_triangle = k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-    if via_series != via_triangle:
-        raise ArithmeticError(f"Stirling self-check failed at ({n}, {k})")
-    return via_series
+    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k))
 
 
 @lru_cache(maxsize=None)

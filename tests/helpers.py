@@ -2,8 +2,11 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 series inverse uses Newton iteration on plain coefficient lists, Stirling
-numbers come from brute-force set-partition enumeration, and the classical
-expansion coefficients come straight from derivative/integral formulas.
+numbers come from brute-force set-partition enumeration and from a series
+power, the classical expansion coefficients come straight from
+derivative/integral formulas, and the polynomial families come from
+products of truncated generating series instead of the tables' numbers x
+basis recurrences.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import random
 from fractions import Fraction
 from math import comb, factorial
 
-from degbern.core import LambdaPoly, XPoly
+from degbern.core import LambdaPoly, TruncSeries, XPoly
 from degbern.umbral import integral_I
 
 BOUND = 10**6
@@ -135,3 +138,98 @@ def classical_coeffs_higher(p: XPoly, r: int) -> list[Fraction]:
                 acc += Fraction((-1) ** (r - j) * comb(r, j)) * d.eval_x(j).as_rational()
             out.append(acc / factorial(k))
     return out
+
+
+# -- generating-series oracle for the family tables -----------------------------------
+
+
+def _inv_fact(k: int) -> Fraction:
+    return Fraction(1, factorial(k))
+
+
+def _falling_list(n: int) -> list[XPoly]:
+    """(x)_{0,l} .. (x)_{n,l} via the product x(x-l)...(x-(k-1)l)."""
+    out = [XPoly.one()]
+    lam = LambdaPoly.lam()
+    for k in range(1, n + 1):
+        out.append(out[-1] * XPoly((-(lam * (k - 1)), LambdaPoly.one())))
+    return out
+
+
+def _exp_x_series(order: int) -> TruncSeries:
+    """e^{xt}: coefficient of t^k is x^k/k!."""
+    return TruncSeries.from_fn(XPoly, order, lambda k: XPoly.monomial(k, _inv_fact(k)))
+
+
+def _deg_exp_series(order: int) -> TruncSeries:
+    """e_l^x(t) = (1+lt)^{x/l}: coefficient of t^k is (x)_{k,l}/k!."""
+    falling = _falling_list(order)
+    return TruncSeries(XPoly, order, [falling[k] * _inv_fact(k) for k in range(order + 1)])
+
+
+def _classic_core(order: int) -> TruncSeries:
+    """t/(e^t-1), i.e. the inverse of sum_k t^k/(k+1)!."""
+    return TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.const(_inv_fact(k + 1))).inverse()
+
+
+def _deg_core(order: int) -> TruncSeries:
+    """t/(e_l(t)-1), inverse of sum_k (1)_{k+1,l} t^k/(k+1)!."""
+    lam = LambdaPoly.lam()
+    one_falling = [LambdaPoly.one()]
+    for k in range(1, order + 2):
+        one_falling.append(one_falling[-1] * (LambdaPoly.one() - lam * (k - 1)))
+    base = TruncSeries(LambdaPoly, order, [one_falling[k + 1] * _inv_fact(k + 1) for k in range(order + 1)])
+    return base.inverse()
+
+
+def _scaled_core(order: int) -> TruncSeries:
+    """lt/(e^{lt}-1), inverse of sum_k l^k t^k/(k+1)!."""
+    return TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.monomial(k, _inv_fact(k + 1))).inverse()
+
+
+def _euler_core(order: int) -> TruncSeries:
+    """2/(e^t+1)."""
+    base = TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.const(2 if k == 0 else _inv_fact(k)))
+    return base.inverse() * 2
+
+
+def _lift(series: TruncSeries) -> TruncSeries:
+    """Reinterpret a LambdaPoly series as an XPoly series of constants."""
+    return series.map_coeffs(XPoly.const, XPoly)
+
+
+def _extract(series: TruncSeries) -> list[XPoly]:
+    return [series.coeff(m) * factorial(m) for m in range(series.order + 1)]
+
+
+def series_family(key: tuple, n: int) -> list[XPoly]:
+    """Members 0..n of a FamilyTable key, as n! [t^n] of core^r times the basis series."""
+    kind = key[0]
+    if kind == "deg_falling":
+        polys = _falling_list(n)
+    elif kind == "bernoulli_r":
+        polys = _extract(_lift(_classic_core(n) ** key[1]) * _exp_x_series(n))
+    elif kind == "euler":
+        polys = _extract(_lift(_euler_core(n)) * _exp_x_series(n))
+    elif kind == "genocchi":
+        # 2t/(e^t+1)e^{xt} = t * (Euler series): shift indices by one.
+        s = _lift(_euler_core(n)) * _exp_x_series(n)
+        return [XPoly.zero()] + [s.coeff(m - 1) * factorial(m) for m in range(1, n + 1)]
+    elif kind == "deg_bernoulli_r":
+        polys = _extract(_lift(_deg_core(n) ** key[1]) * _deg_exp_series(n))
+    elif kind == "scaled_bernoulli":
+        polys = _extract(_lift(_scaled_core(n) ** key[1]) * _exp_x_series(n))
+    else:
+        raise ValueError(f"unknown family {key!r}")
+    for m, p in enumerate(polys):
+        if p.degree != m:
+            raise ArithmeticError(f"family {key!r} member {m} has degree {p.degree}")
+    return polys
+
+
+def series_stirling2(n: int, k: int) -> Fraction:
+    """S2(n,k) = n! [t^n] (e^t-1)^k/k!, as a power of the series (e^t-1)/t."""
+    if k == 0 or k > n:
+        return Fraction(int(n == k))
+    base = TruncSeries.from_fn(LambdaPoly, n - k, lambda j: LambdaPoly.const(_inv_fact(j + 1)))
+    return (base**k).coeff(n - k).as_rational() * factorial(n) / factorial(k)

@@ -120,6 +120,23 @@ def test_verify_single_case_range_error():
     assert "n >= r" in proc.stderr
 
 
+def test_verify_rejects_flag_the_identity_does_not_take():
+    proc = run_cli("verify", "miki", "--n", "3", "--m", "7")
+    assert proc.returncode == 1
+    assert "miki takes parameters ('n',)" in proc.stderr
+    assert "'m'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_r_max_leaves_the_iterate_sweep_alone():
+    proc = run_cli("verify", "ex_g_iop", "--n-max", "3", "--r-max", "0")
+    assert proc.returncode == 0
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("ex_g_iop(")]
+    assert len(lines) > 0
+    assert all("r=0" in line and "PASS" in line for line in lines)
+    assert {line.split("a=")[1].split(",")[0].rstrip(")") for line in lines} == {"1", "2", "3"}
+
+
 def test_verify_unknown_identity():
     proc = run_cli("verify", "not_a_thing")
     assert proc.returncode == 1
@@ -160,6 +177,20 @@ def test_table_degenerate_bernoulli():
     proc = run_cli("table", "--family", "deg-bernoulli", "--n-max", "2")
     assert proc.returncode == 0
     assert "1: x + (1/2*l - 1/2)" in proc.stdout
+
+
+def test_table_n_max_above_degree_limit_exit_1():
+    proc = run_cli("table", "--family", "euler", "--n-max", "100000")
+    assert proc.returncode == 1
+    assert "--n-max must be between 0 and 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_table_n_max_follows_degree_limit(monkeypatch):
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "3")
+    assert cli.main(["table", "--family", "bernoulli", "--n-max", "4"]) == 1
+    assert cli.main(["table", "--family", "bernoulli", "--n-max", "3"]) == 0
 
 
 def test_table_unknown_family():

@@ -1,5 +1,9 @@
+import random
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -21,7 +25,7 @@ from degbern.families import (
     stirling2,
 )
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
-from helpers import partition_count
+from helpers import partition_count, series_family, series_stirling2
 
 HALF = Fraction(1, 2)
 
@@ -223,6 +227,21 @@ def test_stirling2_against_partition_enumeration():
             assert stirling2(n, k) == partition_count(n, k)
 
 
+def test_stirling2_against_series_power_and_triangle():
+    for n in range(21):
+        for k in range(n + 2):
+            assert stirling2(n, k) == series_stirling2(n, k)
+            if n and k:
+                assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def test_stirling2_large_n_on_cold_cache():
+    stirling2.cache_clear()  # a cold cache is what used to recurse and take minutes
+    value = stirling2(1200, 3)
+    assert isinstance(value, Fraction)
+    assert value == Fraction(3**1200 - 3 * 2**1200 + 3, 6)
+
+
 def test_harmonic_values():
     assert harmonic(1) == 1
     assert harmonic(2) == Fraction(3, 2)
@@ -295,3 +314,74 @@ def test_family_table_append_only_growth():
     grown = table.get(key, 6)
     assert table.get(key, 3) is first or table.get(key, 3) == first
     assert grown == deg_falling(6)
+
+
+# -- family tables against the generating-series oracle -----------------------------
+
+ORACLE_N = 24
+ORACLE_KEYS = (
+    [("bernoulli_r", r) for r in range(4)]
+    + [("deg_bernoulli_r", r) for r in range(4)]
+    + [("scaled_bernoulli", a) for a in range(4)]
+    + [("euler",), ("genocchi",), ("deg_falling",)]
+)
+
+
+@lru_cache(maxsize=None)
+def _oracle(key: tuple) -> tuple[XPoly, ...]:
+    return tuple(series_family(key, ORACLE_N))
+
+
+def _requests(order: str) -> list[tuple[tuple, int]]:
+    ns = range(ORACLE_N + 1)
+    if order == "descending":
+        return [(key, n) for key in ORACLE_KEYS for n in reversed(ns)]
+    requests = [(key, n) for key in ORACLE_KEYS for n in ns]
+    if order == "shuffled":
+        random.Random(20261018).shuffle(requests)
+    return requests
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_family_table_matches_series_oracle(order):
+    table = FamilyTable()
+    for key, n in _requests(order):
+        assert table.get(key, n) == _oracle(key)[n], (key, n)
+
+
+def test_family_table_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family"):
+        FamilyTable().get(("fibonacci",), 3)
+
+
+def test_family_table_threaded_growth_matches_serial():
+    # genocchi reads euler from inside the table's lock, so this also covers nested growth
+    keys = [("deg_bernoulli_r", 2), ("genocchi",)]
+    plans = []
+    for seed in range(8):
+        plan = [(key, n) for key in keys for n in range(17)]
+        random.Random(seed).shuffle(plan)
+        plans.append(plan)
+    serial = FamilyTable()
+    expected = [[serial.get(key, n) for key, n in plan] for plan in plans]
+
+    table = FamilyTable()
+    barrier = threading.Barrier(len(plans))
+    results: list = [None] * len(plans)
+
+    def worker(i: int) -> None:
+        barrier.wait(timeout=30)
+        results[i] = [table.get(key, n) for key, n in plans[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected

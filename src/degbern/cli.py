@@ -35,7 +35,7 @@ from .families import (
     scaled_bernoulli,
 )
 from .identities import DEFAULT_BOUNDS, identity_ids, verify, verify_all
-from .parser import ParseError, max_degree_limit, parse_poly
+from .parser import ParseError, check_size, parse_poly
 
 __all__ = [
     "document_to_expansion",
@@ -181,9 +181,7 @@ def _build_parser() -> _Cli:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    if args.order < 1:
-        print("error: --order must be >= 1", file=sys.stderr)
-        return 1
+    check_size("--order", args.order, 1)
     p = parse_poly(args.expr)
     if p.is_zero:
         print("error: cannot expand the zero polynomial", file=sys.stderr)
@@ -232,6 +230,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not ids or args.all:
         ids = list(known)
 
+    for flag in ("n_max", "r_max", "n", "m", "r", "a"):
+        value = getattr(args, flag)
+        if value is not None:
+            check_size("--" + flag.replace("_", "-"), value)
     given = {name: getattr(args, name) for name in ("n", "m", "r", "a")}
     params = {name: value for name, value in given.items() if value is not None}
     if params:
@@ -287,11 +289,8 @@ _POLY_FAMILIES = {
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    limit = max_degree_limit()
-    if not 0 <= args.n_max <= limit:
-        print(f"error: --n-max must be between 0 and {limit} (DEGBERN_MAX_DEGREE), got {args.n_max}",
-              file=sys.stderr)
-        return 1
+    check_size("--n-max", args.n_max)
+    check_size("--order", args.order)
     family = args.family
     if family in _NUMBER_FAMILIES:
         values = [_NUMBER_FAMILIES[family](n) for n in range(args.n_max + 1)]

@@ -1,35 +1,40 @@
 """Expansion of polynomials in the degenerate Bernoulli bases.
 
 Any p(x) of degree n has a unique exact expansion
-p(x) = sum_{k=0}^{n} a_k beta_k(x) in the degenerate Bernoulli basis, and
-more generally in the order-r basis. With f(t) = (e^{lt}-1)/l and
-g(t) = l(e^t-1)/(e^{lt}-1), the order-1 coefficients are computable by
-four equivalent routes for k >= 1
+p(x) = sum_{k=0}^{n} a_k beta_k^(r)(x) in the order-r degenerate Bernoulli
+basis, r >= 1; order 1 is the degenerate Bernoulli basis itself. With
+f(t) = (e^{lt}-1)/l, g(t) = l(e^t-1)/(e^{lt}-1), Delta the unit forward
+difference and D_l the step-l one,
 
-    functional     a_k = <f^{k-1} | p(x+1)-p(x)> / k!
-    delta_lambda   a_k = D_l^{k-1} (p(x+1)-p(x)) |_{x=0} / (k! l^{k-1})
-    binomial_sum   a_k = sum_j C(k-1,j)(-1)^{k-1-j}(p(1+jl)-p(jl)) / (k! l^{k-1})
-    stirling_sum   a_k = (1/k) sum_l S2(l,k-1) l^{l-k+1}/l! (p^(l)(1)-p^(l)(0))
+    a_k = Delta^k [g(t)^{r-k} p](0) / k!    for k < r     (branch g)
+    a_k = Delta^r [f(t)^{k-r} p](0) / k!    for k >= r    (branch f)
 
-and three for the constant coefficient
+and every route below computes its branch at every order r.
 
-    umbral_integral      a_0 = integral_0^1 of p with x^i replaced by l^i B_i(u/l)
-    operator_functional  a_0 = <g(t) | p(x)>
-    residual             a_0 = p(0) - sum_{k>=1} a_k beta_k(0)
+Branch f, with m = k - r:
 
-For order r, coefficients with k < r come from an alternating sum over
-g(t)^{r-k} p(j) (computed either through repeated unit-interval integrals
-of an umbral composition, route ``umbral_integral_op``, or through a
-Stirling-weighted derivative sum, route ``stirling_op``); coefficients
-with k >= r come from an alternating sum over f(t)^{k-r} p(j) (either a
-forward difference with symbolic step divided exactly by l^{k-r}, route
-``delta_lambda``, or a Stirling sum, route ``stirling_sum``).
+    binomial_sum   a_k = sum_i C(m,i)(-1)^{m-i} h_i / (k! l^m),  h_i = Delta^r p(il)
+    delta_lambda   a_k = D_l^m Delta^r p(0) / (k! l^m)
+    functional     a_k = <f(t)^m | Delta^r p> / k!
+    stirling_sum   a_k = (m!/k!) sum_j S2(j,m) l^{j-m}/j! Delta^r p^(j)(0)
 
-Every route is one entry of the table ``_ROUTES``, keyed by (branch, name)
-with branches ``ak`` and ``a0`` (order 1) and ``g`` and ``f`` (order r).
-The ``*_ROUTES`` name tuples, the route checks, expand_order1 (the r = 1
-case), expand_higher and crosscheck all read that table; the first route
-of each branch is its default.
+Branch g, with m = r - k and q_m = (lt/(e^{lt}-1))^m p, that is p with
+x^i replaced by l^i B_i^(m)(x/l):
+
+    umbral_integral      a_k = Delta^r [A^m q_m](0) / k!,  A the antiderivative
+    umbral_integral_op   a_k = Delta^k [I^m q_m](0) / k!,  I q(x) = integral_x^{x+1} q
+    stirling_op          a_k = Delta^k [sum_j S2(j+m,m) m!/(j+m)! q_m^(j)](0) / k!
+    operator_functional  a_k = <g(t)^m (e^t-1)^k | p> / k!
+    residual             a_k = [x^k](p - sum_{j>k} a_j beta_j^(r)), top down
+
+The first and the third g-routes agree because Delta^m A^m = I^m on
+polynomials; residual uses that beta_k^(r) is monic of degree k and reads
+the f-branch coefficients it is given. At r = 1 the f-branch gives a_k for
+k >= 1 from p(x+1)-p(x), and umbral_integral is a_0 = integral_0^1 q_1.
+
+Every route is one entry of the table ``_ROUTES``, keyed by (branch, name).
+The ``*_ROUTES`` name tuples, the route checks, expand and crosscheck all
+read that table; the first route of each branch is its default.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -42,11 +47,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .core import LAMBDA, LambdaPoly, XPoly
-from .families import deg_bernoulli, deg_bernoulli_order, scaled_bernoulli, stirling2
+from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
+from .parser import check_size
 from .umbral import (
     delta_op,
+    forward_diff,
     functional,
-    integral_01,
     integral_I,
     scaled_bernoulli_op,
     umbral_compose,
@@ -119,170 +125,148 @@ def _derivative_chain(p: XPoly) -> list[XPoly]:
     return out
 
 
-def _alternating(w: XPoly, k: int) -> LambdaPoly:
-    """sum_j (-1)^(k-j) C(k,j) w(j), the k-th forward difference of w at 0."""
-    acc = LambdaPoly.zero()
-    for j in range(k + 1):
-        acc = acc + w.eval_x(j) * Fraction((-1) ** (k - j) * comb(k, j))
+def _signed_sum(values: list[LambdaPoly], k: int) -> LambdaPoly:
+    """sum_j (-1)^(k-j) C(k,j) values[j], the k-th forward difference of the sequence."""
+    acc = values[k]
+    for j in range(k):
+        weight = (-1) ** (k - j) * comb(k, j)
+        if weight == 1:
+            acc = acc + values[j]
+        elif weight == -1:
+            acc = acc - values[j]
+        else:
+            acc = acc + values[j] * weight
     return acc
 
 
-# -- the k >= r branch: "ak" at r = 1, "f" at any r; (p, r) -> [a_r, ..., a_n] --
+def _alternating(w: XPoly, k: int) -> LambdaPoly:
+    """The k-th forward difference of w at 0."""
+    return _signed_sum([w.eval_x(j) for j in range(k + 1)], k)
 
 
-def _ak_binomial_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    # h(jl) values shared across k; one exact division per coefficient.
-    n = p.degree
-    hvals = []
-    for j in range(n):
-        point = LambdaPoly({0: 1, 1: j}) if j else LambdaPoly.one()
-        hvals.append(p.eval_x(point) - p.eval_x(LAMBDA * j))
-    aks = []
-    for k in range(1, n + 1):
-        acc = LambdaPoly.zero()
-        for j in range(k):
-            acc = acc + hvals[j] * Fraction((-1) ** (k - 1 - j) * comb(k - 1, j))
-        aks.append(acc.divexact(k - 1) / factorial(k))
-    return aks
+# -- branch f: (p, r) -> [a_r, ..., a_n], called only when r <= deg p -------------
 
 
-def _ak_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
-    n = p.degree
-    aks = []
-    d = p.shift(1) - p
-    for k in range(1, n + 1):
-        aks.append(d.eval_x(0).divexact(k - 1) / factorial(k))
-        if k < n:
-            d = d.shift(LAMBDA) - d
-    return aks
-
-
-def _ak_functional(p: XPoly, r: int) -> list[LambdaPoly]:
-    n = p.degree
-    h = p.shift(1) - p
-    f = delta_op(LAMBDA)
-    power = f**0
-    aks = []
-    for k in range(1, n + 1):
-        aks.append(functional(power, h) / factorial(k))
-        if k < n:
-            power = power * f
-    return aks
-
-
-def _ak_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    n = p.degree
-    derivs = _derivative_chain(p)
-    jumps = [d.eval_x(1) - d.eval_x(0) for d in derivs]
-    aks = []
-    for k in range(1, n + 1):
-        acc = LambdaPoly.zero()
-        for l in range(k - 1, n + 1):
-            s2 = stirling2(l, k - 1)
-            if s2:
-                weight = LambdaPoly.monomial(l - k + 1, s2 / factorial(l))
-                acc = acc + jumps[l] * weight
-        aks.append(acc / k)
-    return aks
+def _f_binomial_sum(p: XPoly, r: int) -> list[LambdaPoly]:
+    # h_i = Delta^r p(il), shared across k; one exact division per coefficient.
+    span = range(p.degree - r + 1)
+    h = [_signed_sum([p.eval_x(LambdaPoly({0: j, 1: i})) for j in range(r + 1)], r) for i in span]
+    return [_signed_sum(h, m).divexact(m) / factorial(m + r) for m in span]
 
 
 def _f_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
     coeffs = []
-    diff = p  # running forward difference D_l^{k-r} p
+    d = forward_diff(p, 1, r)  # then D_l^m Delta^r p, one step-l difference per k
     for k in range(r, p.degree + 1):
-        m = k - r
-        if m > 0:
-            diff = diff.shift(LAMBDA) - diff
-        coeffs.append(_alternating(diff.divexact(m), r) / factorial(k))
+        coeffs.append(d.eval_x(0).divexact(k - r) / factorial(k))
+        if k < p.degree:
+            d = d.shift(LAMBDA) - d
+    return coeffs
+
+
+def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
+    h = forward_diff(p, 1, r)
+    f = delta_op(LAMBDA)
+    power = f**0
+    coeffs = []
+    for k in range(r, p.degree + 1):
+        coeffs.append(functional(power, h) / factorial(k))
+        if k < p.degree:
+            power = power * f
     return coeffs
 
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     n = p.degree
-    derivs = _derivative_chain(p)
+    jumps = [_alternating(d, r) for d in _derivative_chain(p)]  # Delta^r p^(j)(0)
     coeffs = []
     for k in range(r, n + 1):
         m = k - r
         acc = LambdaPoly.zero()
-        for j in range(r + 1):
-            sign = Fraction((-1) ** (r - j) * comb(r, j))
-            inner = LambdaPoly.zero()
-            for l in range(m, n + 1):
-                s2 = stirling2(l, m)
-                if s2:
-                    weight = LambdaPoly.monomial(l - m, s2 * factorial(m) / factorial(l))
-                    inner = inner + derivs[l].eval_x(j) * weight
-            acc = acc + inner * sign
-        coeffs.append(acc / factorial(k))
+        for j in range(m, n + 1):
+            s2 = stirling2(j, m)
+            if s2:
+                acc = acc + jumps[j] * LambdaPoly.monomial(j - m, s2 / factorial(j))
+        coeffs.append(acc / Fraction(factorial(k), factorial(m)))
     return coeffs
 
 
-# -- the k < r branch: "a0" at r = 1, "g" at any r; (p, r, upper) -> [a_0, ...] --
+# -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
 
 
-def _a0_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-    composed = umbral_compose(p, lambda i: scaled_bernoulli(i, 1))
-    return [integral_01(composed)]
-
-
-def _a0_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-    g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
-    return [functional(g, p)]
-
-
-def _a0_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-    a0 = p.eval_x(0)
-    for k, ak in enumerate(upper, start=1):
-        a0 = a0 - ak * deg_bernoulli(k).eval_x(0)
-    return [a0]
-
-
-def _g_by_integrals(composed: XPoly, m: int, derivs_len: int) -> XPoly:
-    """g(t)^m p as m unit-interval integrals of the umbral composition."""
-    w = composed
+def _g_by_antiderivatives(q: XPoly, m: int, k: int) -> LambdaPoly:
+    """Delta^(m+k) [A^m q](0), which is Delta^k [I^m q](0) since Delta^m A^m = I^m."""
     for _ in range(m):
-        w = integral_I(w)
-    return w
+        q = q.antiderivative()
+    return _alternating(q, m + k)
 
 
-def _g_by_stirling(composed: XPoly, m: int, derivs_len: int) -> XPoly:
-    """g(t)^m p as ((e^t-1)/t)^m = sum_l S2(l+m,m) m!/(l+m)! t^l on the composition."""
+def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:
+    """Delta^k [I^m q](0), with m unit-interval integrals."""
+    for _ in range(m):
+        q = integral_I(q)
+    return _alternating(q, k)
+
+
+def _g_by_stirling(q: XPoly, m: int, k: int) -> LambdaPoly:
+    """Delta^k of ((e^t-1)/t)^m q = sum_l S2(l+m,m) m!/(l+m)! q^(l), at 0."""
     w = XPoly.zero()
-    d = composed
-    for l in range(derivs_len):
+    for l, d in enumerate(_derivative_chain(q)):
         coeff = stirling2(l + m, m) * Fraction(factorial(m), factorial(l + m))
         if coeff:
             w = w + d * coeff
-        if l + 1 < derivs_len:
-            d = d.derivative()
-    return w
+    return _alternating(w, k)
 
 
-def _g_branch(p: XPoly, r: int, g_power) -> list[LambdaPoly]:
-    """a_k for k < r: the k-th difference at 0 of g(t)^{r-k} p, over k!."""
-    n = p.degree
+def _g_composed(difference):
+    """A g-route that applies ``difference(q_m, m, k)`` to the umbral composition q_m."""
+
+    def route(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+        coeffs = []
+        for k in range(min(r, p.degree + 1)):
+            m = r - k
+            composed = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
+            coeffs.append(difference(composed, m, k) / factorial(k))
+        return coeffs
+
+    return route
+
+
+def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+    g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
+    delta = delta_op(1)
     coeffs = []
-    for k in range(min(r, n + 1)):
-        m = r - k
-        composed = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
-        coeffs.append(_alternating(g_power(composed, m, n + 1), k) / factorial(k))
+    for k in range(min(r, p.degree + 1)):
+        op = g ** (r - k) * delta**k if k else g**r
+        coeffs.append(functional(op, p) / factorial(k))
     return coeffs
+
+
+def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+    # rest[j] is [x^j] of p minus every term a_k beta_k^(r) taken so far: first the
+    # given k >= r, then k < r from the top down, where a_k is rest[k] itself.
+    count = min(r, p.degree + 1)
+    rest = list(p.coeffs[:count])
+    for k in [*range(r, p.degree + 1), *reversed(range(count))]:
+        a = upper[k - r] if k >= r else rest[k]
+        beta = deg_bernoulli_order(k, r)
+        for j in range(min(k, count)):
+            rest[j] = rest[j] - a * beta.coeff(j)
+    return rest
 
 
 # -- the route table ------------------------------------------------------------
 
 #: (branch, name) -> route. The first route of each branch is its default.
 _ROUTES = {
-    ("ak", "binomial_sum"): _ak_binomial_sum,
-    ("ak", "delta_lambda"): _ak_delta_lambda,
-    ("ak", "functional"): _ak_functional,
-    ("ak", "stirling_sum"): _ak_stirling_sum,
-    ("a0", "umbral_integral"): _a0_umbral_integral,
-    ("a0", "operator_functional"): _a0_operator_functional,
-    ("a0", "residual"): _a0_residual,
-    ("g", "umbral_integral_op"): lambda p, r, upper: _g_branch(p, r, _g_by_integrals),
-    ("g", "stirling_op"): lambda p, r, upper: _g_branch(p, r, _g_by_stirling),
+    ("g", "umbral_integral"): _g_composed(_g_by_antiderivatives),
+    ("g", "umbral_integral_op"): _g_composed(_g_by_integrals),
+    ("g", "stirling_op"): _g_composed(_g_by_stirling),
+    ("g", "operator_functional"): _g_operator_functional,
+    ("g", "residual"): _g_residual,
+    ("f", "binomial_sum"): _f_binomial_sum,
     ("f", "delta_lambda"): _f_delta_lambda,
+    ("f", "functional"): _f_functional,
     ("f", "stirling_sum"): _f_stirling_sum,
 }
 
@@ -291,57 +275,43 @@ def _names(branch: str) -> tuple[str, ...]:
     return tuple(name for b, name in _ROUTES if b == branch)
 
 
-AK_ROUTES, A0_ROUTES, G_ROUTES, F_ROUTES = (_names(b) for b in ("ak", "a0", "g", "f"))
+G_ROUTES, F_ROUTES = _names("g"), _names("f")
 
 
-def _assemble(p: XPoly, r: int, low: tuple[str, str], high: tuple[str, str]) -> BasisExpansion:
-    """Coefficients k < r by route ``low``, k >= r by route ``high``."""
-    for branch, name in (low, high):
+def expand(
+    p: XPoly,
+    r: int = 1,
+    g_route: str = "umbral_integral",
+    f_route: str = "binomial_sum",
+) -> BasisExpansion:
+    """Expand p in the order-r degenerate Bernoulli basis, 1 <= r <= the degree limit.
+
+    Coefficients with k < r come from ``g_route``, those with k >= r from
+    ``f_route``.
+    """
+    check_size("order r", r, 1)
+    for branch, name in (("g", g_route), ("f", f_route)):
         if (branch, name) not in _ROUTES:
             raise ValueError(f"unknown {branch}_route {name!r}; options: {_names(branch)}")
     n = _validated(p)
-    upper = _ROUTES[high](p, r)
-    lower = _ROUTES[low](p, r, upper)
+    upper = _ROUTES["f", f_route](p, r) if r <= n else []
+    lower = _ROUTES["g", g_route](p, r, upper)
     return BasisExpansion(
         order=r,
         degree=n,
         coeffs=(*lower, *upper),
-        routes=(low[1],) * len(lower) + (high[1],) * len(upper),
+        routes=(g_route,) * len(lower) + (f_route,) * len(upper),
         source=p,
     )
 
 
-def expand_order1(
-    p: XPoly,
-    ak_route: str = "binomial_sum",
-    a0_route: str = "umbral_integral",
-) -> BasisExpansion:
-    """Expand p in the degenerate Bernoulli basis (order 1)."""
-    return _assemble(p, 1, ("a0", a0_route), ("ak", ak_route))
+# Aliases of the order-1 era, still called by perfbench/layers.py (ROADMAP item 6).
+AK_ROUTES, A0_ROUTES = F_ROUTES, G_ROUTES
+expand_higher = expand
 
 
-def expand_higher(
-    p: XPoly,
-    r: int,
-    g_route: str = "umbral_integral_op",
-    f_route: str = "delta_lambda",
-) -> BasisExpansion:
-    """Expand p in the order-r degenerate Bernoulli basis (r >= 1).
-
-    Coefficients with k < r use the g-branch, coefficients with k >= r the
-    f-branch; for r = 1 the result coincides with expand_order1 on every
-    coefficient.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"order r must be a positive integer, got {r!r}")
-    return _assemble(p, r, ("g", g_route), ("f", f_route))
-
-
-def expand(p: XPoly, r: int = 1, **route_options) -> BasisExpansion:
-    """Expand p in the order-r basis with each route's default choices."""
-    if r == 1 and not (set(route_options) & {"g_route", "f_route"}):
-        return expand_order1(p, **route_options)
-    return expand_higher(p, r, **route_options)
+def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
+    return expand(p, 1, a0_route, ak_route)
 
 
 def reconstruct(e: BasisExpansion) -> XPoly:
@@ -362,23 +332,15 @@ def classical_limit(e: BasisExpansion) -> list[Fraction]:
     return [c.at_zero() for c in e.coeffs]
 
 
-def _all_expansions(p: XPoly, r: int) -> list[BasisExpansion]:
-    # At r = 1 each order-1 route runs once, beside the other branch's default;
-    # the g/f routes run in every pairing. The default expansion comes first.
-    out = []
-    if r == 1:
-        ak_default, a0_default = _names("ak")[0], _names("a0")[0]
-        out += [expand_order1(p, ak, a0_default) for ak in _names("ak")]
-        out += [expand_order1(p, ak_default, a0) for a0 in _names("a0")[1:]]
-    out += [expand_higher(p, r, g, f) for g in _names("g") for f in _names("f")]
-    return out
-
-
 def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
-    """Compute the expansion by every route and fail loudly on any mismatch."""
-    expansions = _all_expansions(p, r)
-    base = expansions[0]
-    for other in expansions[1:]:
+    """Expand p by every route and fail loudly on any mismatch.
+
+    Each route runs once, beside the other branch's default; the default
+    expansion is returned.
+    """
+    g0, f0 = G_ROUTES[0], F_ROUTES[0]
+    base, *others = [expand(p, r, g0, f) for f in F_ROUTES] + [expand(p, r, g, f0) for g in G_ROUTES[1:]]
+    for other in others:
         for k in range(base.degree + 1):
             if base.coeffs[k] != other.coeffs[k]:
                 raise RouteMismatchError(

@@ -18,7 +18,9 @@ Bernoulli polynomial (order r), E(n) the Euler and G(n) the Genocchi one.
 
 Lowering to an XPoly enforces a degree guard (default 64, overridable via
 the DEGBERN_MAX_DEGREE environment variable) and the parser enforces a
-nesting-depth bound so malformed input fails fast.
+nesting-depth bound so malformed input fails fast. check_size applies the
+same limit to the arguments of B, E and G, to the order r of expand and to
+the CLI's size flags.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "ParseError",
     "Pow",
     "Var",
+    "check_size",
     "lower",
     "max_degree_limit",
     "parse",
@@ -287,6 +290,14 @@ def max_degree_limit() -> int:
     return limit
 
 
+def check_size(name: str, value: int, low: int = 0, limit: int | None = None) -> None:
+    """The one size guard for degrees, orders and sweep bounds: ValueError unless
+    value is an integer from low to limit (default max_degree_limit())."""
+    limit = max_degree_limit() if limit is None else limit
+    if not isinstance(value, int) or not low <= value <= limit:
+        raise ValueError(f"{name} must be between {low} and {limit} (DEGBERN_MAX_DEGREE), got {value!r}")
+
+
 def lower(ast: ExprAst, max_degree: int | None = None) -> XPoly:
     """Lower an AST to an exact XPoly, guarding against degree blowup."""
     limit = max_degree_limit() if max_degree is None else max_degree
@@ -318,8 +329,8 @@ def lower(ast: ExprAst, max_degree: int | None = None) -> XPoly:
                 )
             return guard(base**node.exponent)
         if isinstance(node, Call):
-            if node.args[0] > limit:
-                raise ValueError(f"family index {node.args[0]} exceeds the degree limit {limit}")
+            for name, value in zip(("family index", "order r"), node.args):
+                check_size(f"{name} of {node.func}(...)", value, limit=limit)
             if node.func == "B":
                 if len(node.args) == 2:
                     return bernoulli_poly_order(*node.args)

@@ -15,7 +15,7 @@ integration over [0,1], and umbral composition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 from .core import LambdaPoly, Scalar, TruncSeries, XPoly
@@ -81,6 +81,8 @@ class OperatorSeries:
     def __pow__(self, r: int) -> "OperatorSeries":
         if not isinstance(r, int) or r < 0:
             raise ValueError("operator power must be a non-negative integer")
+        if r == 1:
+            return self
         return OperatorSeries(lambda order: self.series(order) ** r)
 
     def inverse(self) -> "OperatorSeries":
@@ -153,21 +155,18 @@ def _series_functional(ts: TruncSeries, p: XPoly) -> LambdaPoly:
 
 
 def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
-    """n-th forward difference with step a: sum_i C(n,i)(-1)^{n-i} p(x+ia).
+    """n-th forward difference with step a: sum_i C(n,i)(-1)^{n-i} p(x+ia),
+    taken as n successive differences q(x+a) - q(x).
 
     The step may be the symbol l itself; shifts are exact binomial
     compositions, no numeric substitution.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
-    if n == 0:
-        return p
     step = _lp(step)
-    out = XPoly.zero()
-    for i in range(n + 1):
-        term = p.shift(step * i) * Fraction((-1) ** (n - i) * comb(n, i))
-        out = out + term
-    return out
+    for _ in range(n):
+        p = p.shift(step) - p
+    return p
 
 
 def integral_I(p: XPoly) -> XPoly:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import degbern.cli as cli
 from degbern.core import ExactDivisionError, LambdaPoly
-from degbern.expansion import RouteMismatchError, expand_order1, reconstruct
+from degbern.expansion import RouteMismatchError, expand, reconstruct
 from degbern.parser import parse_poly
 
 
@@ -83,7 +85,7 @@ def test_json_matches_in_process_expansion():
     expr = "B(2)*B(2)"
     proc = run_cli("expand", "--expr", expr, "--format", "json")
     doc = json.loads(proc.stdout)
-    e = expand_order1(parse_poly(expr))
+    e = expand(parse_poly(expr))
     assert cli.document_to_expansion(doc).coeffs == e.coeffs
 
 
@@ -242,3 +244,48 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "degbern" in proc.stdout
+
+
+# -- size guards: every size flag is bounded by DEGBERN_MAX_DEGREE -----------------
+
+
+def test_huge_order_exits_1_at_once():
+    proc = run_cli("expand", "--expr", "x^2", "--order", "100000")
+    assert proc.returncode == 1
+    assert "--order must be between 1 and 64" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["expand", "--expr", "x^2", "--order", "65", "--crosscheck"], "--order"),
+        (["expand", "--expr", "x^2", "--order", "0"], "--order"),
+        (["expand", "--expr", "B(2,65)"], "order r of B(...)"),
+        (["table", "--family", "deg-bernoulli-order", "--n-max", "3", "--order", "65"], "--order"),
+        (["verify", "ex_g", "--n-max", "65"], "--n-max"),
+        (["verify", "miki", "--n-max", "-1"], "--n-max"),
+        (["verify", "ex_g", "--r-max", "65"], "--r-max"),
+        (["verify", "ex_g", "--n", "65", "--r", "2"], "--n"),
+        (["verify", "ex_e", "--m", "65", "--n", "1"], "--m"),
+        (["verify", "ex_g", "--n", "4", "--r", "65"], "--r"),
+        (["verify", "ex_g_iop", "--a", "65", "--n", "3", "--r", "1"], "--a"),
+    ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else None,
+)
+def test_size_flag_outside_the_degree_limit_exits_1(capsys, argv, flag):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"error: {flag} must be between" in captured.err
+    assert captured.out == ""
+
+
+def test_size_flags_follow_the_degree_limit(monkeypatch, capsys):
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "3")
+    assert cli.main(["expand", "--expr", "x", "--order", "4"]) == 1
+    assert cli.main(["expand", "--expr", "x", "--order", "3"]) == 0
+    assert cli.main(["table", "--family", "scaled-bernoulli", "--n-max", "2", "--order", "4"]) == 1
+    assert cli.main(["table", "--family", "scaled-bernoulli", "--n-max", "2", "--order", "3"]) == 0
+    assert cli.main(["verify", "ex_g", "--n", "3", "--r", "4"]) == 1
+    assert cli.main(["verify", "ex_g", "--n", "3", "--r", "3"]) == 0

@@ -8,8 +8,6 @@ import pytest
 from degbern import expansion
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.expansion import (
-    A0_ROUTES,
-    AK_ROUTES,
     F_ROUTES,
     G_ROUTES,
     BasisExpansion,
@@ -36,9 +34,9 @@ from helpers import classical_coeffs_higher, classical_coeffs_order1, random_xpo
 def test_basis_elements_expand_to_kronecker_delta():
     for m in range(7):
         p = deg_bernoulli(m)
-        for ak in AK_ROUTES:
-            for a0 in A0_ROUTES:
-                e = expand_order1(p, ak, a0)
+        for g in G_ROUTES:
+            for f in F_ROUTES:
+                e = expand(p, 1, g, f)
                 for k in range(m + 1):
                     assert e.coeff(k) == (LambdaPoly.one() if k == m else LambdaPoly.zero())
 
@@ -49,7 +47,7 @@ def test_higher_basis_elements_expand_to_kronecker_delta():
             p = deg_bernoulli_order(m, r)
             for g in G_ROUTES:
                 for f in F_ROUTES:
-                    e = expand_higher(p, r, g, f)
+                    e = expand(p, r, g, f)
                     for k in range(m + 1):
                         assert e.coeff(k) == (
                             LambdaPoly.one() if k == m else LambdaPoly.zero()
@@ -59,7 +57,7 @@ def test_higher_basis_elements_expand_to_kronecker_delta():
 def test_bernoulli_poly_expansion_closed_form():
     # a_0 = l^n B_n and k! l^{k-1} a_k = n * (k-1 step-l differences of x^{n-1} at 0)
     for n in range(1, 9):
-        e = expand_order1(bernoulli_poly(n))
+        e = expand(bernoulli_poly(n))
         assert e.coeff(0) == LambdaPoly.monomial(n, bernoulli_number(n))
         for k in range(1, n + 1):
             delta = forward_diff(XPoly.monomial(n - 1), LAMBDA, k - 1).eval_x(0)
@@ -67,7 +65,7 @@ def test_bernoulli_poly_expansion_closed_form():
 
 
 def test_classical_limit_of_square():
-    e = expand_order1(XPoly.monomial(2))
+    e = expand(XPoly.monomial(2))
     assert classical_limit(e) == [Fraction(1, 3), Fraction(1), Fraction(1)]
 
 
@@ -75,7 +73,7 @@ def test_classical_limit_matches_derivative_integral_oracle():
     rng = random.Random(97)
     for _ in range(25):
         p = random_xpoly(rng, 10, lam_bearing=False, bound=10**4)
-        assert classical_limit(expand_order1(p)) == classical_coeffs_order1(p)
+        assert classical_limit(expand(p)) == classical_coeffs_order1(p)
 
 
 def test_classical_limit_higher_matches_two_case_oracle():
@@ -83,16 +81,16 @@ def test_classical_limit_higher_matches_two_case_oracle():
     for _ in range(12):
         p = random_xpoly(rng, 6, lam_bearing=False, bound=10**3)
         for r in range(1, 5):
-            assert classical_limit(expand_higher(p, r)) == classical_coeffs_higher(p, r)
+            assert classical_limit(expand(p, r)) == classical_coeffs_higher(p, r)
     # r larger than the degree exercises the pure g-branch case
     p = random_xpoly(rng, 3, lam_bearing=False, bound=100)
-    assert classical_limit(expand_higher(p, 6)) == classical_coeffs_higher(p, 6)
+    assert classical_limit(expand(p, 6)) == classical_coeffs_higher(p, 6)
 
 
 def test_classical_limit_rejects_l_bearing_source():
     p = XPoly([LAMBDA, LambdaPoly.one()])
     with pytest.raises(ValueError):
-        classical_limit(expand_order1(p))
+        classical_limit(expand(p))
 
 
 def test_classical_limit_needs_source():
@@ -115,61 +113,55 @@ def test_reconstruct_of_unit_constant_any_order():
 def test_bernoulli_constant_coefficient_vanishes_classically():
     # a_0 = l^n B_n has no constant term, so its l -> 0 value is 0
     for n in range(1, 7):
-        assert classical_limit(expand_order1(bernoulli_poly(n)))[0] == 0
+        assert classical_limit(expand(bernoulli_poly(n)))[0] == 0
 
 
 def test_constant_polynomial_expansion():
-    e = expand_order1(XPoly.const(Fraction(7, 3)))
+    e = expand(XPoly.const(Fraction(7, 3)))
     assert e.degree == 0
     assert e.coeff(0) == LambdaPoly.const(Fraction(7, 3))
-    eh = expand_higher(XPoly.const(5), 3)
+    eh = expand(XPoly.const(5), 3)
     assert eh.coeffs == (LambdaPoly.const(5),)
     assert reconstruct(eh) == XPoly.const(5)
 
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        expand_order1(XPoly.zero())
+        expand(XPoly.zero())
     with pytest.raises(ValueError):
-        expand_higher(XPoly.zero(), 2)
+        expand(XPoly.zero(), 2)
 
 
 def test_order_must_be_positive():
     with pytest.raises(ValueError):
-        expand_higher(XPoly.one(), 0)
+        expand(XPoly.one(), 0)
 
 
 def test_first_route_of_each_branch_is_the_default():
     defaults = {
         name: param.default
-        for fn in (expand_order1, expand_higher)
-        for name, param in inspect.signature(fn).parameters.items()
+        for name, param in inspect.signature(expand).parameters.items()
         if name.endswith("_route")
     }
-    assert defaults == {
-        "ak_route": AK_ROUTES[0],
-        "a0_route": A0_ROUTES[0],
-        "g_route": G_ROUTES[0],
-        "f_route": F_ROUTES[0],
-    }
+    assert defaults == {"g_route": G_ROUTES[0], "f_route": F_ROUTES[0]}
 
 
 def test_unknown_routes_rejected():
     with pytest.raises(ValueError):
-        expand_order1(XPoly.one(), ak_route="nope")
+        expand(XPoly.one(), f_route="nope")
     with pytest.raises(ValueError):
-        expand_higher(XPoly.one(), 1, g_route="nope")
+        expand(XPoly.one(), 1, g_route="nope")
 
 
 def test_route_agreement_order1():
     rng = random.Random(103)
     for _ in range(20):
         p = random_xpoly(rng, 8, lam_bearing=True, bound=50)
-        base = expand_order1(p, "binomial_sum", "umbral_integral")
-        for ak in AK_ROUTES:
-            assert expand_order1(p, ak, "umbral_integral").coeffs == base.coeffs
-        for a0 in A0_ROUTES:
-            assert expand_order1(p, "binomial_sum", a0).coeffs == base.coeffs
+        base = expand(p)
+        for f in F_ROUTES:
+            assert expand(p, 1, f_route=f).coeffs == base.coeffs
+        for g in G_ROUTES:
+            assert expand(p, 1, g).coeffs == base.coeffs
 
 
 def test_route_agreement_higher_order_including_both_cases():
@@ -178,25 +170,28 @@ def test_route_agreement_higher_order_including_both_cases():
         # small degrees guarantee both r > degree and r <= degree show up
         p = random_xpoly(rng, 4, lam_bearing=(trial % 2 == 0), bound=40)
         for r in range(1, 6):
-            expansions = [expand_higher(p, r, g, f) for g in G_ROUTES for f in F_ROUTES]
+            expansions = [expand(p, r, g, f) for g in G_ROUTES for f in F_ROUTES]
             for other in expansions[1:]:
                 assert other.coeffs == expansions[0].coeffs
 
 
 def test_order1_and_higher_coincide_at_r1():
+    # the order-1 era names that perfbench/layers.py still calls are views of expand
+    assert expand_higher is expand
     rng = random.Random(109)
     for _ in range(10):
         p = random_xpoly(rng, 7, lam_bearing=True, bound=40)
-        assert expand_higher(p, 1).coeffs == expand_order1(p).coeffs
+        for f, g in zip(F_ROUTES, G_ROUTES[::-1]):
+            assert expand_order1(p, f, g) == expand(p, 1, g, f)
 
 
 def test_round_trip_small_sample():
     rng = random.Random(113)
     for _ in range(8):
         p = random_xpoly(rng, 10, lam_bearing=True, bound=100)
-        assert reconstruct(expand_order1(p)) == p
+        assert reconstruct(expand(p)) == p
         for r in (2, 3, 4):
-            assert reconstruct(expand_higher(p, r)) == p
+            assert reconstruct(expand(p, r)) == p
 
 
 def test_linearity_of_expansion():
@@ -208,8 +203,8 @@ def test_linearity_of_expansion():
         combo = p * alpha + q * beta
         if combo.is_zero:
             continue
-        e = expand_order1(combo)
-        ep, eq = expand_order1(p), expand_order1(q)
+        e = expand(combo)
+        ep, eq = expand(p), expand(q)
         for k in range(e.degree + 1):
             assert e.coeff(k) == ep.coeff(k) * alpha + eq.coeff(k) * beta
 
@@ -218,9 +213,9 @@ def test_leading_coefficient_passthrough():
     rng = random.Random(131)
     for _ in range(20):
         p = random_xpoly(rng, 9, True, 40)
-        e = expand_order1(p)
+        e = expand(p)
         assert e.coeff(e.degree) == p.leading()
-        eh = expand_higher(p, 3)
+        eh = expand(p, 3)
         assert eh.coeff(eh.degree) == p.leading()
 
 
@@ -238,7 +233,7 @@ def test_expand_dispatch():
     p = XPoly.monomial(3)
     assert expand(p).order == 1
     assert expand(p, 2).order == 2
-    assert expand(p, 1, ak_route="stirling_sum").routes[1] == "stirling_sum"
+    assert expand(p, 1, f_route="stirling_sum").routes[1] == "stirling_sum"
 
 
 def test_genocchi_product_higher_routes_agree():
@@ -246,7 +241,7 @@ def test_genocchi_product_higher_routes_agree():
     n = 4
     for k in range(1, n):
         p = p + genocchi_poly(k) * genocchi_poly(n - k) * Fraction(1, k * (n - k))
-    expansions = [expand_higher(p, 2, g, f) for g in G_ROUTES for f in F_ROUTES]
+    expansions = [expand(p, 2, g, f) for g in G_ROUTES for f in F_ROUTES]
     for other in expansions[1:]:
         assert other.coeffs == expansions[0].coeffs
     assert reconstruct(expansions[0]) == p
@@ -261,6 +256,35 @@ def test_crosscheck_returns_verified_expansion():
     assert reconstruct(e2) == p
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r):
+    calls = []
+
+    def counting(p, r, g_route, f_route):
+        calls.append((g_route, f_route))
+        return expand(p, r, g_route, f_route)
+
+    monkeypatch.setattr(expansion, "expand", counting)
+    p = parse_poly("x^3 - 1/2*l*x + 2")
+    assert crosscheck(p, r) == expand(p, r)
+    g0, f0 = G_ROUTES[0], F_ROUTES[0]
+    assert calls == [(g0, f) for f in F_ROUTES] + [(g, f0) for g in G_ROUTES[1:]]
+    assert len(calls) == 8
+
+
+def test_order_is_bounded_by_the_degree_limit(monkeypatch):
+    p = parse_poly("x^2")
+    for r in (65, 100000):
+        with pytest.raises(ValueError, match="order r must be between 1 and 64"):
+            expand(p, r)
+        with pytest.raises(ValueError, match="order r must be between 1 and 64"):
+            crosscheck(p, r)
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "3")
+    with pytest.raises(ValueError, match="between 1 and 3"):
+        expand(p, 4)
+    assert reconstruct(crosscheck(p, 3)) == p
+
+
 def test_route_mismatch_error_payload():
     err = RouteMismatchError(2, "a", LambdaPoly.one(), "b", LambdaPoly.zero())
     assert err.k == 2
@@ -269,19 +293,17 @@ def test_route_mismatch_error_payload():
 
 def test_provenance_records_routes():
     p = XPoly.monomial(4)
-    e = expand_order1(p, "stirling_sum", "residual")
+    e = expand(p, 1, "residual", "stirling_sum")
     assert e.routes[0] == "residual"
     assert set(e.routes[1:]) == {"stirling_sum"}
-    eh = expand_higher(p, 2, "stirling_op", "stirling_sum")
+    eh = expand(p, 2, "stirling_op", "stirling_sum")
     assert eh.routes[0] == "stirling_op"
     assert eh.routes[-1] == "stirling_sum"
 
 
 # -- every registered route is cross-checked ------------------------------------
 
-_PERTURBED = [(1, key) for key in expansion._ROUTES] + [
-    (2, key) for key in expansion._ROUTES if key[0] in ("g", "f")
-]
+_PERTURBED = [(r, key) for r in (1, 2, 3) for key in expansion._ROUTES]
 
 
 @pytest.mark.parametrize(

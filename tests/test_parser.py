@@ -133,6 +133,16 @@ def test_degree_guard_blocks_huge_products():
         parse_poly("x^40*x^40")
 
 
+def test_family_arguments_bounded_by_the_degree_limit():
+    with pytest.raises(ValueError, match="family index of E"):
+        parse_poly("E(65)")
+    with pytest.raises(ValueError, match="order r of B.* between 0 and 64"):
+        parse_poly("B(2,65)")
+    with pytest.raises(ValueError, match="order r of B.* between 0 and 5"):
+        parse_poly("B(2,6)", max_degree=5)
+    assert parse_poly("B(2,5)", max_degree=5).degree == 2
+
+
 def test_recursion_depth_bounded():
     deep = "(" * 300 + "x" + ")" * 300
     with pytest.raises(ParseError, match="nesting"):

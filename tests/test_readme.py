@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import degbern.cli as cli
-from degbern.expansion import A0_ROUTES, AK_ROUTES, F_ROUTES, G_ROUTES
+from degbern.expansion import F_ROUTES, G_ROUTES
 from degbern.identities import identity_ids
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -26,7 +26,9 @@ def test_readme_table_families():
 
 
 def test_readme_routes():
-    for branch, names in (("ak", AK_ROUTES), ("a0", A0_ROUTES), ("g", G_ROUTES), ("f", F_ROUTES)):
+    rows = re.findall(r"^\| `(\w+)` +\|", README, re.MULTILINE)
+    assert rows == ["g", "f"]
+    for branch, names in (("g", G_ROUTES), ("f", F_ROUTES)):
         row = re.search(rf"^\| `{branch}` +\|.*\|(.*)\|$", README, re.MULTILINE).group(1)
         assert tuple(re.findall(r"`(\w+)`", row)) == names
         assert f"`{names[0]}` (default)" in row

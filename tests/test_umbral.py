@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -190,3 +192,41 @@ def test_operator_series_truncation_policy():
     narrow = f.series(3)
     assert narrow.order == 3
     assert wide.coeffs[:4] == narrow.coeffs
+
+
+def _g_delta_ops() -> list[OperatorSeries]:
+    """g^m (e^t-1)^k for m, k <= 2, over shared g and delta factors, all caches cold."""
+    g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
+    delta = delta_op(1)
+    return [g**m * delta**k for m in (1, 2) for k in (0, 1, 2)]
+
+
+def test_shared_operator_series_race_benignly():
+    # OperatorSeries caches its highest series without a lock; racing readers
+    # of mixed degree may rebuild it, but must always get the same answer.
+    rng = random.Random(149)
+    polys = [random_xpoly(rng, d, True, 20) for d in (2, 9, 4, 12, 6, 11, 3, 8)]
+    jobs = [(i, j) for i in range(6) for j in range(len(polys))]
+    expected = {(i, j): apply(_g_delta_ops()[i], polys[j]) for i, j in jobs}
+
+    ops = _g_delta_ops()
+    plans = [random.Random(t).sample(jobs, len(jobs)) for t in range(8)]
+    results: list = [None] * len(plans)
+    barrier = threading.Barrier(len(plans))
+
+    def worker(t: int) -> None:
+        barrier.wait(timeout=30)
+        results[t] = {(i, j): apply(ops[i], polys[j]) for i, j in plans[t]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(plans)

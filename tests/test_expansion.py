@@ -303,13 +303,18 @@ def test_provenance_records_routes():
 
 # -- every registered route is cross-checked ------------------------------------
 
-_PERTURBED = [(r, key) for r in (1, 2, 3) for key in expansion._ROUTES]
+# Each entry at r = 1, 2 and 3 under its branch, and at r = 1 also under the
+# order-1 name of its branch (ak: f, a0: g) while AK_ROUTES / A0_ROUTES remain.
+_ORDER1_NAMES = (("ak", "f", expansion.AK_ROUTES), ("a0", "g", expansion.A0_ROUTES))
+_PERTURBED = [(r, key[0], key) for r in (1, 2, 3) for key in expansion._ROUTES] + [
+    (1, alias, (branch, name)) for alias, branch, names in _ORDER1_NAMES for name in names
+]
 
 
 @pytest.mark.parametrize(
-    "r, key", _PERTURBED, ids=[f"r{r}-{branch}-{name}" for r, (branch, name) in _PERTURBED]
+    "r, label, key", _PERTURBED, ids=[f"r{r}-{label}-{key[1]}" for r, label, key in _PERTURBED]
 )
-def test_crosscheck_catches_a_wrong_route(monkeypatch, r, key):
+def test_crosscheck_catches_a_wrong_route(monkeypatch, r, label, key):
     route = expansion._ROUTES[key]
 
     def off_by_one(*args):

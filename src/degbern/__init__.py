@@ -13,7 +13,6 @@ from .core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
-    rat,
 )
 from .expansion import (
     BasisExpansion,
@@ -100,7 +99,6 @@ __all__ = [
     "monomial_op",
     "parse",
     "parse_poly",
-    "rat",
     "reconstruct",
     "scaled_bernoulli",
     "scaled_bernoulli_op",

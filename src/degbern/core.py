@@ -23,7 +23,6 @@ __all__ = [
     "Scalar",
     "TruncSeries",
     "XPoly",
-    "rat",
 ]
 
 Scalar = Union[int, Fraction]
@@ -34,13 +33,6 @@ NEG_INFINITY = -math.inf
 
 class ExactDivisionError(ArithmeticError):
     """A division the algebra promises to be exact left a remainder."""
-
-
-def rat(n: int, d: int = 1) -> Fraction:
-    """Canonical rational n/d: reduced, denominator positive."""
-    if d == 0:
-        raise ValueError("rat(): zero denominator")
-    return Fraction(n, d)
 
 
 def _fr(value: Scalar) -> Fraction:

@@ -335,15 +335,17 @@ def classical_limit(e: BasisExpansion) -> list[Fraction]:
 def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
     """Expand p by every route and fail loudly on any mismatch.
 
-    Each route runs once, beside the other branch's default; the default
-    expansion is returned.
+    The default expansion comes first and is returned. Every other route runs
+    once against it, a g-route reading its f-coefficients; no f-route runs
+    when r > deg p, where every a_k is in branch g.
     """
-    g0, f0 = G_ROUTES[0], F_ROUTES[0]
-    base, *others = [expand(p, r, g0, f) for f in F_ROUTES] + [expand(p, r, g, f0) for g in G_ROUTES[1:]]
-    for other in others:
-        for k in range(base.degree + 1):
-            if base.coeffs[k] != other.coeffs[k]:
-                raise RouteMismatchError(
-                    k, base.routes[k], base.coeffs[k], other.routes[k], other.coeffs[k]
-                )
+    base = expand(p, r)
+    upper = list(base.coeffs[r:])
+    for (branch, name), route in _ROUTES.items():
+        if name == _names(branch)[0] or (branch == "f" and r > base.degree):
+            continue
+        coeffs = route(p, r) if branch == "f" else route(p, r, upper)
+        for k, value in enumerate(coeffs, r if branch == "f" else 0):
+            if value != base.coeffs[k]:
+                raise RouteMismatchError(k, base.routes[k], base.coeffs[k], name, value)
     return base

@@ -22,16 +22,19 @@ Corpus (ids):
 
 Each identity is one entry of the table ``_IDENTITIES``: its parameters
 with their minima, an optional cross-parameter constraint (``n >= r``,
-``m + n <= n_max``), its default sweep bounds, its builder and, for the
-degenerate-basis expansions, its closed-form coefficient list.
-DEFAULT_BOUNDS, parameter validation, identity_params, closed_form_coeffs
-and the verify_all sweep all read that table. A case outside the range
-raises ValueError naming the violated constraint (e.g. miki needs n >= 2,
-ex_g needs n >= 3 and n >= r).
+``m + n <= n_max``), its default sweep bounds, its left side and exactly
+one stated right side. That is either a polynomial ``rhs`` or, for the
+degenerate-basis expansions, a ``closed_form`` coefficient list in the
+order-r basis (r = 1 unless the case has an r), rebuilt into a polynomial
+by ``expansion.reconstruct``. DEFAULT_BOUNDS, parameter validation,
+closed_form_coeffs and the verify_all sweep all read that table. A case
+outside the range raises ValueError naming the violated constraint (e.g.
+miki needs n >= 2, ex_g needs n >= 3 and n >= r).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,11 +42,11 @@ from itertools import product
 from math import comb, factorial, inf
 from typing import Callable, Iterator, Mapping
 
-from .core import LAMBDA, LambdaPoly, XPoly
+from .core import LAMBDA, LambdaPoly, Scalar, XPoly
+from .expansion import BasisExpansion, reconstruct
 from .families import (
     bernoulli_number,
     bernoulli_poly,
-    deg_bernoulli_order,
     euler_number,
     euler_poly,
     genocchi_number,
@@ -51,7 +54,7 @@ from .families import (
     harmonic,
     scaled_bernoulli,
 )
-from .umbral import forward_diff
+from .umbral import forward_diff, integral_I
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -112,53 +115,43 @@ def _lam_bernoulli(l: int) -> LambdaPoly:
     return LambdaPoly.monomial(l, bernoulli_number(l))
 
 
-def _in_degenerate_basis(coeffs: list[LambdaPoly], order: int) -> XPoly:
+def _order1_tail(weights: Mapping[int, Fraction], top: int, scale: Scalar) -> list[LambdaPoly]:
+    """a_1..a_top of an order-1 closed form with Delta p = scale * sum_e weights[e] x^e.
+
+    a_k = D_l^(k-1)[Delta p](0) / (k! l^(k-1)), D_l the step-l forward difference.
+    """
+    coeffs = []
+    for k in range(1, top + 1):
+        acc = LambdaPoly.zero()
+        for e, w in weights.items():
+            if w:
+                acc = acc + _dl0(k - 1, e) * w
+        coeffs.append(acc.divexact(k - 1) * (Fraction(scale) / factorial(k)))
+    return coeffs
+
+
+def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
+    """sum_{k=1}^{n-1} P_k(x) P_{n-k}(x) / (k(n-k)) for a polynomial family P."""
     out = XPoly.zero()
-    for k, ak in enumerate(coeffs):
-        if not ak.is_zero:
-            out = out + deg_bernoulli_order(k, order) * ak
+    for k in range(1, n):
+        out = out + family(k) * family(n - k) * Fraction(1, k * (n - k))
     return out
 
 
 # -- quadratic Bernoulli convolution and its specializations ------------------
 
 
-def _miki_poly(n: int) -> tuple[XPoly, XPoly]:
-    # The left side needs every product B_j(x)B_{2n-j}(x)/(j(2n-j)); the
-    # interior odd-index products (3 <= j <= 2n-3) vanish at x = 0 and
-    # x = 1/2, which is why the number specializations keep only the even
-    # part and the boundary B_1 B_{2n-1} term.
-    lhs = XPoly.zero()
-    for k in range(1, n):
-        lhs = lhs + bernoulli_poly(2 * k) * bernoulli_poly(2 * n - 2 * k) * Fraction(
-            1, 2 * k * (2 * n - 2 * k)
-        )
-    lhs = lhs + bernoulli_poly(1) * bernoulli_poly(2 * n - 1) * Fraction(2, 2 * n - 1)
-    for j in range(3, 2 * n - 2, 2):
-        lhs = lhs + bernoulli_poly(j) * bernoulli_poly(2 * n - j) * Fraction(1, j * (2 * n - j))
+def _miki_poly_rhs(n: int) -> XPoly:
+    # The left side is the product sum of B_j(x)B_{2n-j}(x); its interior
+    # odd-index products (3 <= j <= 2n-3) vanish at x = 0 and x = 1/2, which
+    # is why the number specializations keep only the even part.
     rhs = XPoly.zero()
     for k in range(1, n + 1):
         rhs = rhs + bernoulli_poly(2 * n - 2 * k) * (
             Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) / n
         )
     rhs = rhs + bernoulli_poly(2 * n) * (harmonic(2 * n - 1) / n)
-    rhs = rhs + bernoulli_poly(1) * (bernoulli_number(2 * n - 1) * Fraction(2, 2 * n - 1))
-    return lhs, rhs
-
-
-def _miki(n: int) -> tuple[XPoly, XPoly]:
-    lhs = Fraction(0)
-    for k in range(1, n):
-        lhs += bernoulli_number(2 * k) * bernoulli_number(2 * n - 2 * k) / Fraction(
-            2 * k * (2 * n - 2 * k)
-        )
-    rhs = Fraction(0)
-    for k in range(1, n + 1):
-        rhs += Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) * bernoulli_number(
-            2 * n - 2 * k
-        )
-    rhs = rhs / n + harmonic(2 * n - 1) * bernoulli_number(2 * n) / n
-    return XPoly.const(lhs), XPoly.const(rhs)
+    return rhs + bernoulli_poly(1) * (bernoulli_number(2 * n - 1) * Fraction(2, 2 * n - 1))
 
 
 def _bbar(j: int) -> Fraction:
@@ -166,23 +159,25 @@ def _bbar(j: int) -> Fraction:
     return (Fraction(2) ** (1 - j) - 1) * bernoulli_number(j)
 
 
-def _fpz(n: int) -> tuple[XPoly, XPoly]:
+def _miki_lhs(at: Callable[[int], Fraction], n: int) -> XPoly:
+    """Miki's left side with B_j(x) at one point: bernoulli_number (x = 0) or _bbar (x = 1/2)."""
     lhs = Fraction(0)
     for k in range(1, n):
-        lhs += _bbar(2 * k) * _bbar(2 * n - 2 * k) / Fraction(2 * k * (2 * n - 2 * k))
+        lhs += at(2 * k) * at(2 * n - 2 * k) / Fraction(2 * k * (2 * n - 2 * k))
+    return XPoly.const(lhs)
+
+
+def _miki_rhs(at: Callable[[int], Fraction], n: int) -> XPoly:
     rhs = Fraction(0)
     for k in range(1, n + 1):
-        rhs += Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) * _bbar(
-            2 * n - 2 * k
-        )
-    rhs = rhs / n + harmonic(2 * n - 1) * _bbar(2 * n) / n
-    return XPoly.const(lhs), XPoly.const(rhs)
+        rhs += Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) * at(2 * n - 2 * k)
+    return XPoly.const(rhs / n + harmonic(2 * n - 1) * at(2 * n) / n)
 
 
 # -- Bernoulli polynomials in the degenerate basis ---------------------------
 
 
-def _ex_a_polyid(n: int) -> tuple[XPoly, XPoly]:
+def _ex_a_polyid_lhs(n: int) -> XPoly:
     # sum_j C(n,j) B_{n-j} y^{j+1}/(j+1) (B_{j+1}(1/y) - B_{j+1}) = y^n B_n,
     # an identity in Q[y]; y is modelled by the coefficient-ring generator.
     lhs = LambdaPoly.zero()
@@ -190,39 +185,23 @@ def _ex_a_polyid(n: int) -> tuple[XPoly, XPoly]:
         scaled_at_one = scaled_bernoulli(j + 1, 1).eval_x(1)
         tail = scaled_at_one - LambdaPoly.monomial(j + 1, bernoulli_number(j + 1))
         lhs = lhs + tail * (Fraction(comb(n, j), j + 1) * bernoulli_number(n - j))
-    rhs = _lam_bernoulli(n)
-    return XPoly.const(lhs), XPoly.const(rhs)
+    return XPoly.const(lhs)
 
 
 def _ex_a_coeffs(n: int) -> list[LambdaPoly]:
-    coeffs = [_lam_bernoulli(n)]
-    for k in range(1, n + 1):
-        coeffs.append(_dl0(k - 1, n - 1).divexact(k - 1) * Fraction(n, factorial(k)))
-    return coeffs
-
-
-def _ex_a(n: int) -> tuple[XPoly, XPoly]:
-    return bernoulli_poly(n), _in_degenerate_basis(_ex_a_coeffs(n), 1)
+    return [_lam_bernoulli(n), *_order1_tail({n - 1: n}, n, 1)]
 
 
 # -- products of two Bernoulli polynomials, weighted by 1/(k(n-k)) -----------
 
 
-def _b_product_sum(n: int) -> XPoly:
-    out = XPoly.zero()
-    for k in range(1, n):
-        out = out + bernoulli_poly(k) * bernoulli_poly(n - k) * Fraction(1, k * (n - k))
-    return out
-
-
-def _ex_b_classical(n: int) -> tuple[XPoly, XPoly]:
+def _ex_b_rhs(n: int) -> XPoly:
     rhs = XPoly.zero()
     for l in range(n - 1):
         rhs = rhs + bernoulli_poly(l) * (
             Fraction(2 * comb(n, l), n * (n - l)) * bernoulli_number(n - l)
         )
-    rhs = rhs + bernoulli_poly(n) * (Fraction(2, n) * harmonic(n - 1))
-    return _b_product_sum(n), rhs
+    return rhs + bernoulli_poly(n) * (Fraction(2, n) * harmonic(n - 1))
 
 
 def _ex_b_coeffs(n: int) -> list[LambdaPoly]:
@@ -230,98 +209,57 @@ def _ex_b_coeffs(n: int) -> list[LambdaPoly]:
     for l in range(n - 1):
         a0 = a0 + _lam_bernoulli(l) * (Fraction(comb(n, l), n - l) * bernoulli_number(n - l))
     a0 = a0 + _lam_bernoulli(n) * harmonic(n - 1)
-    coeffs = [a0 * Fraction(2, n)]
-    for k in range(1, n + 1):
-        acc = LambdaPoly.zero()
-        for l in range(1, n - 1):
-            acc = acc + _dl0(k - 1, l - 1) * (
-                Fraction(l * comb(n, l), n - l) * bernoulli_number(n - l)
-            )
-        acc = acc + _dl0(k - 1, n - 1) * (n * harmonic(n - 1))
-        coeffs.append(acc.divexact(k - 1) * Fraction(2, n * factorial(k)))
-    return coeffs
-
-
-def _ex_b(n: int) -> tuple[XPoly, XPoly]:
-    return _b_product_sum(n), _in_degenerate_basis(_ex_b_coeffs(n), 1)
+    weights = {
+        l - 1: Fraction(l * comb(n, l), n - l) * bernoulli_number(n - l) for l in range(1, n - 1)
+    }
+    weights[n - 1] = n * harmonic(n - 1)
+    return [a0 * Fraction(2, n), *_order1_tail(weights, n, Fraction(2, n))]
 
 
 # -- products of two Euler polynomials, weighted by 1/(k(n-k)) ----------------
-
-
-def _e_product_sum(n: int) -> XPoly:
-    out = XPoly.zero()
-    for k in range(1, n):
-        out = out + euler_poly(k) * euler_poly(n - k) * Fraction(1, k * (n - k))
-    return out
 
 
 def _ex_c_weight(n: int, l: int) -> Fraction:
     return Fraction(comb(n, l)) * (_H(n - 1) - _H(n - l)) / (n - l + 1)
 
 
-def _ex_c_classical(n: int) -> tuple[XPoly, XPoly]:
+def _ex_c_rhs(n: int) -> XPoly:
     rhs = XPoly.const(Fraction(4) * euler_number(n + 1) / (n * n * (n + 1)))
     for l in range(1, n + 1):
         rhs = rhs - bernoulli_poly(l) * (
             Fraction(4, n) * _ex_c_weight(n, l) * euler_number(n - l + 1)
         )
-    return _e_product_sum(n), rhs
+    return rhs
 
 
 def _ex_c_coeffs(n: int) -> list[LambdaPoly]:
     a0 = LambdaPoly.const(euler_number(n + 1) / Fraction(n * (n + 1)))
     for l in range(1, n + 1):
         a0 = a0 - _lam_bernoulli(l) * (_ex_c_weight(n, l) * euler_number(n - l + 1))
-    coeffs = [a0 * Fraction(4, n)]
-    for k in range(1, n + 1):
-        acc = LambdaPoly.zero()
-        for l in range(1, n + 1):
-            acc = acc + _dl0(k - 1, l - 1) * (l * _ex_c_weight(n, l) * euler_number(n - l + 1))
-        coeffs.append(acc.divexact(k - 1) * Fraction(-4, n * factorial(k)))
-    return coeffs
-
-
-def _ex_c(n: int) -> tuple[XPoly, XPoly]:
-    return _e_product_sum(n), _in_degenerate_basis(_ex_c_coeffs(n), 1)
+    weights = {l - 1: l * _ex_c_weight(n, l) * euler_number(n - l + 1) for l in range(1, n + 1)}
+    return [a0 * Fraction(4, n), *_order1_tail(weights, n, Fraction(-4, n))]
 
 
 # -- products of two Genocchi polynomials, weighted by 1/(k(n-k)) -------------
 
 
-def _g_product_sum(n: int) -> XPoly:
-    out = XPoly.zero()
-    for k in range(1, n):
-        out = out + genocchi_poly(k) * genocchi_poly(n - k) * Fraction(1, k * (n - k))
-    return out
-
-
-def _ex_d_classical(n: int) -> tuple[XPoly, XPoly]:
+def _ex_d_rhs(n: int) -> XPoly:
     rhs = XPoly.zero()
     for k in range(n - 1):
         rhs = rhs - bernoulli_poly(k) * (
             Fraction(4 * comb(n, k), n * (n - k)) * genocchi_number(n - k)
         )
-    return _g_product_sum(n), rhs
+    return rhs
 
 
 def _ex_d_coeffs(n: int) -> list[LambdaPoly]:
     a0 = LambdaPoly.zero()
     for l in range(n - 1):
         a0 = a0 + _lam_bernoulli(l) * (Fraction(comb(n, l), n - l) * genocchi_number(n - l))
-    coeffs = [a0 * Fraction(-4, n)]
-    for k in range(1, n - 1):
-        acc = LambdaPoly.zero()
-        for l in range(1, n - 1):
-            acc = acc + _dl0(k - 1, l - 1) * (
-                Fraction(l * comb(n, l), n - l) * genocchi_number(n - l)
-            )
-        coeffs.append(acc.divexact(k - 1) * Fraction(-4, n * factorial(k)))
-    return coeffs
-
-
-def _ex_d(n: int) -> tuple[XPoly, XPoly]:
-    return _g_product_sum(n), _in_degenerate_basis(_ex_d_coeffs(n), 1)
+    weights = {
+        l - 1: Fraction(l * comb(n, l), n - l) * genocchi_number(n - l) for l in range(1, n - 1)
+    }
+    return [a0 * Fraction(-4, n), *_order1_tail(weights, n - 2, Fraction(-4, n))]
 
 
 # -- Nielsen products ---------------------------------------------------------
@@ -331,59 +269,38 @@ def _nielsen_weight(m: int, n: int, r: int) -> int:
     return comb(m, 2 * r) * n + comb(n, 2 * r) * m
 
 
-def _ex_e_classical(m: int, n: int) -> tuple[XPoly, XPoly]:
-    lhs = bernoulli_poly(m) * bernoulli_poly(n)
+def _ex_e_rhs(m: int, n: int) -> XPoly:
     rhs = XPoly.const(Fraction((-1) ** (m + 1)) * bernoulli_number(m + n) / comb(m + n, m))
-    r = 0
-    while m + n - 2 * r >= 1:
+    for r in range((m + n + 1) // 2):  # while m + n - 2r >= 1
         rhs = rhs + bernoulli_poly(m + n - 2 * r) * (
             Fraction(_nielsen_weight(m, n, r), m + n - 2 * r) * bernoulli_number(2 * r)
         )
-        r += 1
-    return lhs, rhs
+    return rhs
 
 
 def _ex_e_coeffs(m: int, n: int) -> list[LambdaPoly]:
     total = m + n
     a0 = LambdaPoly.const(Fraction((-1) ** (m + 1)) * bernoulli_number(total) / comb(total, m))
-    r = 0
-    while total - 2 * r >= 1:
+    weights = {}
+    for r in range((total + 1) // 2):  # while total - 2r >= 1
         a0 = a0 + _lam_bernoulli(total - 2 * r) * (
             Fraction(_nielsen_weight(m, n, r), total - 2 * r) * bernoulli_number(2 * r)
         )
-        r += 1
-    coeffs = [a0]
-    for k in range(1, total + 1):
-        acc = LambdaPoly.zero()
-        r = 0
-        while total - 2 * r >= 1:
-            acc = acc + _dl0(k - 1, total - 2 * r - 1) * (
-                _nielsen_weight(m, n, r) * bernoulli_number(2 * r)
-            )
-            r += 1
-        coeffs.append(acc.divexact(k - 1) / factorial(k))
-    return coeffs
+        weights[total - 2 * r - 1] = _nielsen_weight(m, n, r) * bernoulli_number(2 * r)
+    return [a0, *_order1_tail(weights, total, 1)]
 
 
-def _ex_e(m: int, n: int) -> tuple[XPoly, XPoly]:
-    return bernoulli_poly(m) * bernoulli_poly(n), _in_degenerate_basis(_ex_e_coeffs(m, n), 1)
-
-
-def _ex_f_classical(m: int, n: int) -> tuple[XPoly, XPoly]:
-    lhs = euler_poly(m) * euler_poly(n)
+def _ex_f_rhs(m: int, n: int) -> XPoly:
     rhs = XPoly.const(
         Fraction(2 * (-1) ** (n + 1) * factorial(m) * factorial(n), factorial(m + n + 1))
         * euler_number(m + n + 1)
     )
-    for r in range(1, m + 1):
-        rhs = rhs - bernoulli_poly(m + n - r + 1) * (
-            Fraction(2 * comb(m, r), m + n - r + 1) * euler_number(r)
-        )
-    for s in range(1, n + 1):
-        rhs = rhs - bernoulli_poly(m + n - s + 1) * (
-            Fraction(2 * comb(n, s), m + n - s + 1) * euler_number(s)
-        )
-    return lhs, rhs
+    for size in (m, n):  # the sum over r <= m, then the sum over s <= n
+        for r in range(1, size + 1):
+            rhs = rhs - bernoulli_poly(m + n - r + 1) * (
+                Fraction(2 * comb(size, r), m + n - r + 1) * euler_number(r)
+            )
+    return rhs
 
 
 def _ex_f_coeffs(m: int, n: int) -> list[LambdaPoly]:
@@ -391,44 +308,32 @@ def _ex_f_coeffs(m: int, n: int) -> list[LambdaPoly]:
         Fraction((-1) ** n * factorial(m) * factorial(n), factorial(m + n + 1))
         * euler_number(m + n + 1)
     )
-    for r in range(1, m + 1):
-        a0 = a0 + _lam_bernoulli(m + n - r + 1) * (
-            Fraction(comb(m, r), m + n - r + 1) * euler_number(r)
-        )
-    for s in range(1, n + 1):
-        a0 = a0 + _lam_bernoulli(m + n - s + 1) * (
-            Fraction(comb(n, s), m + n - s + 1) * euler_number(s)
-        )
-    coeffs = [a0 * Fraction(-2)]
-    for k in range(1, m + n + 1):
-        acc = LambdaPoly.zero()
-        for r in range(1, m + 1):
-            acc = acc + _dl0(k - 1, m + n - r) * (comb(m, r) * euler_number(r))
-        for s in range(1, n + 1):
-            acc = acc + _dl0(k - 1, m + n - s) * (comb(n, s) * euler_number(s))
-        coeffs.append(acc.divexact(k - 1) * Fraction(-2, factorial(k)))
-    return coeffs
-
-
-def _ex_f(m: int, n: int) -> tuple[XPoly, XPoly]:
-    return euler_poly(m) * euler_poly(n), _in_degenerate_basis(_ex_f_coeffs(m, n), 1)
+    weights: Counter[int] = Counter()
+    for size in (m, n):  # the sum over r <= m, then the sum over s <= n
+        for r in range(1, size + 1):
+            a0 = a0 + _lam_bernoulli(m + n - r + 1) * (
+                Fraction(comb(size, r), m + n - r + 1) * euler_number(r)
+            )
+            weights[m + n - r] += comb(size, r) * euler_number(r)
+    return [a0 * Fraction(-2), *_order1_tail(weights, m + n, -2)]
 
 
 # -- order-r machinery --------------------------------------------------------
 
 
-def _ex_g_iop(n: int, r: int, a: int) -> tuple[XPoly, XPoly]:
+def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
     # <n+1>_a I^a [l^n B_n^(r)(x/l)] = sum_m (-1)^{a-m} C(a,m) l^{n+a} B_{n+a}^(r)((x+m)/l)
-    from .umbral import integral_I
-
     lhs = scaled_bernoulli(n, r)
     for _ in range(a):
         lhs = integral_I(lhs)
-    lhs = lhs * _rising(n + 1, a)
+    return lhs * _rising(n + 1, a)
+
+
+def _ex_g_iop_rhs(n: int, r: int, a: int) -> XPoly:
     rhs = XPoly.zero()
     for m in range(a + 1):
         rhs = rhs + scaled_bernoulli(n + a, r).shift(m) * Fraction((-1) ** (a - m) * comb(a, m))
-    return lhs, rhs
+    return rhs
 
 
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
@@ -464,10 +369,6 @@ def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
     return coeffs
 
 
-def _ex_g(n: int, r: int) -> tuple[XPoly, XPoly]:
-    return _g_product_sum(n), _in_degenerate_basis(_ex_g_coeffs(n, r), r)
-
-
 # -- the identity table ---------------------------------------------------------
 
 #: The sweep bound for each parameter name (n_max bounds m as well as n).
@@ -483,11 +384,16 @@ _CONSTRAINTS: dict[str, Callable[..., bool]] = {
 
 @dataclass(frozen=True)
 class _Identity:
-    build: Callable[..., tuple[XPoly, XPoly]]
+    lhs: Callable[..., XPoly]
     minima: Mapping[str, int]  # parameter -> least value, in argument order
     bounds: Mapping[str, int]  # default sweep bounds
-    closed_form: Callable[..., list[LambdaPoly]] | None = None
+    rhs: Callable[..., XPoly] | None = None
+    closed_form: Callable[..., list[LambdaPoly]] | None = None  # order-r basis coefficients
     constraint: str | None = None  # a key of _CONSTRAINTS
+
+    def __post_init__(self) -> None:
+        if (self.rhs is None) == (self.closed_form is None):
+            raise TypeError("an identity states exactly one of rhs and closed_form")
 
     def violations(self, values: Mapping[str, int]) -> list[str]:
         out = [f"{name} >= {lo}" for name, lo in self.minima.items() if values[name] < lo]
@@ -503,31 +409,78 @@ class _Identity:
             if not self.violations({**bounds, **params}):
                 yield params
 
+    def stated(self, identity_id: str, params: Mapping[str, int]) -> XPoly:
+        """The stated right side: rhs, or the closed-form coefficients rebuilt."""
+        if self.rhs is not None:
+            return self.rhs(**params)
+        coeffs = tuple(self.closed_form(**params))
+        routes = (identity_id,) * len(coeffs)
+        return reconstruct(BasisExpansion(params.get("r", 1), len(coeffs) - 1, coeffs, routes))
 
+
+#: What the four Nielsen-product entries share: pairs (m, n) with m + n <= n_max.
+_NIELSEN = {"minima": {"m": 1, "n": 1}, "bounds": {"n_max": 10}, "constraint": "m + n <= n_max"}
+
+# Left sides look the families up at call time, where perfbench's tracer rebinds them.
 _IDENTITIES: dict[str, _Identity] = {
-    "miki_poly": _Identity(_miki_poly, {"n": 2}, {"n_max": 8}),
-    "miki": _Identity(_miki, {"n": 2}, {"n_max": 8}),
-    "fpz": _Identity(_fpz, {"n": 2}, {"n_max": 8}),
-    "ex_a_polyid": _Identity(_ex_a_polyid, {"n": 1}, {"n_max": 8}),
-    "ex_a": _Identity(_ex_a, {"n": 1}, {"n_max": 8}, _ex_a_coeffs),
-    "ex_b_classical": _Identity(_ex_b_classical, {"n": 2}, {"n_max": 10}),
-    "ex_b": _Identity(_ex_b, {"n": 2}, {"n_max": 8}, _ex_b_coeffs),
-    "ex_c_classical": _Identity(_ex_c_classical, {"n": 2}, {"n_max": 8}),
-    "ex_c": _Identity(_ex_c, {"n": 2}, {"n_max": 8}, _ex_c_coeffs),
-    "ex_d_classical": _Identity(_ex_d_classical, {"n": 3}, {"n_max": 10}),
-    "ex_d": _Identity(_ex_d, {"n": 3}, {"n_max": 10}, _ex_d_coeffs),
+    "miki_poly": _Identity(
+        lambda n: _product_sum(bernoulli_poly, 2 * n), {"n": 2}, {"n_max": 8}, _miki_poly_rhs
+    ),
+    "miki": _Identity(
+        lambda n: _miki_lhs(bernoulli_number, n),
+        {"n": 2},
+        {"n_max": 8},
+        lambda n: _miki_rhs(bernoulli_number, n),
+    ),
+    "fpz": _Identity(
+        lambda n: _miki_lhs(_bbar, n), {"n": 2}, {"n_max": 8}, lambda n: _miki_rhs(_bbar, n)
+    ),
+    "ex_a_polyid": _Identity(
+        _ex_a_polyid_lhs, {"n": 1}, {"n_max": 8}, lambda n: XPoly.const(_lam_bernoulli(n))
+    ),
+    "ex_a": _Identity(
+        lambda n: bernoulli_poly(n), {"n": 1}, {"n_max": 8}, closed_form=_ex_a_coeffs
+    ),
+    "ex_b_classical": _Identity(
+        lambda n: _product_sum(bernoulli_poly, n), {"n": 2}, {"n_max": 10}, _ex_b_rhs
+    ),
+    "ex_b": _Identity(
+        lambda n: _product_sum(bernoulli_poly, n), {"n": 2}, {"n_max": 8}, closed_form=_ex_b_coeffs
+    ),
+    "ex_c_classical": _Identity(
+        lambda n: _product_sum(euler_poly, n), {"n": 2}, {"n_max": 8}, _ex_c_rhs
+    ),
+    "ex_c": _Identity(
+        lambda n: _product_sum(euler_poly, n), {"n": 2}, {"n_max": 8}, closed_form=_ex_c_coeffs
+    ),
+    "ex_d_classical": _Identity(
+        lambda n: _product_sum(genocchi_poly, n), {"n": 3}, {"n_max": 10}, _ex_d_rhs
+    ),
+    "ex_d": _Identity(
+        lambda n: _product_sum(genocchi_poly, n), {"n": 3}, {"n_max": 10}, closed_form=_ex_d_coeffs
+    ),
     "ex_e_classical": _Identity(
-        _ex_e_classical, {"m": 1, "n": 1}, {"n_max": 10}, constraint="m + n <= n_max"
+        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), rhs=_ex_e_rhs, **_NIELSEN
     ),
-    "ex_e": _Identity(_ex_e, {"m": 1, "n": 1}, {"n_max": 10}, _ex_e_coeffs, "m + n <= n_max"),
+    "ex_e": _Identity(
+        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), closed_form=_ex_e_coeffs, **_NIELSEN
+    ),
     "ex_f_classical": _Identity(
-        _ex_f_classical, {"m": 1, "n": 1}, {"n_max": 10}, constraint="m + n <= n_max"
+        lambda m, n: euler_poly(m) * euler_poly(n), rhs=_ex_f_rhs, **_NIELSEN
     ),
-    "ex_f": _Identity(_ex_f, {"m": 1, "n": 1}, {"n_max": 10}, _ex_f_coeffs, "m + n <= n_max"),
+    "ex_f": _Identity(
+        lambda m, n: euler_poly(m) * euler_poly(n), closed_form=_ex_f_coeffs, **_NIELSEN
+    ),
     "ex_g_iop": _Identity(
-        _ex_g_iop, {"n": 0, "r": 0, "a": 1}, {"n_max": 6, "r_max": 3, "a_max": 3}
+        _ex_g_iop_lhs, {"n": 0, "r": 0, "a": 1}, {"n_max": 6, "r_max": 3, "a_max": 3}, _ex_g_iop_rhs
     ),
-    "ex_g": _Identity(_ex_g, {"n": 3, "r": 1}, {"n_max": 6, "r_max": 4}, _ex_g_coeffs, "n >= r"),
+    "ex_g": _Identity(
+        lambda n, r: _product_sum(genocchi_poly, n),
+        {"n": 3, "r": 1},
+        {"n_max": 6, "r_max": 4},
+        closed_form=_ex_g_coeffs,
+        constraint="n >= r",
+    ),
 }
 
 DEFAULT_BOUNDS: dict[str, dict[str, int]] = {
@@ -537,11 +490,6 @@ DEFAULT_BOUNDS: dict[str, dict[str, int]] = {
 
 def identity_ids() -> tuple[str, ...]:
     return tuple(sorted(_IDENTITIES))
-
-
-def identity_params(identity_id: str) -> tuple[str, ...]:
-    """Parameter names an identity takes, e.g. ("n",) or ("m", "n")."""
-    return tuple(_lookup(identity_id).minima)
 
 
 def _lookup(identity_id: str) -> _Identity:
@@ -582,10 +530,10 @@ def verify(
 ) -> IdentityCase:
     """Verify one identity instance exactly; ValueError on bad id or range."""
     entry = _lookup(identity_id)
-    merged = dict(params or {})
-    merged.update(kw)
+    merged = {**(params or {}), **kw}
     _check_params(identity_id, entry, merged)
-    lhs, rhs = entry.build(**merged)
+    lhs = entry.lhs(**merged)
+    rhs = entry.stated(identity_id, merged)
     if perturb:
         rhs = rhs + XPoly.one()
     return IdentityCase(

@@ -11,32 +11,11 @@ from degbern.core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
-    rat,
 )
 from helpers import list_mul, newton_inverse, random_fraction, random_lambda_poly, random_xpoly
 
 
 # -- rationals ---------------------------------------------------------------
-
-
-def test_rat_gcd_reduction():
-    assert rat(2, 4) == Fraction(1, 2)
-
-
-def test_rat_sign_normalization():
-    value = rat(3, -6)
-    assert value == Fraction(-1, 2)
-    assert value.denominator == 2
-
-
-def test_rat_zero_canonical():
-    value = rat(0, 7)
-    assert value.numerator == 0 and value.denominator == 1
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ValueError):
-        rat(1, 0)
 
 
 def test_rational_ring_laws():

@@ -1,5 +1,6 @@
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -258,18 +259,22 @@ def test_crosscheck_returns_verified_expansion():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 6])
 def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r):
-    calls = []
+    calls = Counter()
 
-    def counting(p, r, g_route, f_route):
-        calls.append((g_route, f_route))
-        return expand(p, r, g_route, f_route)
+    def counting(key, route):
+        def wrapped(*args):
+            calls[key] += 1
+            return route(*args)
 
-    monkeypatch.setattr(expansion, "expand", counting)
+        return wrapped
+
     p = parse_poly("x^3 - 1/2*l*x + 2")
-    assert crosscheck(p, r) == expand(p, r)
-    g0, f0 = G_ROUTES[0], F_ROUTES[0]
-    assert calls == [(g0, f) for f in F_ROUTES] + [(g, f0) for g in G_ROUTES[1:]]
-    assert len(calls) == 8
+    default = expand(p, r)
+    for key, route in list(expansion._ROUTES.items()):
+        monkeypatch.setitem(expansion._ROUTES, key, counting(key, route))
+    assert crosscheck(p, r) == default
+    # every route once, the defaults inside expand; no f-route runs when r > deg p = 3
+    assert calls == Counter(key for key in expansion._ROUTES if key[0] == "g" or r <= 3)
 
 
 def test_order_is_bounded_by_the_degree_limit(monkeypatch):

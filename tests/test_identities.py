@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from degbern.core import XPoly
+from degbern import identities
+from degbern.core import LambdaPoly, XPoly
 from degbern.expansion import expand
 from degbern.families import genocchi_poly
 from degbern.identities import (
@@ -103,9 +105,30 @@ def test_verify_all_zero_bounds_empty():
 
 
 def test_verify_all_perturb_self_test():
-    cases = verify_all({"miki": {"n_max": 4}}, ids=["miki"], perturb=True)
-    assert cases and all(not c.passed for c in cases)
+    small = {"n_max": 4, "r_max": 2, "a_max": 1}
+    cases = verify_all(dict.fromkeys(identity_ids(), small), perturb=True)
+    assert {c.id for c in cases} == set(identity_ids())
+    assert all(not c.passed for c in cases)
     assert all(not c.discrepancy.is_zero for c in cases)
+
+
+@pytest.mark.parametrize("identity_id", identity_ids())
+def test_stated_side_reaches_the_comparison(monkeypatch, identity_id):
+    entry = identities._IDENTITIES[identity_id]
+    if entry.rhs is not None:
+        off = {"rhs": lambda **params: entry.rhs(**params) + XPoly.one()}
+    else:
+
+        def off_closed_form(**params):
+            a0, *rest = entry.closed_form(**params)
+            return [a0 + LambdaPoly.one(), *rest]
+
+        off = {"closed_form": off_closed_form}
+    monkeypatch.setitem(identities._IDENTITIES, identity_id, replace(entry, **off))
+    smallest = dict(entry.minima)
+    assert verify(identity_id, smallest).passed is False
+    monkeypatch.undo()
+    assert verify(identity_id, smallest).passed
 
 
 def test_default_bounds_cover_required_ranges():
@@ -139,27 +162,21 @@ def _genocchi_product(n):
 
 
 def test_closed_forms_match_expansion_order1():
-    for identity_id, params in [
-        ("ex_a", {"n": 5}),
-        ("ex_b", {"n": 5}),
-        ("ex_c", {"n": 5}),
-        ("ex_d", {"n": 5}),
-        ("ex_e", {"m": 2, "n": 3}),
-        ("ex_f", {"m": 2, "n": 3}),
-    ]:
-        stated = closed_form_coeffs(identity_id, **params)
-        case = verify(identity_id, params)
+    for case in verify_all(ids=["ex_a", "ex_b", "ex_c", "ex_d", "ex_e", "ex_f"]):
+        stated = closed_form_coeffs(case.id, **dict(case.params))
         e = expand(case.lhs)
         assert len(stated) == e.degree + 1
-        assert list(e.coeffs) == stated, identity_id
+        assert list(e.coeffs) == stated, case.param_str()
 
 
 def test_closed_form_matches_expansion_higher_order():
-    for n, r in [(4, 2), (5, 3), (4, 4), (6, 4)]:
-        stated = closed_form_coeffs("ex_g", n=n, r=r)
-        p = _genocchi_product(n)
-        e = expand(p, r)
-        assert stated[: e.degree + 1] == list(e.coeffs)
+    cases = verify_all(ids=["ex_g"])
+    assert len(cases) == 15
+    for case in cases:
+        params = dict(case.params)
+        stated = closed_form_coeffs("ex_g", **params)
+        e = expand(_genocchi_product(params["n"]), params["r"])
+        assert stated[: e.degree + 1] == list(e.coeffs), case.param_str()
         # entries past the degree (present when r - 1 > n - 2) must vanish
         assert all(c.is_zero for c in stated[e.degree + 1 :])
 

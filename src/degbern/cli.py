@@ -8,7 +8,9 @@ Subcommands:
 
 Exit codes are a contract: 0 success, 1 usage or parse error,
 2 verification failure (identity failure or route disagreement),
-3 internal consistency failure (an exact division failed).
+3 internal consistency failure (an exact division failed). A command
+builds its whole output before any of it is written, so a command that
+fails part way leaves stdout empty.
 
 All numbers in machine-readable output are serialized as strings to keep
 arbitrary precision across tools.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -180,7 +183,7 @@ def _build_parser() -> _Cli:
     return parser
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
     check_size("--order", args.order, 1)
     p = parse_poly(args.expr)
     if p.is_zero:
@@ -188,10 +191,13 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         return 1
     lam_value = None
     if args.lambda_sub is not None:
+        # Fraction() alone would also take "1e50000000", "1.5" or non-ASCII digits
         try:
+            if not re.fullmatch("-?[0-9]+(/[0-9]+)?", args.lambda_sub):
+                raise ValueError
             lam_value = Fraction(args.lambda_sub)
         except (ValueError, ZeroDivisionError):
-            print(f"error: --lambda needs a rational P/Q with Q != 0, got {args.lambda_sub!r}", file=sys.stderr)
+            print(f"error: --lambda needs a rational [-]P[/Q] with Q != 0, got {args.lambda_sub!r}", file=sys.stderr)
             return 1
     if args.crosscheck:
         e = crosscheck(p, args.order)
@@ -205,22 +211,20 @@ def _cmd_expand(args: argparse.Namespace) -> int:
             doc["coefficients_at_lambda"] = [
                 {"k": str(k), "value": str(c.subs(lam_value))} for k, c in enumerate(e.coeffs)
             ]
-        print(json.dumps(doc, indent=2))
+        out.append(json.dumps(doc, indent=2))
     elif args.format == "latex":
-        print(_latex_expansion(e))
+        out.append(_latex_expansion(e))
     else:
-        print(f"input: {args.expr}")
-        print(f"p(x) = {p}")
-        print(f"order: {e.order}   degree: {e.degree}")
+        out += [f"input: {args.expr}", f"p(x) = {p}", f"order: {e.order}   degree: {e.degree}"]
         for k, c in enumerate(e.coeffs):
             line = f"a_{k} = {c}"
             if lam_value is not None:
                 line += f"   [l={lam_value}: {c.subs(lam_value)}]"
-            print(line)
+            out.append(line)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
     ids = list(args.ids) + list(args.id_flags)
     known = identity_ids()
     for identity_id in ids:
@@ -263,12 +267,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             }
             for c in cases
         ]
-        print(json.dumps({"cases": payload, "failures": len(failures)}, indent=2))
+        out.append(json.dumps({"cases": payload, "failures": len(failures)}, indent=2))
     else:
         for c in cases:
             status = "PASS" if c.passed else f"FAIL  discrepancy leads with {c.offending_term()}"
-            print(f"{c.id}({c.param_str()}): {status}")
-        print(f"{len(cases)} case(s), {len(failures)} failure(s)")
+            out.append(f"{c.id}({c.param_str()}): {status}")
+        out.append(f"{len(cases)} case(s), {len(failures)} failure(s)")
     return 0 if not failures else 2
 
 
@@ -288,14 +292,14 @@ _POLY_FAMILIES = {
 }
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace, out: list[str]) -> int:
     check_size("--n-max", args.n_max)
     check_size("--order", args.order)
     family = args.family
     if family in _NUMBER_FAMILIES:
         values = [_NUMBER_FAMILIES[family](n) for n in range(args.n_max + 1)]
         if args.format == "json":
-            print(
+            out.append(
                 json.dumps(
                     {
                         "family": family,
@@ -305,8 +309,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 )
             )
         else:
-            for n, v in enumerate(values):
-                print(f"{n}: {v}")
+            out += [f"{n}: {v}" for n, v in enumerate(values)]
         return 0
     maker = _POLY_FAMILIES.get(family)
     if maker is None:
@@ -315,7 +318,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 1
     polys = [maker(n, args.order) for n in range(args.n_max + 1)]
     if args.format == "json":
-        print(
+        out.append(
             json.dumps(
                 {
                     "family": family,
@@ -335,8 +338,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
     else:
-        for n, p in enumerate(polys):
-            print(f"{n}: {p}")
+        out += [f"{n}: {p}" for n, p in enumerate(polys)]
     return 0
 
 
@@ -346,8 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out: list[str] = []
     try:
-        return args.fn(args)
+        status = args.fn(args, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -360,6 +363,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in out:
+        print(line)
+    return status
 
 
 if __name__ == "__main__":

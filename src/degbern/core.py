@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "ExactDivisionError",
@@ -43,7 +43,60 @@ def _fr(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class LambdaPoly:
+def _convolve(a: Sequence, b: Sequence, zero, size: int) -> list:
+    """Coefficients 0..size-1 of the product of the coefficient sequences a and b."""
+    out = [zero] * size
+    for i, x in enumerate(a[:size]):
+        if not x:
+            continue
+        for j, y in enumerate(b[: size - i]):
+            if y:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+class _Ring:
+    """The operators each ring class derives from its own ``+``, unary ``-``,
+    ``*`` and ``_unit()``. Every ring here is commutative, so the reflected
+    operators just swap operands."""
+
+    __slots__ = ()
+
+    def _unit(self):
+        return self.one()
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __truediv__(self, other):
+        """Exact division by a nonzero int or Fraction."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.__mul__(Fraction(other.denominator, other.numerator))  # ZeroDivisionError at 0
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result, base = self._unit(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+
+class LambdaPoly(_Ring):
     """Sparse polynomial in ``l`` with exact rational coefficients.
 
     Zero coefficients are never stored; two values are equal iff their
@@ -101,13 +154,8 @@ class LambdaPoly:
     def degree(self) -> int | float:
         return max(self._terms) if self._terms else NEG_INFINITY
 
-    @property
-    def is_rational(self) -> bool:
-        """True when the value is a constant (degree <= 0)."""
-        return self.degree <= 0
-
     def as_rational(self) -> Fraction:
-        if not self.is_rational:
+        if self.degree > 0:
             raise ValueError(f"{self} is not a rational constant")
         return self._terms.get(0, Fraction(0))
 
@@ -130,26 +178,13 @@ class LambdaPoly:
             terms[exp] = terms.get(exp, Fraction(0)) + coeff
         return LambdaPoly(terms)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "LambdaPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LambdaPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self) -> "LambdaPoly":
         return LambdaPoly({e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other) -> "LambdaPoly":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LambdaPoly):  # tested first: isinstance(_, Fraction) is slow on a miss
+            if isinstance(other, (int, Fraction)):
+                return LambdaPoly({e: c * other for e, c in self._terms.items()})
             return NotImplemented
         out: dict[int, Fraction] = {}
         for e1, c1 in self._terms.items():
@@ -157,28 +192,6 @@ class LambdaPoly:
                 e = e1 + e2
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
         return LambdaPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LambdaPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = LambdaPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __truediv__(self, other) -> "LambdaPoly":
-        if isinstance(other, (int, Fraction)):
-            q = _fr(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return LambdaPoly({e: c / q for e, c in self._terms.items()})
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -201,10 +214,6 @@ class LambdaPoly:
         for exp, coeff in self._terms.items():
             total += coeff * value**exp
         return total
-
-    def at_zero(self) -> Fraction:
-        """Evaluate at l = 0 (the constant term)."""
-        return self._terms.get(0, Fraction(0))
 
     def divexact(self, k: int) -> "LambdaPoly":
         """Exact division by l**k; every term must have exponent >= k."""
@@ -255,7 +264,7 @@ class LambdaPoly:
 LAMBDA = LambdaPoly.lam()
 
 
-class XPoly:
+class XPoly(_Ring):
     """Dense polynomial in ``x`` with LambdaPoly coefficients.
 
     Coefficients are indexed by x-exponent; trailing zeros are stripped so
@@ -349,64 +358,18 @@ class XPoly:
             out[i] = out[i] + c
         return XPoly(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "XPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "XPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self) -> "XPoly":
         return XPoly(tuple(-c for c in self._coeffs))
 
     def __mul__(self, other) -> "XPoly":
-        if isinstance(other, (int, Fraction, LambdaPoly)):
-            scale = other if isinstance(other, LambdaPoly) else LambdaPoly.const(other)
-            if scale.is_zero:
-                return XPoly.zero()
-            return XPoly(tuple(c * scale for c in self._coeffs))
         if not isinstance(other, XPoly):
+            if isinstance(other, (int, Fraction, LambdaPoly)):
+                return XPoly(tuple(c * other for c in self._coeffs))
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return XPoly.zero()
-        out = [LambdaPoly.zero()] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return XPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "XPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = XPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __truediv__(self, other) -> "XPoly":
-        if isinstance(other, (int, Fraction)):
-            q = _fr(other)
-            if q == 0:
-                raise ZeroDivisionError("division by zero")
-            return XPoly(tuple(c / q for c in self._coeffs))
-        return NotImplemented
+        return XPoly(_convolve(a, b, LambdaPoly.zero(), len(a) + len(b) - 1))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -437,20 +400,24 @@ class XPoly:
         return XPoly(out)
 
     def shift(self, c: LambdaPoly | Scalar) -> "XPoly":
-        """The composition p(x + c) for a constant c in Q[l]."""
-        if not isinstance(c, LambdaPoly):
-            c = LambdaPoly.const(c)
-        if c.is_zero or self.is_zero:
+        """The composition p(x + c) for a constant c in Q[l], by the Taylor
+        shift [x^j] p(x+c) = sum_{i>=j} C(i,j) c^(i-j) a_i."""
+        if isinstance(c, LambdaPoly) and c.degree <= 0:
+            c = c.coeff(0)  # a rational c keeps every term a scalar multiply
+        a = self._coeffs
+        if not c or not a:
             return self
-        xc = XPoly((c, LambdaPoly.one()))
-        result = XPoly.zero()
-        power = XPoly.one()
-        for i, coeff in enumerate(self._coeffs):
-            if not coeff.is_zero:
-                result = result + power * coeff
-            if i + 1 < len(self._coeffs):
-                power = power * xc
-        return result
+        powers = [1]
+        for _ in range(1, len(a)):
+            powers.append(powers[-1] * c)
+        out = []
+        for j in range(len(a)):
+            acc = LambdaPoly.zero()
+            for i in range(j, len(a)):
+                if a[i]:
+                    acc = acc + a[i] * (powers[i - j] * math.comb(i, j))
+            out.append(acc)
+        return XPoly(out)
 
     def eval_x(self, c: LambdaPoly | Scalar) -> LambdaPoly:
         """Evaluate at x = c, with c a constant in Q[l]; result in Q[l]."""
@@ -461,16 +428,9 @@ class XPoly:
             total = total * c + coeff
         return total
 
-    def eval(self, x_value: Scalar, lam_value: Scalar) -> Fraction:
-        """Full evaluation at rational x and l."""
-        return self.eval_x(_fr(x_value)).subs(lam_value)
-
     def subs_lambda(self, value: Scalar) -> "XPoly":
         """Specialize l to a rational value, keeping x symbolic."""
         return XPoly(tuple(LambdaPoly.const(c.subs(value)) for c in self._coeffs))
-
-    def at_lambda_zero(self) -> "XPoly":
-        return self.subs_lambda(0)
 
     def divexact(self, k: int) -> "XPoly":
         """Exact coefficient-wise division by l**k."""
@@ -517,7 +477,7 @@ class XPoly:
         return f"XPoly({self})"
 
 
-class TruncSeries:
+class TruncSeries(_Ring):
     """Formal power series in t truncated at a fixed order N (t^0..t^N kept).
 
     Coefficients are plain ring elements (LambdaPoly or XPoly); coeff(k)
@@ -590,14 +550,6 @@ class TruncSeries:
             self._ring, self._order, [a + b for a, b in zip(self._coeffs, other._coeffs)]
         )
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        self._check(other)
-        return TruncSeries(
-            self._ring, self._order, [a - b for a, b in zip(self._coeffs, other._coeffs)]
-        )
-
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self._ring, self._order, [-c for c in self._coeffs])
 
@@ -608,30 +560,10 @@ class TruncSeries:
             return NotImplemented
         self._check(other)
         n = self._order
-        zero = self._ring.zero()
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self._ring, n, out)
+        return TruncSeries(self._ring, n, _convolve(self._coeffs, other._coeffs, self._ring.zero(), n + 1))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, r: int) -> "TruncSeries":
-        if not isinstance(r, int) or r < 0:
-            raise ValueError("series power must be a non-negative integer")
-        result = TruncSeries.one(self._ring, self._order)
-        base = self
-        while r:
-            if r & 1:
-                result = result * base
-            base = base * base
-            r >>= 1
-        return result
+    def _unit(self) -> "TruncSeries":
+        return TruncSeries.one(self._ring, self._order)
 
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; requires a unit constant term."""

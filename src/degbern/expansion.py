@@ -329,7 +329,7 @@ def classical_limit(e: BasisExpansion) -> list[Fraction]:
         raise ValueError("expansion carries no source polynomial")
     if e.source.has_lambda:
         raise ValueError("classical limit requires an l-free source polynomial")
-    return [c.at_zero() for c in e.coeffs]
+    return [c.coeff(0) for c in e.coeffs]
 
 
 def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:

@@ -329,13 +329,6 @@ def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
     return lhs * _rising(n + 1, a)
 
 
-def _ex_g_iop_rhs(n: int, r: int, a: int) -> XPoly:
-    rhs = XPoly.zero()
-    for m in range(a + 1):
-        rhs = rhs + scaled_bernoulli(n + a, r).shift(m) * Fraction((-1) ** (a - m) * comb(a, m))
-    return rhs
-
-
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
     coeffs: list[LambdaPoly] = []
     for k in range(max(r, n - 1)):
@@ -472,7 +465,10 @@ _IDENTITIES: dict[str, _Identity] = {
         lambda m, n: euler_poly(m) * euler_poly(n), closed_form=_ex_f_coeffs, **_NIELSEN
     ),
     "ex_g_iop": _Identity(
-        _ex_g_iop_lhs, {"n": 0, "r": 0, "a": 1}, {"n_max": 6, "r_max": 3, "a_max": 3}, _ex_g_iop_rhs
+        _ex_g_iop_lhs,
+        {"n": 0, "r": 0, "a": 1},
+        {"n_max": 6, "r_max": 3, "a_max": 3},
+        lambda n, r, a: forward_diff(scaled_bernoulli(n + a, r), 1, a),
     ),
     "ex_g": _Identity(
         lambda n, r: _product_sum(genocchi_poly, n),

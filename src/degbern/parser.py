@@ -100,6 +100,10 @@ ExprAst = Union[Lit, Var, Neg, Bin, Pow, Call]
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")", ","}
 _CALL_ARITY = {"B": (1, 2), "E": (1, 1), "G": (1, 1)}
+# ASCII only: str.isdigit and str.isspace also accept digits such as "٣" or
+# "²" and spaces such as U+3000.
+_DIGITS = "0123456789"
+_SPACE = " \t\n\r\f\v"
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,12 @@ def _tokenize(src: str) -> list[_Token]:
     i = 0
     while i < len(src):
         ch = src[i]
-        if ch.isspace():
+        if ch in _SPACE:
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", src[i:j], i))
             i = j

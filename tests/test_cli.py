@@ -11,12 +11,12 @@ from degbern.expansion import RouteMismatchError, expand, reconstruct
 from degbern.parser import parse_poly
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "degbern", *args],
         capture_output=True,
         text=True,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -63,8 +63,9 @@ def test_expand_bad_order_exit_1():
 
 
 def test_expand_bad_lambda_exit_1_without_traceback():
-    for bad in ("1/0", "one"):
-        proc = run_cli("expand", "--expr", "x^2", "--lambda", bad)
+    # only [-]P[/Q] in ASCII digits; "1e50000000" used to run for minutes
+    for bad in ("1/0", "one", "1e50000000", "1.5", "+1", " 1", "1_0", "\u0663", "1/-2"):
+        proc = run_cli("expand", "--expr", "x^2", "--lambda", bad, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
@@ -230,6 +231,14 @@ def test_exact_division_failure_maps_to_exit_3(monkeypatch):
 
     monkeypatch.setattr(cli, "expand", boom)
     assert cli.main(["expand", "--expr", "x"]) == 3
+
+
+def test_lambda_too_large_to_print_leaves_stdout_empty(capsys):
+    # l^48 at l = 10^100 - 1 has more digits than str() of an int allows
+    assert cli.main(["expand", "--expr", "x^48", "--lambda", "9" * 100]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_bad_lambda_rejected_before_expanding(monkeypatch):

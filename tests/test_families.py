@@ -124,7 +124,7 @@ def test_deg_falling_product_structure():
 
 def test_deg_falling_classical_limit():
     for n in range(13):
-        assert deg_falling(n).at_lambda_zero() == XPoly.monomial(n)
+        assert deg_falling(n).subs_lambda(0) == XPoly.monomial(n)
 
 
 def _dict_mul(a, b):
@@ -151,20 +151,20 @@ def test_deg_bernoulli_zeroth():
 
 def test_deg_bernoulli_classical_limit():
     for n in range(13):
-        assert deg_bernoulli(n).at_lambda_zero() == bernoulli_poly(n)
+        assert deg_bernoulli(n).subs_lambda(0) == bernoulli_poly(n)
 
 
 def test_deg_bernoulli_order_classical_limit():
     for r in range(5):
         for n in range(13):
-            assert deg_bernoulli_order(n, r).at_lambda_zero() == bernoulli_poly_order(n, r)
+            assert deg_bernoulli_order(n, r).subs_lambda(0) == bernoulli_poly_order(n, r)
 
 
 def test_scaled_bernoulli_classical_limit():
     # only the top term of l^n B_n^(a)(x/l) survives at l = 0
     for a in range(4):
         for n in range(13):
-            assert scaled_bernoulli(n, a).at_lambda_zero() == XPoly.monomial(n)
+            assert scaled_bernoulli(n, a).subs_lambda(0) == XPoly.monomial(n)
 
 
 def test_deg_bernoulli_order_edges():

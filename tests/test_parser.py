@@ -62,10 +62,13 @@ def test_unbalanced_parentheses():
 
 
 def test_lexical_error_carries_offset():
-    with pytest.raises(ParseError) as excinfo:
-        parse("x + $")
-    assert excinfo.value.offset == 4
-    assert "offset 4" in str(excinfo.value)
+    # non-ASCII digits and spaces are rejected, not read as their ASCII twins
+    cases = [("x + $", 4), ("x^\u0663", 2), ("x^\u00b2", 2), ("B(\uff11)", 2), ("x +\u3000 1", 3)]
+    for src, offset in cases:
+        with pytest.raises(ParseError) as excinfo:
+            parse(src)
+        assert excinfo.value.offset == offset
+        assert f"offset {offset}" in str(excinfo.value)
 
 
 def test_unary_minus_binds_looser_than_power():

@@ -20,7 +20,7 @@ from degbern.umbral import (
     umbral_compose,
     unit_integral_op,
 )
-from helpers import random_fraction, random_xpoly
+from helpers import random_fraction, random_lambda_poly, random_xpoly
 
 
 def _random_op(rng, width=5):
@@ -38,6 +38,11 @@ def test_exp_op_is_shift():
         p = random_xpoly(rng, 7, True, 20)
         y = random_fraction(rng, 9)
         assert apply(exp_op(y), p) == p.shift(y)
+    # symbolic steps, as forward_diff and the delta_lambda route take them
+    for degree in (1, 3, 8, 16, 24):
+        p = XPoly([random_lambda_poly(rng, 3, 20) for _ in range(degree)] + [LambdaPoly.const(7)])
+        for y in (LAMBDA, 1 + 2 * LAMBDA, LAMBDA * Fraction(-3, 2), random_lambda_poly(rng, 2, 9)):
+            assert apply(exp_op(y), p) == p.shift(y)
 
 
 def test_identity_operator():

@@ -192,25 +192,28 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
     lam_value = None
     if args.lambda_sub is not None:
         # Fraction() alone would also take "1e50000000", "1.5" or non-ASCII digits
+        if not re.fullmatch("-?[0-9]+(/0*[1-9][0-9]*)?", args.lambda_sub):
+            return _bad_lambda(f"needs a rational [-]P[/Q] with Q != 0, got {args.lambda_sub!r}")
         try:
-            if not re.fullmatch("-?[0-9]+(/[0-9]+)?", args.lambda_sub):
-                raise ValueError
             lam_value = Fraction(args.lambda_sub)
-        except (ValueError, ZeroDivisionError):
-            print(f"error: --lambda needs a rational [-]P[/Q] with Q != 0, got {args.lambda_sub!r}", file=sys.stderr)
-            return 1
+        except ValueError:  # more digits than int() reads
+            return _bad_lambda(_lambda_too_large())
     if args.crosscheck:
         e = crosscheck(p, args.order)
     else:
         e = expand(p, args.order)
+    at_lambda = None
+    if lam_value is not None and args.format != "latex":
+        try:
+            at_lambda = [str(c.subs(lam_value)) for c in e.coeffs]
+        except ValueError:  # more digits than str() writes
+            return _bad_lambda(_lambda_too_large())
 
     if args.format == "json":
         doc = expansion_to_document(args.expr, e)
-        if lam_value is not None:
+        if at_lambda is not None:
             doc["lambda_value"] = str(lam_value)
-            doc["coefficients_at_lambda"] = [
-                {"k": str(k), "value": str(c.subs(lam_value))} for k, c in enumerate(e.coeffs)
-            ]
+            doc["coefficients_at_lambda"] = [{"k": str(k), "value": v} for k, v in enumerate(at_lambda)]
         out.append(json.dumps(doc, indent=2))
     elif args.format == "latex":
         out.append(_latex_expansion(e))
@@ -218,10 +221,22 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
         out += [f"input: {args.expr}", f"p(x) = {p}", f"order: {e.order}   degree: {e.degree}"]
         for k, c in enumerate(e.coeffs):
             line = f"a_{k} = {c}"
-            if lam_value is not None:
-                line += f"   [l={lam_value}: {c.subs(lam_value)}]"
+            if at_lambda is not None:
+                line += f"   [l={lam_value}: {at_lambda[k]}]"
             out.append(line)
     return 0
+
+
+def _lambda_too_large() -> str:
+    return (
+        f"is too large: it or a value at it has more than {sys.get_int_max_str_digits()} digits, "
+        "the most Python converts between int and text"
+    )
+
+
+def _bad_lambda(reason: str) -> int:
+    print(f"error: --lambda {reason}", file=sys.stderr)
+    return 1
 
 
 def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:

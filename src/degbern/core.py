@@ -55,6 +55,13 @@ def _convolve(a: Sequence, b: Sequence, zero, size: int) -> list:
     return out
 
 
+def _stripped(coeffs: list) -> tuple:
+    """The coefficients without trailing zeros; consumes the list."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 class _Ring:
     """The operators each ring class derives from its own ``+``, unary ``-``,
     ``*`` and ``_unit()``. Every ring here is commutative, so the reflected
@@ -96,230 +103,50 @@ class _Ring:
         return result
 
 
-class LambdaPoly(_Ring):
-    """Sparse polynomial in ``l`` with exact rational coefficients.
+class _Poly(_Ring):
+    """Dense polynomial: a tuple of coefficients indexed by exponent, with
+    trailing zeros stripped, so equal values have equal tuples and a nonzero
+    value has a nonzero leading coefficient. Instances are immutable.
 
-    Zero coefficients are never stored; two values are equal iff their
-    canonical term maps are equal. Instances are immutable.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[int, Scalar] | None = None) -> None:
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if not isinstance(exp, int) or exp < 0:
-                    raise ValueError(f"invalid l-exponent {exp!r}")
-                coeff = _fr(coeff)
-                if coeff:
-                    clean[exp] = coeff
-        self._terms = clean
-
-    @classmethod
-    def zero(cls) -> "LambdaPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LambdaPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, value: Scalar) -> "LambdaPoly":
-        return cls({0: value})
-
-    @classmethod
-    def lam(cls) -> "LambdaPoly":
-        """The generator ``l`` itself."""
-        return cls({1: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LambdaPoly":
-        return cls({exponent: coeff})
-
-    # -- structure ---------------------------------------------------------
-
-    def items(self) -> tuple[tuple[int, Fraction], ...]:
-        """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        return tuple(sorted(self._terms.items()))
-
-    def coeff(self, exponent: int) -> Fraction:
-        return self._terms.get(exponent, Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def degree(self) -> int | float:
-        return max(self._terms) if self._terms else NEG_INFINITY
-
-    def as_rational(self) -> Fraction:
-        if self.degree > 0:
-            raise ValueError(f"{self} is not a rational constant")
-        return self._terms.get(0, Fraction(0))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "LambdaPoly | None":
-        if isinstance(other, LambdaPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LambdaPoly.const(other)
-        return None
-
-    def __add__(self, other) -> "LambdaPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coeff
-        return LambdaPoly(terms)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly({e: -c for e, c in self._terms.items()})
-
-    def __mul__(self, other) -> "LambdaPoly":
-        if not isinstance(other, LambdaPoly):  # tested first: isinstance(_, Fraction) is slow on a miss
-            if isinstance(other, (int, Fraction)):
-                return LambdaPoly({e: c * other for e, c in self._terms.items()})
-            return NotImplemented
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LambdaPoly(out)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # -- evaluation and exact division ---------------------------------------
-
-    def subs(self, value: Scalar) -> Fraction:
-        """Evaluate at l = value."""
-        value = _fr(value)
-        total = Fraction(0)
-        for exp, coeff in self._terms.items():
-            total += coeff * value**exp
-        return total
-
-    def divexact(self, k: int) -> "LambdaPoly":
-        """Exact division by l**k; every term must have exponent >= k."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("k must be a non-negative integer")
-        if k == 0:
-            return self
-        for exp in self._terms:
-            if exp < k:
-                raise ExactDivisionError(f"{self} is not divisible by l^{k}")
-        return LambdaPoly({e - k: c for e, c in self._terms.items()})
-
-    def inv_unit(self) -> "LambdaPoly":
-        """Multiplicative inverse, defined only for nonzero rational constants."""
-        if self.degree != 0:
-            raise ValueError(f"{self} is not a unit (nonzero rational constant)")
-        return LambdaPoly.const(1 / self._terms[0])
-
-    # -- formatting ------------------------------------------------------------
-
-    def _single(self) -> tuple[int, Fraction] | None:
-        if len(self._terms) == 1:
-            return next(iter(self._terms.items()))
-        return None
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for exp in sorted(self._terms, reverse=True):
-            coeff = self._terms[exp]
-            mag = abs(coeff)
-            if exp == 0:
-                body = str(mag)
-            else:
-                var = "l" if exp == 1 else f"l^{exp}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LambdaPoly({self})"
-
-
-LAMBDA = LambdaPoly.lam()
-
-
-class XPoly(_Ring):
-    """Dense polynomial in ``x`` with LambdaPoly coefficients.
-
-    Coefficients are indexed by x-exponent; trailing zeros are stripped so
-    the leading coefficient of a nonzero value is nonzero. Instances are
-    immutable; evaluation at rational points is a ring homomorphism.
+    A subclass names its variable ``_VAR``, the zero of its coefficient ring
+    ``_ZERO``, the scalars that coerce to constants ``_SCALARS`` and the
+    coercion of one coefficient ``_coeff_of``.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[LambdaPoly | Scalar] = ()) -> None:
-        lst: list[LambdaPoly] = []
-        for c in coeffs:
-            if not isinstance(c, LambdaPoly):
-                c = LambdaPoly.const(c)
-            lst.append(c)
-        while lst and lst[-1].is_zero:
-            lst.pop()
-        self._coeffs = tuple(lst)
+    @classmethod
+    def _make(cls, coeffs: list):
+        """The value with these coerced coefficients."""
+        p = object.__new__(cls)
+        p._coeffs = _stripped(coeffs)
+        return p
 
     @classmethod
-    def zero(cls) -> "XPoly":
-        return cls()
+    def zero(cls):
+        return cls._make([])
 
     @classmethod
-    def one(cls) -> "XPoly":
-        return cls((LambdaPoly.one(),))
+    def one(cls):
+        return cls.const(1)
 
     @classmethod
-    def x(cls) -> "XPoly":
-        return cls((LambdaPoly.zero(), LambdaPoly.one()))
+    def const(cls, value):
+        return cls._make([cls._coeff_of(value)])
 
     @classmethod
-    def const(cls, value: LambdaPoly | Scalar) -> "XPoly":
-        if not isinstance(value, LambdaPoly):
-            value = LambdaPoly.const(value)
-        return cls((value,))
+    def monomial(cls, exponent: int, coeff=1):
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"invalid {cls._VAR}-exponent {exponent!r}")
+        coeff = cls._coeff_of(coeff)
+        return cls._make([cls._ZERO] * exponent + [coeff] if coeff else [])
 
-    @classmethod
-    def monomial(cls, exponent: int, coeff: LambdaPoly | Scalar = 1) -> "XPoly":
-        if exponent < 0:
-            raise ValueError("negative x-exponent")
-        if not isinstance(coeff, LambdaPoly):
-            coeff = LambdaPoly.const(coeff)
-        return cls((LambdaPoly.zero(),) * exponent + (coeff,))
+    # -- structure -------------------------------------------------------------
 
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[LambdaPoly, ...]:
-        return self._coeffs
-
-    def coeff(self, exponent: int) -> LambdaPoly:
+    def coeff(self, exponent: int):
         if 0 <= exponent < len(self._coeffs):
             return self._coeffs[exponent]
-        return LambdaPoly.zero()
+        return self._ZERO
 
     @property
     def degree(self) -> int | float:
@@ -329,24 +156,19 @@ class XPoly(_Ring):
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def leading(self) -> LambdaPoly:
-        return self._coeffs[-1] if self._coeffs else LambdaPoly.zero()
+    def leading(self):
+        return self._coeffs[-1] if self._coeffs else self._ZERO
 
-    @property
-    def has_lambda(self) -> bool:
-        return any(c.degree > 0 for c in self._coeffs)
+    # -- arithmetic ------------------------------------------------------------
 
-    # -- arithmetic --------------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other) -> "XPoly | None":
-        if isinstance(other, XPoly):
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
             return other
-        if isinstance(other, (int, Fraction, LambdaPoly)):
-            return XPoly.const(other)
+        if isinstance(other, self._SCALARS):
+            return self.const(other)
         return None
 
-    def __add__(self, other) -> "XPoly":
+    def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -355,21 +177,22 @@ class XPoly(_Ring):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPoly(out)
+            if c:  # zero slots are common in values sparse in l; adding one is a no-op
+                out[i] = out[i] + c if out[i] else c
+        return self._make(out)
 
-    def __neg__(self) -> "XPoly":
-        return XPoly(tuple(-c for c in self._coeffs))
+    def __neg__(self):
+        return self._make([-c for c in self._coeffs])
 
-    def __mul__(self, other) -> "XPoly":
-        if not isinstance(other, XPoly):
-            if isinstance(other, (int, Fraction, LambdaPoly)):
-                return XPoly(tuple(c * other for c in self._coeffs))
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):  # tested first: isinstance(_, Fraction) is slow on a miss
+            if isinstance(other, self._SCALARS):
+                return self._make([c * other if c else c for c in self._coeffs])
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if not a or not b:
-            return XPoly.zero()
-        return XPoly(_convolve(a, b, LambdaPoly.zero(), len(a) + len(b) - 1))
+            return self.zero()
+        return self._make(_convolve(a, b, self._ZERO, len(a) + len(b) - 1))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -383,21 +206,130 @@ class XPoly(_Ring):
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    # -- calculus -----------------------------------------------------------------
+    def _at(self, value):
+        """Horner evaluation at a value of the coefficient ring or a scalar."""
+        total = self._ZERO
+        for c in reversed(self._coeffs):
+            total = total * value + c
+        return total
+
+    def inv_unit(self):
+        """Multiplicative inverse, defined only for nonzero rational constants."""
+        if self.degree != 0:
+            raise ValueError(f"{self} is not a unit (nonzero rational constant)")
+        c = self._coeffs[0]
+        return self.const(c.inv_unit() if isinstance(c, _Poly) else 1 / c)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class LambdaPoly(_Poly):
+    """Polynomial in ``l`` with exact rational coefficients."""
+
+    __slots__ = ()
+    _VAR = "l"
+    _ZERO = Fraction(0)
+    _SCALARS = (int, Fraction)
+    _coeff_of = staticmethod(_fr)
+
+    def __init__(self, terms: Mapping[int, Scalar] | None = None) -> None:
+        coeffs: list[Fraction] = []
+        for exp, coeff in (terms or {}).items():
+            if not isinstance(exp, int) or exp < 0:
+                raise ValueError(f"invalid l-exponent {exp!r}")
+            coeff = _fr(coeff)
+            if coeff:
+                coeffs.extend([self._ZERO] * (exp + 1 - len(coeffs)))
+                coeffs[exp] = coeff
+        self._coeffs = tuple(coeffs)
+
+    @classmethod
+    def lam(cls) -> "LambdaPoly":
+        """The generator ``l`` itself."""
+        return cls({1: 1})
+
+    def items(self) -> tuple[tuple[int, Fraction], ...]:
+        """Terms as (exponent, coefficient) pairs, ascending exponent."""
+        return tuple((e, c) for e, c in enumerate(self._coeffs) if c)
+
+    def as_rational(self) -> Fraction:
+        if self.degree > 0:
+            raise ValueError(f"{self} is not a rational constant")
+        return self.coeff(0)
+
+    def subs(self, value: Scalar) -> Fraction:
+        """Evaluate at l = value."""
+        return self._at(_fr(value))
+
+    def divexact(self, k: int) -> "LambdaPoly":
+        """Exact division by l**k; every term must have exponent >= k."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("k must be a non-negative integer")
+        if any(self._coeffs[:k]):
+            raise ExactDivisionError(f"{self} is not divisible by l^{k}")
+        return self._make(list(self._coeffs[k:])) if k else self
+
+    def __str__(self) -> str:
+        parts: list[str] = []
+        for exp, coeff in reversed(self.items()):
+            mag = abs(coeff)
+            if exp == 0:
+                body = str(mag)
+            else:
+                var = "l" if exp == 1 else f"l^{exp}"
+                body = var if mag == 1 else f"{mag}*{var}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
+        return "".join(parts) or "0"
+
+
+LAMBDA = LambdaPoly.lam()
+
+
+class XPoly(_Poly):
+    """Polynomial in ``x`` with LambdaPoly coefficients. Evaluation at
+    rational points is a ring homomorphism."""
+
+    __slots__ = ()
+    _VAR = "x"
+    _ZERO = LambdaPoly.zero()
+    _SCALARS = (int, Fraction, LambdaPoly)
+
+    @staticmethod
+    def _coeff_of(value: LambdaPoly | Scalar) -> LambdaPoly:
+        return value if isinstance(value, LambdaPoly) else LambdaPoly.const(value)
+
+    def __init__(self, coeffs: Iterable[LambdaPoly | Scalar] = ()) -> None:
+        self._coeffs = _stripped([self._coeff_of(c) for c in coeffs])
+
+    @classmethod
+    def x(cls) -> "XPoly":
+        return cls.monomial(1)
+
+    @property
+    def coeffs(self) -> tuple[LambdaPoly, ...]:
+        return self._coeffs
+
+    @property
+    def has_lambda(self) -> bool:
+        return any(c.degree > 0 for c in self._coeffs)
+
+    # -- calculus ----------------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "XPoly":
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         p = self
         for _ in range(order):
-            p = XPoly(tuple(c * (i + 1) for i, c in enumerate(p._coeffs[1:])))
+            p = XPoly._make([c * (i + 1) for i, c in enumerate(p._coeffs[1:])])
         return p
 
     def antiderivative(self) -> "XPoly":
         """The antiderivative with zero constant term, exact in Q[l]."""
-        out = [LambdaPoly.zero()]
-        out.extend(c / (i + 1) for i, c in enumerate(self._coeffs))
-        return XPoly(out)
+        return XPoly._make([self._ZERO] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
 
     def shift(self, c: LambdaPoly | Scalar) -> "XPoly":
         """The composition p(x + c) for a constant c in Q[l], by the Taylor
@@ -412,69 +344,46 @@ class XPoly(_Ring):
             powers.append(powers[-1] * c)
         out = []
         for j in range(len(a)):
-            acc = LambdaPoly.zero()
+            acc = self._ZERO
             for i in range(j, len(a)):
                 if a[i]:
                     acc = acc + a[i] * (powers[i - j] * math.comb(i, j))
             out.append(acc)
-        return XPoly(out)
+        return XPoly._make(out)
 
     def eval_x(self, c: LambdaPoly | Scalar) -> LambdaPoly:
         """Evaluate at x = c, with c a constant in Q[l]; result in Q[l]."""
-        if not isinstance(c, LambdaPoly):
-            c = LambdaPoly.const(c)
-        total = LambdaPoly.zero()
-        for coeff in reversed(self._coeffs):
-            total = total * c + coeff
-        return total
+        return self._at(c if isinstance(c, LambdaPoly) else _fr(c))
 
     def subs_lambda(self, value: Scalar) -> "XPoly":
         """Specialize l to a rational value, keeping x symbolic."""
-        return XPoly(tuple(LambdaPoly.const(c.subs(value)) for c in self._coeffs))
+        return XPoly._make([LambdaPoly.const(c.subs(value)) for c in self._coeffs])
 
     def divexact(self, k: int) -> "XPoly":
         """Exact coefficient-wise division by l**k."""
-        return XPoly(tuple(c.divexact(k) for c in self._coeffs))
-
-    def inv_unit(self) -> "XPoly":
-        if self.degree != 0:
-            raise ValueError(f"{self} is not a unit (nonzero rational constant)")
-        return XPoly.const(self._coeffs[0].inv_unit())
-
-    # -- formatting -------------------------------------------------------------------
+        return XPoly._make([c.divexact(k) for c in self._coeffs])
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
         parts: list[str] = []
         for k in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[k]
-            if c.is_zero:
+            if not c:
                 continue
             xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            single = c._single()
-            if single is not None:
-                exp, value = single
-                negative = value < 0
-                mag = LambdaPoly.monomial(exp, abs(value))
-                scalar = str(mag)
-                if xpart and scalar == "1":
-                    body = xpart
-                elif xpart:
-                    body = f"{scalar}*{xpart}"
-                else:
-                    body = scalar
+            terms = c.items()
+            negative = len(terms) == 1 and terms[0][1] < 0
+            scalar = str(-c if negative else c)
+            if len(terms) > 1:
+                body = f"({scalar})*{xpart}" if xpart else f"({scalar})"
+            elif xpart and scalar == "1":
+                body = xpart
             else:
-                negative = False
-                body = f"({c})*{xpart}" if xpart else f"({c})"
+                body = f"{scalar}*{xpart}" if xpart else scalar
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:
                 parts.append(f" - {body}" if negative else f" + {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPoly({self})"
+        return "".join(parts) or "0"
 
 
 class TruncSeries(_Ring):

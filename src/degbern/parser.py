@@ -16,11 +16,12 @@ binds tighter than '+'/'-'; binary operators are left-associative.
 no implicit multiplication ("2x" is an error). B(n) and B(n,r) name the
 Bernoulli polynomial (order r), E(n) the Euler and G(n) the Genocchi one.
 
-Lowering to an XPoly enforces a degree guard (default 64, overridable via
-the DEGBERN_MAX_DEGREE environment variable) and the parser enforces a
-nesting-depth bound so malformed input fails fast. check_size applies the
-same limit to the arguments of B, E and G, to the order r of expand and to
-the CLI's size flags.
+Lowering to an XPoly enforces a degree guard on the degree in x and the
+degree in l alike (default 64, overridable via the DEGBERN_MAX_DEGREE
+environment variable), checking a power before computing it, and the
+parser enforces a nesting-depth bound so malformed input fails fast.
+check_size applies the same limit to the arguments of B, E and G, to the
+order r of expand and to the CLI's size flags.
 """
 
 from __future__ import annotations
@@ -306,9 +307,12 @@ def lower(ast: ExprAst, max_degree: int | None = None) -> XPoly:
     """Lower an AST to an exact XPoly, guarding against degree blowup."""
     limit = max_degree_limit() if max_degree is None else max_degree
 
-    def guard(p: XPoly) -> XPoly:
-        if p.degree > limit:
-            raise ValueError(f"expression degree {p.degree} exceeds the limit {limit}")
+    def guard(p: XPoly, exponent: int = 1) -> XPoly:
+        """p, unless p**exponent would pass the limit in x or in l."""
+        l_degree = max((c.degree for c in p.coeffs), default=0)
+        for name, degree in (("degree", p.degree), ("l-degree", l_degree)):
+            if degree > 0 and degree * exponent > limit:
+                raise ValueError(f"expression {name} {degree * exponent} exceeds the limit {limit}")
         return p
 
     def rec(node: ExprAst) -> XPoly:
@@ -326,12 +330,8 @@ def lower(ast: ExprAst, max_degree: int | None = None) -> XPoly:
                 return left - right
             return guard(left * right)
         if isinstance(node, Pow):
-            base = rec(node.base)
-            if base.degree > 0 and base.degree * node.exponent > limit:
-                raise ValueError(
-                    f"expression degree {base.degree * node.exponent} exceeds the limit {limit}"
-                )
-            return guard(base**node.exponent)
+            # degrees in x and in l multiply exactly, so check before computing
+            return guard(rec(node.base), node.exponent) ** node.exponent
         if isinstance(node, Call):
             for name, value in zip(("family index", "order r"), node.args):
                 check_size(f"{name} of {node.func}(...)", value, limit=limit)

@@ -234,11 +234,15 @@ def test_exact_division_failure_maps_to_exit_3(monkeypatch):
 
 
 def test_lambda_too_large_to_print_leaves_stdout_empty(capsys):
-    # l^48 at l = 10^100 - 1 has more digits than str() of an int allows
-    assert cli.main(["expand", "--expr", "x^48", "--lambda", "9" * 100]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert captured.out == ""
+    # l^48 at l = 10^100 - 1 has more digits than str() of an int allows, and
+    # 5000 digits are more than int() reads
+    for expr, lam in (("x^48", "9" * 100), ("x^2", "9" * 5000)):
+        assert cli.main(["expand", "--expr", expr, "--lambda", lam]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --lambda is too large")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+        assert len(captured.err) < 200
+        assert captured.out == ""
 
 
 def test_bad_lambda_rejected_before_expanding(monkeypatch):
@@ -287,6 +291,13 @@ def test_size_flag_outside_the_degree_limit_exits_1(capsys, argv, flag):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert f"error: {flag} must be between" in captured.err
+    assert captured.out == ""
+
+
+def test_lambda_degree_outside_the_degree_limit_exits_1(capsys):
+    assert cli.main(["expand", "--expr", "(1+l)^65"]) == 1
+    captured = capsys.readouterr()
+    assert "error: expression l-degree 65 exceeds the limit 64" in captured.err
     assert captured.out == ""
 
 

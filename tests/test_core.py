@@ -237,3 +237,48 @@ def test_immutability_of_arithmetic():
     a = XPoly([p])
     b = a * 3
     assert a.coeff(0) == LAMBDA and b.coeff(0) == LambdaPoly({1: 3})
+
+
+# -- canonical form and scalar types of both polynomial classes --------------------
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng: random_lambda_poly(rng, 6, 50), lambda rng: random_xpoly(rng, 6, True, 50)],
+    ids=["LambdaPoly", "XPoly"],
+)
+def test_sums_keep_one_canonical_form(draw):
+    rng = random.Random(41)
+    for _ in range(300):
+        p, r = draw(rng), draw(rng)
+        # with q = r - p, the sum p + q = r cancels the leading terms of p
+        for q in (draw(rng), r - p):
+            back = (p + q) - q
+            assert back == p and hash(back) == hash(p) and back.degree == p.degree
+        total = p + (r - p)
+        assert total == r and hash(total) == hash(r) and total.degree == r.degree
+        assert (p - p).is_zero and (p - p).degree == float("-inf")
+        if isinstance(p, LambdaPoly):
+            assert LambdaPoly(dict(p.items())) == p
+
+
+def test_floats_are_rejected():
+    attempts = [
+        lambda: LambdaPoly({0: 0.5}),
+        lambda: LambdaPoly({0: 1, 3: 0.5}),
+        lambda: XPoly([0.5]),
+        lambda: XPoly([1, 0.5]),
+        lambda: LambdaPoly.const(0.5),
+        lambda: XPoly.const(0.5),
+    ]
+    for p in (LambdaPoly({0: 1, 2: 3}), XPoly([1, LAMBDA])):
+        attempts += [
+            lambda p=p: p + 0.5,
+            lambda p=p: 0.5 + p,
+            lambda p=p: p * 0.5,
+            lambda p=p: 0.5 * p,
+            lambda p=p: p / 0.5,
+        ]
+    for attempt in attempts:
+        with pytest.raises(TypeError):
+            attempt()

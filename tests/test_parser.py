@@ -136,6 +136,22 @@ def test_degree_guard_blocks_huge_products():
         parse_poly("x^40*x^40")
 
 
+def test_lambda_degree_guard_default():
+    for src in ("l^65", "(1+l)^65", "l^40*l^40"):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_poly(src)
+    assert parse_poly("(1+l)^64") == XPoly.const((1 + LAMBDA) ** 64)
+
+
+def test_lambda_degree_guard_env_override(monkeypatch):
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "5")
+    with pytest.raises(ValueError, match="l-degree 6 exceeds the limit 5"):
+        parse_poly("l^6")
+    with pytest.raises(ValueError, match="l-degree 6 exceeds the limit 5"):
+        parse_poly("(x*l^3)^2")
+    assert parse_poly("(1+l)^5").coeff(0).degree == 5
+
+
 def test_family_arguments_bounded_by_the_degree_limit():
     with pytest.raises(ValueError, match="family index of E"):
         parse_poly("E(65)")

@@ -152,7 +152,8 @@ def _build_parser() -> _Cli:
         "--lambda",
         dest="lambda_sub",
         metavar="P/Q",
-        help="also print the coefficients evaluated at l = P/Q",
+        help="also print the coefficients evaluated at l = P/Q; "
+        "a negative value goes in one token, --lambda=-P/Q",
     )
     p_expand.set_defaults(fn=_cmd_expand)
 

@@ -26,7 +26,19 @@ with their minima, an optional cross-parameter constraint (``n >= r``,
 one stated right side. That is either a polynomial ``rhs`` or, for the
 degenerate-basis expansions, a ``closed_form`` coefficient list in the
 order-r basis (r = 1 unless the case has an r), rebuilt into a polynomial
-by ``expansion.reconstruct``. DEFAULT_BOUNDS, parameter validation,
+by ``expansion.reconstruct``.
+
+A right side in the Bernoulli basis (miki_poly, ex_b..ex_f) is written
+once, as terms ``{j: w_j}`` of sum_j w_j B_j(x) with the constant at
+j = 0. The classical entry sums them (``_bernoulli_sum``); the degenerate
+entry maps them to the order-1 basis (``_degenerate_form``; ex_a is the
+single term {n: 1}), by
+
+    a_0 = sum_j w_j l^j B_j,
+    a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k    (k >= 1),
+
+since Delta B_j = j x^(j-1) and the k-th step-l difference of x^e at 0
+is k! S2(e, k) l^e. DEFAULT_BOUNDS, parameter validation,
 closed_form_coeffs and the verify_all sweep all read that table. A case
 outside the range raises ValueError naming the violated constraint (e.g.
 miki needs n >= 2, ex_g needs n >= 3 and n >= r).
@@ -37,12 +49,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, inf
 from typing import Callable, Iterator, Mapping
 
-from .core import LAMBDA, LambdaPoly, Scalar, XPoly
+from .core import LambdaPoly, XPoly
 from .expansion import BasisExpansion, reconstruct
 from .families import (
     bernoulli_number,
@@ -53,6 +64,7 @@ from .families import (
     genocchi_poly,
     harmonic,
     scaled_bernoulli,
+    stirling2,
 )
 from .umbral import forward_diff, integral_I
 
@@ -104,32 +116,6 @@ def _rising(a: int, m: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _dl0(k: int, e: int) -> LambdaPoly:
-    """k-th forward difference with step l of x^e, evaluated at 0 (0^0 = 1)."""
-    return forward_diff(XPoly.monomial(e), LAMBDA, k).eval_x(0)
-
-
-def _lam_bernoulli(l: int) -> LambdaPoly:
-    """l^j B_j as an element of Q[l]."""
-    return LambdaPoly.monomial(l, bernoulli_number(l))
-
-
-def _order1_tail(weights: Mapping[int, Fraction], top: int, scale: Scalar) -> list[LambdaPoly]:
-    """a_1..a_top of an order-1 closed form with Delta p = scale * sum_e weights[e] x^e.
-
-    a_k = D_l^(k-1)[Delta p](0) / (k! l^(k-1)), D_l the step-l forward difference.
-    """
-    coeffs = []
-    for k in range(1, top + 1):
-        acc = LambdaPoly.zero()
-        for e, w in weights.items():
-            if w:
-                acc = acc + _dl0(k - 1, e) * w
-        coeffs.append(acc.divexact(k - 1) * (Fraction(scale) / factorial(k)))
-    return coeffs
-
-
 def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
     """sum_{k=1}^{n-1} P_k(x) P_{n-k}(x) / (k(n-k)) for a polynomial family P."""
     out = XPoly.zero()
@@ -138,20 +124,47 @@ def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
     return out
 
 
+# -- right sides in the Bernoulli basis, classical and degenerate -------------
+
+
+def _bernoulli_sum(terms: Mapping[int, Fraction]) -> XPoly:
+    """sum_j w_j B_j(x) for terms {j: w_j}."""
+    out = XPoly.zero()
+    for j, w in terms.items():
+        if w:
+            out = out + bernoulli_poly(j) * w
+    return out
+
+
+def _degenerate_form(terms: Mapping[int, Fraction]) -> list[LambdaPoly]:
+    """a_0..a_top of sum_j w_j B_j(x) in the order-1 degenerate Bernoulli basis.
+
+    a_0 = sum_j w_j l^j B_j and, for k >= 1,
+    a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k,
+    since Delta B_j = j x^(j-1) and D_l^k x^e at 0 is k! S2(e, k) l^e.
+    """
+    top = max(j for j, w in terms.items() if w)
+    coeffs = [LambdaPoly({j: w * bernoulli_number(j) for j, w in terms.items()})]
+    for k in range(1, top + 1):
+        tail = {j - k: w * j * stirling2(j - 1, k - 1) / k for j, w in terms.items() if j >= k}
+        coeffs.append(LambdaPoly(tail))
+    return coeffs
+
+
 # -- quadratic Bernoulli convolution and its specializations ------------------
 
 
-def _miki_poly_rhs(n: int) -> XPoly:
-    # The left side is the product sum of B_j(x)B_{2n-j}(x); its interior
-    # odd-index products (3 <= j <= 2n-3) vanish at x = 0 and x = 1/2, which
-    # is why the number specializations keep only the even part.
-    rhs = XPoly.zero()
-    for k in range(1, n + 1):
-        rhs = rhs + bernoulli_poly(2 * n - 2 * k) * (
-            Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) / n
-        )
-    rhs = rhs + bernoulli_poly(2 * n) * (harmonic(2 * n - 1) / n)
-    return rhs + bernoulli_poly(1) * (bernoulli_number(2 * n - 1) * Fraction(2, 2 * n - 1))
+def _miki_poly_terms(n: int) -> dict[int, Fraction]:
+    # The left side is the product sum of B_j(x)B_{2n-j}(x); its odd-index
+    # products vanish at x = 0 and x = 1/2, so miki and fpz read these terms
+    # at those points and keep only the even part on the left.
+    terms = {
+        2 * n - 2 * k: Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) / n
+        for k in range(1, n + 1)
+    }
+    terms[2 * n] = harmonic(2 * n - 1) / n
+    terms[1] = bernoulli_number(2 * n - 1) * Fraction(2, 2 * n - 1)
+    return terms
 
 
 def _bbar(j: int) -> Fraction:
@@ -168,10 +181,8 @@ def _miki_lhs(at: Callable[[int], Fraction], n: int) -> XPoly:
 
 
 def _miki_rhs(at: Callable[[int], Fraction], n: int) -> XPoly:
-    rhs = Fraction(0)
-    for k in range(1, n + 1):
-        rhs += Fraction(comb(2 * n, 2 * k), 2 * k) * bernoulli_number(2 * k) * at(2 * n - 2 * k)
-    return XPoly.const(rhs / n + harmonic(2 * n - 1) * at(2 * n) / n)
+    """The right side of miki_poly with B_j(x) at the same point as _miki_lhs."""
+    return XPoly.const(sum(w * at(j) for j, w in _miki_poly_terms(n).items() if w))
 
 
 # -- Bernoulli polynomials in the degenerate basis ---------------------------
@@ -188,134 +199,54 @@ def _ex_a_polyid_lhs(n: int) -> XPoly:
     return XPoly.const(lhs)
 
 
-def _ex_a_coeffs(n: int) -> list[LambdaPoly]:
-    return [_lam_bernoulli(n), *_order1_tail({n - 1: n}, n, 1)]
+# -- products of two polynomials, weighted by 1/(k(n-k)) ----------------------
 
 
-# -- products of two Bernoulli polynomials, weighted by 1/(k(n-k)) -----------
-
-
-def _ex_b_rhs(n: int) -> XPoly:
-    rhs = XPoly.zero()
-    for l in range(n - 1):
-        rhs = rhs + bernoulli_poly(l) * (
-            Fraction(2 * comb(n, l), n * (n - l)) * bernoulli_number(n - l)
-        )
-    return rhs + bernoulli_poly(n) * (Fraction(2, n) * harmonic(n - 1))
-
-
-def _ex_b_coeffs(n: int) -> list[LambdaPoly]:
-    a0 = LambdaPoly.zero()
-    for l in range(n - 1):
-        a0 = a0 + _lam_bernoulli(l) * (Fraction(comb(n, l), n - l) * bernoulli_number(n - l))
-    a0 = a0 + _lam_bernoulli(n) * harmonic(n - 1)
-    weights = {
-        l - 1: Fraction(l * comb(n, l), n - l) * bernoulli_number(n - l) for l in range(1, n - 1)
+def _ex_b_terms(n: int) -> dict[int, Fraction]:
+    terms = {
+        l: Fraction(2 * comb(n, l), n * (n - l)) * bernoulli_number(n - l) for l in range(n - 1)
     }
-    weights[n - 1] = n * harmonic(n - 1)
-    return [a0 * Fraction(2, n), *_order1_tail(weights, n, Fraction(2, n))]
+    terms[n] = Fraction(2, n) * harmonic(n - 1)
+    return terms
 
 
-# -- products of two Euler polynomials, weighted by 1/(k(n-k)) ----------------
-
-
-def _ex_c_weight(n: int, l: int) -> Fraction:
-    return Fraction(comb(n, l)) * (_H(n - 1) - _H(n - l)) / (n - l + 1)
-
-
-def _ex_c_rhs(n: int) -> XPoly:
-    rhs = XPoly.const(Fraction(4) * euler_number(n + 1) / (n * n * (n + 1)))
-    for l in range(1, n + 1):
-        rhs = rhs - bernoulli_poly(l) * (
-            Fraction(4, n) * _ex_c_weight(n, l) * euler_number(n - l + 1)
-        )
-    return rhs
-
-
-def _ex_c_coeffs(n: int) -> list[LambdaPoly]:
-    a0 = LambdaPoly.const(euler_number(n + 1) / Fraction(n * (n + 1)))
-    for l in range(1, n + 1):
-        a0 = a0 - _lam_bernoulli(l) * (_ex_c_weight(n, l) * euler_number(n - l + 1))
-    weights = {l - 1: l * _ex_c_weight(n, l) * euler_number(n - l + 1) for l in range(1, n + 1)}
-    return [a0 * Fraction(4, n), *_order1_tail(weights, n, Fraction(-4, n))]
-
-
-# -- products of two Genocchi polynomials, weighted by 1/(k(n-k)) -------------
-
-
-def _ex_d_rhs(n: int) -> XPoly:
-    rhs = XPoly.zero()
-    for k in range(n - 1):
-        rhs = rhs - bernoulli_poly(k) * (
-            Fraction(4 * comb(n, k), n * (n - k)) * genocchi_number(n - k)
-        )
-    return rhs
-
-
-def _ex_d_coeffs(n: int) -> list[LambdaPoly]:
-    a0 = LambdaPoly.zero()
-    for l in range(n - 1):
-        a0 = a0 + _lam_bernoulli(l) * (Fraction(comb(n, l), n - l) * genocchi_number(n - l))
-    weights = {
-        l - 1: Fraction(l * comb(n, l), n - l) * genocchi_number(n - l) for l in range(1, n - 1)
+def _ex_c_terms(n: int) -> dict[int, Fraction]:
+    terms = {
+        l: Fraction(-4 * comb(n, l), n * (n - l + 1))
+        * (_H(n - 1) - _H(n - l))
+        * euler_number(n - l + 1)
+        for l in range(1, n + 1)
     }
-    return [a0 * Fraction(-4, n), *_order1_tail(weights, n - 2, Fraction(-4, n))]
+    terms[0] = Fraction(4) * euler_number(n + 1) / (n * n * (n + 1))
+    return terms
+
+
+def _ex_d_terms(n: int) -> dict[int, Fraction]:
+    return {
+        k: Fraction(-4 * comb(n, k), n * (n - k)) * genocchi_number(n - k) for k in range(n - 1)
+    }
 
 
 # -- Nielsen products ---------------------------------------------------------
 
 
-def _nielsen_weight(m: int, n: int, r: int) -> int:
-    return comb(m, 2 * r) * n + comb(n, 2 * r) * m
+def _ex_e_terms(m: int, n: int) -> dict[int, Fraction]:
+    terms = {
+        m + n - 2 * r: Fraction(comb(m, 2 * r) * n + comb(n, 2 * r) * m, m + n - 2 * r)
+        * bernoulli_number(2 * r)
+        for r in range((m + n + 1) // 2)  # while m + n - 2r >= 1
+    }
+    terms[0] = Fraction((-1) ** (m + 1)) * bernoulli_number(m + n) / comb(m + n, m)
+    return terms
 
 
-def _ex_e_rhs(m: int, n: int) -> XPoly:
-    rhs = XPoly.const(Fraction((-1) ** (m + 1)) * bernoulli_number(m + n) / comb(m + n, m))
-    for r in range((m + n + 1) // 2):  # while m + n - 2r >= 1
-        rhs = rhs + bernoulli_poly(m + n - 2 * r) * (
-            Fraction(_nielsen_weight(m, n, r), m + n - 2 * r) * bernoulli_number(2 * r)
-        )
-    return rhs
-
-
-def _ex_e_coeffs(m: int, n: int) -> list[LambdaPoly]:
-    total = m + n
-    a0 = LambdaPoly.const(Fraction((-1) ** (m + 1)) * bernoulli_number(total) / comb(total, m))
-    weights = {}
-    for r in range((total + 1) // 2):  # while total - 2r >= 1
-        a0 = a0 + _lam_bernoulli(total - 2 * r) * (
-            Fraction(_nielsen_weight(m, n, r), total - 2 * r) * bernoulli_number(2 * r)
-        )
-        weights[total - 2 * r - 1] = _nielsen_weight(m, n, r) * bernoulli_number(2 * r)
-    return [a0, *_order1_tail(weights, total, 1)]
-
-
-def _ex_f_rhs(m: int, n: int) -> XPoly:
-    rhs = XPoly.const(
-        Fraction(2 * (-1) ** (n + 1) * factorial(m) * factorial(n), factorial(m + n + 1))
-        * euler_number(m + n + 1)
-    )
+def _ex_f_terms(m: int, n: int) -> dict[int, Fraction]:
+    constant = Fraction(2 * (-1) ** (n + 1) * factorial(m) * factorial(n), factorial(m + n + 1))
+    terms = Counter({0: constant * euler_number(m + n + 1)})
     for size in (m, n):  # the sum over r <= m, then the sum over s <= n
         for r in range(1, size + 1):
-            rhs = rhs - bernoulli_poly(m + n - r + 1) * (
-                Fraction(2 * comb(size, r), m + n - r + 1) * euler_number(r)
-            )
-    return rhs
-
-
-def _ex_f_coeffs(m: int, n: int) -> list[LambdaPoly]:
-    a0 = LambdaPoly.const(
-        Fraction((-1) ** n * factorial(m) * factorial(n), factorial(m + n + 1))
-        * euler_number(m + n + 1)
-    )
-    weights: Counter[int] = Counter()
-    for size in (m, n):  # the sum over r <= m, then the sum over s <= n
-        for r in range(1, size + 1):
-            a0 = a0 + _lam_bernoulli(m + n - r + 1) * (
-                Fraction(comb(size, r), m + n - r + 1) * euler_number(r)
-            )
-            weights[m + n - r] += comb(size, r) * euler_number(r)
-    return [a0 * Fraction(-2), *_order1_tail(weights, m + n, -2)]
+            terms[m + n - r + 1] -= Fraction(2 * comb(size, r), m + n - r + 1) * euler_number(r)
+    return terms
 
 
 # -- order-r machinery --------------------------------------------------------
@@ -417,7 +348,10 @@ _NIELSEN = {"minima": {"m": 1, "n": 1}, "bounds": {"n_max": 10}, "constraint": "
 # Left sides look the families up at call time, where perfbench's tracer rebinds them.
 _IDENTITIES: dict[str, _Identity] = {
     "miki_poly": _Identity(
-        lambda n: _product_sum(bernoulli_poly, 2 * n), {"n": 2}, {"n_max": 8}, _miki_poly_rhs
+        lambda n: _product_sum(bernoulli_poly, 2 * n),
+        {"n": 2},
+        {"n_max": 8},
+        lambda n: _bernoulli_sum(_miki_poly_terms(n)),
     ),
     "miki": _Identity(
         lambda n: _miki_lhs(bernoulli_number, n),
@@ -429,40 +363,72 @@ _IDENTITIES: dict[str, _Identity] = {
         lambda n: _miki_lhs(_bbar, n), {"n": 2}, {"n_max": 8}, lambda n: _miki_rhs(_bbar, n)
     ),
     "ex_a_polyid": _Identity(
-        _ex_a_polyid_lhs, {"n": 1}, {"n_max": 8}, lambda n: XPoly.const(_lam_bernoulli(n))
+        _ex_a_polyid_lhs,
+        {"n": 1},
+        {"n_max": 8},
+        lambda n: XPoly.const(LambdaPoly.monomial(n, bernoulli_number(n))),
     ),
     "ex_a": _Identity(
-        lambda n: bernoulli_poly(n), {"n": 1}, {"n_max": 8}, closed_form=_ex_a_coeffs
+        lambda n: bernoulli_poly(n),
+        {"n": 1},
+        {"n_max": 8},
+        closed_form=lambda n: _degenerate_form({n: 1}),
     ),
     "ex_b_classical": _Identity(
-        lambda n: _product_sum(bernoulli_poly, n), {"n": 2}, {"n_max": 10}, _ex_b_rhs
+        lambda n: _product_sum(bernoulli_poly, n),
+        {"n": 2},
+        {"n_max": 10},
+        lambda n: _bernoulli_sum(_ex_b_terms(n)),
     ),
     "ex_b": _Identity(
-        lambda n: _product_sum(bernoulli_poly, n), {"n": 2}, {"n_max": 8}, closed_form=_ex_b_coeffs
+        lambda n: _product_sum(bernoulli_poly, n),
+        {"n": 2},
+        {"n_max": 8},
+        closed_form=lambda n: _degenerate_form(_ex_b_terms(n)),
     ),
     "ex_c_classical": _Identity(
-        lambda n: _product_sum(euler_poly, n), {"n": 2}, {"n_max": 8}, _ex_c_rhs
+        lambda n: _product_sum(euler_poly, n),
+        {"n": 2},
+        {"n_max": 8},
+        lambda n: _bernoulli_sum(_ex_c_terms(n)),
     ),
     "ex_c": _Identity(
-        lambda n: _product_sum(euler_poly, n), {"n": 2}, {"n_max": 8}, closed_form=_ex_c_coeffs
+        lambda n: _product_sum(euler_poly, n),
+        {"n": 2},
+        {"n_max": 8},
+        closed_form=lambda n: _degenerate_form(_ex_c_terms(n)),
     ),
     "ex_d_classical": _Identity(
-        lambda n: _product_sum(genocchi_poly, n), {"n": 3}, {"n_max": 10}, _ex_d_rhs
+        lambda n: _product_sum(genocchi_poly, n),
+        {"n": 3},
+        {"n_max": 10},
+        lambda n: _bernoulli_sum(_ex_d_terms(n)),
     ),
     "ex_d": _Identity(
-        lambda n: _product_sum(genocchi_poly, n), {"n": 3}, {"n_max": 10}, closed_form=_ex_d_coeffs
+        lambda n: _product_sum(genocchi_poly, n),
+        {"n": 3},
+        {"n_max": 10},
+        closed_form=lambda n: _degenerate_form(_ex_d_terms(n)),
     ),
     "ex_e_classical": _Identity(
-        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), rhs=_ex_e_rhs, **_NIELSEN
+        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n),
+        rhs=lambda m, n: _bernoulli_sum(_ex_e_terms(m, n)),
+        **_NIELSEN,
     ),
     "ex_e": _Identity(
-        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), closed_form=_ex_e_coeffs, **_NIELSEN
+        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n),
+        closed_form=lambda m, n: _degenerate_form(_ex_e_terms(m, n)),
+        **_NIELSEN,
     ),
     "ex_f_classical": _Identity(
-        lambda m, n: euler_poly(m) * euler_poly(n), rhs=_ex_f_rhs, **_NIELSEN
+        lambda m, n: euler_poly(m) * euler_poly(n),
+        rhs=lambda m, n: _bernoulli_sum(_ex_f_terms(m, n)),
+        **_NIELSEN,
     ),
     "ex_f": _Identity(
-        lambda m, n: euler_poly(m) * euler_poly(n), closed_form=_ex_f_coeffs, **_NIELSEN
+        lambda m, n: euler_poly(m) * euler_poly(n),
+        closed_form=lambda m, n: _degenerate_form(_ex_f_terms(m, n)),
+        **_NIELSEN,
     ),
     "ex_g_iop": _Identity(
         _ex_g_iop_lhs,

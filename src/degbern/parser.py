@@ -20,8 +20,9 @@ Lowering to an XPoly enforces a degree guard on the degree in x and the
 degree in l alike (default 64, overridable via the DEGBERN_MAX_DEGREE
 environment variable), checking a power before computing it, and the
 parser enforces a nesting-depth bound so malformed input fails fast.
-check_size applies the same limit to the arguments of B, E and G, to the
-order r of expand and to the CLI's size flags.
+check_size applies the same limit to every exponent (so a constant such
+as 2^65 is rejected although its degree is 0), to the arguments of B, E
+and G, to the order r of expand and to the CLI's size flags.
 """
 
 from __future__ import annotations
@@ -330,8 +331,11 @@ def lower(ast: ExprAst, max_degree: int | None = None) -> XPoly:
                 return left - right
             return guard(left * right)
         if isinstance(node, Pow):
-            # degrees in x and in l multiply exactly, so check before computing
-            return guard(rec(node.base), node.exponent) ** node.exponent
+            # degrees in x and in l multiply exactly, so check before computing;
+            # a base of degree 0 (a constant) is bounded by the exponent itself
+            base = guard(rec(node.base), node.exponent)
+            check_size("exponent", node.exponent, limit=limit)
+            return base**node.exponent
         if isinstance(node, Call):
             for name, value in zip(("family index", "order r"), node.args):
                 check_size(f"{name} of {node.func}(...)", value, limit=limit)

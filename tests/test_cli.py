@@ -72,6 +72,22 @@ def test_expand_bad_lambda_exit_1_without_traceback():
         assert proc.stdout == ""
 
 
+def test_negative_lambda_in_one_token():
+    proc = run_cli("expand", "--expr", "x", "--lambda=-2/7")
+    assert proc.returncode == 0
+    assert "a_0 = -1/2*l + 1/2   [l=-2/7: 9/14]" in proc.stdout
+    assert "a_1 = 1   [l=-2/7: 1]" in proc.stdout
+
+
+def test_negative_lambda_as_a_separate_word_exit_1():
+    # argparse reads "-2/7" after a space as an option, not as the value
+    proc = run_cli("expand", "--expr", "x", "--lambda", "-2/7")
+    assert proc.returncode == 1
+    assert "--lambda" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_json_document_round_trip():
     proc = run_cli("expand", "--expr", "x^3 - 1/2*l*x", "--format", "json")
     doc = json.loads(proc.stdout)
@@ -299,6 +315,22 @@ def test_lambda_degree_outside_the_degree_limit_exits_1(capsys):
     captured = capsys.readouterr()
     assert "error: expression l-degree 65 exceeds the limit 64" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("limit", [None, "8"])
+def test_exponent_of_a_constant_bounded_by_the_degree_limit(monkeypatch, capsys, limit):
+    if limit is None:
+        monkeypatch.delenv("DEGBERN_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("DEGBERN_MAX_DEGREE", limit)
+    top = int(limit or 64)
+    assert cli.main(["expand", "--expr", f"2^{top}"]) == 0
+    assert capsys.readouterr().out.startswith(f"input: 2^{top}")
+    for expr in (f"2^{top + 1}", "2^100000000"):
+        assert cli.main(["expand", "--expr", expr]) == 1
+        captured = capsys.readouterr()
+        assert f"error: exponent must be between 0 and {top}" in captured.err
+        assert captured.out == ""
 
 
 def test_size_flags_follow_the_degree_limit(monkeypatch, capsys):

@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degbern import identities
 from degbern.core import LambdaPoly, XPoly
@@ -167,6 +169,21 @@ def test_closed_forms_match_expansion_order1():
         e = expand(case.lhs)
         assert len(stated) == e.degree + 1
         assert list(e.coeffs) == stated, case.param_str()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=16),
+        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda terms: terms[max(terms)] != 0)
+)
+def test_degenerate_form_matches_expansion_of_any_bernoulli_sum(terms):
+    # weights beyond the corpus' own: the order-1 map against the expansion routes
+    stated = identities._degenerate_form(terms)
+    assert stated == list(expand(identities._bernoulli_sum(terms)).coeffs)
 
 
 def test_closed_form_matches_expansion_higher_order():

@@ -136,6 +136,14 @@ def test_degree_guard_blocks_huge_products():
         parse_poly("x^40*x^40")
 
 
+def test_exponent_bounded_on_a_constant_base():
+    # a constant has degree 0, so only the exponent itself bounds 2^(10^8)
+    assert parse_poly("2^64") == XPoly.const(2**64)
+    for src in ("2^65", "2^100000000", "(1/2)^65", "(x-x)^65"):
+        with pytest.raises(ValueError, match="exponent must be between 0 and 64"):
+            parse_poly(src)
+
+
 def test_lambda_degree_guard_default():
     for src in ("l^65", "(1+l)^65", "l^40*l^40"):
         with pytest.raises(ValueError, match="exceeds the limit"):

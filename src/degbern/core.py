@@ -207,7 +207,12 @@ class _Poly(_Ring):
         return bool(self._coeffs)
 
     def _at(self, value):
-        """Horner evaluation at a value of the coefficient ring or a scalar."""
+        """Horner evaluation at a value of the coefficient ring or a scalar; at 0
+        and 1, which the forward differences ask for most, no multiplications."""
+        if not value:
+            return self.coeff(0)
+        if value == 1:
+            return sum(self._coeffs, self._ZERO)
         total = self._ZERO
         for c in reversed(self._coeffs):
             total = total * value + c

@@ -13,10 +13,10 @@ and every route below computes its branch at every order r.
 
 Branch f, with m = k - r:
 
+    stirling_sum   a_k = (m!/k!) sum_j S2(j,m) l^{j-m}/j! Delta^r p^(j)(0)
     binomial_sum   a_k = sum_i C(m,i)(-1)^{m-i} h_i / (k! l^m),  h_i = Delta^r p(il)
     delta_lambda   a_k = D_l^m Delta^r p(0) / (k! l^m)
     functional     a_k = <f(t)^m | Delta^r p> / k!
-    stirling_sum   a_k = (m!/k!) sum_j S2(j,m) l^{j-m}/j! Delta^r p^(j)(0)
 
 Branch g, with m = r - k and q_m = (lt/(e^{lt}-1))^m p, that is p with
 x^i replaced by l^i B_i^(m)(x/l):
@@ -177,17 +177,16 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
 
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    n = p.degree
-    jumps = [_alternating(d, r) for d in _derivative_chain(p)]  # Delta^r p^(j)(0)
+    top = p.degree - r  # Delta^r p^(j)(0) is 0 for j > top, where deg p^(j) < r
+    jumps = [_alternating(d, r) for d in _derivative_chain(p)[: top + 1]]
     coeffs = []
-    for k in range(r, n + 1):
-        m = k - r
+    for m in range(top + 1):
         acc = LambdaPoly.zero()
-        for j in range(m, n + 1):
+        for j in range(m, top + 1):
             s2 = stirling2(j, m)
             if s2:
                 acc = acc + jumps[j] * LambdaPoly.monomial(j - m, s2 / factorial(j))
-        coeffs.append(acc / Fraction(factorial(k), factorial(m)))
+        coeffs.append(acc / Fraction(factorial(m + r), factorial(m)))
     return coeffs
 
 
@@ -257,17 +256,18 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
 
 # -- the route table ------------------------------------------------------------
 
-#: (branch, name) -> route. The first route of each branch is its default.
+#: (branch, name) -> route. The first route of each branch is its default, chosen
+#: by the per-route timings in BENCH_default_routes.json.
 _ROUTES = {
     ("g", "umbral_integral"): _g_composed(_g_by_antiderivatives),
     ("g", "umbral_integral_op"): _g_composed(_g_by_integrals),
     ("g", "stirling_op"): _g_composed(_g_by_stirling),
     ("g", "operator_functional"): _g_operator_functional,
     ("g", "residual"): _g_residual,
+    ("f", "stirling_sum"): _f_stirling_sum,
     ("f", "binomial_sum"): _f_binomial_sum,
     ("f", "delta_lambda"): _f_delta_lambda,
     ("f", "functional"): _f_functional,
-    ("f", "stirling_sum"): _f_stirling_sum,
 }
 
 
@@ -282,7 +282,7 @@ def expand(
     p: XPoly,
     r: int = 1,
     g_route: str = "umbral_integral",
-    f_route: str = "binomial_sum",
+    f_route: str = "stirling_sum",
 ) -> BasisExpansion:
     """Expand p in the order-r degenerate Bernoulli basis, 1 <= r <= the degree limit.
 

@@ -73,12 +73,19 @@ def test_lambda_poly_eval_at_zero_is_homomorphism():
         assert (p + q).coeff(0) == p.coeff(0) + q.coeff(0)
 
 
+# 0 and 1 take their own paths in evaluation; each as every type of argument.
+_ZERO_ONE_SCALARS = (0, 1, Fraction(0), Fraction(1))
+_ZERO_ONE_POINTS = (*_ZERO_ONE_SCALARS, LambdaPoly.zero(), LambdaPoly.one())
+
+
 def test_lambda_poly_subs_is_homomorphism():
     rng = random.Random(41)
     for _ in range(300):
         p, q = random_lambda_poly(rng, 3, 30), random_lambda_poly(rng, 3, 30)
-        s = random_fraction(rng, 10)
-        assert (p * q).subs(s) == p.subs(s) * q.subs(s)
+        for s in (random_fraction(rng, 10), *_ZERO_ONE_SCALARS):
+            assert (p * q).subs(s) == p.subs(s) * q.subs(s)
+        for s in _ZERO_ONE_SCALARS:
+            assert p.subs(s) == sum((c * s**e for e, c in p.items()), Fraction(0))
 
 
 def test_lambda_poly_pow_matches_repeated_mul():
@@ -117,9 +124,12 @@ def test_xpoly_eval_commutes_with_arithmetic():
     for _ in range(200):
         p, q = random_xpoly(rng, 5, True, 20), random_xpoly(rng, 5, True, 20)
         xv, lv = random_fraction(rng, 9), random_fraction(rng, 9)
-        assert (p * q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) * q.eval_x(xv).subs(lv)
-        assert (p + q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) + q.eval_x(xv).subs(lv)
-        assert (p - q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) - q.eval_x(xv).subs(lv)
+        for xv in (xv, *_ZERO_ONE_POINTS):
+            assert (p * q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) * q.eval_x(xv).subs(lv)
+            assert (p + q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) + q.eval_x(xv).subs(lv)
+            assert (p - q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) - q.eval_x(xv).subs(lv)
+        for xv in _ZERO_ONE_POINTS:
+            assert p.eval_x(xv) == sum((c * xv**i for i, c in enumerate(p.coeffs)), LambdaPoly.zero())
 
 
 def test_xpoly_shift_then_eval():

@@ -52,6 +52,7 @@ from .umbral import (
     integral_I,
     monomial_op,
     scaled_bernoulli_op,
+    sequence_diff,
     umbral_compose,
     unit_integral_op,
 )
@@ -102,6 +103,7 @@ __all__ = [
     "reconstruct",
     "scaled_bernoulli",
     "scaled_bernoulli_op",
+    "sequence_diff",
     "stirling2",
     "umbral_compose",
     "unit_integral_op",

@@ -24,7 +24,7 @@ x^i replaced by l^i B_i^(m)(x/l):
     umbral_integral      a_k = Delta^r [A^m q_m](0) / k!,  A the antiderivative
     umbral_integral_op   a_k = Delta^k [I^m q_m](0) / k!,  I q(x) = integral_x^{x+1} q
     stirling_op          a_k = Delta^k [sum_j S2(j+m,m) m!/(j+m)! q_m^(j)](0) / k!
-    operator_functional  a_k = <g(t)^m (e^t-1)^k | p> / k!
+    operator_functional  a_k = <g(t)^m (e^t-1)^k | p> / k! = <g(t)^r f(t)^k | p> / k!
     residual             a_k = [x^k](p - sum_{j>k} a_j beta_j^(r)), top down
 
 The first and the third g-routes agree because Delta^m A^m = I^m on
@@ -44,17 +44,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .core import LAMBDA, LambdaPoly, XPoly
 from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
 from .parser import check_size
 from .umbral import (
+    OperatorSeries,
     delta_op,
     forward_diff,
     functional,
     integral_I,
+    monomial_op,
     scaled_bernoulli_op,
+    sequence_diff,
     umbral_compose,
     unit_integral_op,
 )
@@ -125,23 +128,9 @@ def _derivative_chain(p: XPoly) -> list[XPoly]:
     return out
 
 
-def _signed_sum(values: list[LambdaPoly], k: int) -> LambdaPoly:
-    """sum_j (-1)^(k-j) C(k,j) values[j], the k-th forward difference of the sequence."""
-    acc = values[k]
-    for j in range(k):
-        weight = (-1) ** (k - j) * comb(k, j)
-        if weight == 1:
-            acc = acc + values[j]
-        elif weight == -1:
-            acc = acc - values[j]
-        else:
-            acc = acc + values[j] * weight
-    return acc
-
-
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
     """The k-th forward difference of w at 0."""
-    return _signed_sum([w.eval_x(j) for j in range(k + 1)], k)
+    return sequence_diff([w.eval_x(j) for j in range(k + 1)], k)
 
 
 # -- branch f: (p, r) -> [a_r, ..., a_n], called only when r <= deg p -------------
@@ -150,8 +139,8 @@ def _alternating(w: XPoly, k: int) -> LambdaPoly:
 def _f_binomial_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     # h_i = Delta^r p(il), shared across k; one exact division per coefficient.
     span = range(p.degree - r + 1)
-    h = [_signed_sum([p.eval_x(LambdaPoly({0: j, 1: i})) for j in range(r + 1)], r) for i in span]
-    return [_signed_sum(h, m).divexact(m) / factorial(m + r) for m in span]
+    h = [sequence_diff([p.eval_x(LambdaPoly({0: j, 1: i})) for j in range(r + 1)], r) for i in span]
+    return [sequence_diff(h, m).divexact(m) / factorial(m + r) for m in span]
 
 
 def _f_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
@@ -164,16 +153,19 @@ def _f_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
     return coeffs
 
 
-def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
-    h = forward_diff(p, 1, r)
+def _functionals(start: OperatorSeries, q: XPoly, ks: range) -> list[LambdaPoly]:
+    """<start f(t)^i | q> / k! for the i-th k of ks: one series product by f per k."""
     f = delta_op(LAMBDA)
-    power = f**0
+    power = start
     coeffs = []
-    for k in range(r, p.degree + 1):
-        coeffs.append(functional(power, h) / factorial(k))
-        if k < p.degree:
-            power = power * f
+    for k in ks:
+        coeffs.append(functional(power, q) / factorial(k))
+        power = power * f  # lazy: the product past the last k is never built
     return coeffs
+
+
+def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
+    return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
@@ -233,12 +225,7 @@ def _g_composed(difference):
 
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
-    delta = delta_op(1)
-    coeffs = []
-    for k in range(min(r, p.degree + 1)):
-        op = g ** (r - k) * delta**k if k else g**r
-        coeffs.append(functional(op, p) / factorial(k))
-    return coeffs
+    return _functionals(g**r, p, range(min(r, p.degree + 1)))
 
 
 def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:

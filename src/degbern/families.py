@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .core import LAMBDA, LambdaPoly, XPoly
+from .umbral import sequence_diff
 
 __all__ = [
     "FamilyTable",
@@ -211,7 +212,7 @@ def stirling2(n: int, k: int) -> Fraction:
     S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!."""
     _check_index(n)
     _check_index(k, "k")
-    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k))
+    return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
 
 
 @lru_cache(maxsize=None)

@@ -66,7 +66,7 @@ from .families import (
     scaled_bernoulli,
     stirling2,
 )
-from .umbral import forward_diff, integral_I
+from .umbral import forward_diff, integral_I, sequence_diff
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -261,36 +261,29 @@ def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
 
 
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
-    coeffs: list[LambdaPoly] = []
-    for k in range(max(r, n - 1)):
-        if k < r:
-            mm = r - k - 1
-            acc = LambdaPoly.zero()
-            for j in range(k + 1):
-                for l in range(n - 1):
-                    g_coef = Fraction(comb(n, l)) * genocchi_number(n - l) / (n - l)
-                    if not g_coef:
-                        continue
-                    base = g_coef / _rising(l + 1, mm)
-                    for m2 in range(mm + 1):
-                        sign = (-1) ** (r - j - m2 - 1)
-                        weight = Fraction(sign * comb(k, j) * comb(mm, m2)) * base
-                        acc = acc + scaled_bernoulli(l + mm, r - k).eval_x(j + m2) * weight
-            coeffs.append(acc * Fraction(-4, n * factorial(k)))
-        else:
-            m = k - r
-            acc = LambdaPoly.zero()
-            for j in range(r + 1):
-                for l in range(m + 1):
-                    point = LambdaPoly({0: j, 1: l})
-                    value = LambdaPoly.zero()
-                    for mu in range(1, n):
-                        value = value + genocchi_poly(mu).eval_x(point) * genocchi_poly(
-                            n - mu
-                        ).eval_x(point) * Fraction(1, mu * (n - mu))
-                    acc = acc + value * Fraction((-1) ** (k - j - l) * comb(r, j) * comb(k - r, l))
-            coeffs.append(acc.divexact(m) / factorial(k))
-    return coeffs
+    """a_0..a_{max(r,n-1)-1} of the Genocchi product sum P (the left side), order r.
+
+    a_k = -4/(n k!) Delta^(r-1) [sum_{i<n-1} w_i l^(i+mm) B_{i+mm}^(r-k)(x/l)](0)
+    for k < r, with mm = r-k-1 and w_i = C(n,i) G_{n-i} / ((n-i) <i+1>_mm), since
+    sum_{j+m2=s} C(k,j) C(mm,m2) = C(r-1,s) folds differences of orders k and mm;
+    a_k = sum_i C(m,i)(-1)^(m-i) h_i / (k! l^m) for k >= r, with m = k-r and
+    h_i = Delta^r P(il). <a>_mm is the rising factorial.
+    """
+    span = range(n - 1 - r)  # m = k - r for r <= k <= n - 2, the degree of P
+    jumps = forward_diff(_product_sum(genocchi_poly, n), 1, r)
+    h = [jumps.eval_x(LambdaPoly.monomial(1, i)) for i in span]
+    upper = [sequence_diff(h, m).divexact(m) / factorial(m + r) for m in span]
+    weights = [Fraction(comb(n, i)) * genocchi_number(n - i) / (n - i) for i in range(n - 1)]
+    lower = []
+    for k in range(r):
+        mm = r - k - 1
+        w = XPoly.zero()
+        for i, c in enumerate(weights):
+            if c:
+                w = w + scaled_bernoulli(i + mm, r - k) * (c / _rising(i + 1, mm))
+        values = [w.eval_x(s) for s in range(r)]
+        lower.append(sequence_diff(values, r - 1) * Fraction(-4, n * factorial(k)))
+    return lower + upper
 
 
 # -- the identity table ---------------------------------------------------------

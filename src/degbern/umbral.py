@@ -7,16 +7,17 @@ series. OperatorSeries carries the series form with a truncation policy
 that auto-extends to the degree of the operand, so applying an operator to
 a degree-n polynomial consumes exactly the coefficients of t^0..t^n.
 
-Also here: forward differences with a possibly symbolic step, the unit
-interval integral operator I q(x) = integral_{x}^{x+1} q(u) du, definite
-integration over [0,1], and umbral composition.
+Also here: forward differences with a possibly symbolic step and of a
+value sequence, the unit interval integral operator
+I q(x) = integral_{x}^{x+1} q(u) du, definite integration over [0,1], and
+umbral composition.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
-from typing import Callable
+from math import comb, factorial
+from typing import Any, Callable, Sequence
 
 from .core import LambdaPoly, Scalar, TruncSeries, XPoly
 
@@ -31,6 +32,7 @@ __all__ = [
     "integral_I",
     "monomial_op",
     "scaled_bernoulli_op",
+    "sequence_diff",
     "umbral_compose",
     "unit_integral_op",
 ]
@@ -167,6 +169,20 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     for _ in range(n):
         p = p.shift(step) - p
     return p
+
+
+def sequence_diff(values: Sequence[Any], k: int) -> Any:
+    """sum_j (-1)^(k-j) C(k,j) values[j], the k-th forward difference of the sequence at 0."""
+    acc = values[k]
+    for j in range(k):
+        weight = (-1) ** (k - j) * comb(k, j)
+        if weight == 1:
+            acc = acc + values[j]
+        elif weight == -1:
+            acc = acc - values[j]
+        else:
+            acc = acc + values[j] * weight
+    return acc
 
 
 def integral_I(p: XPoly) -> XPoly:

@@ -174,6 +174,9 @@ def test_route_agreement_higher_order_including_both_cases():
             expansions = [expand(p, r, g, f) for g in G_ROUTES for f in F_ROUTES]
             for other in expansions[1:]:
                 assert other.coeffs == expansions[0].coeffs
+    # operator_functional on a taller l-bearing input, where it takes g^r f^k for each k < r
+    p = parse_poly("x^12 - 3*l*x^9 + 1/2*l^2*x^5 - 7/3*x^4 + l*x - 5")
+    assert expand(p, 8, "operator_functional").coeffs == expand(p, 8).coeffs
 
 
 def test_order1_and_higher_coincide_at_r1():

@@ -186,14 +186,24 @@ def test_degenerate_form_matches_expansion_of_any_bernoulli_sum(terms):
     assert stated == list(expand(identities._bernoulli_sum(terms)).coeffs)
 
 
-def test_closed_form_matches_expansion_higher_order():
-    cases = verify_all(ids=["ex_g"])
-    assert len(cases) == 15
-    for case in cases:
-        params = dict(case.params)
+# The default sweep, then cases past DEFAULT_BOUNDS, among them r = n - 1, r = n and a taller n.
+@pytest.mark.parametrize(
+    "n_r",
+    [None, (12, 5), (12, 11), (12, 12), (16, 4)],
+    ids=lambda n_r: "default-bounds" if n_r is None else "n{}-r{}".format(*n_r),
+)
+def test_closed_form_matches_expansion_higher_order(n_r):
+    if n_r is None:
+        cases = verify_all(ids=["ex_g"])
+        assert len(cases) == 15
+        sweep = [dict(case.params) for case in cases]
+    else:
+        sweep = [dict(zip("nr", n_r))]
+    for params in sweep:
         stated = closed_form_coeffs("ex_g", **params)
         e = expand(_genocchi_product(params["n"]), params["r"])
-        assert stated[: e.degree + 1] == list(e.coeffs), case.param_str()
+        assert len(stated) == max(params["r"], params["n"] - 1)
+        assert stated[: e.degree + 1] == list(e.coeffs), params
         # entries past the degree (present when r - 1 > n - 2) must vanish
         assert all(c.is_zero for c in stated[e.degree + 1 :])
 

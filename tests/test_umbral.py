@@ -4,6 +4,9 @@ import threading
 from fractions import Fraction
 from math import factorial
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.families import bernoulli_poly, deg_bernoulli, deg_falling, scaled_bernoulli
 from degbern.umbral import (
@@ -17,10 +20,11 @@ from degbern.umbral import (
     integral_I,
     monomial_op,
     scaled_bernoulli_op,
+    sequence_diff,
     umbral_compose,
     unit_integral_op,
 )
-from helpers import random_fraction, random_lambda_poly, random_xpoly
+from helpers import random_fraction, random_lambda_poly, random_xpoly, series_stirling2
 
 
 def _random_op(rng, width=5):
@@ -134,6 +138,14 @@ def test_forward_diff_matches_iterated_difference():
         for _ in range(3):
             iterated = iterated.shift(step) - iterated
         assert forward_diff(p, step, 3) == iterated
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 8), st.randoms(use_true_random=False))
+def test_sequence_diff_is_the_forward_difference_at_zero(n, k, rng):
+    assert sequence_diff([j**n for j in range(k + 1)], k) == factorial(k) * series_stirling2(n, k)
+    p = random_xpoly(rng, 8, True, 20)
+    assert sequence_diff([p.eval_x(j) for j in range(k + 1)], k) == forward_diff(p, 1, k).eval_x(0)
 
 
 def test_delta_op_matches_divided_difference():

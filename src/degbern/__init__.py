@@ -40,7 +40,7 @@ from .families import (
     stirling2,
 )
 from .identities import IdentityCase, closed_form_coeffs, identity_ids, verify, verify_all
-from .parser import ParseError, lower, parse, parse_poly
+from .parser import ParseError, parse_poly
 from .umbral import (
     OperatorSeries,
     apply,
@@ -96,9 +96,7 @@ __all__ = [
     "identity_ids",
     "integral_01",
     "integral_I",
-    "lower",
     "monomial_op",
-    "parse",
     "parse_poly",
     "reconstruct",
     "scaled_bernoulli",

@@ -75,15 +75,21 @@ def expansion_to_document(source: str, e: BasisExpansion) -> dict:
 
 
 def document_to_expansion(doc: dict) -> BasisExpansion:
-    coeffs = [LambdaPoly.zero()] * (int(doc["degree"]) + 1)
+    """The expansion a document states; ValueError on a negative degree, or on
+    a k outside 0..degree or given twice. A k not given has coefficient 0."""
+    degree = int(doc["degree"])
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    given: dict[int, LambdaPoly] = {}
     for entry in doc["coefficients"]:
-        coeffs[int(entry["k"])] = lambda_poly_from_pairs(entry["lambda_poly"])
-    return BasisExpansion(
-        order=int(doc["order"]),
-        degree=int(doc["degree"]),
-        coeffs=tuple(coeffs),
-        routes=("document",) * len(coeffs),
-    )
+        k = int(entry["k"])
+        if not 0 <= k <= degree:
+            raise ValueError(f"coefficient k = {k} is outside 0..{degree}")
+        if k in given:
+            raise ValueError(f"coefficient k = {k} is given twice")
+        given[k] = lambda_poly_from_pairs(entry["lambda_poly"])
+    coeffs = tuple(given.get(k, LambdaPoly.zero()) for k in range(degree + 1))
+    return BasisExpansion(order=int(doc["order"]), degree=degree, coeffs=coeffs, routes=("document",) * len(coeffs))
 
 
 def _latex_rational(q: Fraction) -> str:

@@ -292,7 +292,7 @@ def expand(
     )
 
 
-# Aliases of the order-1 era, still called by perfbench/layers.py (ROADMAP item 6).
+# Order-1 aliases for perfbench/layers.py, until ROADMAP's "Remove the order-1 aliases".
 AK_ROUTES, A0_ROUTES = F_ROUTES, G_ROUTES
 expand_higher = expand
 

@@ -106,6 +106,21 @@ def test_json_matches_in_process_expansion():
     assert cli.document_to_expansion(doc).coeffs == e.coeffs
 
 
+def test_document_to_expansion_rejects_bad_documents():
+    def doc(degree, *ks):
+        return {"order": "1", "degree": degree, "coefficients": [{"k": k, "lambda_poly": [["0", "5"]]} for k in ks]}
+
+    assert cli.document_to_expansion(doc("2", "2", "0")).coeffs == tuple(LambdaPoly.const(c) for c in (5, 0, 5))
+    for bad, message in (
+        (doc("2", "0", "-1"), "k = -1 is outside 0..2"),
+        (doc("2", "3"), "k = 3 is outside 0..2"),
+        (doc("2", "1", "1"), "k = 1 is given twice"),
+        (doc("-1"), "degree must be non-negative"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            cli.document_to_expansion(bad)
+
+
 def test_lambda_poly_pair_serialization():
     p = LambdaPoly({0: Fraction(-1, 2), 3: Fraction(7)})
     pairs = cli.lambda_poly_to_pairs(p)

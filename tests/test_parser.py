@@ -2,21 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.families import bernoulli_poly, bernoulli_poly_order, euler_poly, genocchi_poly
-from degbern.parser import (
-    Bin,
-    Call,
-    Lit,
-    Neg,
-    ParseError,
-    Pow,
-    Var,
-    lower,
-    parse,
-    parse_poly,
-)
+from degbern.parser import ParseError, parse_poly
 from helpers import random_xpoly
 
 
@@ -34,31 +25,31 @@ def test_call_nodes():
 
 def test_non_integer_exponent_rejected():
     with pytest.raises(ParseError, match="non-integer exponent"):
-        parse("x^(1/2)")
+        parse_poly("x^(1/2)")
 
 
 def test_symbolic_division_rejected():
     with pytest.raises(ParseError, match="symbolic division"):
-        parse("x/2")
+        parse_poly("x/2")
     with pytest.raises(ParseError, match="symbolic division"):
-        parse("B(2)/B(1)")
+        parse_poly("B(2)/B(1)")
 
 
 def test_rational_literals():
     assert parse_poly("3/4") == XPoly.const(Fraction(3, 4))
     assert parse_poly("-3/4") == XPoly.const(Fraction(-3, 4))
     with pytest.raises(ParseError, match="zero denominator"):
-        parse("1/0")
+        parse_poly("1/0")
 
 
 def test_no_implicit_multiplication():
     with pytest.raises(ParseError):
-        parse("2x")
+        parse_poly("2x")
 
 
 def test_unbalanced_parentheses():
     with pytest.raises(ParseError, match="expected"):
-        parse("(x + 1")
+        parse_poly("(x + 1")
 
 
 def test_lexical_error_carries_offset():
@@ -66,7 +57,7 @@ def test_lexical_error_carries_offset():
     cases = [("x + $", 4), ("x^\u0663", 2), ("x^\u00b2", 2), ("B(\uff11)", 2), ("x +\u3000 1", 3)]
     for src, offset in cases:
         with pytest.raises(ParseError) as excinfo:
-            parse(src)
+            parse_poly(src)
         assert excinfo.value.offset == offset
         assert f"offset {offset}" in str(excinfo.value)
 
@@ -78,7 +69,7 @@ def test_unary_minus_binds_looser_than_power():
 
 def test_chained_power_rejected():
     with pytest.raises(ParseError):
-        parse("x^2^3")
+        parse_poly("x^2^3")
 
 
 def test_precedence_of_product_and_sum():
@@ -89,11 +80,11 @@ def test_precedence_of_product_and_sum():
 def test_call_arity_checks():
     assert parse_poly("B(3,2)") == bernoulli_poly_order(3, 2)
     with pytest.raises(ParseError):
-        parse("E(1,2)")
+        parse_poly("E(1,2)")
     with pytest.raises(ParseError):
-        parse("B(1,2,3)")
+        parse_poly("B(1,2,3)")
     with pytest.raises(ParseError):
-        parse("B(x)")
+        parse_poly("B(x)")
 
 
 def test_lower_genocchi():
@@ -160,20 +151,21 @@ def test_lambda_degree_guard_env_override(monkeypatch):
     assert parse_poly("(1+l)^5").coeff(0).degree == 5
 
 
-def test_family_arguments_bounded_by_the_degree_limit():
+def test_family_arguments_bounded_by_the_degree_limit(monkeypatch):
     with pytest.raises(ValueError, match="family index of E"):
         parse_poly("E(65)")
     with pytest.raises(ValueError, match="order r of B.* between 0 and 64"):
         parse_poly("B(2,65)")
-    with pytest.raises(ValueError, match="order r of B.* between 0 and 5"):
-        parse_poly("B(2,6)", max_degree=5)
-    assert parse_poly("B(2,5)", max_degree=5).degree == 2
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "5")
+    with pytest.raises(ValueError, match=r"order r of B.* between 0 and 5 \(DEGBERN_MAX_DEGREE\)"):
+        parse_poly("B(2,6)")
+    assert parse_poly("B(2,5)").degree == 2
 
 
 def test_recursion_depth_bounded():
     deep = "(" * 300 + "x" + ")" * 300
     with pytest.raises(ParseError, match="nesting"):
-        parse(deep)
+        parse_poly(deep)
 
 
 def test_print_parse_round_trip():
@@ -184,36 +176,60 @@ def test_print_parse_round_trip():
     assert parse_poly(str(XPoly.zero())) == XPoly.zero()
 
 
-def _random_ast(rng, depth=0):
-    choice = rng.random()
-    if depth > 3 or choice < 0.35:
-        kind = rng.randrange(4)
-        if kind == 0:
-            return Lit(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        if kind == 1:
-            return Var("x")
-        if kind == 2:
-            return Var("l")
-        return Call(rng.choice(["B", "E", "G"]), (rng.randint(0, 4),))
-    if choice < 0.5:
-        return Neg(_random_ast(rng, depth + 1))
-    if choice < 0.65:
-        return Pow(_random_ast(rng, depth + 1), rng.randint(0, 2))
-    op = rng.choice(["+", "-", "*"])
-    return Bin(op, _random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
-
-
-def test_lower_is_a_homomorphism():
-    rng = random.Random(223)
-    for _ in range(60):
-        a, b = _random_ast(rng), _random_ast(rng)
-        assert lower(Bin("+", a, b)) == lower(a) + lower(b)
-        assert lower(Bin("*", a, b)) == lower(a) * lower(b)
-        assert lower(Neg(a)) == -lower(a)
-
-
 def test_offsets_point_into_source():
     src = "x + B(1,2,3)"
     with pytest.raises(ParseError) as excinfo:
-        parse(src)
+        parse_poly(src)
     assert 0 <= excinfo.value.offset <= len(src)
+
+
+def test_errors_come_in_source_order():
+    # values are guarded as they are parsed, so the first error from the left wins
+    with pytest.raises(ValueError, match="expression degree 65 exceeds the limit 64") as excinfo:
+        parse_poly("x^65 + )")
+    assert not isinstance(excinfo.value, ParseError)
+    with pytest.raises(ParseError, match="expected a value") as excinfo:
+        parse_poly("x + ) + x^65")
+    assert excinfo.value.offset == 4
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.characters(max_codepoint=127)) | st.text("0123456789xlBEG+-*/^(), "))
+def test_any_ascii_string_parses_or_raises_value_error(src):
+    try:
+        assert isinstance(parse_poly(src), XPoly)
+    except ParseError as exc:
+        assert 0 <= exc.offset <= len(src)
+    except ValueError:
+        pass
+
+
+# Grammar-drawn expressions of bounded size: at most 5 leaves of degree at
+# most 6 in x and 2 in l, and only exponents 0 and 1 on a compound base, so a
+# product of two stays inside the default limit 64.
+_LEAF = st.one_of(
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 9)),
+    st.integers(0, 99).map(str),
+    st.sampled_from(["x", "l"]),
+    st.builds("{}({})".format, st.sampled_from("BEG"), st.integers(0, 3)),
+    st.builds("B({},{})".format, st.integers(0, 3), st.integers(0, 3)),
+)
+_EXPR = st.recursive(
+    st.one_of(_LEAF, st.builds("{}^{}".format, _LEAF, st.integers(0, 2))),
+    lambda inner: st.one_of(
+        inner.map("-{}".format),
+        st.builds("({})^{}".format, inner, st.integers(0, 1)),
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPR, _EXPR)
+def test_parse_poly_is_a_homomorphism(a, b):
+    pa, pb = parse_poly(a), parse_poly(b)
+    assert parse_poly(f"({a})+({b})") == pa + pb
+    assert parse_poly(f"({a})-({b})") == pa - pb
+    assert parse_poly(f"({a})*({b})") == pa * pb
+    assert parse_poly(f"-({a})") == -pa

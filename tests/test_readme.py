@@ -1,5 +1,7 @@
-"""The README's lists of identities, table families and routes match the code."""
+"""The README's quick start runs as shown, and its lists of identities, table
+families and routes match the code."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -32,3 +34,21 @@ def test_readme_routes():
         row = re.search(rf"^\| `{branch}` +\|.*\|(.*)\|$", README, re.MULTILINE).group(1)
         assert tuple(re.findall(r"`(\w+)`", row)) == names
         assert f"`{names[0]}` (default)" in row
+
+
+def test_readme_quick_start_runs_as_commented():
+    head = README.index("## Library quick start")
+    block = re.search(r"```python\n(.*?)```", README[head:], re.DOTALL).group(1)
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        statements = ast.parse(code).body
+        if statements and isinstance(statements[0], ast.Expr):
+            # an expression line's comment starts with the repr of its value
+            shown, comment = repr(eval(code, namespace)), comment.strip()
+            assert comment == shown or comment.startswith(shown + ","), (code, shown)
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3

@@ -2,23 +2,24 @@
 
 Every polynomial family here is of Appell type: its generating function
 (EGF convention, ``family_n(x) = n! [t^n] F(t, x)``) is a core series
-``core(t)^r`` times a basis series in t and x, so member n is the numbers
-``c_k = k! [t^k] core^r`` times the basis members below n:
+``core(t)^r`` times a basis series in t and x, so member n is
+sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
 
-    family                        generating function         member n
-    order-r Bernoulli             (t/(e^t-1))^r e^{xt}        sum_j C(n,j) c_j x^{n-j}
-    Euler                         2/(e^t+1) e^{xt}            sum_j C(n,j) c_j x^{n-j}
-    scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}    sum_j C(n,j) c_j x^{n-j}
-    order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   sum_j C(n,j) c_j (x)_{n-j,l}
-    degenerate falling factorial  e_l^x(t)                    (x)_{n-1,l} (x-(n-1)l)
-    Genocchi                      2t/(e^t+1) e^{xt}           n E_{n-1}(x)
+    table kind        family                        generating function         b_i
+    bernoulli_r       order-r Bernoulli             (t/(e^t-1))^r e^{xt}        x^i
+    euler             Euler (r = 1)                 2/(e^t+1) e^{xt}            x^i
+    scaled_bernoulli  scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}    x^i
+    deg_bernoulli_r   order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   (x)_{i,l}
+    (derived)         degenerate falling factorial  e_l^x(t), order-0 degenerate Bernoulli
+    (derived)         Genocchi                      2t/(e^t+1) e^{xt}, so G_n(x) = n E_{n-1}(x)
 
-where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), order 1 gives the plain
-Bernoulli families and the scaled family is l^n B_n^(a)(x/l). Each core
-is A(t)^(-r) for a closed-form series A with A(0) = 1, so c_k follows
-from c_0..c_{k-1} by J. C. P. Miller's power recurrence, exactly in Q[l].
-Since c_k is member k at x = 0, the members are all a table stores.
-Stirling numbers of the second kind and harmonic numbers round out the kit.
+where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
+x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
+scaled family is l^n B_n^(a)(x/l). Each core is A(t)^(-r) for a
+closed-form series A with A(0) = 1, so c_k follows from c_0..c_{k-1} by
+J. C. P. Miller's power recurrence, exactly in Q[l]. Since c_k is member
+k at x = 0, the members are all a table stores. Stirling numbers of the
+second kind and harmonic numbers round out the kit.
 
 A table computes only the members it lacks and publishes each grown list
 wholesale; reads are safe from multiple threads (a reader sees either a
@@ -68,21 +69,21 @@ def _deg_base(k: int) -> list[LambdaPoly]:
     return out
 
 
-# a_0..a_k of the series A(t), A(0) = 1, whose power A^(-r) is the family's core.
-_BASES = {
+# kind -> (a_0..a_k of A(t), A(0) = 1, the core being A^(-r); h of b_i = x(x-h)...(x-(i-1)h))
+_KINDS = {
     # A = (e^t-1)/t
-    "bernoulli_r": lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)],
+    "bernoulli_r": (lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)], 0),
     # A = (e^t+1)/2
-    "euler": lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)],
+    "euler": (lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)], 0),
     # A = (e^{lt}-1)/(lt)
-    "scaled_bernoulli": lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)],
+    "scaled_bernoulli": (lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)], 0),
     # A = (e_l(t)-1)/t
-    "deg_bernoulli_r": _deg_base,
+    "deg_bernoulli_r": (_deg_base, LAMBDA),
 }
 
 
-def _next_number(kind: str, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
-    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1}, by Miller's power recurrence.
+def _next_number(base: list[LambdaPoly], r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
+    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1} and a_0..a_k, by Miller's power recurrence.
 
     For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
     in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers.
@@ -90,7 +91,6 @@ def _next_number(kind: str, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
     k = len(numbers)
     if k == 0:
         return LambdaPoly.one()
-    base = _BASES[kind](k)
     total = LambdaPoly.zero()
     weight = 1
     for j in range(1, k + 1):
@@ -100,19 +100,29 @@ def _next_number(kind: str, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
     return total
 
 
-class FamilyTable:
-    """Append-only cache of polynomial families keyed by family id.
+def _newton(d: list[LambdaPoly], h: LambdaPoly | int) -> XPoly:
+    """sum_i d_i x(x-h)...(x-(i-1)h) by Horner's rule, each step a shift-and-add by (x - ih)."""
+    if not h:
+        return XPoly(d)
+    acc = [d[-1]]
+    for i in range(len(d) - 2, -1, -1):
+        node = h * -i
+        acc = [d[i] + acc[0] * node] + [a + b * node for a, b in zip(acc, acc[1:])] + [acc[-1]]
+    return XPoly(acc)
 
-    Keys are tuples such as ("deg_falling",), ("deg_bernoulli_r", r) or
-    ("scaled_bernoulli", a). A request past the cached end computes only
-    the missing members, then replaces the cached list wholesale; lists are
-    never mutated in place, so unlocked readers always see complete entries.
-    The lock is re-entrant because some families read others.
+
+class FamilyTable:
+    """Append-only cache of the module docstring's families, keyed by (kind, r).
+
+    A request past the cached end computes only the missing members, under
+    a plain lock (no kind reads another), then replaces the cached list
+    wholesale; lists are never mutated in place, so unlocked readers always
+    see complete entries.
     """
 
     def __init__(self) -> None:
         self._cache: dict[tuple, list[XPoly]] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def get(self, key: tuple, n: int) -> XPoly:
         entry = self._cache.get(key)
@@ -122,33 +132,19 @@ class FamilyTable:
 
     def _grow(self, key: tuple, n: int) -> list[XPoly]:
         """The published members of key, grown to at least 0..n."""
+        if len(key) != 2 or key[0] not in _KINDS:
+            raise ValueError(f"unknown family {key!r}")
         with self._lock:
             members = self._cache.get(key, [])
             if n >= len(members):
+                series, h = _KINDS[key[0]]
+                base, numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
                 members = list(members)
                 for m in range(len(members), n + 1):
-                    p = self._member(key, members, m)
-                    if key[0] != "genocchi" and p.degree != m:
-                        raise ArithmeticError(f"family {key!r} member {m} has degree {p.degree}")
-                    members.append(p)
+                    numbers.append(_next_number(base, key[1], numbers))
+                    members.append(_newton([c * comb(m, i) for i, c in enumerate(reversed(numbers))], h))
                 self._cache[key] = members
             return members
-
-    def _member(self, key: tuple, members: list[XPoly], m: int) -> XPoly:
-        kind = key[0]
-        if kind == "deg_falling":
-            return members[-1] * XPoly((-(LAMBDA * (m - 1)), LambdaPoly.one())) if m else XPoly.one()
-        if kind == "genocchi":
-            return self._grow(("euler",), m - 1)[m - 1] * m if m else XPoly.zero()
-        if kind not in _BASES:
-            raise ValueError(f"unknown family {key!r}")
-        numbers = [p.coeff(0) for p in members]
-        numbers.append(_next_number(kind, 1 if kind == "euler" else key[1], numbers))
-        if kind == "deg_bernoulli_r":
-            falling = self._grow(("deg_falling",), m)
-            terms = (falling[m - j] * (c * comb(m, j)) for j, c in enumerate(numbers) if c)
-            return sum(terms, XPoly.zero())
-        return XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers))])
 
 
 _TABLE = FamilyTable()
@@ -170,7 +166,7 @@ def bernoulli_poly_order(n: int, r: int) -> XPoly:
 
 
 def euler_poly(n: int) -> XPoly:
-    return _TABLE.get(("euler",), _check_index(n))
+    return _TABLE.get(("euler", 1), _check_index(n))
 
 
 def euler_number(n: int) -> Fraction:
@@ -178,17 +174,17 @@ def euler_number(n: int) -> Fraction:
 
 
 def genocchi_poly(n: int) -> XPoly:
-    """Genocchi polynomial; the zeroth member is 0 and deg G_n = n-1 for n >= 1."""
-    return _TABLE.get(("genocchi",), _check_index(n))
+    """Genocchi polynomial G_n = n E_{n-1}; the zeroth member is 0 and deg G_n = n-1 for n >= 1."""
+    return euler_poly(n - 1) * n if _check_index(n) else XPoly.zero()
 
 
 def genocchi_number(n: int) -> Fraction:
-    return genocchi_poly(n).coeff(0).as_rational()
+    return euler_number(n - 1) * n if _check_index(n) else Fraction(0)
 
 
 def deg_falling(n: int) -> XPoly:
-    """Degenerate falling factorial (x)_{n,l}, monic of degree n."""
-    return _TABLE.get(("deg_falling",), _check_index(n))
+    """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l), order-0 degenerate Bernoulli."""
+    return deg_bernoulli_order(n, 0)
 
 
 def deg_bernoulli(n: int) -> XPoly:

@@ -17,8 +17,8 @@ no implicit multiplication ("2x" is an error). B(n) and B(n,r) name the
 Bernoulli polynomial (order r), E(n) the Euler and G(n) the Genocchi one.
 
 Each grammar rule returns the exact XPoly value of what it parsed; no
-syntax tree is built. A product, and the base of a power before the power
-is computed, may not pass the degree limit in x or in l (default 64,
+syntax tree is built. A product or a power is checked before it is
+computed: it may not pass the degree limit in x or in l (default 64,
 overridable via the DEGBERN_MAX_DEGREE environment variable). check_size
 applies the same limit to every exponent (so a constant such as 2^65 is
 rejected although its degree is 0), to the arguments of B, E and G, to the
@@ -146,13 +146,14 @@ class _Parser:
         if self._depth > MAX_DEPTH:
             raise ParseError(f"expression nesting exceeds {MAX_DEPTH}", self._peek()[2])
 
-    def _guard(self, p: XPoly, exponent: int = 1) -> XPoly:
-        """p, unless p**exponent would pass the limit in x or in l."""
-        l_degree = max((c.degree for c in p.coeffs), default=0)
-        for name, degree in (("degree", p.degree), ("l-degree", l_degree)):
-            if degree > 0 and degree * exponent > self._limit:
-                raise ValueError(f"expression {name} {degree * exponent} exceeds the limit {self._limit}")
-        return p
+    def _guard(self, factors: tuple[XPoly, ...], exponent: int = 1) -> None:
+        """ValueError if the product of factors, to the power exponent, would pass the limit in x or in l."""
+        if all(factors):  # else the product is 0; for nonzero factors the degrees add exactly
+            x_degree = sum(p.degree for p in factors)
+            l_degree = sum(max(c.degree for c in p.coeffs) for p in factors)
+            for name, degree in (("degree", x_degree * exponent), ("l-degree", l_degree * exponent)):
+                if degree > self._limit:
+                    raise ValueError(f"expression {name} {degree} exceeds the limit {self._limit}")
 
     def parse(self) -> XPoly:
         value = self.expr()
@@ -178,7 +179,9 @@ class _Parser:
             kind, _, offset = self._peek()
             if kind == "*":
                 self._next()
-                value = self._guard(value * self.unary())
+                right = self.unary()
+                self._guard((value, right))
+                value = value * right
             elif kind == "/":
                 raise ParseError("symbolic division is not allowed", offset)
             else:
@@ -204,7 +207,7 @@ class _Parser:
             raise ParseError("chained '^' needs parentheses", self._peek()[2])
         # degrees in x and in l multiply exactly, so check before computing;
         # a base of degree 0 (a constant) is bounded by the exponent itself
-        self._guard(value, exponent)
+        self._guard((value,), exponent)
         check_size("exponent", exponent)
         return value**exponent
 

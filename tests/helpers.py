@@ -203,14 +203,15 @@ def _extract(series: TruncSeries) -> list[XPoly]:
 
 
 def series_family(key: tuple, n: int) -> list[XPoly]:
-    """Members 0..n of a FamilyTable key, as n! [t^n] of core^r times the basis series."""
+    """Members 0..n of a FamilyTable key, or of the derived ("deg_falling",) or
+    ("genocchi",), as n! [t^n] of core^r times the basis series."""
     kind = key[0]
     if kind == "deg_falling":
         polys = _falling_list(n)
     elif kind == "bernoulli_r":
         polys = _extract(_lift(_classic_core(n) ** key[1]) * _exp_x_series(n))
     elif kind == "euler":
-        polys = _extract(_lift(_euler_core(n)) * _exp_x_series(n))
+        polys = _extract(_lift(_euler_core(n) ** key[1]) * _exp_x_series(n))
     elif kind == "genocchi":
         # 2t/(e^t+1)e^{xt} = t * (Euler series): shift indices by one.
         s = _lift(_euler_core(n)) * _exp_x_series(n)

@@ -18,6 +18,7 @@ from degbern.families import (
     deg_bernoulli_order,
     deg_falling,
     euler_number,
+    euler_poly,
     genocchi_number,
     genocchi_poly,
     harmonic,
@@ -309,10 +310,12 @@ def test_family_table_concurrent_reads():
 
 def test_family_table_append_only_growth():
     table = FamilyTable()
-    key = ("deg_falling",)
+    key = ("deg_bernoulli_r", 0)
     first = table.get(key, 3)
+    published = table._cache[key]
     grown = table.get(key, 6)
-    assert table.get(key, 3) is first or table.get(key, 3) == first
+    assert table.get(key, 3) is first
+    assert len(published) == 4  # growth replaced the list, it did not extend it
     assert grown == deg_falling(6)
 
 
@@ -323,7 +326,7 @@ ORACLE_KEYS = (
     [("bernoulli_r", r) for r in range(4)]
     + [("deg_bernoulli_r", r) for r in range(4)]
     + [("scaled_bernoulli", a) for a in range(4)]
-    + [("euler",), ("genocchi",), ("deg_falling",)]
+    + [("euler", 1)]
 )
 
 
@@ -349,14 +352,37 @@ def test_family_table_matches_series_oracle(order):
         assert table.get(key, n) == _oracle(key)[n], (key, n)
 
 
+def test_public_families_match_series_oracle():
+    # the derived families included: deg_falling is order-0 degenerate
+    # Bernoulli and genocchi_poly is n E_{n-1}, neither a table kind
+    public = [
+        (bernoulli_poly, ("bernoulli_r", 1)),
+        (euler_poly, ("euler", 1)),
+        (deg_bernoulli, ("deg_bernoulli_r", 1)),
+        (deg_falling, ("deg_falling",)),
+        (genocchi_poly, ("genocchi",)),
+    ]
+    public += [(lambda n, r=r: bernoulli_poly_order(n, r), ("bernoulli_r", r)) for r in range(4)]
+    public += [(lambda n, r=r: deg_bernoulli_order(n, r), ("deg_bernoulli_r", r)) for r in range(4)]
+    public += [(lambda n, a=a: scaled_bernoulli(n, a), ("scaled_bernoulli", a)) for a in range(4)]
+    for fn, key in public:
+        for n in range(ORACLE_N + 1):
+            assert fn(n) == _oracle(key)[n], (key, n)
+    for number, key in ((bernoulli_number, ("bernoulli_r", 1)), (euler_number, ("euler", 1)), (genocchi_number, ("genocchi",))):
+        for n in range(ORACLE_N + 1):
+            assert number(n) == _oracle(key)[n].coeff(0).as_rational(), (key, n)
+
+
 def test_family_table_rejects_unknown_family():
-    with pytest.raises(ValueError, match="unknown family"):
-        FamilyTable().get(("fibonacci",), 3)
+    # the derived families and a key without its order are not table keys
+    for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("euler",)]:
+        with pytest.raises(ValueError, match="unknown family"):
+            FamilyTable().get(key, 3)
 
 
 def test_family_table_threaded_growth_matches_serial():
-    # genocchi reads euler from inside the table's lock, so this also covers nested growth
-    keys = [("deg_bernoulli_r", 2), ("genocchi",)]
+    # two kinds grow at once under the table's one lock
+    keys = [("deg_bernoulli_r", 2), ("euler", 1)]
     plans = []
     for seed in range(8):
         plan = [(key, n) for key in keys for n in range(17)]

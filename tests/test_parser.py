@@ -127,6 +127,32 @@ def test_degree_guard_blocks_huge_products():
         parse_poly("x^40*x^40")
 
 
+def test_no_product_past_the_limit_is_formed(monkeypatch):
+    # each XPoly product the parser asks for, powers included, is checked
+    # before it is computed, and a product by zero passes at any degree
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "8")
+    formed = []
+    multiply = XPoly.__mul__
+
+    def recording(a, b):
+        if isinstance(b, XPoly) and a and b:
+            formed.append((a.degree + b.degree, max(c.degree for c in a.coeffs) + max(c.degree for c in b.coeffs)))
+        return multiply(a, b)
+
+    monkeypatch.setattr(XPoly, "__mul__", recording)
+    for src, message in [
+        ("(1+x+l)^8*(1+x+l)^8", "expression degree 16 exceeds the limit 8"),
+        ("(1+x)^8*x", "expression degree 9 exceeds the limit 8"),
+        ("(1+l)^5*(x+l)^4", "expression l-degree 9 exceeds the limit 8"),
+        ("x^4*x^4*x", "expression degree 9 exceeds the limit 8"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            parse_poly(src)
+    assert parse_poly("x^8*0*x^8") == XPoly.zero()
+    assert parse_poly("(1+x+l)^4*(1-x-l)^4") == (1 - (XPoly.x() + LAMBDA) ** 2) ** 4
+    assert formed and max(max(d) for d in formed) <= 8
+
+
 def test_exponent_bounded_on_a_constant_base():
     # a constant has degree 0, so only the exponent itself bounds 2^(10^8)
     assert parse_poly("2^64") == XPoly.const(2**64)

@@ -37,7 +37,7 @@ from .families import (
     genocchi_number,
     scaled_bernoulli,
 )
-from .identities import DEFAULT_BOUNDS, identity_ids, verify, verify_all
+from .identities import identity_ids, verify, verify_all
 from .parser import ParseError, check_size, parse_poly
 
 __all__ = [
@@ -75,11 +75,12 @@ def expansion_to_document(source: str, e: BasisExpansion) -> dict:
 
 
 def document_to_expansion(doc: dict) -> BasisExpansion:
-    """The expansion a document states; ValueError on a negative degree, or on
-    a k outside 0..degree or given twice. A k not given has coefficient 0."""
-    degree = int(doc["degree"])
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+    """The expansion a document states; ValueError on an order or degree outside
+    the size guard, or on a k outside 0..degree or given twice. A k not given
+    has coefficient 0."""
+    order, degree = int(doc["order"]), int(doc["degree"])
+    check_size("order", order, 1)
+    check_size("degree", degree)
     given: dict[int, LambdaPoly] = {}
     for entry in doc["coefficients"]:
         k = int(entry["k"])
@@ -89,7 +90,7 @@ def document_to_expansion(doc: dict) -> BasisExpansion:
             raise ValueError(f"coefficient k = {k} is given twice")
         given[k] = lambda_poly_from_pairs(entry["lambda_poly"])
     coeffs = tuple(given.get(k, LambdaPoly.zero()) for k in range(degree + 1))
-    return BasisExpansion(order=int(doc["order"]), degree=degree, coeffs=coeffs, routes=("document",) * len(coeffs))
+    return BasisExpansion(order=order, degree=degree, coeffs=coeffs, routes=("document",) * len(coeffs))
 
 
 def _latex_rational(q: Fraction) -> str:
@@ -247,35 +248,22 @@ def _bad_lambda(reason: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
-    ids = list(args.ids) + list(args.id_flags)
-    known = identity_ids()
-    for identity_id in ids:
-        if identity_id not in known:
-            print(f"error: unknown identity {identity_id!r}; known: {', '.join(known)}", file=sys.stderr)
-            return 1
+    # verify() and verify_all() reject, with exit 1, an unknown id
+    ids = sorted(set(args.ids + args.id_flags))
     if not ids or args.all:
-        ids = list(known)
+        ids = identity_ids()
 
-    for flag in ("n_max", "r_max", "n", "m", "r", "a"):
-        value = getattr(args, flag)
-        if value is not None:
-            check_size("--" + flag.replace("_", "-"), value)
-    given = {name: getattr(args, name) for name in ("n", "m", "r", "a")}
-    params = {name: value for name, value in given.items() if value is not None}
+    flags = ("n_max", "r_max", "n", "m", "r", "a")
+    given = {flag: value for flag in flags if (value := getattr(args, flag)) is not None}
+    for flag, value in given.items():
+        check_size("--" + flag.replace("_", "-"), value)
+    params = {name: value for name, value in given.items() if not name.endswith("_max")}
     if params:
         # verify() rejects, with exit 1, a flag the identity does not take
-        cases = [verify(identity_id, params, perturb=args.perturb) for identity_id in sorted(set(ids))]
+        cases = [verify(identity_id, params, perturb=args.perturb) for identity_id in ids]
     else:
-        bounds: dict[str, dict[str, int]] = {}
-        for identity_id in ids:
-            override = {}
-            if args.n_max is not None:
-                override["n_max"] = args.n_max
-            if args.r_max is not None and "r_max" in DEFAULT_BOUNDS[identity_id]:
-                override["r_max"] = args.r_max
-            if override:
-                bounds[identity_id] = override
-        cases = verify_all(bounds or None, ids=sorted(set(ids)), perturb=args.perturb)
+        # given holds sweep bounds only; a sweep ignores the bound of a parameter it lacks
+        cases = verify_all(dict.fromkeys(ids, given), ids=ids, perturb=args.perturb)
 
     failures = [c for c in cases if not c.passed]
     if args.format == "json":

@@ -18,8 +18,11 @@ x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). Each core is A(t)^(-r) for a
 closed-form series A with A(0) = 1, so c_k follows from c_0..c_{k-1} by
 J. C. P. Miller's power recurrence, exactly in Q[l]. Since c_k is member
-k at x = 0, the members are all a table stores. Stirling numbers of the
-second kind and harmonic numbers round out the kit.
+k at x = 0, the members are all a table stores. The falling factorial is
+also read straight off the signed Stirling numbers of the first kind,
+(x)_{n,l} = sum_m s(n,m) l^(n-m) x^m, so ``deg_falling`` and the order-0
+table are independent. Stirling numbers of the second kind and harmonic
+numbers round out the kit.
 
 A table computes only the members it lacks and publishes each grown list
 wholesale; reads are safe from multiple threads (a reader sees either a
@@ -182,9 +185,23 @@ def genocchi_number(n: int) -> Fraction:
     return euler_number(n - 1) * n if _check_index(n) else Fraction(0)
 
 
+#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n);
+#: grown row by row and published wholesale, like a FamilyTable entry.
+_stirling1: list[tuple[int, ...]] = [(1,)]
+
+
 def deg_falling(n: int) -> XPoly:
-    """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l), order-0 degenerate Bernoulli."""
-    return deg_bernoulli_order(n, 0)
+    """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
+    order-0 degenerate Bernoulli."""
+    global _stirling1
+    rows = _stirling1
+    if _check_index(n) >= len(rows):
+        rows = list(rows)
+        while len(rows) <= n:  # s(k+1, m) = s(k, m-1) - k s(k, m)
+            k, prev = len(rows) - 1, (0, *rows[-1], 0)
+            rows.append(tuple(prev[m] - k * prev[m + 1] for m in range(k + 2)))
+        _stirling1 = rows
+    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(rows[n]))
 
 
 def deg_bernoulli(n: int) -> XPoly:

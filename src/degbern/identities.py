@@ -30,9 +30,10 @@ by ``expansion.reconstruct``.
 
 A right side in the Bernoulli basis (miki_poly, ex_b..ex_f) is written
 once, as terms ``{j: w_j}`` of sum_j w_j B_j(x) with the constant at
-j = 0. The classical entry sums them (``_bernoulli_sum``); the degenerate
-entry maps them to the order-1 basis (``_degenerate_form``; ex_a is the
-single term {n: 1}), by
+j = 0. Each pair ex_X_classical / ex_X comes from ``_pair``, which takes
+one left side and one term function. The classical entry sums the terms
+(``_bernoulli_sum``); the degenerate entry maps them to the order-1 basis
+(``_degenerate_form``; ex_a is the single term {n: 1}), by
 
     a_0 = sum_j w_j l^j B_j,
     a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k    (k >= 1),
@@ -50,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, inf
+from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
 from .core import LambdaPoly, XPoly
@@ -107,13 +108,6 @@ class IdentityCase:
 
 def _H(m: int) -> Fraction:
     return harmonic(m) if m >= 1 else Fraction(0)
-
-
-def _rising(a: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= a + i
-    return out
 
 
 def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
@@ -257,7 +251,7 @@ def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
     lhs = scaled_bernoulli(n, r)
     for _ in range(a):
         lhs = integral_I(lhs)
-    return lhs * _rising(n + 1, a)
+    return lhs * perm(n + a, a)
 
 
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
@@ -280,7 +274,7 @@ def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
         w = XPoly.zero()
         for i, c in enumerate(weights):
             if c:
-                w = w + scaled_bernoulli(i + mm, r - k) * (c / _rising(i + 1, mm))
+                w = w + scaled_bernoulli(i + mm, r - k) * (c / perm(i + mm, mm))
         values = [w.eval_x(s) for s in range(r)]
         lower.append(sequence_diff(values, r - 1) * Fraction(-4, n * factorial(k)))
     return lower + upper
@@ -335,7 +329,27 @@ class _Identity:
         return reconstruct(BasisExpansion(params.get("r", 1), len(coeffs) - 1, coeffs, routes))
 
 
-#: What the four Nielsen-product entries share: pairs (m, n) with m + n <= n_max.
+def _pair(
+    name: str,
+    lhs: Callable[..., XPoly],
+    terms: Callable[..., Mapping[int, Fraction]],
+    minima: Mapping[str, int],
+    bounds: Mapping[str, int],
+    classical_bounds: Mapping[str, int] | None = None,
+    constraint: str | None = None,
+) -> dict[str, _Identity]:
+    """Entries name_classical and name from one left side and one term list {j: w_j},
+    summed in the Bernoulli basis and mapped to the order-1 degenerate basis."""
+    shared = {"lhs": lhs, "minima": minima, "constraint": constraint}
+    return {
+        f"{name}_classical": _Identity(
+            bounds=classical_bounds or bounds, rhs=lambda **p: _bernoulli_sum(terms(**p)), **shared
+        ),
+        name: _Identity(bounds=bounds, closed_form=lambda **p: _degenerate_form(terms(**p)), **shared),
+    }
+
+
+#: What the two Nielsen-product pairs share: pairs (m, n) with m + n <= n_max.
 _NIELSEN = {"minima": {"m": 1, "n": 1}, "bounds": {"n_max": 10}, "constraint": "m + n <= n_max"}
 
 # Left sides look the families up at call time, where perfbench's tracer rebinds them.
@@ -367,62 +381,13 @@ _IDENTITIES: dict[str, _Identity] = {
         {"n_max": 8},
         closed_form=lambda n: _degenerate_form({n: 1}),
     ),
-    "ex_b_classical": _Identity(
-        lambda n: _product_sum(bernoulli_poly, n),
-        {"n": 2},
-        {"n_max": 10},
-        lambda n: _bernoulli_sum(_ex_b_terms(n)),
+    **_pair(
+        "ex_b", lambda n: _product_sum(bernoulli_poly, n), _ex_b_terms, {"n": 2}, {"n_max": 8}, {"n_max": 10}
     ),
-    "ex_b": _Identity(
-        lambda n: _product_sum(bernoulli_poly, n),
-        {"n": 2},
-        {"n_max": 8},
-        closed_form=lambda n: _degenerate_form(_ex_b_terms(n)),
-    ),
-    "ex_c_classical": _Identity(
-        lambda n: _product_sum(euler_poly, n),
-        {"n": 2},
-        {"n_max": 8},
-        lambda n: _bernoulli_sum(_ex_c_terms(n)),
-    ),
-    "ex_c": _Identity(
-        lambda n: _product_sum(euler_poly, n),
-        {"n": 2},
-        {"n_max": 8},
-        closed_form=lambda n: _degenerate_form(_ex_c_terms(n)),
-    ),
-    "ex_d_classical": _Identity(
-        lambda n: _product_sum(genocchi_poly, n),
-        {"n": 3},
-        {"n_max": 10},
-        lambda n: _bernoulli_sum(_ex_d_terms(n)),
-    ),
-    "ex_d": _Identity(
-        lambda n: _product_sum(genocchi_poly, n),
-        {"n": 3},
-        {"n_max": 10},
-        closed_form=lambda n: _degenerate_form(_ex_d_terms(n)),
-    ),
-    "ex_e_classical": _Identity(
-        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n),
-        rhs=lambda m, n: _bernoulli_sum(_ex_e_terms(m, n)),
-        **_NIELSEN,
-    ),
-    "ex_e": _Identity(
-        lambda m, n: bernoulli_poly(m) * bernoulli_poly(n),
-        closed_form=lambda m, n: _degenerate_form(_ex_e_terms(m, n)),
-        **_NIELSEN,
-    ),
-    "ex_f_classical": _Identity(
-        lambda m, n: euler_poly(m) * euler_poly(n),
-        rhs=lambda m, n: _bernoulli_sum(_ex_f_terms(m, n)),
-        **_NIELSEN,
-    ),
-    "ex_f": _Identity(
-        lambda m, n: euler_poly(m) * euler_poly(n),
-        closed_form=lambda m, n: _degenerate_form(_ex_f_terms(m, n)),
-        **_NIELSEN,
-    ),
+    **_pair("ex_c", lambda n: _product_sum(euler_poly, n), _ex_c_terms, {"n": 2}, {"n_max": 8}),
+    **_pair("ex_d", lambda n: _product_sum(genocchi_poly, n), _ex_d_terms, {"n": 3}, {"n_max": 10}),
+    **_pair("ex_e", lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), _ex_e_terms, **_NIELSEN),
+    **_pair("ex_f", lambda m, n: euler_poly(m) * euler_poly(n), _ex_f_terms, **_NIELSEN),
     "ex_g_iop": _Identity(
         _ex_g_iop_lhs,
         {"n": 0, "r": 0, "a": 1},
@@ -469,8 +434,8 @@ def _check_params(identity_id: str, entry: _Identity, params: Mapping[str, int])
 
 def closed_form_coeffs(identity_id: str, **params: int) -> list[LambdaPoly]:
     """Coefficient list stated by the closed-form expansion of an identity."""
-    entry = _IDENTITIES.get(identity_id)
-    if entry is None or entry.closed_form is None:
+    entry = _lookup(identity_id)
+    if entry.closed_form is None:
         raise ValueError(f"{identity_id!r} has no closed-form coefficient list")
     _check_params(identity_id, entry, params)
     return entry.closed_form(**params)
@@ -507,9 +472,10 @@ def verify_all(
     perturb: bool = False,
 ) -> list[IdentityCase]:
     """Sweep identities over their parameter ranges; deterministic order."""
+    chosen = sorted(ids) if ids is not None else identity_ids()
+    entries = [(identity_id, _lookup(identity_id)) for identity_id in chosen]  # every id, before any case
     cases: list[IdentityCase] = []
-    for identity_id in sorted(ids) if ids is not None else identity_ids():
-        entry = _lookup(identity_id)
+    for identity_id, entry in entries:
         eff = dict(entry.bounds)
         if bounds and identity_id in bounds:
             eff.update(bounds[identity_id])

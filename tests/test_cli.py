@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degbern.cli as cli
 from degbern.core import ExactDivisionError, LambdaPoly
 from degbern.expansion import RouteMismatchError, expand, reconstruct
+from degbern.identities import identity_ids
 from degbern.parser import parse_poly
 
 
@@ -107,15 +112,20 @@ def test_json_matches_in_process_expansion():
 
 
 def test_document_to_expansion_rejects_bad_documents():
-    def doc(degree, *ks):
-        return {"order": "1", "degree": degree, "coefficients": [{"k": k, "lambda_poly": [["0", "5"]]} for k in ks]}
+    def doc(degree, *ks, order="1"):
+        return {"order": order, "degree": degree, "coefficients": [{"k": k, "lambda_poly": [["0", "5"]]} for k in ks]}
 
     assert cli.document_to_expansion(doc("2", "2", "0")).coeffs == tuple(LambdaPoly.const(c) for c in (5, 0, 5))
     for bad, message in (
         (doc("2", "0", "-1"), "k = -1 is outside 0..2"),
         (doc("2", "3"), "k = 3 is outside 0..2"),
         (doc("2", "1", "1"), "k = 1 is given twice"),
-        (doc("-1"), "degree must be non-negative"),
+        (doc("-1"), "degree must be between 0 and"),
+        # expand never writes order 0 (the falling-factorial basis), nor a size past the guard
+        (doc("2", "0", order="0"), "order must be between 1 and"),
+        (doc("2", "0", order="100000"), "order must be between 1 and"),
+        # refused before a coefficient tuple of that length is built
+        (doc("10000000"), "degree must be between 0 and"),
     ):
         with pytest.raises(ValueError, match=message):
             cli.document_to_expansion(bad)
@@ -356,3 +366,39 @@ def test_size_flags_follow_the_degree_limit(monkeypatch, capsys):
     assert cli.main(["table", "--family", "scaled-bernoulli", "--n-max", "2", "--order", "3"]) == 0
     assert cli.main(["verify", "ex_g", "--n", "3", "--r", "4"]) == 1
     assert cli.main(["verify", "ex_g", "--n", "3", "--r", "3"]) == 0
+
+
+# -- any argv: an exit code from the contract, never a traceback ------------------
+
+_NAMES = st.text(max_size=8)  # junk, non-ASCII and control characters included
+# half the sizes are small valid ones, the rest negative or up to 10^30
+_SIZES = st.integers(0, 6) | st.integers(-(10**30), 10**30).filter(lambda v: not 0 <= v <= 6)
+
+
+@st.composite
+def _verify_or_table_argv(draw) -> list[str]:
+    if draw(st.booleans()):
+        argv, flags = ["verify"], ["--n", "--m", "--r", "--a", "--n-max", "--r-max"]
+        for identity_id in draw(st.lists(st.sampled_from(identity_ids()) | _NAMES, min_size=1, max_size=3)):
+            argv += draw(st.sampled_from([[identity_id], ["--id", identity_id]]))
+        if draw(st.booleans()):
+            argv.append("--perturb")
+    else:
+        families = sorted([*cli._NUMBER_FAMILIES, *cli._POLY_FAMILIES])
+        argv = ["table", "--family", draw(st.sampled_from(families) | _NAMES), "--n-max", str(draw(_SIZES))]
+        flags = ["--order"]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
+        argv += [flag, str(draw(_SIZES))]
+    return argv + draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "latex"]]))
+
+
+@settings(max_examples=30, deadline=2000)
+@given(_verify_or_table_argv())
+def test_verify_and_table_argv_keep_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+import degbern.families as families
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.families import (
     FamilyTable,
@@ -121,6 +122,25 @@ def test_deg_falling_product_structure():
     # matches the binomial-series coefficients of (1+lt)^{x/l}
     for n in range(1, 9):
         assert deg_falling(n) == deg_falling(n - 1) * XPoly([-LAMBDA * (n - 1), 1])
+
+
+def test_deg_falling_rows_grown_from_threads_match_the_product(monkeypatch):
+    # concurrent growth of the Stirling-number rows publishes complete rows only
+    expected = [XPoly.one()]
+    for n in range(1, 33):
+        expected.append(expected[-1] * XPoly([-LAMBDA * (n - 1), 1]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for seed in range(20):  # each round grows the rows from scratch
+                plan = list(range(33)) * 2
+                random.Random(seed).shuffle(plan)
+                monkeypatch.setattr(families, "_stirling1", [(1,)])
+                got = list(pool.map(deg_falling, plan, timeout=60))
+                assert all(p == expected[n] for n, p in zip(plan, got)), seed
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_deg_falling_classical_limit():

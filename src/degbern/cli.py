@@ -37,7 +37,7 @@ from .families import (
     genocchi_number,
     scaled_bernoulli,
 )
-from .identities import identity_ids, verify, verify_all
+from .identities import _check_params, _lookup, identity_ids, verify, verify_all
 from .parser import ParseError, check_size, parse_poly
 
 __all__ = [
@@ -259,7 +259,9 @@ def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
         check_size("--" + flag.replace("_", "-"), value)
     params = {name: value for name, value in given.items() if not name.endswith("_max")}
     if params:
-        # verify() rejects, with exit 1, a flag the identity does not take
+        # every id and its parameters, before any case: exit 1 on a bad one
+        for identity_id in ids:
+            _check_params(identity_id, _lookup(identity_id), params)
         cases = [verify(identity_id, params, perturb=args.perturb) for identity_id in ids]
     else:
         # given holds sweep bounds only; a sweep ignores the bound of a parameter it lacks

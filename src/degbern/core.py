@@ -7,11 +7,20 @@ not the fraction field Q(l): the only divisions by ``l`` the expansion
 formulas need are exact, and ``divexact`` raises ExactDivisionError when
 exactness fails, so an algebra bug surfaces as a loud error instead of a
 silently wrong rational function.
+
+A ``LambdaPoly`` is stored the way FLINT's ``fmpq_poly`` stores an element
+of Q[l]: a tuple of int numerators over one positive int denominator, at
+primitive content (no prime divides the denominator and every numerator).
+So its arithmetic runs on ints, with one gcd per result, and not on a
+``Fraction`` per coefficient. An ``XPoly`` is a tuple of ``LambdaPoly``s,
+each with its own denominator: one shared denominator for a whole
+polynomial in x inflates every entry.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -47,11 +56,10 @@ def _convolve(a: Sequence, b: Sequence, zero, size: int) -> list:
     """Coefficients 0..size-1 of the product of the coefficient sequences a and b."""
     out = [zero] * size
     for i, x in enumerate(a[:size]):
-        if not x:
-            continue
-        for j, y in enumerate(b[: size - i]):
-            if y:
-                out[i + j] = out[i + j] + x * y
+        if x:
+            for j, y in enumerate(b[: size - i], i):
+                if y:
+                    out[j] += x * y
     return out
 
 
@@ -108,9 +116,11 @@ class _Poly(_Ring):
     trailing zeros stripped, so equal values have equal tuples and a nonzero
     value has a nonzero leading coefficient. Instances are immutable.
 
-    A subclass names its variable ``_VAR``, the zero of its coefficient ring
-    ``_ZERO``, the scalars that coerce to constants ``_SCALARS`` and the
-    coercion of one coefficient ``_coeff_of``.
+    A subclass names its variable ``_VAR``, the zero of its stored
+    coefficients ``_ZERO`` and the scalars that coerce to constants
+    ``_SCALARS``. ``XPoly`` stores its coefficients as they are and names
+    their coercion ``_coeff_of``; ``LambdaPoly`` stores int numerators over
+    one denominator and overrides what reads or builds them.
     """
 
     __slots__ = ("_coeffs",)
@@ -132,7 +142,7 @@ class _Poly(_Ring):
 
     @classmethod
     def const(cls, value):
-        return cls._make([cls._coeff_of(value)])
+        return cls.monomial(0, value)
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1):
@@ -207,14 +217,16 @@ class _Poly(_Ring):
         return bool(self._coeffs)
 
     def _at(self, value):
-        """Horner evaluation at a value of the coefficient ring or a scalar; at 0
-        and 1, which the forward differences ask for most, no multiplications."""
+        """Horner evaluation of the stored coefficients at a value of the
+        coefficient ring or a scalar; at 0 and 1, which the forward differences
+        ask for most, no multiplications."""
+        coeffs = self._coeffs
         if not value:
-            return self.coeff(0)
+            return coeffs[0] if coeffs else self._ZERO
         if value == 1:
-            return sum(self._coeffs, self._ZERO)
+            return sum(coeffs, self._ZERO)
         total = self._ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(coeffs):
             total = total * value + c
         return total
 
@@ -222,7 +234,7 @@ class _Poly(_Ring):
         """Multiplicative inverse, defined only for nonzero rational constants."""
         if self.degree != 0:
             raise ValueError(f"{self} is not a unit (nonzero rational constant)")
-        c = self._coeffs[0]
+        c = self.coeff(0)
         return self.const(c.inv_unit() if isinstance(c, _Poly) else 1 / c)
 
     def __repr__(self) -> str:
@@ -230,33 +242,74 @@ class _Poly(_Ring):
 
 
 class LambdaPoly(_Poly):
-    """Polynomial in ``l`` with exact rational coefficients."""
+    """Polynomial in ``l`` with exact rational coefficients.
 
-    __slots__ = ()
+    Stored as FLINT's ``fmpq_poly``: ``_coeffs`` is a tuple of int numerators
+    indexed by exponent, trailing zeros stripped, over one positive int
+    denominator ``_den``, at primitive content: gcd(_den, *_coeffs) == 1, and
+    zero is ((), 1). So equal values have equal (_coeffs, _den). Every
+    operation works on the ints and brings its result to primitive content
+    with one gcd. The reads (``coeff``, ``leading``, ``items``, ``subs``,
+    ``as_rational``) return Fractions.
+    """
+
+    __slots__ = ("_den",)
     _VAR = "l"
-    _ZERO = Fraction(0)
+    _ZERO = 0
     _SCALARS = (int, Fraction)
-    _coeff_of = staticmethod(_fr)
 
     def __init__(self, terms: Mapping[int, Scalar] | None = None) -> None:
-        coeffs: list[Fraction] = []
+        fracs: dict[int, Fraction] = {}
         for exp, coeff in (terms or {}).items():
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"invalid l-exponent {exp!r}")
-            coeff = _fr(coeff)
-            if coeff:
-                coeffs.extend([self._ZERO] * (exp + 1 - len(coeffs)))
-                coeffs[exp] = coeff
-        self._coeffs = tuple(coeffs)
+            fracs[exp] = _fr(coeff)
+        den = math.lcm(*(c.denominator for c in fracs.values()))
+        nums = [0] * (max(fracs, default=-1) + 1)
+        for exp, c in fracs.items():
+            nums[exp] = c.numerator * (den // c.denominator)
+        self._set(nums, den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        """Store nums / den at primitive content; consumes nums."""
+        nums = _stripped(nums)
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple([c // g for c in nums]), den // g
+        self._coeffs, self._den = nums, den
+
+    @classmethod
+    def _make(cls, nums: list[int], den: int = 1) -> "LambdaPoly":
+        """The value nums / den, for int numerators and a positive int den."""
+        p = object.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    @classmethod
+    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LambdaPoly":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"invalid l-exponent {exponent!r}")
+        coeff = _fr(coeff)
+        return cls._make([0] * exponent + [coeff.numerator], coeff.denominator)
 
     @classmethod
     def lam(cls) -> "LambdaPoly":
         """The generator ``l`` itself."""
         return cls({1: 1})
 
+    # -- reads -------------------------------------------------------------------
+
+    def coeff(self, exponent: int) -> Fraction:
+        if 0 <= exponent < len(self._coeffs):
+            return Fraction(self._coeffs[exponent], self._den)
+        return Fraction(0)
+
+    def leading(self) -> Fraction:
+        return self.coeff(len(self._coeffs) - 1)
+
     def items(self) -> tuple[tuple[int, Fraction], ...]:
         """Terms as (exponent, coefficient) pairs, ascending exponent."""
-        return tuple((e, c) for e, c in enumerate(self._coeffs) if c)
+        return tuple((e, Fraction(c, self._den)) for e, c in enumerate(self._coeffs) if c)
 
     def as_rational(self) -> Fraction:
         if self.degree > 0:
@@ -265,7 +318,49 @@ class LambdaPoly(_Poly):
 
     def subs(self, value: Scalar) -> Fraction:
         """Evaluate at l = value."""
-        return self._at(_fr(value))
+        return Fraction(self._at(_fr(value)), self._den)
+
+    # -- arithmetic on the numerators --------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, den, b, db = self._coeffs, self._den, other._coeffs, other._den
+        if not b:
+            return self
+        if not a:
+            return other
+        if den != db:  # over the lcm of the denominators
+            g = math.gcd(den, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (den // g) for c in b]
+            den = den // g * db
+        if len(a) < len(b):
+            a, b = b, a
+        return self._make([*map(operator.add, a, b), *a[len(b) :]], den)
+
+    def __neg__(self) -> "LambdaPoly":
+        return self._make([-c for c in self._coeffs], self._den)
+
+    def __mul__(self, other):
+        if isinstance(other, LambdaPoly):  # tested first: isinstance(_, Fraction) is slow on a miss
+            a, b = self._coeffs, other._coeffs
+            if not a or not b:
+                return self.zero()
+            return self._make(_convolve(a, b, 0, len(a) + len(b) - 1), self._den * other._den)
+        if isinstance(other, self._SCALARS):
+            return self._make([c * other.numerator for c in self._coeffs], self._den * other.denominator)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._coeffs == other._coeffs and self._den == other._den
+
+    def __hash__(self) -> int:
+        return hash((self._coeffs, self._den))
 
     def divexact(self, k: int) -> "LambdaPoly":
         """Exact division by l**k; every term must have exponent >= k."""
@@ -273,7 +368,7 @@ class LambdaPoly(_Poly):
             raise ValueError("k must be a non-negative integer")
         if any(self._coeffs[:k]):
             raise ExactDivisionError(f"{self} is not divisible by l^{k}")
-        return self._make(list(self._coeffs[k:])) if k else self
+        return self._make(list(self._coeffs[k:]), self._den) if k else self
 
     def __str__(self) -> str:
         parts: list[str] = []

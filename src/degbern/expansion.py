@@ -174,10 +174,8 @@ def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     coeffs = []
     for m in range(top + 1):
         acc = LambdaPoly.zero()
-        for j in range(m, top + 1):
-            s2 = stirling2(j, m)
-            if s2:
-                acc = acc + jumps[j] * LambdaPoly.monomial(j - m, s2 / factorial(j))
+        for j in range(top, m - 1, -1):  # Horner in l: a product by l per step, not by l^(j-m)
+            acc = acc * LAMBDA + jumps[j] * (stirling2(j, m) / factorial(j))
         coeffs.append(acc / Fraction(factorial(m + r), factorial(m)))
     return coeffs
 

@@ -69,6 +69,23 @@ def list_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]
     return out
 
 
+def terms_add(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Sum of two polynomials held as {exponent: Fraction}, zero terms dropped."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def terms_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Product of two polynomials held as {exponent: Fraction}, zero terms dropped."""
+    out: dict[int, Fraction] = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, Fraction(0)) + x * y
+    return {e: c for e, c in out.items() if c}
+
+
 def newton_inverse(coeffs: list[Fraction], order: int) -> list[Fraction]:
     """Series inverse by Newton iteration g -> g(2 - f g) on plain lists."""
     f = [Fraction(c) for c in coeffs] + [Fraction(0)] * (order + 1 - len(coeffs))

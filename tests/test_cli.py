@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import degbern.cli as cli
+import degbern.identities as identities
 from degbern.core import ExactDivisionError, LambdaPoly
 from degbern.expansion import RouteMismatchError, expand, reconstruct
 from degbern.identities import identity_ids
@@ -294,6 +296,19 @@ def test_bad_lambda_rejected_before_expanding(monkeypatch):
     assert cli.main(["expand", "--expr", "x", "--lambda", "1/0"]) == 1
 
 
+@pytest.mark.parametrize("bad", ["zzz", "ex_e"])  # an unknown id; an id that also needs --m
+def test_verify_checks_every_id_before_any_case(monkeypatch, capsys, bad):
+    def boom(**params):
+        raise AssertionError("ex_b computed before every id was checked")
+
+    entry = dataclasses.replace(identities._IDENTITIES["ex_b"], lhs=boom)
+    monkeypatch.setitem(identities._IDENTITIES, "ex_b", entry)
+    assert cli.main(["verify", "ex_b", bad, "--n", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad in captured.err
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
@@ -373,6 +388,7 @@ def test_size_flags_follow_the_degree_limit(monkeypatch, capsys):
 _NAMES = st.text(max_size=8)  # junk, non-ASCII and control characters included
 # half the sizes are small valid ones, the rest negative or up to 10^30
 _SIZES = st.integers(0, 6) | st.integers(-(10**30), 10**30).filter(lambda v: not 0 <= v <= 6)
+_FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "latex"]])
 
 
 @st.composite
@@ -389,12 +405,30 @@ def _verify_or_table_argv(draw) -> list[str]:
         flags = ["--order"]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
         argv += [flag, str(draw(_SIZES))]
-    return argv + draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "latex"]]))
+    return argv + draw(_FORMATS)
 
 
-@settings(max_examples=30, deadline=2000)
-@given(_verify_or_table_argv())
-def test_verify_and_table_argv_keep_the_exit_code_contract(argv):
+# valid, zero, past the degree limit (alone and as a product), non-ASCII, malformed, or junk
+_EXPRS = st.sampled_from(
+    ["x^2 - 1/2*l*x", "B(3)", "(1+x+l)^3", "0", "x^65", "l^65*x", "x^64*x", "x\u00b2", "x^\u0663", "x +"]
+) | _NAMES
+# a zero denominator, exponent and decimal notation, a negative, too many digits, non-ASCII
+_LAMBDAS = st.sampled_from(["0", "1/0", "1e5", "1.5", "-3/7", "9" * 100, "9" * 5000, "\u0663"]) | _NAMES
+
+
+@st.composite
+def _expand_argv(draw) -> list[str]:
+    argv = ["expand", f"--expr={draw(_EXPRS)}"]
+    if draw(st.booleans()):
+        argv.append(f"--lambda={draw(_LAMBDAS)}")
+    if draw(st.booleans()):
+        argv += ["--order", str(draw(_SIZES))]
+    if draw(st.booleans()):
+        argv.append("--crosscheck")
+    return argv + draw(_FORMATS)
+
+
+def _keeps_the_exit_code_contract(argv: list[str]) -> None:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -402,3 +436,15 @@ def test_verify_and_table_argv_keep_the_exit_code_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert out.getvalue() == ""
+
+
+@settings(max_examples=30, deadline=2000)
+@given(_verify_or_table_argv())
+def test_verify_and_table_argv_keep_the_exit_code_contract(argv):
+    _keeps_the_exit_code_contract(argv)
+
+
+@settings(max_examples=30, deadline=2000)
+@given(_expand_argv())
+def test_expand_argv_keeps_the_exit_code_contract(argv):
+    _keeps_the_exit_code_contract(argv)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,15 @@ from degbern.core import (
     TruncSeries,
     XPoly,
 )
-from helpers import list_mul, newton_inverse, random_fraction, random_lambda_poly, random_xpoly
+from helpers import (
+    list_mul,
+    newton_inverse,
+    random_fraction,
+    random_lambda_poly,
+    random_xpoly,
+    terms_add,
+    terms_mul,
+)
 
 
 # -- rationals ---------------------------------------------------------------
@@ -92,6 +101,39 @@ def test_lambda_poly_pow_matches_repeated_mul():
     p = LambdaPoly({0: Fraction(1, 2), 1: -3})
     assert p**3 == p * p * p
     assert p**0 == LambdaPoly.one()
+
+
+# denominators with shared factors, so sums and products have content to remove
+_FRACTIONS = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=720)
+_TERMS = st.dictionaries(st.integers(0, 6), _FRACTIONS | st.just(Fraction(0)), max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS, _TERMS, _FRACTIONS.filter(bool), st.integers(-50, 50), st.integers(0, 3))
+def test_lambda_poly_is_primitive_and_matches_a_fraction_dict(a, b, s, n, k):
+    p, q = LambdaPoly(a), LambdaPoly(b)
+    a = terms_add(a, {})
+    cases = [
+        (p, a),
+        (p + q, terms_add(a, b)),
+        (p * q, terms_mul(a, b)),
+        (p * s, terms_mul(a, {0: s})),
+        (p * n, terms_mul(a, {0: Fraction(n)})),
+        (p / s, terms_mul(a, {0: 1 / s})),
+        (-p, terms_mul(a, {0: Fraction(-1)})),
+        (LambdaPoly({e + k: c for e, c in a.items()}).divexact(k), a),
+    ]
+    for value, reference in cases:
+        nums, den = value._coeffs, value._den
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert not nums or nums[-1] != 0
+        assert all(type(c) is int for c in (den, *nums))
+        assert value.items() == tuple(sorted(reference.items()))
+        twin = LambdaPoly(reference)  # the same value, built from its terms
+        assert twin == value and hash(twin) == hash(value)
+    if any(e < k for e in a):
+        with pytest.raises(ExactDivisionError):
+            p.divexact(k)
 
 
 # -- XPoly ------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Exit codes are a contract: 0 success, 1 usage or parse error,
 2 verification failure (identity failure or route disagreement),
 3 internal consistency failure (an exact division failed). A command
 builds its whole output before any of it is written, so a command that
-fails part way leaves stdout empty.
+fails part way leaves stdout empty; a reader that closes stdout early
+leaves the exit code as it is.
 
 All numbers in machine-readable output are serialized as strings to keep
 arbitrary precision across tools.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -61,15 +63,16 @@ def lambda_poly_from_pairs(pairs: Sequence[Sequence[str]]) -> LambdaPoly:
     return LambdaPoly({int(exp): Fraction(coeff) for exp, coeff in pairs})
 
 
+def _coefficient_list(coeffs: Sequence[LambdaPoly]) -> list[dict]:
+    return [{"k": str(k), "lambda_poly": lambda_poly_to_pairs(c)} for k, c in enumerate(coeffs)]
+
+
 def expansion_to_document(source: str, e: BasisExpansion) -> dict:
     return {
         "input": source,
         "order": str(e.order),
         "degree": str(e.degree),
-        "coefficients": [
-            {"k": str(k), "lambda_poly": lambda_poly_to_pairs(c)}
-            for k, c in enumerate(e.coeffs)
-        ],
+        "coefficients": _coefficient_list(e.coeffs),
         "tool_version": __version__,
     }
 
@@ -159,7 +162,8 @@ def _build_parser() -> _Cli:
         "--lambda",
         dest="lambda_sub",
         metavar="P/Q",
-        help="also print the coefficients evaluated at l = P/Q; "
+        help="also print the coefficients evaluated at l = P/Q (text and json; "
+        "--format latex checks P/Q but ignores it); "
         "a negative value goes in one token, --lambda=-P/Q",
     )
     p_expand.set_defaults(fn=_cmd_expand)
@@ -308,49 +312,21 @@ def _cmd_table(args: argparse.Namespace, out: list[str]) -> int:
     check_size("--n-max", args.n_max)
     check_size("--order", args.order)
     family = args.family
-    if family in _NUMBER_FAMILIES:
-        values = [_NUMBER_FAMILIES[family](n) for n in range(args.n_max + 1)]
-        if args.format == "json":
-            out.append(
-                json.dumps(
-                    {
-                        "family": family,
-                        "entries": [{"n": str(n), "value": str(v)} for n, v in enumerate(values)],
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            out += [f"{n}: {v}" for n, v in enumerate(values)]
-        return 0
-    maker = _POLY_FAMILIES.get(family)
-    if maker is None:
+    number, maker = _NUMBER_FAMILIES.get(family), _POLY_FAMILIES.get(family)
+    if number is None and maker is None:
         known = sorted([*_NUMBER_FAMILIES, *_POLY_FAMILIES])
         print(f"error: unknown family {family!r}; known: {', '.join(known)}", file=sys.stderr)
         return 1
-    polys = [maker(n, args.order) for n in range(args.n_max + 1)]
+    values = [number(n) if number else maker(n, args.order) for n in range(args.n_max + 1)]
     if args.format == "json":
-        out.append(
-            json.dumps(
-                {
-                    "family": family,
-                    "order": str(args.order),
-                    "entries": [
-                        {
-                            "n": str(n),
-                            "coefficients": [
-                                {"k": str(k), "lambda_poly": lambda_poly_to_pairs(c)}
-                                for k, c in enumerate(p.coeffs)
-                            ],
-                        }
-                        for n, p in enumerate(polys)
-                    ],
-                },
-                indent=2,
-            )
-        )
+        doc = {"family": family} if number else {"family": family, "order": str(args.order)}
+        doc["entries"] = [
+            {"n": str(n), "value": str(v)} if number else {"n": str(n), "coefficients": _coefficient_list(v.coeffs)}
+            for n, v in enumerate(values)
+        ]
+        out.append(json.dumps(doc, indent=2))
     else:
-        out += [f"{n}: {p}" for n, p in enumerate(polys)]
+        out += [f"{n}: {v}" for n, v in enumerate(values)]
     return 0
 
 
@@ -375,8 +351,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in out:
-        print(line)
+    try:
+        for line in out:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; what is still buffered goes to
+        # devnull, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

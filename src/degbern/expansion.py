@@ -301,11 +301,7 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
 
 def reconstruct(e: BasisExpansion) -> XPoly:
     """Rebuild the polynomial sum_k a_k beta_k^(order)(x)."""
-    out = XPoly.zero()
-    for k, ak in enumerate(e.coeffs):
-        if not ak.is_zero:
-            out = out + deg_bernoulli_order(k, e.order) * ak
-    return out
+    return umbral_compose(XPoly(e.coeffs), lambda k: deg_bernoulli_order(k, e.order))
 
 
 def classical_limit(e: BasisExpansion) -> list[Fraction]:

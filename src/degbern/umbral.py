@@ -61,7 +61,7 @@ class OperatorSeries:
     @classmethod
     def from_coeff_fn(cls, fn: Callable[[int], LambdaPoly | Scalar]) -> "OperatorSeries":
         """Operator with ordinary t^k coefficient fn(k)."""
-        return cls(lambda order: TruncSeries.from_fn(LambdaPoly, order, lambda k: _lp(fn(k))))
+        return cls(lambda order: TruncSeries.from_fn(LambdaPoly, order, fn))
 
     def series(self, order: int) -> TruncSeries:
         cached = self._cached
@@ -142,14 +142,10 @@ def functional(f: OperatorSeries, p: XPoly) -> LambdaPoly:
     """The linear functional <f(t) | p(x)> = f(t)p(x) at x=0."""
     if p.is_zero:
         return LambdaPoly.zero()
-    ts = f.series(p.degree)
-    return _series_functional(ts, p)
-
-
-def _series_functional(ts: TruncSeries, p: XPoly) -> LambdaPoly:
     # <f|p> = sum_k c_k p^(k)(0) = sum_k c_k k! [x^k]p
+    ts = f.series(p.degree)
     total = LambdaPoly.zero()
-    for k in range(min(ts.order, p.degree) + 1):
+    for k in range(p.degree + 1):
         c = ts.coeff(k)
         if not c.is_zero:
             total = total + c * p.coeff(k) * factorial(k)
@@ -165,7 +161,6 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
-    step = _lp(step)
     for _ in range(n):
         p = p.shift(step) - p
     return p

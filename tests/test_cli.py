@@ -252,6 +252,19 @@ def test_table_json_round_trip():
     assert entry["coefficients"][1]["lambda_poly"] == [["1", "-1"]]
 
 
+def test_reader_closing_the_pipe_early_is_no_error():
+    # about 135 KB of output, more than a pipe holds: the writer meets the closed pipe
+    argv = ["table", "--family", "bernoulli-order", "--n-max", "40", "--order", "2", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "degbern", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as proc:
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert stderr == ""  # no traceback, nor a note that the flush at exit failed
+
+
 # -- exit-code contract, in process -----------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """Golden CLI outputs: each command's stdout sha256 and exit code are locked.
 
 ``golden_cli.txt`` holds one ``sha256  exit-code  degbern ARGS...`` line per
-command: `verify --all` (text and JSON), every `table` family at two
-orders, and `expand` over a fixed corpus at orders 1-3 in every format,
-with and without `--lambda` and `--crosscheck`. The commands run in
-process through `cli.main`.
+command: `verify --all` and a perturbed `verify miki` that fails (text and
+JSON), every `table` family at two orders in both formats, and `expand`
+over a fixed corpus at orders 1-3 in every format, with and without
+`--lambda` and `--crosscheck`. The commands run in process through
+`cli.main`.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ def _corpus() -> list[tuple[str, int, list[str]]]:
 def test_cli_outputs_match_golden_hashes(monkeypatch):
     monkeypatch.delenv("DEGBERN_MAX_DEGREE", raising=False)
     corpus = _corpus()
-    assert len(corpus) == 141
+    assert len(corpus) == 159
     mismatches = []
     for digest, code, argv in corpus:
         out = io.StringIO()

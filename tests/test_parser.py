@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.families import bernoulli_poly, bernoulli_poly_order, euler_poly, genocchi_poly
 from degbern.parser import ParseError, parse_poly
-from helpers import random_xpoly
 
 
 def test_grammar_smoke():
@@ -194,12 +192,17 @@ def test_recursion_depth_bounded():
         parse_poly(deep)
 
 
-def test_print_parse_round_trip():
-    rng = random.Random(211)
-    for _ in range(60):
-        p = random_xpoly(rng, 10, lam_bearing=True, bound=60)
-        assert parse_poly(str(p)) == p
-    assert parse_poly(str(XPoly.zero())) == XPoly.zero()
+# unit coefficients print without a factor, negative ones pull their sign out
+_PRINTED_SCALARS = st.sampled_from([1, -1]) | st.builds(Fraction, st.integers(-60, 60), st.integers(1, 60))
+# an empty dict is an empty l-slot, an empty list the zero polynomial
+_PRINTED_COEFFS = st.dictionaries(st.integers(0, 4), _PRINTED_SCALARS, max_size=4).map(LambdaPoly)
+_PRINTED_POLYS = st.lists(_PRINTED_COEFFS, max_size=10).map(XPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRINTED_POLYS)
+def test_print_parse_round_trip(p):
+    assert parse_poly(str(p)) == p
 
 
 def test_offsets_point_into_source():

@@ -15,6 +15,12 @@ So its arithmetic runs on ints, with one gcd per result, and not on a
 ``Fraction`` per coefficient. An ``XPoly`` is a tuple of ``LambdaPoly``s,
 each with its own denominator: one shared denominator for a whole
 polynomial in x inflates every entry.
+
+A linear combination over Q[l] is summed in ints over one denominator, with
+one gcd per output coefficient, not as a chain of ``LambdaPoly`` sums that
+each take their own lcm and gcd. ``_dot`` does it for a sum of products, and
+``XPoly.shift`` by a rational times a power of l does it for every output
+coefficient at once.
 """
 
 from __future__ import annotations
@@ -389,6 +395,49 @@ class LambdaPoly(_Poly):
 LAMBDA = LambdaPoly.lam()
 
 
+def _dot(terms: Iterable[tuple[LambdaPoly, LambdaPoly | Scalar]]) -> LambdaPoly:
+    """sum a*b over the (a, b) terms, each b a LambdaPoly, an int or a Fraction.
+
+    The sum runs in ints over one denominator: each product's numerators are
+    scaled to the running lcm of the products' denominators and added into one
+    int accumulator, and the result gets one gcd in ``LambdaPoly._make``.
+    """
+    acc: list[int] = []
+    den = 1
+    for a, b in terms:
+        nums = a._coeffs
+        if type(b) is LambdaPoly:
+            weights, d = b._coeffs, a._den * b._den
+        else:
+            weights, d = (b.numerator,), a._den * b.denominator
+        if not (nums and weights and weights[-1]):
+            continue
+        scale = 1
+        if d != den:
+            g = math.gcd(den, d)
+            if g != d:  # d does not divide den: raise den to their lcm
+                up = d // g
+                acc = [c * up for c in acc]
+                den *= up
+            scale = den // d
+        if len(weights) - weights.count(0) > len(nums) - nums.count(0):
+            nums, weights = weights, nums  # the outer loop runs over the sparser factor
+        k = len(nums)
+        if len(acc) < k + len(weights) - 1:
+            acc.extend([0] * (k + len(weights) - 1 - len(acc)))
+        if k == 1:
+            x = nums[0] * scale
+            for i, w in enumerate(weights):
+                if w:
+                    acc[i] += w * x
+        else:
+            for i, w in enumerate(weights):
+                if w:
+                    w *= scale
+                    acc[i : i + k] = map(operator.add, acc[i : i + k], [w * c for c in nums])
+    return LambdaPoly._make(acc, den)
+
+
 class XPoly(_Poly):
     """Polynomial in ``x`` with LambdaPoly coefficients. Evaluation at
     rational points is a ring homomorphism."""
@@ -432,13 +481,24 @@ class XPoly(_Poly):
         return XPoly._make([self._ZERO] + [c / (i + 1) for i, c in enumerate(self._coeffs)])
 
     def shift(self, c: LambdaPoly | Scalar) -> "XPoly":
-        """The composition p(x + c) for a constant c in Q[l], by the Taylor
-        shift [x^j] p(x+c) = sum_{i>=j} C(i,j) c^(i-j) a_i."""
-        if isinstance(c, LambdaPoly) and c.degree <= 0:
-            c = c.coeff(0)  # a rational c keeps every term a scalar multiply
+        """The composition p(x + c) for a constant c in Q[l].
+
+        For c = (u/v) l^e, a rational times a power of l (so an int, a
+        Fraction or l), the shift runs on int numerators over one denominator
+        D. With p_i = N_i / D and int rows b_i = N_i u^i v^(n-i), von zur
+        Gathen and Gerhard's Horner-like scheme (for i = 0..n-1 and j = n-1
+        down to i, b_j += l^e b_(j+1)) takes only additions and exponent
+        offsets, and [x^j] p(x+c) = b_j / (D u^j v^(n-j)), with one gcd per
+        output coefficient. Any other c takes the Taylor sum
+        [x^j] p(x+c) = sum_{i>=j} C(i,j) c^(i-j) p_i.
+        """
         a = self._coeffs
         if not c or not a:
             return self
+        c = self._coeff_of(c)
+        e = len(c._coeffs) - 1
+        if not any(c._coeffs[:e]):
+            return self._shift_by_monomial(c._coeffs[e], c._den, e)
         powers = [1]
         for _ in range(1, len(a)):
             powers.append(powers[-1] * c)
@@ -449,6 +509,31 @@ class XPoly(_Poly):
                 if a[i]:
                     acc = acc + a[i] * (powers[i - j] * math.comb(i, j))
             out.append(acc)
+        return XPoly._make(out)
+
+    def _shift_by_monomial(self, u: int, v: int, e: int) -> "XPoly":
+        """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``."""
+        a = self._coeffs
+        n = len(a) - 1
+        den = math.lcm(*(q._den for q in a))
+        rows: list[Sequence[int]] = []
+        for i, q in enumerate(a):
+            scale = den // q._den * u**i * v ** (n - i)
+            rows.append([x * scale for x in q._coeffs] if scale != 1 else q._coeffs)
+        pad = (0,) * e
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                row, step = rows[j], rows[j + 1]
+                if step:
+                    if e:
+                        step = [*pad, *step]
+                    if len(row) < len(step):
+                        row, step = step, row
+                    rows[j] = [*map(operator.add, row, step), *row[len(step) :]]
+        out = []
+        for j, row in enumerate(rows):
+            row = [-x for x in row] if u < 0 and j % 2 else list(row)
+            out.append(LambdaPoly._make(row, den * abs(u) ** j * v ** (n - j)))
         return XPoly._make(out)
 
     def eval_x(self, c: LambdaPoly | Scalar) -> LambdaPoly:

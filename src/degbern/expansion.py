@@ -13,7 +13,8 @@ and every route below computes its branch at every order r.
 
 Branch f, with m = k - r:
 
-    stirling_sum   a_k = (m!/k!) sum_j S2(j,m) l^{j-m}/j! Delta^r p^(j)(0)
+    stirling_sum   a_k = (m!/k!) sum_j S2(j,m) l^{j-m} w_j,
+                   w_j = Delta^r p^(j)(0)/j! = [x^j] Delta^r p = r! sum_i C(i,j) S2(i-j,r) p_i
     binomial_sum   a_k = sum_i C(m,i)(-1)^{m-i} h_i / (k! l^m),  h_i = Delta^r p(il)
     delta_lambda   a_k = D_l^m Delta^r p(0) / (k! l^m)
     functional     a_k = <f(t)^m | Delta^r p> / k!
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly
+from .core import LAMBDA, LambdaPoly, XPoly, _dot
 from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
 from .parser import check_size
 from .umbral import (
@@ -129,8 +131,11 @@ def _derivative_chain(p: XPoly) -> list[XPoly]:
 
 
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
-    """The k-th forward difference of w at 0."""
-    return sequence_diff([w.eval_x(j) for j in range(k + 1)], k)
+    """The k-th forward difference of w at 0, as one kernel dot product:
+    Delta^k x^i at 0 is k! S2(i,k), so Delta^k w(0) = k! sum_i S2(i,k) [x^i]w,
+    which is 0 for k > deg w."""
+    weight = factorial(k)
+    return _dot((c, weight * stirling2(i, k).numerator) for i, c in enumerate(w.coeffs[k:], k))
 
 
 # -- branch f: (p, r) -> [a_r, ..., a_n], called only when r <= deg p -------------
@@ -168,26 +173,30 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
     return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
+@lru_cache(maxsize=None)  # j <= the degree limit bounds it
+def _stirling_l(j: int, m: int) -> LambdaPoly:
+    """S2(j,m) l^(j-m), the weight of [x^j] Delta^r p in a_{m+r}."""
+    return LambdaPoly.monomial(j - m, stirling2(j, m))
+
+
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    top = p.degree - r  # Delta^r p^(j)(0) is 0 for j > top, where deg p^(j) < r
-    jumps = [_alternating(d, r) for d in _derivative_chain(p)[: top + 1]]
-    coeffs = []
-    for m in range(top + 1):
-        acc = LambdaPoly.zero()
-        for j in range(top, m - 1, -1):  # Horner in l: a product by l per step, not by l^(j-m)
-            acc = acc * LAMBDA + jumps[j] * (stirling2(j, m) / factorial(j))
-        coeffs.append(acc / Fraction(factorial(m + r), factorial(m)))
-    return coeffs
+    n, top, a = p.degree, p.degree - r, p.coeffs  # [x^j] Delta^r p is 0 for j > top
+    jump = [factorial(r) * stirling2(s, r).numerator for s in range(n + 1)]  # Delta^r x^s at 0
+    w = [_dot((a[i], comb(i, j) * jump[i - j]) for i in range(j + r, n + 1)) for j in range(top + 1)]
+    # a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j
+    return [
+        _dot((w[j], _stirling_l(j, m)) for j in range(m, top + 1)) / perm(m + r, r) for m in range(top + 1)
+    ]
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
 
 
 def _g_by_antiderivatives(q: XPoly, m: int, k: int) -> LambdaPoly:
-    """Delta^(m+k) [A^m q](0), which is Delta^k [I^m q](0) since Delta^m A^m = I^m."""
-    for _ in range(m):
-        q = q.antiderivative()
-    return _alternating(q, m + k)
+    """Delta^(m+k) [A^m q](0), which is Delta^k [I^m q](0) since Delta^m A^m = I^m;
+    A^m maps x^i to x^(i+m) i!/(i+m)!."""
+    anti = XPoly([*[0] * m, *(c / perm(i + m, m) for i, c in enumerate(q.coeffs))])
+    return _alternating(anti, m + k)
 
 
 def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:

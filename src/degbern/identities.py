@@ -55,7 +55,7 @@ from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
 from .core import LambdaPoly, XPoly
-from .expansion import BasisExpansion, reconstruct
+from .expansion import BasisExpansion, _alternating, reconstruct
 from .families import (
     bernoulli_number,
     bernoulli_poly,
@@ -67,7 +67,7 @@ from .families import (
     scaled_bernoulli,
     stirling2,
 )
-from .umbral import forward_diff, integral_I, sequence_diff
+from .umbral import forward_diff, integral_I, sequence_diff, umbral_compose
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -271,12 +271,9 @@ def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
     lower = []
     for k in range(r):
         mm = r - k - 1
-        w = XPoly.zero()
-        for i, c in enumerate(weights):
-            if c:
-                w = w + scaled_bernoulli(i + mm, r - k) * (c / perm(i + mm, mm))
-        values = [w.eval_x(s) for s in range(r)]
-        lower.append(sequence_diff(values, r - 1) * Fraction(-4, n * factorial(k)))
+        terms = XPoly([c / perm(i + mm, mm) for i, c in enumerate(weights)])
+        w = umbral_compose(terms, lambda i: scaled_bernoulli(i + mm, r - k))
+        lower.append(_alternating(w, r - 1) * Fraction(-4, n * factorial(k)))
     return lower + upper
 
 

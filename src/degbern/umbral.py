@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Any, Callable, Sequence
 
-from .core import LambdaPoly, Scalar, TruncSeries, XPoly
+from .core import LambdaPoly, Scalar, TruncSeries, XPoly, _dot
 
 __all__ = [
     "OperatorSeries",
@@ -193,10 +193,11 @@ def integral_01(p: XPoly) -> LambdaPoly:
 
 
 def umbral_compose(p: XPoly, family: Callable[[int], XPoly]) -> XPoly:
-    """Substitute family(i) for x^i in the monomial expansion of p."""
-    out = XPoly.zero()
-    for i in range(p.degree + 1 if not p.is_zero else 0):
-        b = p.coeff(i)
-        if not b.is_zero:
-            out = out + family(i) * b
-    return out
+    """Substitute family(i) for x^i in the monomial expansion of p.
+
+    [x^j] of the result is the dot product sum_i p_i [x^j]family(i), summed
+    by the kernel in ints over one denominator.
+    """
+    terms = [(family(i).coeffs, b) for i, b in enumerate(p.coeffs) if b]
+    size = max((len(f) for f, _ in terms), default=0)
+    return XPoly._make([_dot((f[j], b) for f, b in terms if j < len(f)) for j in range(size)])

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
+
+from hypothesis import strategies as st
 
 from degbern.core import LambdaPoly, TruncSeries, XPoly
-from degbern.umbral import integral_I
+from degbern.umbral import integral_I, sequence_diff
 
 BOUND = 10**6
 
@@ -155,6 +157,49 @@ def classical_coeffs_higher(p: XPoly, r: int) -> list[Fraction]:
                 acc += Fraction((-1) ** (r - j) * comb(r, j)) * d.eval_x(j).as_rational()
             out.append(acc / factorial(k))
     return out
+
+
+# -- term-by-term references for the kernel's Q[l] linear combinations ---------------
+
+# small denominators with shared factors, so the kernel's sums rescale to a growing lcm
+SMALL_FRACTIONS = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+SMALL_LAMBDA_POLYS = st.dictionaries(st.integers(0, 4), SMALL_FRACTIONS, max_size=4).map(LambdaPoly)
+
+
+def small_xpolys(max_terms: int):
+    return st.lists(SMALL_LAMBDA_POLYS, max_size=max_terms).map(XPoly)
+
+
+def is_primitive(value: LambdaPoly) -> bool:
+    """A positive denominator, a gcd of 1 with the numerators, no trailing zero."""
+    nums, den = value._coeffs, value._den
+    return den > 0 and gcd(den, *nums) == 1 and (not nums or nums[-1] != 0)
+
+
+def all_primitive(p: XPoly) -> bool:
+    return all(is_primitive(c) for c in p.coeffs) and (not p.coeffs or bool(p.coeffs[-1]))
+
+
+def taylor_shift(p: XPoly, c: LambdaPoly | Fraction | int) -> XPoly:
+    """p(x + c) = sum_k p^(k)(x) c^k / k!, one Taylor term at a time."""
+    c = c if isinstance(c, LambdaPoly) else LambdaPoly.const(c)
+    total = XPoly.zero()
+    for k in range(p.degree + 1 if p else 0):
+        total = total + p.derivative(k) * (c**k / factorial(k))
+    return total
+
+
+def difference_by_values(w: XPoly, k: int) -> LambdaPoly:
+    """Delta^k w(0) from the values w(0), ..., w(k) and their alternating sum."""
+    return sequence_diff([w.eval_x(j) for j in range(k + 1)], k)
+
+
+def compose_by_products(p: XPoly, family) -> XPoly:
+    """sum_i p_i family(i), one XPoly product and sum per term."""
+    total = XPoly.zero()
+    for i, c in enumerate(p.coeffs):
+        total = total + family(i) * c
+    return total
 
 
 # -- generating-series oracle for the family tables -----------------------------------

@@ -14,11 +14,16 @@ from degbern.core import (
     XPoly,
 )
 from helpers import (
+    SMALL_FRACTIONS,
+    SMALL_LAMBDA_POLYS,
+    all_primitive,
     list_mul,
     newton_inverse,
     random_fraction,
     random_lambda_poly,
     random_xpoly,
+    small_xpolys,
+    taylor_shift,
     terms_add,
     terms_mul,
 )
@@ -181,6 +186,24 @@ def test_xpoly_shift_then_eval():
         c = random_fraction(rng, 7)
         xv, lv = random_fraction(rng, 7), random_fraction(rng, 7)
         assert p.shift(c).eval_x(xv).subs(lv) == p.eval_x(xv + c).subs(lv)
+
+
+# an int, a Fraction, l, a rational times a power of l, and any other LambdaPoly
+_SHIFTS = st.one_of(
+    st.integers(-6, 6),
+    SMALL_FRACTIONS,
+    st.just(LAMBDA),
+    st.builds(LambdaPoly.monomial, st.integers(0, 3), SMALL_FRACTIONS),
+    SMALL_LAMBDA_POLYS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_xpolys(9), _SHIFTS)
+def test_shift_matches_the_taylor_terms_at_primitive_content(p, c):
+    shifted = p.shift(c)
+    assert shifted == taylor_shift(p, c)
+    assert all_primitive(shifted)
 
 
 def test_xpoly_derivative_antiderivative_inverse():

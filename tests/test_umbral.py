@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degbern.core import LAMBDA, LambdaPoly, XPoly
+from degbern.expansion import _alternating
 from degbern.families import bernoulli_poly, deg_bernoulli, deg_falling, scaled_bernoulli
 from degbern.umbral import (
     OperatorSeries,
@@ -24,7 +25,17 @@ from degbern.umbral import (
     umbral_compose,
     unit_integral_op,
 )
-from helpers import random_fraction, random_lambda_poly, random_xpoly, series_stirling2
+from helpers import (
+    all_primitive,
+    compose_by_products,
+    difference_by_values,
+    is_primitive,
+    random_fraction,
+    random_lambda_poly,
+    random_xpoly,
+    series_stirling2,
+    small_xpolys,
+)
 
 
 def _random_op(rng, width=5):
@@ -178,6 +189,26 @@ def test_integral_01_values():
     assert integral_01(XPoly.one()) == LambdaPoly.one()
     assert integral_01(XPoly.x()) == LambdaPoly.const(Fraction(1, 2))
     assert integral_01(XPoly.monomial(2, LAMBDA)) == LAMBDA / 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_xpolys(9), st.data())
+def test_stirling_weighted_difference_matches_the_values(w, data):
+    # k past the degree included: the difference is then 0
+    k = data.draw(st.integers(0, max(w.degree, 0) + 2), label="k")
+    value = _alternating(w, k)
+    assert value == difference_by_values(w, k)
+    assert is_primitive(value)
+    if k > w.degree:
+        assert value.is_zero
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_xpolys(5), st.lists(small_xpolys(5), min_size=5, max_size=5))
+def test_umbral_compose_matches_a_sum_of_products(p, family):
+    composed = umbral_compose(p, family.__getitem__)
+    assert composed == compose_by_products(p, family.__getitem__)
+    assert all_primitive(composed)
 
 
 def test_umbral_compose_identity_family():

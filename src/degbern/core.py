@@ -18,9 +18,9 @@ polynomial in x inflates every entry.
 
 A linear combination over Q[l] is summed in ints over one denominator, with
 one gcd per output coefficient, not as a chain of ``LambdaPoly`` sums that
-each take their own lcm and gcd. ``_dot`` does it for a sum of products, and
-``XPoly.shift`` by a rational times a power of l does it for every output
-coefficient at once.
+each take their own lcm and gcd. ``_dot`` does it for a sum of products (so
+for ``XPoly.eval_x`` at a rational point), and ``XPoly.shift`` by a rational
+times a power of l does it for every output coefficient at once.
 """
 
 from __future__ import annotations
@@ -537,8 +537,20 @@ class XPoly(_Poly):
         return XPoly._make(out)
 
     def eval_x(self, c: LambdaPoly | Scalar) -> LambdaPoly:
-        """Evaluate at x = c, with c a constant in Q[l]; result in Q[l]."""
-        return self._at(c if isinstance(c, LambdaPoly) else _fr(c))
+        """Evaluate at x = c, with c a constant in Q[l]; result in Q[l]. At a
+        rational c the value is the dot product sum_i p_i c^i, summed by the
+        kernel in ints over one denominator."""
+        if isinstance(c, LambdaPoly):
+            return self._at(c)
+        c = _fr(c)
+        if not c:
+            return self._at(c)
+        if c.denominator == 1:
+            c = c.numerator  # int powers multiply faster than Fraction ones
+        powers = [1]
+        for _ in range(1, len(self._coeffs)):
+            powers.append(powers[-1] * c)
+        return _dot(zip(self._coeffs, powers))
 
     def subs_lambda(self, value: Scalar) -> "XPoly":
         """Specialize l to a rational value, keeping x symbolic."""

@@ -133,7 +133,10 @@ def _derivative_chain(p: XPoly) -> list[XPoly]:
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
     """The k-th forward difference of w at 0, as one kernel dot product:
     Delta^k x^i at 0 is k! S2(i,k), so Delta^k w(0) = k! sum_i S2(i,k) [x^i]w,
-    which is 0 for k > deg w."""
+    which is 0 for k > deg w. At k = 1 every weight S2(i,1) is 1, and the sum
+    is the difference of values w(1) - w(0), one dot product as well."""
+    if k == 1:
+        return w.eval_x(1) - w.eval_x(0)
     weight = factorial(k)
     return _dot((c, weight * stirling2(i, k).numerator) for i, c in enumerate(w.coeffs[k:], k))
 

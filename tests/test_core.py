@@ -17,6 +17,7 @@ from helpers import (
     SMALL_FRACTIONS,
     SMALL_LAMBDA_POLYS,
     all_primitive,
+    is_primitive,
     list_mul,
     newton_inverse,
     random_fraction,
@@ -175,8 +176,11 @@ def test_xpoly_eval_commutes_with_arithmetic():
             assert (p * q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) * q.eval_x(xv).subs(lv)
             assert (p + q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) + q.eval_x(xv).subs(lv)
             assert (p - q).eval_x(xv).subs(lv) == p.eval_x(xv).subs(lv) - q.eval_x(xv).subs(lv)
-        for xv in _ZERO_ONE_POINTS:
-            assert p.eval_x(xv) == sum((c * xv**i for i, c in enumerate(p.coeffs)), LambdaPoly.zero())
+        # a rational point is summed by the kernel: the terms' sum, at primitive content
+        for xv in (random_fraction(rng, 9), rng.randint(-6, 6), *_ZERO_ONE_POINTS):
+            value = p.eval_x(xv)
+            assert value == sum((c * xv**i for i, c in enumerate(p.coeffs)), LambdaPoly.zero())
+            assert is_primitive(value)
 
 
 def test_xpoly_shift_then_eval():

@@ -40,7 +40,7 @@ from .families import (
     scaled_bernoulli,
 )
 from .identities import _check_params, _lookup, identity_ids, verify, verify_all
-from .parser import ParseError, check_size, parse_poly
+from .parser import ParseError, check_size, max_degree_limit, parse_poly
 
 __all__ = [
     "document_to_expansion",
@@ -79,11 +79,13 @@ def expansion_to_document(source: str, e: BasisExpansion) -> dict:
 
 def document_to_expansion(doc: dict) -> BasisExpansion:
     """The expansion a document states; ValueError on an order or degree outside
-    the size guard, or on a k outside 0..degree or given twice. A k not given
-    has coefficient 0."""
+    the size guard, on a k outside 0..degree or given twice, or on an l-exponent
+    outside 0..degree + the degree limit, the most an accepted input reaches. A
+    k not given has coefficient 0."""
     order, degree = int(doc["order"]), int(doc["degree"])
     check_size("order", order, 1)
     check_size("degree", degree)
+    top = degree + max_degree_limit()
     given: dict[int, LambdaPoly] = {}
     for entry in doc["coefficients"]:
         k = int(entry["k"])
@@ -91,6 +93,9 @@ def document_to_expansion(doc: dict) -> BasisExpansion:
             raise ValueError(f"coefficient k = {k} is outside 0..{degree}")
         if k in given:
             raise ValueError(f"coefficient k = {k} is given twice")
+        for exp, _ in entry["lambda_poly"]:  # before a list of exp + 1 numerators is built
+            if not 0 <= int(exp) <= top:
+                raise ValueError(f"coefficient k = {k}: l-exponent {exp} is outside 0..{top}")
         given[k] = lambda_poly_from_pairs(entry["lambda_poly"])
     coeffs = tuple(given.get(k, LambdaPoly.zero()) for k in range(degree + 1))
     return BasisExpansion(order=order, degree=degree, coeffs=coeffs, routes=("document",) * len(coeffs))

@@ -18,9 +18,11 @@ polynomial in x inflates every entry.
 
 A linear combination over Q[l] is summed in ints over one denominator, with
 one gcd per output coefficient, not as a chain of ``LambdaPoly`` sums that
-each take their own lcm and gcd. ``_dot`` does it for a sum of products (so
-for ``XPoly.eval_x`` at a rational point), and ``XPoly.shift`` by a rational
-times a power of l does it for every output coefficient at once.
+each take their own lcm and gcd. ``_dot`` does it for a sum of products: for
+``XPoly.eval_x`` at a rational point, for ``umbral.apply``,
+``umbral.functional`` and ``umbral.umbral_compose``, for Miller's recurrence
+in ``families`` and for the differences at 0 in ``expansion``. ``XPoly.shift``
+does it for every output coefficient at once, one shift per term of c.
 """
 
 from __future__ import annotations
@@ -483,33 +485,22 @@ class XPoly(_Poly):
     def shift(self, c: LambdaPoly | Scalar) -> "XPoly":
         """The composition p(x + c) for a constant c in Q[l].
 
-        For c = (u/v) l^e, a rational times a power of l (so an int, a
-        Fraction or l), the shift runs on int numerators over one denominator
-        D. With p_i = N_i / D and int rows b_i = N_i u^i v^(n-i), von zur
-        Gathen and Gerhard's Horner-like scheme (for i = 0..n-1 and j = n-1
-        down to i, b_j += l^e b_(j+1)) takes only additions and exponent
-        offsets, and [x^j] p(x+c) = b_j / (D u^j v^(n-j)), with one gcd per
-        output coefficient. Any other c takes the Taylor sum
-        [x^j] p(x+c) = sum_{i>=j} C(i,j) c^(i-j) p_i.
+        Shifts compose, so p(x + c) is one shift per nonzero term (u/v) l^e
+        of c. Each runs on int numerators over one denominator D. With
+        p_i = N_i / D and int rows b_i = N_i u^i v^(n-i), von zur Gathen and
+        Gerhard's Horner-like scheme (for i = 0..n-1 and j = n-1 down to i,
+        b_j += l^e b_(j+1)) takes only additions and exponent offsets, and
+        [x^j] p(x + (u/v) l^e) = b_j / (D u^j v^(n-j)), with one gcd per
+        output coefficient.
         """
-        a = self._coeffs
-        if not c or not a:
+        if not c or not self._coeffs:
             return self
         c = self._coeff_of(c)
-        e = len(c._coeffs) - 1
-        if not any(c._coeffs[:e]):
-            return self._shift_by_monomial(c._coeffs[e], c._den, e)
-        powers = [1]
-        for _ in range(1, len(a)):
-            powers.append(powers[-1] * c)
-        out = []
-        for j in range(len(a)):
-            acc = self._ZERO
-            for i in range(j, len(a)):
-                if a[i]:
-                    acc = acc + a[i] * (powers[i - j] * math.comb(i, j))
-            out.append(acc)
-        return XPoly._make(out)
+        p = self
+        for e, u in enumerate(c._coeffs):
+            if u:
+                p = p._shift_by_monomial(u, c._den, e)
+        return p
 
     def _shift_by_monomial(self, u: int, v: int, e: int) -> "XPoly":
         """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``."""

@@ -53,6 +53,7 @@ from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
+    apply,
     delta_op,
     forward_diff,
     functional,
@@ -121,13 +122,6 @@ def _validated(p: XPoly) -> int:
     if p.is_zero:
         raise ValueError("cannot expand the zero polynomial")
     return p.degree
-
-
-def _derivative_chain(p: XPoly) -> list[XPoly]:
-    out = [p]
-    for _ in range(p.degree):
-        out.append(out[-1].derivative())
-    return out
 
 
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
@@ -210,13 +204,9 @@ def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:
 
 
 def _g_by_stirling(q: XPoly, m: int, k: int) -> LambdaPoly:
-    """Delta^k of ((e^t-1)/t)^m q = sum_l S2(l+m,m) m!/(l+m)! q^(l), at 0."""
-    w = XPoly.zero()
-    for l, d in enumerate(_derivative_chain(q)):
-        coeff = stirling2(l + m, m) * Fraction(factorial(m), factorial(l + m))
-        if coeff:
-            w = w + d * coeff
-    return _alternating(w, k)
+    """Delta^k of ((e^t-1)/t)^m q = sum_j S2(j+m,m) m!/(j+m)! q^(j), at 0."""
+    weights = OperatorSeries.from_coeff_fn(lambda j: stirling2(j + m, m) / perm(j + m, j))
+    return _alternating(apply(weights, q), k)
 
 
 def _g_composed(difference):

@@ -18,11 +18,11 @@ x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). Each core is A(t)^(-r) for a
 closed-form series A with A(0) = 1, so c_k follows from c_0..c_{k-1} by
 J. C. P. Miller's power recurrence, exactly in Q[l]. Since c_k is member
-k at x = 0, the members are all a table stores. The falling factorial is
-also read straight off the signed Stirling numbers of the first kind,
-(x)_{n,l} = sum_m s(n,m) l^(n-m) x^m, so ``deg_falling`` and the order-0
-table are independent. Stirling numbers of the second kind and harmonic
-numbers round out the kit.
+k at x = 0, the members are all a table stores. Member n is those numbers
+times the monomials, or times the falling factorials read straight off the
+signed Stirling numbers of the first kind, (x)_{n,l} = sum_m s(n,m)
+l^(n-m) x^m (``deg_falling``). Stirling numbers of the second kind and
+harmonic numbers round out the kit.
 
 A table computes only the members it lacks and publishes each grown list
 wholesale; reads are safe from multiple threads (a reader sees either a
@@ -34,10 +34,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly
-from .umbral import sequence_diff
+from .core import LAMBDA, LambdaPoly, XPoly, _dot
+from .umbral import sequence_diff, umbral_compose
 
 __all__ = [
     "FamilyTable",
@@ -72,16 +72,35 @@ def _deg_base(k: int) -> list[LambdaPoly]:
     return out
 
 
-# kind -> (a_0..a_k of A(t), A(0) = 1, the core being A^(-r); h of b_i = x(x-h)...(x-(i-1)h))
+#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n);
+#: grown row by row and published wholesale, like a FamilyTable entry.
+_stirling1: list[tuple[int, ...]] = [(1,)]
+
+
+def deg_falling(n: int) -> XPoly:
+    """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
+    order-0 degenerate Bernoulli."""
+    global _stirling1
+    rows = _stirling1
+    if _check_index(n) >= len(rows):
+        rows = list(rows)
+        while len(rows) <= n:  # s(k+1, m) = s(k, m-1) - k s(k, m)
+            k, prev = len(rows) - 1, (0, *rows[-1], 0)
+            rows.append(tuple(prev[m] - k * prev[m + 1] for m in range(k + 2)))
+        _stirling1 = rows
+    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(rows[n]))
+
+
+# kind -> (a_0..a_k of A(t), A(0) = 1, the core being A^(-r); the basis b_i, None for x^i)
 _KINDS = {
     # A = (e^t-1)/t
-    "bernoulli_r": (lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)], 0),
+    "bernoulli_r": (lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)], None),
     # A = (e^t+1)/2
-    "euler": (lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)], 0),
+    "euler": (lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)], None),
     # A = (e^{lt}-1)/(lt)
-    "scaled_bernoulli": (lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)], 0),
+    "scaled_bernoulli": (lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)], None),
     # A = (e_l(t)-1)/t
-    "deg_bernoulli_r": (_deg_base, LAMBDA),
+    "deg_bernoulli_r": (_deg_base, deg_falling),
 }
 
 
@@ -89,29 +108,13 @@ def _next_number(base: list[LambdaPoly], r: int, numbers: list[LambdaPoly]) -> L
     """c_k = k! [t^k] A^(-r) from c_0..c_{k-1} and a_0..a_k, by Miller's power recurrence.
 
     For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
-    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers.
+    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers, and the sum is
+    one kernel dot product.
     """
     k = len(numbers)
     if k == 0:
         return LambdaPoly.one()
-    total = LambdaPoly.zero()
-    weight = 1
-    for j in range(1, k + 1):
-        if numbers[k - j]:
-            total = total + base[j] * (((1 - r) * j - k) * weight) * numbers[k - j]
-        weight *= k - j
-    return total
-
-
-def _newton(d: list[LambdaPoly], h: LambdaPoly | int) -> XPoly:
-    """sum_i d_i x(x-h)...(x-(i-1)h) by Horner's rule, each step a shift-and-add by (x - ih)."""
-    if not h:
-        return XPoly(d)
-    acc = [d[-1]]
-    for i in range(len(d) - 2, -1, -1):
-        node = h * -i
-        acc = [d[i] + acc[0] * node] + [a + b * node for a, b in zip(acc, acc[1:])] + [acc[-1]]
-    return XPoly(acc)
+    return _dot((numbers[k - j], base[j] * (((1 - r) * j - k) * perm(k - 1, j - 1))) for j in range(1, k + 1))
 
 
 class FamilyTable:
@@ -140,12 +143,13 @@ class FamilyTable:
         with self._lock:
             members = self._cache.get(key, [])
             if n >= len(members):
-                series, h = _KINDS[key[0]]
+                series, basis = _KINDS[key[0]]
                 base, numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
                 members = list(members)
                 for m in range(len(members), n + 1):
                     numbers.append(_next_number(base, key[1], numbers))
-                    members.append(_newton([c * comb(m, i) for i, c in enumerate(reversed(numbers))], h))
+                    d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers))])
+                    members.append(umbral_compose(d, basis) if basis else d)
                 self._cache[key] = members
             return members
 
@@ -183,25 +187,6 @@ def genocchi_poly(n: int) -> XPoly:
 
 def genocchi_number(n: int) -> Fraction:
     return euler_number(n - 1) * n if _check_index(n) else Fraction(0)
-
-
-#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n);
-#: grown row by row and published wholesale, like a FamilyTable entry.
-_stirling1: list[tuple[int, ...]] = [(1,)]
-
-
-def deg_falling(n: int) -> XPoly:
-    """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
-    order-0 degenerate Bernoulli."""
-    global _stirling1
-    rows = _stirling1
-    if _check_index(n) >= len(rows):
-        rows = list(rows)
-        while len(rows) <= n:  # s(k+1, m) = s(k, m-1) - k s(k, m)
-            k, prev = len(rows) - 1, (0, *rows[-1], 0)
-            rows.append(tuple(prev[m] - k * prev[m + 1] for m in range(k + 2)))
-        _stirling1 = rows
-    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(rows[n]))
 
 
 def deg_bernoulli(n: int) -> XPoly:

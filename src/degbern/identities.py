@@ -55,7 +55,7 @@ from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
 from .core import LambdaPoly, XPoly
-from .expansion import BasisExpansion, _alternating, reconstruct
+from .expansion import BasisExpansion, _alternating, _f_stirling_sum, reconstruct
 from .families import (
     bernoulli_number,
     bernoulli_poly,
@@ -67,7 +67,7 @@ from .families import (
     scaled_bernoulli,
     stirling2,
 )
-from .umbral import forward_diff, integral_I, sequence_diff, umbral_compose
+from .umbral import forward_diff, integral_I, umbral_compose
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -259,14 +259,11 @@ def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
 
     a_k = -4/(n k!) Delta^(r-1) [sum_{i<n-1} w_i l^(i+mm) B_{i+mm}^(r-k)(x/l)](0)
     for k < r, with mm = r-k-1 and w_i = C(n,i) G_{n-i} / ((n-i) <i+1>_mm), since
-    sum_{j+m2=s} C(k,j) C(mm,m2) = C(r-1,s) folds differences of orders k and mm;
-    a_k = sum_i C(m,i)(-1)^(m-i) h_i / (k! l^m) for k >= r, with m = k-r and
-    h_i = Delta^r P(il). <a>_mm is the rising factorial.
+    sum_{j+m2=s} C(k,j) C(mm,m2) = C(r-1,s) folds differences of orders k and mm.
+    <a>_mm is the rising factorial. For k >= r, up to n - 2 (the degree of P),
+    a_k is the f-branch of P's own expansion.
     """
-    span = range(n - 1 - r)  # m = k - r for r <= k <= n - 2, the degree of P
-    jumps = forward_diff(_product_sum(genocchi_poly, n), 1, r)
-    h = [jumps.eval_x(LambdaPoly.monomial(1, i)) for i in span]
-    upper = [sequence_diff(h, m).divexact(m) / factorial(m + r) for m in span]
+    upper = _f_stirling_sum(_product_sum(genocchi_poly, n), r)
     weights = [Fraction(comb(n, i)) * genocchi_number(n - i) / (n - i) for i in range(n - 1)]
     lower = []
     for k in range(r):

@@ -123,33 +123,24 @@ def scaled_bernoulli_op(step: LambdaPoly | Scalar) -> OperatorSeries:
 
 
 def apply(f: OperatorSeries, p: XPoly) -> XPoly:
-    """Apply the operator: f(t)p(x) = sum_k c_k p^(k)(x) with c_k = [t^k]f."""
+    """Apply the operator: f(t)p(x) = sum_k c_k p^(k)(x) with c_k = [t^k]f.
+
+    [x^i] f(t)p = (1/i!) sum_k c_k (i+k)! p_(i+k), one kernel dot product per i.
+    """
     if p.is_zero:
         return XPoly.zero()
-    ts = f.series(p.degree)
-    out = XPoly.zero()
-    d = p
-    for k in range(p.degree + 1):
-        c = ts.coeff(k)
-        if not c.is_zero:
-            out = out + d * c
-        if k < p.degree:
-            d = d.derivative()
-    return out
+    ts = f.series(p.degree).coeffs
+    scaled = [c * factorial(j) for j, c in enumerate(p.coeffs)]
+    return XPoly._make([_dot(zip(ts, scaled[i:])) / factorial(i) for i in range(len(scaled))])
 
 
 def functional(f: OperatorSeries, p: XPoly) -> LambdaPoly:
-    """The linear functional <f(t) | p(x)> = f(t)p(x) at x=0."""
+    """The linear functional <f(t) | p(x)> = f(t)p(x) at x=0,
+    sum_k c_k k! [x^k]p as one kernel dot product."""
     if p.is_zero:
         return LambdaPoly.zero()
-    # <f|p> = sum_k c_k p^(k)(0) = sum_k c_k k! [x^k]p
-    ts = f.series(p.degree)
-    total = LambdaPoly.zero()
-    for k in range(p.degree + 1):
-        c = ts.coeff(k)
-        if not c.is_zero:
-            total = total + c * p.coeff(k) * factorial(k)
-    return total
+    ts = f.series(p.degree).coeffs
+    return _dot(zip(ts, (c * factorial(k) for k, c in enumerate(p.coeffs))))
 
 
 def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:

@@ -194,6 +194,23 @@ def difference_by_values(w: XPoly, k: int) -> LambdaPoly:
     return sequence_diff([w.eval_x(j) for j in range(k + 1)], k)
 
 
+def apply_by_derivatives(f, p: XPoly) -> XPoly:
+    """f(t)p = sum_k c_k p^(k), one derivative, XPoly product and sum per term."""
+    total, d = XPoly.zero(), p
+    for c in f.series(max(p.degree, 0)).coeffs:
+        total = total + d * c
+        d = d.derivative()
+    return total
+
+
+def functional_by_terms(f, p: XPoly) -> LambdaPoly:
+    """<f(t) | p> = sum_k c_k k! p_k, one LambdaPoly product and sum per term."""
+    total = LambdaPoly.zero()
+    for k, c in enumerate(p.coeffs):
+        total = total + f.coeff(k) * c * factorial(k)
+    return total
+
+
 def compose_by_products(p: XPoly, family) -> XPoly:
     """sum_i p_i family(i), one XPoly product and sum per term."""
     total = XPoly.zero()

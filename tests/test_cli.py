@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,38 @@ def test_document_to_expansion_rejects_bad_documents():
     ):
         with pytest.raises(ValueError, match=message):
             cli.document_to_expansion(bad)
+
+
+def _document(degree: int, exponent: str) -> dict:
+    return {"order": "1", "degree": str(degree), "coefficients": [{"k": "0", "lambda_poly": [[exponent, "1"]]}]}
+
+
+def test_document_l_exponent_past_the_limit_raises_before_allocating(monkeypatch):
+    monkeypatch.delenv("DEGBERN_MAX_DEGREE", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="l-exponent 1000000000000 is outside 0..66"):
+            cli.document_to_expansion(_document(2, "1000000000000"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_document_l_exponent_bound_is_degree_plus_limit(monkeypatch):
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "8")
+    assert cli.document_to_expansion(_document(3, "11")).coeffs[0] == LambdaPoly.monomial(11)
+    for exponent in ("12", "-1"):
+        with pytest.raises(ValueError, match=f"l-exponent {exponent} is outside 0..11"):
+            cli.document_to_expansion(_document(3, exponent))
+
+
+def test_document_of_the_largest_l_degree_round_trips(monkeypatch):
+    # l-degree 64 + 64, the bound itself
+    monkeypatch.delenv("DEGBERN_MAX_DEGREE", raising=False)
+    e = expand(parse_poly("l^64*x^64"))
+    doc = json.loads(json.dumps(cli.expansion_to_document("l^64*x^64", e)))
+    assert cli.document_to_expansion(doc).coeffs == e.coeffs
 
 
 def test_lambda_poly_pair_serialization():

@@ -26,9 +26,12 @@ from degbern.umbral import (
     unit_integral_op,
 )
 from helpers import (
+    SMALL_LAMBDA_POLYS,
     all_primitive,
+    apply_by_derivatives,
     compose_by_products,
     difference_by_values,
+    functional_by_terms,
     is_primitive,
     random_fraction,
     random_lambda_poly,
@@ -201,6 +204,27 @@ def test_stirling_weighted_difference_matches_the_values(w, data):
     assert is_primitive(value)
     if k > w.degree:
         assert value.is_zero
+
+
+def _series_of(coeffs: list[LambdaPoly]) -> OperatorSeries:
+    """The operator sum_k coeffs[k] t^k, zero past the list."""
+    return OperatorSeries.from_coeff_fn(lambda k: coeffs[k] if k < len(coeffs) else 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(SMALL_LAMBDA_POLYS, max_size=10), small_xpolys(9))
+def test_apply_matches_the_derivative_chain(coeffs, p):
+    applied = apply(_series_of(coeffs), p)
+    assert applied == apply_by_derivatives(_series_of(coeffs), p)
+    assert all_primitive(applied)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(SMALL_LAMBDA_POLYS, max_size=10), small_xpolys(9))
+def test_functional_matches_the_term_by_term_sum(coeffs, p):
+    value = functional(_series_of(coeffs), p)
+    assert value == functional_by_terms(_series_of(coeffs), p)
+    assert is_primitive(value)
 
 
 @settings(max_examples=80, deadline=None)

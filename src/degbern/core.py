@@ -23,6 +23,17 @@ each take their own lcm and gcd. ``_dot`` does it for a sum of products: for
 ``umbral.functional`` and ``umbral.umbral_compose``, for Miller's recurrence
 in ``families`` and for the differences at 0 in ``expansion``. ``XPoly.shift``
 does it for every output coefficient at once, one shift per term of c.
+
+The default expansion routes, whose weights are all ints times powers of l,
+run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
+stores a polynomial): ``_pack`` turns each coefficient into one int, its
+numerators over the lcm denominator evaluated at l = 2^B, so a term is one int
+multiply-add and a power of l is a shift. The slot width B is the bit length of
+max|numerator| times the l1 norm of the route's int weights, plus one: every
+slot of a result then stays below 2^(B-1) in magnitude, and ``_unpack`` splits
+it back into signed numerators exactly, with one gcd. No term multiplies two
+packed values; that Kronecker product of two LambdaPolys lost to the int
+kernel above at every length.
 """
 
 from __future__ import annotations
@@ -438,6 +449,42 @@ def _dot(terms: Iterable[tuple[LambdaPoly, LambdaPoly | Scalar]]) -> LambdaPoly:
                     w *= scale
                     acc[i : i + k] = map(operator.add, acc[i : i + k], [w * c for c in nums])
     return LambdaPoly._make(acc, den)
+
+
+def _pack(polys: Sequence[LambdaPoly], l1: int) -> tuple[list[int], int, int]:
+    """Kronecker-pack polys for int linear maps whose weights have l1 norm at most l1.
+
+    Returns (packed, den, width): each poly's numerators over den, the lcm of the
+    denominators, evaluated at l = 2^width as one int. Multiplying by l^s is a
+    shift by s*width, so any sum of int multiples of shifted packed values is the
+    packed value of the same sum over Q[l]. Every slot of it is at most
+    max|numerator| * l1 < 2^(width-1) in magnitude, which ``_unpack`` needs.
+    """
+    den = math.lcm(*(q._den for q in polys if q._coeffs))
+    rows = [[c * (den // q._den) for c in q._coeffs] for q in polys]
+    width = (max(abs(c) for row in rows for c in row) * l1).bit_length() + 1
+    packed = []
+    for row in rows:
+        v = 0
+        for c in reversed(row):
+            v = (v << width) + c
+        packed.append(v)
+    return packed, den, width
+
+
+def _unpack(v: int, width: int, den: int) -> LambdaPoly:
+    """The LambdaPoly with the signed width-bit slots of v as numerators over den,
+    with one gcd; slots must lie in [-2^(width-1), 2^(width-1))."""
+    half, full = 1 << (width - 1), 1 << width
+    nums = []
+    while v:
+        c = v & (full - 1)
+        v >>= width
+        if c >= half:  # a negative slot borrowed one from the slot above
+            c -= full
+            v += 1
+        nums.append(c)
+    return LambdaPoly._make(nums, den)
 
 
 class XPoly(_Poly):

@@ -37,18 +37,27 @@ Every route is one entry of the table ``_ROUTES``, keyed by (branch, name).
 The ``*_ROUTES`` name tuples, the route checks, expand and crosscheck all
 read that table; the first route of each branch is its default.
 
+The two defaults are int linear maps of the coefficients p_i: stirling_sum
+with weights C(i,j) r! S2(i-j,r), then S2(j,m) l^(j-m); umbral_integral with
+C(i,j) B_(i-j)^(m) l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each
+over one lcm. They run on packed rows (``core._pack``): each p_i is packed
+once into one int, at a slot width that the l1 norm of the weights bounds, so
+each term is one int multiply-add, a power of l a shift, and each a_k one
+unpack. Every other route sums with ``core._dot``, so crosscheck compares
+two independent kernels.
+
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot
+from .core import LAMBDA, LambdaPoly, XPoly, _dot, _pack, _unpack
 from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
 from .parser import check_size
 from .umbral import (
@@ -170,30 +179,29 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
     return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
-@lru_cache(maxsize=None)  # j <= the degree limit bounds it
-def _stirling_l(j: int, m: int) -> LambdaPoly:
-    """S2(j,m) l^(j-m), the weight of [x^j] Delta^r p in a_{m+r}."""
-    return LambdaPoly.monomial(j - m, stirling2(j, m))
-
-
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    n, top, a = p.degree, p.degree - r, p.coeffs  # [x^j] Delta^r p is 0 for j > top
+    """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
+    n, top = p.degree, p.degree - r  # [x^j] Delta^r p is 0 for j > top
+    if top < 0:
+        return []
     jump = [factorial(r) * stirling2(s, r).numerator for s in range(n + 1)]  # Delta^r x^s at 0
-    w = [_dot((a[i], comb(i, j) * jump[i - j]) for i in range(j + r, n + 1)) for j in range(top + 1)]
-    # a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j
-    return [
-        _dot((w[j], _stirling_l(j, m)) for j in range(m, top + 1)) / perm(m + r, r) for m in range(top + 1)
-    ]
+    live = [i for i, c in enumerate(p.coeffs) if c]
+    rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
+    s2 = [[stirling2(j, m).numerator for j in range(m, top + 1)] for m in range(top + 1)]
+    sizes = [sum(c for _, c in row) for row in rows]
+    l1 = max(sum(map(operator.mul, s2[m], sizes[m:])) for m in range(top + 1))
+    packed, den, width = _pack(p.coeffs, l1)
+    w = [sum(c * packed[i] for i, c in row) for row in rows]
+    coeffs = []
+    for m, weights in enumerate(s2):
+        acc = 0
+        for j in range(top, m - 1, -1):  # Horner in l = 2^width
+            acc = (acc << width) + weights[j - m] * w[j]
+        coeffs.append(_unpack(acc, width, den * perm(m + r, r)))
+    return coeffs
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
-
-
-def _g_by_antiderivatives(q: XPoly, m: int, k: int) -> LambdaPoly:
-    """Delta^(m+k) [A^m q](0), which is Delta^k [I^m q](0) since Delta^m A^m = I^m;
-    A^m maps x^i to x^(i+m) i!/(i+m)!."""
-    anti = XPoly([*[0] * m, *(c / perm(i + m, m) for i, c in enumerate(q.coeffs))])
-    return _alternating(anti, m + k)
 
 
 def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:
@@ -223,6 +231,43 @@ def _g_composed(difference):
     return route
 
 
+def _over_lcm(values: list[Fraction]) -> tuple[list[int], int]:
+    """The numerators of values over the lcm of their denominators, and that lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+    """a_k = Delta^(m+k) [A^m q_m](0) / k!, m = r - k, on packed rows.
+
+    A^m maps x^j to x^(j+m) j!/(j+m)!, Delta^(m+k) x^i at 0 is (m+k)! S2(i,m+k) and
+    [x^j] q_m = sum_i C(i,j) s_(i-j) l^(i-j) p_i with s_t = B_t^(m), so
+    a_k = sum_t s_t l^t y_t, y_t = sum_j cw_j C(j+t,j) p_(j+t) and
+    cw_j = r! S2(j+m,r) j! / ((j+m)! k!).
+    """
+    n = p.degree
+    live = [i for i, c in enumerate(p.coeffs) if c]
+    coeffs = []
+    for k in range(min(r, n + 1)):
+        m = r - k
+        s, s_den = _over_lcm([scaled_bernoulli(t, m).coeff(0).coeff(t) for t in range(n + 1)])
+        top, bottom = factorial(r), factorial(k)
+        cw, cw_den = _over_lcm(
+            [Fraction(top * stirling2(j + m, r).numerator, perm(j + m, m) * bottom) for j in range(n + 1)]
+        )
+        rows = [
+            [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
+            for t, st in enumerate(s)
+        ]
+        l1 = sum(abs(st) * sum(abs(c) for _, c in row) for st, row in zip(s, rows))
+        packed, den, width = _pack(p.coeffs, l1)
+        acc = 0
+        for t in range(n, -1, -1):  # Horner in l = 2^width
+            acc = (acc << width) + s[t] * sum(c * packed[i] for i, c in rows[t])
+        coeffs.append(_unpack(acc, width, den * s_den * cw_den))
+    return coeffs
+
+
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     g = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
     return _functionals(g**r, p, range(min(r, p.degree + 1)))
@@ -246,7 +291,7 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
 #: (branch, name) -> route. The first route of each branch is its default, chosen
 #: by the per-route timings in BENCH_default_routes.json.
 _ROUTES = {
-    ("g", "umbral_integral"): _g_composed(_g_by_antiderivatives),
+    ("g", "umbral_integral"): _g_umbral_integral,
     ("g", "umbral_integral_op"): _g_composed(_g_by_integrals),
     ("g", "stirling_op"): _g_composed(_g_by_stirling),
     ("g", "operator_functional"): _g_operator_functional,

@@ -144,6 +144,8 @@ class FamilyTable:
             members = self._cache.get(key, [])
             if n >= len(members):
                 series, basis = _KINDS[key[0]]
+                if basis:  # each b_i built once per grow, not once per member
+                    basis = [basis(i) for i in range(n + 1)].__getitem__
                 base, numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
                 members = list(members)
                 for m in range(len(members), n + 1):

@@ -161,8 +161,10 @@ def classical_coeffs_higher(p: XPoly, r: int) -> list[Fraction]:
 
 # -- term-by-term references for the kernel's Q[l] linear combinations ---------------
 
-# small denominators with shared factors, so the kernel's sums rescale to a growing lcm
-SMALL_FRACTIONS = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+# small denominators with shared factors, so the kernel's sums rescale to a growing lcm:
+# every n/d in [-60, 60] with d <= 12, drawn as two plain integers (drawing through
+# st.fractions took most of each property's time)
+SMALL_FRACTIONS = st.builds(lambda u, d: Fraction(u * d // 12, d), st.integers(-720, 720), st.integers(1, 12))
 SMALL_LAMBDA_POLYS = st.dictionaries(st.integers(0, 4), SMALL_FRACTIONS, max_size=4).map(LambdaPoly)
 
 

@@ -12,6 +12,8 @@ from degbern.core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
+    _pack,
+    _unpack,
 )
 from helpers import (
     SMALL_FRACTIONS,
@@ -222,6 +224,48 @@ def test_xpoly_divexact():
     assert p.divexact(1) == XPoly([LambdaPoly.one(), LambdaPoly({1: 3})])
     with pytest.raises(ExactDivisionError):
         XPoly([LambdaPoly.one()]).divexact(1)
+
+
+# -- packed rows ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 64, 97])
+def test_packed_rows_round_trip_at_the_slot_bounds(width):
+    edge = (1 << (width - 1)) - 1  # the largest slot magnitude a width-bit slot holds
+    rows = [
+        [],
+        [edge],
+        [-edge],
+        [edge, -edge, edge],
+        [-edge, -edge, -edge],
+        [edge, 0, 0, -edge],
+        [0, 0, -edge],
+        [-edge, edge],
+        [1, -1, 0, 1, -1],
+    ]
+    for den in (1, 6):
+        for row in rows:
+            got = _unpack(sum(c << (width * e) for e, c in enumerate(row)), width, den)
+            assert got == LambdaPoly._make(list(row), den) and is_primitive(got)
+    # _pack picks the narrowest width whose slots hold max|numerator| * l1
+    polys = [LambdaPoly._make(list(row), 6) for row in rows]
+    packed, den, got = _pack(polys, 1)
+    assert got == width and den == 6
+    assert [_unpack(v, got, den) for v in packed] == polys
+
+
+def test_packed_sums_match_the_sums_over_q_l():
+    rng = random.Random(71)
+    for _ in range(200):
+        polys = [random_lambda_poly(rng, 4, 10**9) for _ in range(5)]
+        if not any(polys):
+            continue
+        weights = [rng.randint(-(10**6), 10**6) for _ in polys]
+        shifts = [rng.randint(0, 3) for _ in polys]
+        packed, den, width = _pack(polys, sum(map(abs, weights)))
+        total = sum(w * v << (width * s) for w, v, s in zip(weights, packed, shifts))
+        expected = sum((q * w * LAMBDA**s for q, w, s in zip(polys, weights, shifts)), LambdaPoly.zero())
+        assert _unpack(total, width, den) == expected
 
 
 # -- TruncSeries --------------------------------------------------------------------

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degbern import expansion
 from degbern.core import LAMBDA, LambdaPoly, XPoly
@@ -307,6 +309,26 @@ def test_provenance_records_routes():
     eh = expand(p, 2, "stirling_op", "stirling_sum")
     assert eh.routes[0] == "stirling_op"
     assert eh.routes[-1] == "stirling_sum"
+
+
+# -- the packed default routes against the dot-product routes -------------------
+
+# numerators up to 10^40 of either sign over denominators up to 10^12, l-degree <= 4
+_BIG_LAMBDA_POLYS = st.dictionaries(
+    st.integers(0, 4), st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12)), max_size=5
+).map(LambdaPoly)
+_DENSE = st.lists(_BIG_LAMBDA_POLYS, min_size=1, max_size=9).map(XPoly)
+_SPARSE = st.dictionaries(st.integers(0, 16), _BIG_LAMBDA_POLYS, min_size=1, max_size=3).map(
+    lambda terms: XPoly([terms.get(i, 0) for i in range(max(terms) + 1)])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_DENSE, _SPARSE).filter(lambda p: not p.is_zero), st.integers(1, 4))
+def test_packed_default_routes_match_the_dot_routes(p, r):
+    # umbral_integral and stirling_sum run on packed rows; umbral_integral_op and
+    # functional sum every linear combination with core._dot
+    assert expand(p, r).coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
 
 
 # -- every registered route is cross-checked ------------------------------------

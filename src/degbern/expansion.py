@@ -250,6 +250,7 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     coeffs = []
     for k in range(min(r, n + 1)):
         m = r - k
+        scaled_bernoulli(n, m)  # grows a cold table in one step, not one member per read below
         s, s_den = _over_lcm([scaled_bernoulli(t, m).coeff(0).coeff(t) for t in range(n + 1)])
         top, bottom = factorial(r), factorial(k)
         cw, cw_den = _over_lcm(

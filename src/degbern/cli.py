@@ -208,9 +208,10 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
         return 1
     lam_value = None
     if args.lambda_sub is not None:
+        text = _given(args.lambda_sub)
         # Fraction() alone would also take "1e50000000", "1.5" or non-ASCII digits
-        if not re.fullmatch("-?[0-9]+(/0*[1-9][0-9]*)?", args.lambda_sub):
-            return _bad_lambda(f"needs a rational [-]P[/Q] with Q != 0, got {args.lambda_sub!r}")
+        if not re.fullmatch("-?[0-9]+(/0*[1-9][0-9]*)?", text):
+            return _bad_lambda(f"needs a rational [-]P[/Q] with Q != 0, got {text!r}")
         try:
             lam_value = Fraction(args.lambda_sub)
         except ValueError:  # more digits than int() reads
@@ -251,6 +252,11 @@ def _lambda_too_large() -> str:
     )
 
 
+def _given(value: str | list) -> str:
+    """An option's value as typed: argparse hands "--opt=--" over as [], not as "--"."""
+    return value if isinstance(value, str) else "--"
+
+
 def _bad_lambda(reason: str) -> int:
     print(f"error: --lambda {reason}", file=sys.stderr)
     return 1
@@ -258,7 +264,7 @@ def _bad_lambda(reason: str) -> int:
 
 def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
     # verify() and verify_all() reject, with exit 1, an unknown id
-    ids = sorted(set(args.ids + args.id_flags))
+    ids = sorted(set(args.ids + [_given(value) for value in args.id_flags]))
     if not ids or args.all:
         ids = identity_ids()
 

@@ -78,6 +78,10 @@ def test_expand_bad_lambda_exit_1_without_traceback():
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+    # in one token, argparse hands the value "--" over as an empty list
+    proc = run_cli("expand", "--expr", "x^2", "--lambda=--")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and "'--'" in proc.stderr
 
 
 def test_negative_lambda_in_one_token():
@@ -220,6 +224,10 @@ def test_verify_unknown_identity():
     proc = run_cli("verify", "not_a_thing")
     assert proc.returncode == 1
     assert "unknown identity" in proc.stderr
+    # in one token, argparse hands the value "--" over as an empty list
+    proc = run_cli("verify", "--id=--")
+    assert proc.returncode == 1
+    assert "unknown identity '--'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_perturbed_exits_2():

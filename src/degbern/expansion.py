@@ -52,7 +52,6 @@ ExactDivisionError and signals a formula-implementation bug.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
@@ -187,16 +186,19 @@ def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     jump = [factorial(r) * stirling2(s, r).numerator for s in range(n + 1)]  # Delta^r x^s at 0
     live = [i for i, c in enumerate(p.coeffs) if c]
     rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
-    s2 = [[stirling2(j, m).numerator for j in range(m, top + 1)] for m in range(top + 1)]
+    s2 = [[1]]  # rows S2(j, 0..j) by S2(j,m) = m S2(j-1,m) + S2(j-1,m-1), not one stirling2 call each
+    for j in range(1, top + 1):
+        prev = [*s2[-1], 0]
+        s2.append([0, *(m * prev[m] + prev[m - 1] for m in range(1, j + 1))])
     sizes = [sum(c for _, c in row) for row in rows]
-    l1 = max(sum(map(operator.mul, s2[m], sizes[m:])) for m in range(top + 1))
+    l1 = max(sum(s2[j][m] * sizes[j] for j in range(m, top + 1)) for m in range(top + 1))
     packed, den, width = _pack(p.coeffs, l1)
     w = [sum(c * packed[i] for i, c in row) for row in rows]
     coeffs = []
-    for m, weights in enumerate(s2):
+    for m in range(top + 1):
         acc = 0
         for j in range(top, m - 1, -1):  # Horner in l = 2^width
-            acc = (acc << width) + weights[j - m] * w[j]
+            acc = (acc << width) + s2[j][m] * w[j]
         coeffs.append(_unpack(acc, width, den * perm(m + r, r)))
     return coeffs
 
@@ -247,15 +249,13 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     """
     n = p.degree
     live = [i for i, c in enumerate(p.coeffs) if c]
+    jump = [factorial(r) * stirling2(i, r).numerator for i in range(n + r + 1)]  # Delta^r x^i at 0
     coeffs = []
     for k in range(min(r, n + 1)):
         m = r - k
         scaled_bernoulli(n, m)  # grows a cold table in one step, not one member per read below
         s, s_den = _over_lcm([scaled_bernoulli(t, m).coeff(0).coeff(t) for t in range(n + 1)])
-        top, bottom = factorial(r), factorial(k)
-        cw, cw_den = _over_lcm(
-            [Fraction(top * stirling2(j + m, r).numerator, perm(j + m, m) * bottom) for j in range(n + 1)]
-        )
+        cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
         rows = [
             [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
             for t, st in enumerate(s)

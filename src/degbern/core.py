@@ -71,6 +71,12 @@ def _fr(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of values over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _convolve(a: Sequence, b: Sequence, zero, size: int) -> list:
     """Coefficients 0..size-1 of the product of the coefficient sequences a and b."""
     out = [zero] * size
@@ -283,10 +289,10 @@ class LambdaPoly(_Poly):
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"invalid l-exponent {exp!r}")
             fracs[exp] = _fr(coeff)
-        den = math.lcm(*(c.denominator for c in fracs.values()))
+        scaled, den = _over_lcm(list(fracs.values()))
         nums = [0] * (max(fracs, default=-1) + 1)
-        for exp, c in fracs.items():
-            nums[exp] = c.numerator * (den // c.denominator)
+        for exp, c in zip(fracs, scaled):
+            nums[exp] = c
         self._set(nums, den)
 
     def _set(self, nums: list[int], den: int) -> None:
@@ -460,8 +466,8 @@ def _pack(polys: Sequence[LambdaPoly], l1: int) -> tuple[list[int], int, int]:
     packed value of the same sum over Q[l]. Every slot of it is at most
     max|numerator| * l1 < 2^(width-1) in magnitude, which ``_unpack`` needs.
     """
-    den = math.lcm(*(q._den for q in polys if q._coeffs))
-    rows = [[c * (den // q._den) for c in q._coeffs] for q in polys]
+    scales, den = _over_lcm([Fraction(1, q._den) for q in polys])
+    rows = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
     width = (max(abs(c) for row in rows for c in row) * l1).bit_length() + 1
     packed = []
     for row in rows:

@@ -54,9 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot, _pack, _unpack
+from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _pack, _unpack
 from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
 from .parser import check_size
 from .umbral import (
@@ -132,15 +132,20 @@ def _validated(p: XPoly) -> int:
     return p.degree
 
 
+def _jumps(k: int, size: int) -> list[int]:
+    """Delta^k x^i at 0, that is k! S2(i,k), for i = 0..size-1."""
+    weight = factorial(k)
+    return [weight * stirling2(i, k).numerator for i in range(size)]
+
+
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
     """The k-th forward difference of w at 0, as one kernel dot product:
-    Delta^k x^i at 0 is k! S2(i,k), so Delta^k w(0) = k! sum_i S2(i,k) [x^i]w,
-    which is 0 for k > deg w. At k = 1 every weight S2(i,1) is 1, and the sum
-    is the difference of values w(1) - w(0), one dot product as well."""
+    Delta^k w(0) = sum_i [x^i]w Delta^k x^i(0), which is 0 for k > deg w. At
+    k = 1 every weight S2(i,1) is 1, and the sum is the difference of values
+    w(1) - w(0), one dot product as well."""
     if k == 1:
         return w.eval_x(1) - w.eval_x(0)
-    weight = factorial(k)
-    return _dot((c, weight * stirling2(i, k).numerator) for i, c in enumerate(w.coeffs[k:], k))
+    return _dot(zip(w.coeffs[k:], _jumps(k, len(w.coeffs))[k:]))
 
 
 # -- branch f: (p, r) -> [a_r, ..., a_n], called only when r <= deg p -------------
@@ -183,13 +188,10 @@ def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     n, top = p.degree, p.degree - r  # [x^j] Delta^r p is 0 for j > top
     if top < 0:
         return []
-    jump = [factorial(r) * stirling2(s, r).numerator for s in range(n + 1)]  # Delta^r x^s at 0
+    jump = _jumps(r, n + 1)
     live = [i for i, c in enumerate(p.coeffs) if c]
     rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
-    s2 = [[1]]  # rows S2(j, 0..j) by S2(j,m) = m S2(j-1,m) + S2(j-1,m-1), not one stirling2 call each
-    for j in range(1, top + 1):
-        prev = [*s2[-1], 0]
-        s2.append([0, *(m * prev[m] + prev[m - 1] for m in range(1, j + 1))])
+    s2 = [[stirling2(j, m).numerator for m in range(j + 1)] for j in range(top + 1)]
     sizes = [sum(c for _, c in row) for row in rows]
     l1 = max(sum(s2[j][m] * sizes[j] for j in range(m, top + 1)) for m in range(top + 1))
     packed, den, width = _pack(p.coeffs, l1)
@@ -233,12 +235,6 @@ def _g_composed(difference):
     return route
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[list[int], int]:
-    """The numerators of values over the lcm of their denominators, and that lcm."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     """a_k = Delta^(m+k) [A^m q_m](0) / k!, m = r - k, on packed rows.
 
@@ -249,7 +245,7 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     """
     n = p.degree
     live = [i for i, c in enumerate(p.coeffs) if c]
-    jump = [factorial(r) * stirling2(i, r).numerator for i in range(n + r + 1)]  # Delta^r x^i at 0
+    jump = _jumps(r, n + r + 1)
     coeffs = []
     for k in range(min(r, n + 1)):
         m = r - k

@@ -27,7 +27,8 @@ does it for every output coefficient at once, one shift per term of c.
 The default expansion routes, whose weights are all ints times powers of l,
 run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
 stores a polynomial): ``_pack`` turns each coefficient into one int, its
-numerators over the lcm denominator evaluated at l = 2^B, so a term is one int
+numerators over the lcm denominator (``_over_lcm``, which also builds every
+``LambdaPoly`` from Fractions) evaluated at l = 2^B, so a term is one int
 multiply-add and a power of l is a shift. The slot width B is the bit length of
 max|numerator| times the l1 norm of the route's int weights, plus one: every
 slot of a result then stays below 2^(B-1) in magnitude, and ``_unpack`` splits

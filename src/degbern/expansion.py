@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _pack, _unpack
-from .families import deg_bernoulli_order, scaled_bernoulli, stirling2
+from .families import _stirling2_rows, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
@@ -135,7 +135,7 @@ def _validated(p: XPoly) -> int:
 def _jumps(k: int, size: int) -> list[int]:
     """Delta^k x^i at 0, that is k! S2(i,k), for i = 0..size-1."""
     weight = factorial(k)
-    return [weight * stirling2(i, k).numerator for i in range(size)]
+    return [weight * row[k] if k < len(row) else 0 for row in _stirling2_rows(size - 1)[:size]]
 
 
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
@@ -191,7 +191,7 @@ def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     jump = _jumps(r, n + 1)
     live = [i for i, c in enumerate(p.coeffs) if c]
     rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
-    s2 = [[stirling2(j, m).numerator for m in range(j + 1)] for j in range(top + 1)]
+    s2 = _stirling2_rows(top)
     sizes = [sum(c for _, c in row) for row in rows]
     l1 = max(sum(s2[j][m] * sizes[j] for j in range(m, top + 1)) for m in range(top + 1))
     packed, den, width = _pack(p.coeffs, l1)
@@ -217,7 +217,7 @@ def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:
 
 def _g_by_stirling(q: XPoly, m: int, k: int) -> LambdaPoly:
     """Delta^k of ((e^t-1)/t)^m q = sum_j S2(j+m,m) m!/(j+m)! q^(j), at 0."""
-    weights = OperatorSeries.from_coeff_fn(lambda j: stirling2(j + m, m) / perm(j + m, j))
+    weights = OperatorSeries.from_coeff_fn(lambda j: Fraction(_stirling2_rows(j + m)[j + m][m], perm(j + m, j)))
     return _alternating(apply(weights, q), k)
 
 

@@ -72,9 +72,20 @@ def _deg_base(k: int) -> list[LambdaPoly]:
     return out
 
 
-#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n);
-#: grown row by row and published wholesale, like a FamilyTable entry.
+#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n), and of
+#: the second kind, S2(n, 0..n); grown row by row and published wholesale, like
+#: a FamilyTable entry.
 _stirling1: list[tuple[int, ...]] = [(1,)]
+_stirling2: list[tuple[int, ...]] = [(1,)]
+
+
+def _grown(rows: list[tuple[int, ...]], n: int, weight) -> list[tuple[int, ...]]:
+    """A copy of the triangle rows grown to rows 0..n by T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m)."""
+    rows = list(rows)
+    while len(rows) <= n:
+        k, prev = len(rows) - 1, (0, *rows[-1], 0)
+        rows.append(tuple(prev[m] + weight(k, m) * prev[m + 1] for m in range(k + 2)))
+    return rows
 
 
 def deg_falling(n: int) -> XPoly:
@@ -83,12 +94,19 @@ def deg_falling(n: int) -> XPoly:
     global _stirling1
     rows = _stirling1
     if _check_index(n) >= len(rows):
-        rows = list(rows)
-        while len(rows) <= n:  # s(k+1, m) = s(k, m-1) - k s(k, m)
-            k, prev = len(rows) - 1, (0, *rows[-1], 0)
-            rows.append(tuple(prev[m] - k * prev[m + 1] for m in range(k + 2)))
-        _stirling1 = rows
+        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
     return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(rows[n]))
+
+
+def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the int Stirling numbers of the second kind: the
+    expansion routes read their weights here. ``stirling2`` keeps its explicit sum,
+    which serves any n without the rows below it."""
+    global _stirling2
+    rows = _stirling2
+    if n >= len(rows):
+        rows = _stirling2 = _grown(rows, n, lambda k, m: m)
+    return rows
 
 
 # kind -> (a_0..a_k of A(t), A(0) = 1, the core being A^(-r); the basis b_i, None for x^i)

@@ -249,9 +249,13 @@ def test_stirling2_against_partition_enumeration():
 
 
 def test_stirling2_against_series_power_and_triangle():
+    rows = families._stirling2_rows(20)  # the int rows the expansion routes read
     for n in range(21):
+        assert len(rows[n]) == n + 1
         for k in range(n + 2):
             assert stirling2(n, k) == series_stirling2(n, k)
+            if k <= n:
+                assert rows[n][k] == stirling2(n, k)
             if n and k:
                 assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 

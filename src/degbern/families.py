@@ -21,8 +21,9 @@ J. C. P. Miller's power recurrence, exactly in Q[l]. Since c_k is member
 k at x = 0, the members are all a table stores. Member n is those numbers
 times the monomials, or times the falling factorials read straight off the
 signed Stirling numbers of the first kind, (x)_{n,l} = sum_m s(n,m)
-l^(n-m) x^m (``deg_falling``). Stirling numbers of the second kind and
-harmonic numbers round out the kit.
+l^(n-m) x^m (``deg_falling``). Stirling numbers of the second kind (an int
+triangle of them holds the expansion routes' weights) and harmonic numbers
+round out the kit.
 
 A table computes only the members it lacks and publishes each grown list
 wholesale; reads are safe from multiple threads (a reader sees either a

@@ -26,14 +26,13 @@ does it for every output coefficient at once, one shift per term of c.
 
 The default expansion routes, whose weights are all ints times powers of l,
 run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
-stores a polynomial): ``_pack`` turns each coefficient into one int, its
-numerators over the lcm denominator (``_over_lcm``, which also builds every
-``LambdaPoly`` from Fractions) evaluated at l = 2^B, so a term is one int
-multiply-add and a power of l is a shift. The slot width B is the bit length of
-max|numerator| times the l1 norm of the route's int weights, plus one: every
-slot of a result then stays below 2^(B-1) in magnitude, and ``_unpack`` splits
-it back into signed numerators exactly, with one gcd. No term multiplies two
-packed values; that Kronecker product of two LambdaPolys lost to the int
+stores a polynomial). A route hands ``_packed_sums`` its int weights; the
+kernel turns each coefficient into one int, its numerators over the lcm
+denominator (``_over_lcm``, which also builds every ``LambdaPoly`` from
+Fractions) evaluated at l = 2^B, so a term is one int multiply-add and a power
+of l is a shift, and it splits each result back exactly, with one gcd. It picks
+the slot width B itself, by the rule its docstring states. No term multiplies
+two packed values; that Kronecker product of two LambdaPolys lost to the int
 kernel above at every length.
 """
 
@@ -458,25 +457,41 @@ def _dot(terms: Iterable[tuple[LambdaPoly, LambdaPoly | Scalar]]) -> LambdaPoly:
     return LambdaPoly._make(acc, den)
 
 
-def _pack(polys: Sequence[LambdaPoly], l1: int) -> tuple[list[int], int, int]:
-    """Kronecker-pack polys for int linear maps whose weights have l1 norm at most l1.
+def _packed_sums(
+    polys: Sequence[LambdaPoly],
+    rows: Sequence[Sequence[tuple[int, int]]],
+    sums: Sequence[tuple[int, Sequence[tuple[int, int]]]],
+) -> list[LambdaPoly]:
+    """sum_e s_e l^e w_(j_e) / d for each (d, [(j_0, s_0), (j_1, s_1), ...]) of sums,
+    where w_j = sum c polys[i] over the (i, c) of rows[j]; c and s_e are ints and
+    d is a positive int.
 
-    Returns (packed, den, width): each poly's numerators over den, the lcm of the
-    denominators, evaluated at l = 2^width as one int. Multiplying by l^s is a
-    shift by s*width, so any sum of int multiples of shifted packed values is the
-    packed value of the same sum over Q[l]. Every slot of it is at most
-    max|numerator| * l1 < 2^(width-1) in magnitude, which ``_unpack`` needs.
+    Each poly is packed once: its numerators over den, the lcm of the
+    denominators, evaluated at l = 2^width as one int. A term is then one int
+    multiply-add and l^e a shift by e*width. A slot of an output is at most
+    max|numerator| times the l1 norm of its weights, sum_e |s_e| sum |c| over
+    rows[j_e]; width is the bit length of the largest such bound plus one, so
+    every slot lies in [-2^(width-1), 2^(width-1)) and ``_unpack`` splits it back.
     """
     scales, den = _over_lcm([Fraction(1, q._den) for q in polys])
-    rows = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
-    width = (max(abs(c) for row in rows for c in row) * l1).bit_length() + 1
+    nums = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
+    norms = [sum(abs(c) for _, c in row) for row in rows]
+    l1 = max((sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums), default=0)
+    width = (max((abs(c) for row in nums for c in row), default=0) * l1).bit_length() + 1
     packed = []
-    for row in rows:
+    for row in nums:
         v = 0
         for c in reversed(row):
             v = (v << width) + c
         packed.append(v)
-    return packed, den, width
+    w = [sum(c * packed[i] for i, c in row) for row in rows]
+    out = []
+    for d, terms in sums:
+        acc = 0
+        for j, s in reversed(terms):  # Horner in l = 2^width
+            acc = (acc << width) + s * w[j]
+        out.append(_unpack(acc, width, den * d))
+    return out
 
 
 def _unpack(v: int, width: int, den: int) -> LambdaPoly:

@@ -40,11 +40,10 @@ read that table; the first route of each branch is its default.
 The two defaults are int linear maps of the coefficients p_i: stirling_sum
 with weights C(i,j) r! S2(i-j,r), then S2(j,m) l^(j-m); umbral_integral with
 C(i,j) B_(i-j)^(m) l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each
-over one lcm. They run on packed rows (``core._pack``): each p_i is packed
-once into one int, at a slot width that the l1 norm of the weights bounds, so
-each term is one int multiply-add, a power of l a shift, and each a_k one
-unpack. Every other route sums with ``core._dot``, so crosscheck compares
-two independent kernels.
+over one lcm. Each states those weights to ``core._packed_sums``, which sums
+them on packed rows: each p_i packed once into one int, each term one int
+multiply-add, each power of l a shift. Every other route sums with
+``core._dot``, so crosscheck compares two independent kernels.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -56,8 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _pack, _unpack
-from .families import _stirling2_rows, deg_bernoulli_order, scaled_bernoulli
+from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _packed_sums
+from .families import _stirling2_rows, bernoulli_poly_order, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
@@ -140,11 +139,7 @@ def _jumps(k: int, size: int) -> list[int]:
 
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
     """The k-th forward difference of w at 0, as one kernel dot product:
-    Delta^k w(0) = sum_i [x^i]w Delta^k x^i(0), which is 0 for k > deg w. At
-    k = 1 every weight S2(i,1) is 1, and the sum is the difference of values
-    w(1) - w(0), one dot product as well."""
-    if k == 1:
-        return w.eval_x(1) - w.eval_x(0)
+    Delta^k w(0) = sum_i [x^i]w Delta^k x^i(0), which is 0 for k > deg w."""
     return _dot(zip(w.coeffs[k:], _jumps(k, len(w.coeffs))[k:]))
 
 
@@ -186,23 +181,12 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
     n, top = p.degree, p.degree - r  # [x^j] Delta^r p is 0 for j > top
-    if top < 0:
-        return []
     jump = _jumps(r, n + 1)
     live = [i for i, c in enumerate(p.coeffs) if c]
     rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
     s2 = _stirling2_rows(top)
-    sizes = [sum(c for _, c in row) for row in rows]
-    l1 = max(sum(s2[j][m] * sizes[j] for j in range(m, top + 1)) for m in range(top + 1))
-    packed, den, width = _pack(p.coeffs, l1)
-    w = [sum(c * packed[i] for i, c in row) for row in rows]
-    coeffs = []
-    for m in range(top + 1):
-        acc = 0
-        for j in range(top, m - 1, -1):  # Horner in l = 2^width
-            acc = (acc << width) + s2[j][m] * w[j]
-        coeffs.append(_unpack(acc, width, den * perm(m + r, r)))
-    return coeffs
+    sums = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
+    return _packed_sums(p.coeffs, rows, sums)
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
@@ -249,19 +233,14 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     coeffs = []
     for k in range(min(r, n + 1)):
         m = r - k
-        scaled_bernoulli(n, m)  # grows a cold table in one step, not one member per read below
-        s, s_den = _over_lcm([scaled_bernoulli(t, m).coeff(0).coeff(t) for t in range(n + 1)])
+        bernoulli_poly_order(n, m)  # grows a cold table in one step, not one member per read below
+        s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).as_rational() for t in range(n + 1)])
         cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
         rows = [
             [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
             for t, st in enumerate(s)
         ]
-        l1 = sum(abs(st) * sum(abs(c) for _, c in row) for st, row in zip(s, rows))
-        packed, den, width = _pack(p.coeffs, l1)
-        acc = 0
-        for t in range(n, -1, -1):  # Horner in l = 2^width
-            acc = (acc << width) + s[t] * sum(c * packed[i] for i, c in rows[t])
-        coeffs.append(_unpack(acc, width, den * s_den * cw_den))
+        coeffs.extend(_packed_sums(p.coeffs, rows, [(s_den * cw_den, list(enumerate(s)))]))
     return coeffs
 
 

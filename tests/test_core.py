@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degbern.core as core
 from degbern.core import (
     LAMBDA,
     ExactDivisionError,
     LambdaPoly,
     TruncSeries,
     XPoly,
-    _pack,
+    _packed_sums,
     _unpack,
 )
 from helpers import (
@@ -230,7 +231,7 @@ def test_xpoly_divexact():
 
 
 @pytest.mark.parametrize("width", [2, 3, 8, 64, 97])
-def test_packed_rows_round_trip_at_the_slot_bounds(width):
+def test_packed_rows_round_trip_at_the_slot_bounds(monkeypatch, width):
     edge = (1 << (width - 1)) - 1  # the largest slot magnitude a width-bit slot holds
     rows = [
         [],
@@ -247,25 +248,36 @@ def test_packed_rows_round_trip_at_the_slot_bounds(width):
         for row in rows:
             got = _unpack(sum(c << (width * e) for e, c in enumerate(row)), width, den)
             assert got == LambdaPoly._make(list(row), den) and is_primitive(got)
-    # _pack picks the narrowest width whose slots hold max|numerator| * l1
+    # _packed_sums picks the narrowest width whose slots hold max|numerator| * l1:
+    # each poly by itself, at l1 = 1, comes back through width-bit slots
+    widths = []
+    monkeypatch.setattr(core, "_unpack", lambda v, w, d: widths.append(w) or _unpack(v, w, d))
     polys = [LambdaPoly._make(list(row), 6) for row in rows]
-    packed, den, got = _pack(polys, 1)
-    assert got == width and den == 6
-    assert [_unpack(v, got, den) for v in packed] == polys
+    identity = [[(i, 1)] for i in range(len(polys))]
+    assert _packed_sums(polys, identity, [(1, [(i, 1)]) for i in range(len(polys))]) == polys
+    assert set(widths) == {width}
 
 
 def test_packed_sums_match_the_sums_over_q_l():
     rng = random.Random(71)
+
+    def weight():
+        return rng.choice([rng.randint(-(10**6), 10**6), rng.choice([-1, 1]) << rng.randint(0, 90)])
+
     for _ in range(200):
         polys = [random_lambda_poly(rng, 4, 10**9) for _ in range(5)]
-        if not any(polys):
-            continue
-        weights = [rng.randint(-(10**6), 10**6) for _ in polys]
-        shifts = [rng.randint(0, 3) for _ in polys]
-        packed, den, width = _pack(polys, sum(map(abs, weights)))
-        total = sum(w * v << (width * s) for w, v, s in zip(weights, packed, shifts))
-        expected = sum((q * w * LAMBDA**s for q, w, s in zip(polys, weights, shifts)), LambdaPoly.zero())
-        assert _unpack(total, width, den) == expected
+        rows = [[(rng.randrange(5), weight()) for _ in range(rng.randint(0, 4))] for _ in range(4)]
+        sums = [
+            (rng.randint(1, 10**4), [(rng.randrange(4), weight()) for _ in range(rng.randint(0, 5))])
+            for _ in range(3)
+        ]
+        w = [sum((polys[i] * c for i, c in row), LambdaPoly.zero()) for row in rows]
+        expected = [
+            sum((w[j] * s * LAMBDA**e for e, (j, s) in enumerate(terms)), LambdaPoly.zero()) / d
+            for d, terms in sums
+        ]
+        assert _packed_sums(polys, rows, sums) == expected
+    assert _packed_sums(polys, rows, []) == []
 
 
 # -- TruncSeries --------------------------------------------------------------------

@@ -7,8 +7,9 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degbern.families as families
 from degbern.core import LAMBDA, LambdaPoly, XPoly
-from degbern.expansion import _alternating
+from degbern.expansion import _alternating, expand, reconstruct
 from degbern.families import bernoulli_poly, deg_bernoulli, deg_falling, scaled_bernoulli
 from degbern.umbral import (
     OperatorSeries,
@@ -246,6 +247,23 @@ def test_umbral_compose_single_monomial():
         assert umbral_compose(XPoly.monomial(n), lambda i: scaled_bernoulli(i, 1)) == (
             scaled_bernoulli(n, 1)
         )
+
+
+def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
+    # reconstruct composes with deg_bernoulli_order(k, 3) for k = 0..n; on a cold
+    # table that is one grow to member n, not one grow per member
+    grown = []
+
+    class CountingTable(families.FamilyTable):
+        def _grow(self, key, n):
+            grown.append(key)
+            return super()._grow(key, n)
+
+    p = XPoly.monomial(12)
+    e = expand(p, 3)
+    monkeypatch.setattr(families, "_TABLE", CountingTable())
+    assert reconstruct(e) == p
+    assert grown == [("deg_bernoulli_r", 3)]
 
 
 def test_umbral_compose_then_integrate_gives_scaled_number():

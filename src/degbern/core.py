@@ -477,7 +477,7 @@ def _packed_sums(
     nums = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
     norms = [sum(abs(c) for _, c in row) for row in rows]
     l1 = max((sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums), default=0)
-    width = (max((abs(c) for row in nums for c in row), default=0) * l1).bit_length() + 1
+    width = (max(abs(c) for row in nums for c in row) * l1).bit_length() + 1
     packed = []
     for row in nums:
         v = 0

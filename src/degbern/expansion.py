@@ -234,7 +234,7 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     for k in range(min(r, n + 1)):
         m = r - k
         bernoulli_poly_order(n, m)  # grows a cold table in one step, not one member per read below
-        s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).as_rational() for t in range(n + 1)])
+        s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).coeff(0) for t in range(n + 1)])
         cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
         rows = [
             [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []

@@ -19,10 +19,15 @@ polynomial in x inflates every entry.
 A linear combination over Q[l] is summed in ints over one denominator, with
 one gcd per output coefficient, not as a chain of ``LambdaPoly`` sums that
 each take their own lcm and gcd. ``_dot`` does it for a sum of products: for
-``XPoly.eval_x`` at a rational point, for ``umbral.apply``,
-``umbral.functional`` and ``umbral.umbral_compose``, for Miller's recurrence
-in ``families`` and for the differences at 0 in ``expansion``. ``XPoly.shift``
-does it for every output coefficient at once, one shift per term of c.
+each coefficient of an ``XPoly`` product and of a ``TruncSeries`` product over
+Q[l] (``_convolve``, through ``_dot_products``), for the product sums of the
+identity corpus, for ``XPoly.eval_x`` at a rational point, for
+``umbral.apply``, ``umbral.functional`` and ``umbral.umbral_compose``, for
+Miller's recurrence in ``families`` and for the differences at 0 in
+``expansion``. ``XPoly.shift`` does it for every output coefficient at once,
+one shift per term of c; by a single term, its difference form gives
+p(x + c) - p(x) from the same int rows, which is how ``umbral.forward_diff``
+and ``umbral.integral_I`` take a difference.
 
 The default expansion routes, whose weights are all ints times powers of l,
 run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
@@ -78,7 +83,10 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _convolve(a: Sequence, b: Sequence, zero, size: int) -> list:
-    """Coefficients 0..size-1 of the product of the coefficient sequences a and b."""
+    """Coefficients 0..size-1 of the product of the coefficient sequences a and b;
+    over Q[l], one ``_dot`` per output coefficient."""
+    if type(zero) is LambdaPoly:
+        return _dot_products([(a, b)], size)
     out = [zero] * size
     for i, x in enumerate(a[:size]):
         if x:
@@ -457,6 +465,21 @@ def _dot(terms: Iterable[tuple[LambdaPoly, LambdaPoly | Scalar]]) -> LambdaPoly:
     return LambdaPoly._make(acc, den)
 
 
+def _dot_products(pairs: Sequence[tuple[Sequence[LambdaPoly], Sequence[LambdaPoly]]], size: int) -> list:
+    """Coefficients 0..size-1 of sum a*b over the (a, b) pairs of LambdaPoly
+    coefficient sequences, each one ``_dot`` over every pair's nonzero terms."""
+    terms: list[list] = [[] for _ in range(size)]
+    for a, b in pairs:
+        live = [(j, y) for j, y in enumerate(b[:size]) if y]
+        for i, x in enumerate(a[:size]):
+            if x:
+                for j, y in live:
+                    if i + j >= size:
+                        break
+                    terms[i + j].append((x, y))
+    return [_dot(t) for t in terms]
+
+
 def _packed_sums(
     polys: Sequence[LambdaPoly],
     rows: Sequence[Sequence[tuple[int, int]]],
@@ -471,7 +494,7 @@ def _packed_sums(
     multiply-add and l^e a shift by e*width. A slot of an output is at most
     max|numerator| times the l1 norm of its weights, sum_e |s_e| sum |c| over
     rows[j_e]; width is the bit length of the largest such bound plus one, so
-    every slot lies in [-2^(width-1), 2^(width-1)) and ``_unpack`` splits it back.
+    every slot has magnitude below 2^(width-1) and ``_unpack`` splits it back.
     """
     scales, den = _over_lcm([Fraction(1, q._den) for q in polys])
     nums = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
@@ -496,17 +519,25 @@ def _packed_sums(
 
 def _unpack(v: int, width: int, den: int) -> LambdaPoly:
     """The LambdaPoly with the signed width-bit slots of v as numerators over den,
-    with one gcd; slots must lie in [-2^(width-1), 2^(width-1))."""
+    with one gcd; every slot must have magnitude below 2^(width-1).
+
+    Then v has at most v.bit_length() // width + 1 slots, so a v that is not
+    used up after one more pass holds a slot that does not fit the width (at
+    width 1, v = 1 reads as -1 and borrows itself back forever): that raises
+    ArithmeticError instead of looping on.
+    """
     half, full = 1 << (width - 1), 1 << width
     nums = []
-    while v:
+    for _ in range(v.bit_length() // width + 2):
+        if not v:
+            return LambdaPoly._make(nums, den)
         c = v & (full - 1)
         v >>= width
         if c >= half:  # a negative slot borrowed one from the slot above
             c -= full
             v += 1
         nums.append(c)
-    return LambdaPoly._make(nums, den)
+    raise ArithmeticError(f"a slot of the packed value does not fit {width} bits")
 
 
 class XPoly(_Poly):
@@ -571,8 +602,12 @@ class XPoly(_Poly):
                 p = p._shift_by_monomial(u, c._den, e)
         return p
 
-    def _shift_by_monomial(self, u: int, v: int, e: int) -> "XPoly":
-        """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``."""
+    def _shift_by_monomial(self, u: int, v: int, e: int, difference: bool = False) -> "XPoly":
+        """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``.
+
+        With ``difference``, p(x + (u/v) l^e) - p(x): the starting row b_j is
+        p_j over the same denominator, so it is subtracted before the gcd.
+        """
         a = self._coeffs
         n = len(a) - 1
         den = math.lcm(*(q._den for q in a))
@@ -580,6 +615,7 @@ class XPoly(_Poly):
         for i, q in enumerate(a):
             scale = den // q._den * u**i * v ** (n - i)
             rows.append([x * scale for x in q._coeffs] if scale != 1 else q._coeffs)
+        start = rows[:]  # the scheme replaces rows and never mutates one
         pad = (0,) * e
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
@@ -592,6 +628,8 @@ class XPoly(_Poly):
                     rows[j] = [*map(operator.add, row, step), *row[len(step) :]]
         out = []
         for j, row in enumerate(rows):
+            if difference:  # a row only grows, so it is at least as long as start[j]
+                row = [*map(operator.sub, row, start[j]), *row[len(start[j]) :]]
             row = [-x for x in row] if u < 0 and j % 2 else list(row)
             out.append(LambdaPoly._make(row, den * abs(u) ** j * v ** (n - j)))
         return XPoly._make(out)

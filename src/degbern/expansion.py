@@ -159,7 +159,7 @@ def _f_delta_lambda(p: XPoly, r: int) -> list[LambdaPoly]:
     for k in range(r, p.degree + 1):
         coeffs.append(d.eval_x(0).divexact(k - r) / factorial(k))
         if k < p.degree:
-            d = d.shift(LAMBDA) - d
+            d = forward_diff(d, LAMBDA, 1)
     return coeffs
 
 

@@ -32,14 +32,20 @@ A right side in the Bernoulli basis (miki_poly, ex_b..ex_f) is written
 once, as terms ``{j: w_j}`` of sum_j w_j B_j(x) with the constant at
 j = 0. Each pair ex_X_classical / ex_X comes from ``_pair``, which takes
 one left side and one term function. The classical entry sums the terms
-(``_bernoulli_sum``); the degenerate entry maps them to the order-1 basis
-(``_degenerate_form``; ex_a is the single term {n: 1}), by
+(``_bernoulli_sum``, the umbral composition ``umbral_compose`` of
+sum_j w_j x^j with the Bernoulli polynomials); the degenerate entry maps
+them to the order-1 basis (``_degenerate_form``; ex_a is the single term
+{n: 1}), by
 
     a_0 = sum_j w_j l^j B_j,
     a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k    (k >= 1),
 
 since Delta B_j = j x^(j-1) and the k-th step-l difference of x^e at 0
-is k! S2(e, k) l^e. DEFAULT_BOUNDS, parameter validation,
+is k! S2(e, k) l^e. Each a_k (k >= 1) is read from the int rows of S2
+(``families._stirling2_rows``) over the lcm of the w_j, with one gcd.
+A left side that sums products of a family, sum_k P_k P_{n-k}/(k(n-k))
+(``_product_sum``), takes each pair {k, n-k} once and each coefficient
+in x as one kernel dot product. DEFAULT_BOUNDS, parameter validation,
 closed_form_coeffs and the verify_all sweep all read that table. A case
 outside the range raises ValueError naming the violated constraint (e.g.
 miki needs n >= 2, ex_g needs n >= 3 and n >= r).
@@ -54,9 +60,10 @@ from itertools import product
 from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
-from .core import LambdaPoly, XPoly
+from .core import LambdaPoly, XPoly, _dot_products, _over_lcm
 from .expansion import BasisExpansion, _alternating, _f_stirling_sum, reconstruct
 from .families import (
+    _stirling2_rows,
     bernoulli_number,
     bernoulli_poly,
     euler_number,
@@ -65,7 +72,6 @@ from .families import (
     genocchi_poly,
     harmonic,
     scaled_bernoulli,
-    stirling2,
 )
 from .umbral import forward_diff, integral_I, umbral_compose
 
@@ -111,11 +117,17 @@ def _H(m: int) -> Fraction:
 
 
 def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
-    """sum_{k=1}^{n-1} P_k(x) P_{n-k}(x) / (k(n-k)) for a polynomial family P."""
-    out = XPoly.zero()
-    for k in range(1, n):
-        out = out + family(k) * family(n - k) * Fraction(1, k * (n - k))
-    return out
+    """sum_{k=1}^{n-1} P_k(x) P_{n-k}(x) / (k(n-k)) for a polynomial family P.
+
+    The terms k and n-k are equal, so each pair k < n-k is taken once with
+    weight 2/(k(n-k)), the midpoint k = n/2 with 1/k^2, and each coefficient
+    in x is one kernel dot product over all the pairs.
+    """
+    pairs = [
+        ((family(k) * Fraction(1 if 2 * k == n else 2, k * (n - k))).coeffs, family(n - k).coeffs)
+        for k in range(1, n // 2 + 1)
+    ]
+    return XPoly._make(_dot_products(pairs, max((len(a) + len(b) - 1 for a, b in pairs), default=0)))
 
 
 # -- right sides in the Bernoulli basis, classical and degenerate -------------
@@ -123,11 +135,7 @@ def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
 
 def _bernoulli_sum(terms: Mapping[int, Fraction]) -> XPoly:
     """sum_j w_j B_j(x) for terms {j: w_j}."""
-    out = XPoly.zero()
-    for j, w in terms.items():
-        if w:
-            out = out + bernoulli_poly(j) * w
-    return out
+    return umbral_compose(XPoly([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]), bernoulli_poly)
 
 
 def _degenerate_form(terms: Mapping[int, Fraction]) -> list[LambdaPoly]:
@@ -139,9 +147,15 @@ def _degenerate_form(terms: Mapping[int, Fraction]) -> list[LambdaPoly]:
     """
     top = max(j for j, w in terms.items() if w)
     coeffs = [LambdaPoly({j: w * bernoulli_number(j) for j, w in terms.items()})]
+    js = [j for j, w in terms.items() if w and j]
+    nums, den = _over_lcm([terms[j] for j in js])  # w_j = nums / den
+    s2 = _stirling2_rows(top - 1)
     for k in range(1, top + 1):
-        tail = {j - k: w * j * stirling2(j - 1, k - 1) / k for j, w in terms.items() if j >= k}
-        coeffs.append(LambdaPoly(tail))
+        row = [0] * (top - k + 1)
+        for j, c in zip(js, nums):
+            if j >= k:
+                row[j - k] = c * j * s2[j - 1][k - 1]
+        coeffs.append(LambdaPoly._make(row, den * k))
     return coeffs
 
 

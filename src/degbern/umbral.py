@@ -152,8 +152,14 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
+    step = _lp(step)
+    terms = [(e, u) for e, u in enumerate(step._coeffs) if u]
     for _ in range(n):
-        p = p.shift(step) - p
+        if len(terms) == 1:  # one int-row shift that subtracts p before its gcd
+            [(e, u)] = terms
+            p = p._shift_by_monomial(u, step._den, e, difference=True)
+        else:
+            p = p.shift(step) - p
     return p
 
 
@@ -173,8 +179,7 @@ def sequence_diff(values: Sequence[Any], k: int) -> Any:
 
 def integral_I(p: XPoly) -> XPoly:
     """I p(x) = integral_x^{x+1} p(u) du, exact in Q[l]."""
-    anti = p.antiderivative()
-    return anti.shift(1) - anti
+    return forward_diff(p.antiderivative(), 1, 1)
 
 
 def integral_01(p: XPoly) -> LambdaPoly:

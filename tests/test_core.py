@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,10 @@ def test_packed_rows_round_trip_at_the_slot_bounds(monkeypatch, width):
         [0, 0, -edge],
         [-edge, edge],
         [1, -1, 0, 1, -1],
+        # the least top slot over the widest lower slots of the other sign: the
+        # fewest bits for a slot count, where _unpack's bound on its passes is tight
+        [-edge, -edge, 1],
+        [edge, edge, -1],
     ]
     for den in (1, 6):
         for row in rows:
@@ -256,6 +261,22 @@ def test_packed_rows_round_trip_at_the_slot_bounds(monkeypatch, width):
     identity = [[(i, 1)] for i in range(len(polys))]
     assert _packed_sums(polys, identity, [(1, [(i, 1)]) for i in range(len(polys))]) == polys
     assert set(widths) == {width}
+
+
+def test_unpack_raises_when_a_slot_does_not_fit_the_width():
+    # at width 1 the slot 1 reads as -1 and borrows v back to 1; an unbounded
+    # loop would spin here and grow its list until memory runs out
+    def hang(signum, frame):
+        raise TimeoutError("_unpack(1, 1, 1) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ArithmeticError, match="does not fit 1 bits"):
+            _unpack(1, 1, 1)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_packed_sums_match_the_sums_over_q_l():
@@ -278,6 +299,52 @@ def test_packed_sums_match_the_sums_over_q_l():
         ]
         assert _packed_sums(polys, rows, sums) == expected
     assert _packed_sums(polys, rows, []) == []
+
+
+# -- products over Q[l], each coefficient one kernel dot product -----------------------
+
+
+def _dense_lambda_poly(rng, degree):
+    """Every l-term from l^0 to l^degree nonzero, of either sign, over shared denominators."""
+    terms = {}
+    for e in range(degree + 1):
+        terms[e] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 720))
+    return LambdaPoly(terms)
+
+
+def _dense_coeffs(rng, size):
+    """size coefficients, about one in five of them zero."""
+    return [
+        _dense_lambda_poly(rng, rng.randint(0, 5)) if rng.random() < 0.8 else LambdaPoly.zero()
+        for _ in range(size)
+    ]
+
+
+def _product_by_terms(a, b, size):
+    """Coefficients 0..size-1 of the product as {exponent: Fraction} dicts, term by term."""
+    out = [{} for _ in range(size)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < size:
+                out[i + j] = terms_add(out[i + j], terms_mul(dict(x.items()), dict(y.items())))
+    return out
+
+
+def test_products_over_q_l_match_the_terms():
+    rng = random.Random(83)
+    for _ in range(60):
+        a, b = _dense_coeffs(rng, rng.randint(0, 8)), _dense_coeffs(rng, rng.randint(0, 8))
+        product = XPoly(a) * XPoly(b)
+        expected = _product_by_terms(a, b, len(a) + len(b) - 1)
+        while expected and not expected[-1]:
+            expected.pop()
+        assert [dict(c.items()) for c in product.coeffs] == expected
+        assert all_primitive(product)
+        order = rng.randint(0, 8)
+        a, b = _dense_coeffs(rng, order + 1), _dense_coeffs(rng, order + 1)
+        series = TruncSeries(LambdaPoly, order, a) * TruncSeries(LambdaPoly, order, b)
+        assert [dict(c.items()) for c in series.coeffs] == _product_by_terms(a, b, order + 1)
+        assert all(is_primitive(c) for c in series.coeffs)
 
 
 # -- TruncSeries --------------------------------------------------------------------

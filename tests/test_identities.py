@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degbern import identities
 from degbern.core import LambdaPoly, XPoly
 from degbern.expansion import expand
-from degbern.families import genocchi_poly
+from degbern.families import bernoulli_poly, euler_poly, genocchi_poly
 from degbern.identities import (
     DEFAULT_BOUNDS,
     closed_form_coeffs,
@@ -156,11 +156,23 @@ def test_default_sweep_case_counts():
 # -- closed forms versus the expansion machinery -------------------------------
 
 
-def _genocchi_product(n):
+def _product_chain(family, n):
+    """sum_k P_k P_{n-k} / (k(n-k)), one product and one sum per k, no symmetry."""
     p = XPoly.zero()
     for k in range(1, n):
-        p = p + genocchi_poly(k) * genocchi_poly(n - k) * Fraction(1, k * (n - k))
+        p = p + family(k) * family(n - k) * Fraction(1, k * (n - k))
     return p
+
+
+def _genocchi_product(n):
+    return _product_chain(genocchi_poly, n)
+
+
+@pytest.mark.parametrize("family", [bernoulli_poly, euler_poly, genocchi_poly], ids=lambda f: f.__name__)
+def test_product_sum_matches_the_chain_of_products(family):
+    # odd n pairs every k with n - k; even n adds the midpoint k = n/2 once
+    for n in (1, 2, 3, 4, 7, 10, 15, 16):
+        assert identities._product_sum(family, n) == _product_chain(family, n), n
 
 
 def test_closed_forms_match_expansion_order1():

@@ -27,6 +27,7 @@ from degbern.umbral import (
     unit_integral_op,
 )
 from helpers import (
+    SMALL_FRACTIONS,
     SMALL_LAMBDA_POLYS,
     all_primitive,
     apply_by_derivatives,
@@ -39,6 +40,7 @@ from helpers import (
     random_xpoly,
     series_stirling2,
     small_xpolys,
+    taylor_shift,
 )
 
 
@@ -153,6 +155,32 @@ def test_forward_diff_matches_iterated_difference():
         for _ in range(3):
             iterated = iterated.shift(step) - iterated
         assert forward_diff(p, step, 3) == iterated
+
+
+_NONZERO = SMALL_FRACTIONS.filter(bool)
+
+# the unit steps, a rational of either sign, a monomial in l with a negative
+# coefficient, and a step of two or more terms, which takes shift(c) - p
+_STEPS = st.one_of(
+    st.sampled_from([1, -1]),
+    _NONZERO,
+    st.builds(LambdaPoly.monomial, st.integers(0, 3), _NONZERO.map(lambda q: -abs(q))),
+    st.builds(lambda a, b, e: LambdaPoly({0: a, e: b}), _NONZERO, _NONZERO, st.integers(1, 3)),
+    SMALL_LAMBDA_POLYS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_xpolys(9), _STEPS, st.integers(1, 2))
+def test_forward_diff_is_the_shift_minus_p(p, c, n):
+    # the fused difference: shifted int rows minus the starting rows, then the sign of u^j
+    reference = p
+    for _ in range(n):
+        reference = taylor_shift(reference, c) - reference
+    diff = forward_diff(p, c, n)
+    assert diff == reference
+    assert all_primitive(diff)
+    assert forward_diff(p, c, 1) == p.shift(c) - p
 
 
 @settings(max_examples=60, deadline=None)

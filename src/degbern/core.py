@@ -477,7 +477,8 @@ def _dot_products(pairs: Sequence[tuple[Sequence[LambdaPoly], Sequence[LambdaPol
                     if i + j >= size:
                         break
                     terms[i + j].append((x, y))
-    return [_dot(t) for t in terms]
+    # a lone product is one LambdaPoly multiply, cheaper than an accumulator
+    return [_dot(t) if len(t) > 1 else t[0][0] * t[0][1] if t else XPoly._ZERO for t in terms]
 
 
 def _packed_sums(

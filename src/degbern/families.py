@@ -101,8 +101,9 @@ def deg_falling(n: int) -> XPoly:
 
 def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
     """Rows 0..n, at least, of the int Stirling numbers of the second kind: the
-    expansion routes read their weights here. ``stirling2`` keeps its explicit sum,
-    which serves any n without the rows below it."""
+    expansion routes and the identities' order-1 map read their weights here.
+    ``stirling2`` keeps its explicit sum, which serves any n without the rows
+    below it."""
     global _stirling2
     rows = _stirling2
     if n >= len(rows):

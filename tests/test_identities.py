@@ -164,10 +164,6 @@ def _product_chain(family, n):
     return p
 
 
-def _genocchi_product(n):
-    return _product_chain(genocchi_poly, n)
-
-
 @pytest.mark.parametrize("family", [bernoulli_poly, euler_poly, genocchi_poly], ids=lambda f: f.__name__)
 def test_product_sum_matches_the_chain_of_products(family):
     # odd n pairs every k with n - k; even n adds the midpoint k = n/2 once
@@ -213,7 +209,7 @@ def test_closed_form_matches_expansion_higher_order(n_r):
         sweep = [dict(zip("nr", n_r))]
     for params in sweep:
         stated = closed_form_coeffs("ex_g", **params)
-        e = expand(_genocchi_product(params["n"]), params["r"])
+        e = expand(_product_chain(genocchi_poly, params["n"]), params["r"])
         assert len(stated) == max(params["r"], params["n"] - 1)
         assert stated[: e.degree + 1] == list(e.coeffs), params
         # entries past the degree (present when r - 1 > n - 2) must vanish

@@ -19,19 +19,22 @@ Branch f, with m = k - r:
     delta_lambda   a_k = D_l^m Delta^r p(0) / (k! l^m)
     functional     a_k = <f(t)^m | Delta^r p> / k!
 
-Branch g, with m = r - k and q_m = (lt/(e^{lt}-1))^m p, that is p with
+Branch g, with m = r - k, S = lt/(e^{lt}-1) and q_m = S^m p, that is p with
 x^i replaced by l^i B_i^(m)(x/l):
 
     umbral_integral      a_k = Delta^r [A^m q_m](0) / k!,  A the antiderivative
-    umbral_integral_op   a_k = Delta^k [I^m q_m](0) / k!,  I q(x) = integral_x^{x+1} q
+    umbral_integral_op   a_k = Delta^k [(I S)^m p](0) / k!,  I q(x) = integral_x^{x+1} q
     stirling_op          a_k = Delta^k [sum_j S2(j+m,m) m!/(j+m)! q_m^(j)](0) / k!
     operator_functional  a_k = <g(t)^m (e^t-1)^k | p> / k! = <g(t)^r f(t)^k | p> / k!
     residual             a_k = [x^k](p - sum_{j>k} a_j beta_j^(r)), top down
 
-The first and the third g-routes agree because Delta^m A^m = I^m on
-polynomials; residual uses that beta_k^(r) is monic of degree k and reads
-the f-branch coefficients it is given. At r = 1 the f-branch gives a_k for
-k >= 1 from p(x+1)-p(x), and umbral_integral is a_0 = integral_0^1 q_1.
+The first and the second g-routes agree because Delta^m A^m = I^m on
+polynomials and I commutes with S, so I^m q_m = (I S)^m p; the second
+takes its powers as one chain of r steps. stirling_op applies I^m as the
+series ((e^t-1)/t)^m. residual uses that beta_k^(r) is monic of degree k
+and reads the f-branch coefficients it is given. At r = 1 the f-branch
+gives a_k for k >= 1 from p(x+1)-p(x), and umbral_integral is
+a_0 = integral_0^1 q_1.
 
 Every route is one entry of the table ``_ROUTES``, keyed by (branch, name).
 The ``*_ROUTES`` name tuples, the route checks, expand and crosscheck all
@@ -192,31 +195,24 @@ def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
 
 
-def _g_by_integrals(q: XPoly, m: int, k: int) -> LambdaPoly:
-    """Delta^k [I^m q](0), with m unit-interval integrals."""
-    for _ in range(m):
-        q = integral_I(q)
-    return _alternating(q, k)
+def _g_umbral_integral_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+    """a_k = Delta^k u_m(0) / k!, m = r - k, on the chain u_0 = p, u_m = I(S u_(m-1))."""
+    scaled = [scaled_bernoulli(i, 1) for i in range(p.degree + 1)]
+    chain = [p]
+    for _ in range(r):
+        chain.append(integral_I(umbral_compose(chain[-1], scaled.__getitem__)))
+    return [_alternating(chain[r - k], k) / factorial(k) for k in range(min(r, p.degree + 1))]
 
 
-def _g_by_stirling(q: XPoly, m: int, k: int) -> LambdaPoly:
-    """Delta^k of ((e^t-1)/t)^m q = sum_j S2(j+m,m) m!/(j+m)! q^(j), at 0."""
-    weights = OperatorSeries.from_coeff_fn(lambda j: Fraction(_stirling2_rows(j + m)[j + m][m], perm(j + m, j)))
-    return _alternating(apply(weights, q), k)
-
-
-def _g_composed(difference):
-    """A g-route that applies ``difference(q_m, m, k)`` to the umbral composition q_m."""
-
-    def route(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-        coeffs = []
-        for k in range(min(r, p.degree + 1)):
-            m = r - k
-            composed = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
-            coeffs.append(difference(composed, m, k) / factorial(k))
-        return coeffs
-
-    return route
+def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
+    """a_k = Delta^k of ((e^t-1)/t)^m q_m = sum_j S2(j+m,m) m!/(j+m)! q_m^(j), at 0, over k!."""
+    coeffs = []
+    for k in range(min(r, p.degree + 1)):
+        m = r - k
+        weights = OperatorSeries.from_coeff_fn(lambda j: Fraction(_stirling2_rows(j + m)[j + m][m], perm(j + m, j)))
+        q = umbral_compose(p, lambda i: scaled_bernoulli(i, m))
+        coeffs.append(_alternating(apply(weights, q), k) / factorial(k))
+    return coeffs
 
 
 def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
@@ -268,8 +264,8 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
 #: by the per-route timings in BENCH_default_routes.json.
 _ROUTES = {
     ("g", "umbral_integral"): _g_umbral_integral,
-    ("g", "umbral_integral_op"): _g_composed(_g_by_integrals),
-    ("g", "stirling_op"): _g_composed(_g_by_stirling),
+    ("g", "umbral_integral_op"): _g_umbral_integral_op,
+    ("g", "stirling_op"): _g_stirling_op,
     ("g", "operator_functional"): _g_operator_functional,
     ("g", "residual"): _g_residual,
     ("f", "stirling_sum"): _f_stirling_sum,

@@ -8,8 +8,8 @@ sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
     table kind        family                        generating function         b_i
     bernoulli_r       order-r Bernoulli             (t/(e^t-1))^r e^{xt}        x^i
     euler             Euler (r = 1)                 2/(e^t+1) e^{xt}            x^i
-    scaled_bernoulli  scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}    x^i
     deg_bernoulli_r   order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   (x)_{i,l}
+    (derived)         scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}, order a with [x^i] times l^(n-i)
     (derived)         degenerate falling factorial  e_l^x(t), order-0 degenerate Bernoulli
     (derived)         Genocchi                      2t/(e^t+1) e^{xt}, so G_n(x) = n E_{n-1}(x)
 
@@ -117,8 +117,6 @@ _KINDS = {
     "bernoulli_r": (lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)], None),
     # A = (e^t+1)/2
     "euler": (lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)], None),
-    # A = (e^{lt}-1)/(lt)
-    "scaled_bernoulli": (lambda k: [LambdaPoly.monomial(j, Fraction(1, factorial(j + 1))) for j in range(k + 1)], None),
     # A = (e_l(t)-1)/t
     "deg_bernoulli_r": (_deg_base, deg_falling),
 }
@@ -222,8 +220,9 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
 
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:
-    """The polynomial l^n B_n^(a)(x/l): order-a Bernoulli, argument x/l, cleared of l-denominators."""
-    return _TABLE.get(("scaled_bernoulli", _check_index(a, "a")), _check_index(n))
+    """The polynomial l^n B_n^(a)(x/l): the order-a Bernoulli member with [x^i] times l^(n-i)."""
+    member = _TABLE.get(("bernoulli_r", _check_index(a, "a")), _check_index(n))
+    return XPoly._make([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
 
 
 @lru_cache(maxsize=None)

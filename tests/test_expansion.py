@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbern import expansion
+from degbern import expansion, families
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.expansion import (
     F_ROUTES,
@@ -176,9 +176,13 @@ def test_route_agreement_higher_order_including_both_cases():
             expansions = [expand(p, r, g, f) for g in G_ROUTES for f in F_ROUTES]
             for other in expansions[1:]:
                 assert other.coeffs == expansions[0].coeffs
-    # operator_functional on a taller l-bearing input, where it takes g^r f^k for each k < r
+    # every g-route on a taller l-bearing input, past the small orders above:
+    # umbral_integral_op's chain runs r steps, operator_functional takes g^r f^k
     p = parse_poly("x^12 - 3*l*x^9 + 1/2*l^2*x^5 - 7/3*x^4 + l*x - 5")
-    assert expand(p, 8, "operator_functional").coeffs == expand(p, 8).coeffs
+    for r in (8, 16):
+        base = expand(p, r).coeffs
+        for g in G_ROUTES[1:]:
+            assert expand(p, r, g).coeffs == base, (r, g)
 
 
 def test_order1_and_higher_coincide_at_r1():
@@ -280,6 +284,21 @@ def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r
     assert crosscheck(p, r) == default
     # every route once, the defaults inside expand; no f-route runs when r > deg p = 3
     assert calls == Counter(key for key in expansion._ROUTES if key[0] == "g" or r <= 3)
+
+
+def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
+    # every route reads order m as the ("bernoulli_r", m) table: scaled_bernoulli
+    # is a view of it, and umbral_integral_op reads order 1 alone
+    grown = []
+
+    class CountingTable(families.FamilyTable):
+        def _grow(self, key, n):
+            grown.append(key)
+            return super()._grow(key, n)
+
+    monkeypatch.setattr(families, "_TABLE", CountingTable())
+    crosscheck(parse_poly("x^6 - 2/3*l*x^4 + l^2*x + 5"), 3)
+    assert set(grown) == {("bernoulli_r", 1), ("bernoulli_r", 2), ("bernoulli_r", 3), ("deg_bernoulli_r", 3)}
 
 
 def test_order_is_bounded_by_the_degree_limit(monkeypatch):

@@ -349,7 +349,6 @@ ORACLE_N = 24
 ORACLE_KEYS = (
     [("bernoulli_r", r) for r in range(4)]
     + [("deg_bernoulli_r", r) for r in range(4)]
-    + [("scaled_bernoulli", a) for a in range(4)]
     + [("euler", 1)]
 )
 
@@ -399,7 +398,7 @@ def test_public_families_match_series_oracle():
 
 def test_family_table_rejects_unknown_family():
     # the derived families and a key without its order are not table keys
-    for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("euler",)]:
+    for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("scaled_bernoulli", 1), ("euler",)]:
         with pytest.raises(ValueError, match="unknown family"):
             FamilyTable().get(key, 3)
 

@@ -31,14 +31,15 @@ and ``umbral.integral_I`` take a difference.
 
 The default expansion routes, whose weights are all ints times powers of l,
 run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
-stores a polynomial). A route hands ``_packed_sums`` its int weights; the
-kernel turns each coefficient into one int, its numerators over the lcm
-denominator (``_over_lcm``, which also builds every ``LambdaPoly`` from
-Fractions) evaluated at l = 2^B, so a term is one int multiply-add and a power
-of l is a shift, and it splits each result back exactly, with one gcd. It picks
-the slot width B itself, by the rule its docstring states. No term multiplies
-two packed values; that Kronecker product of two LambdaPolys lost to the int
-kernel above at every length.
+stores a polynomial). A route states its int weights once to ``_packed_plan``,
+which keeps them with the l1 bound of their sums as an immutable plan, and
+hands the plan and p's coefficients to ``_packed_sums``. That kernel turns each
+coefficient into one int, its numerators over the lcm denominator evaluated at
+l = 2^B, so a term is one int multiply-add and a power of l is a shift, and it
+splits each result back exactly, with one gcd. It picks the slot width B from
+the numerators and the plan's bound, by the rule its docstring states. No term
+multiplies two packed values; that Kronecker product of two LambdaPolys lost to
+the int kernel above at every length.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "ExactDivisionError",
@@ -481,36 +482,52 @@ def _dot_products(pairs: Sequence[tuple[Sequence[LambdaPoly], Sequence[LambdaPol
     return [_dot(t) if len(t) > 1 else t[0][0] * t[0][1] if t else XPoly._ZERO for t in terms]
 
 
-def _packed_sums(
-    polys: Sequence[LambdaPoly],
+class _PackedPlan(NamedTuple):
+    """The weights of some sums over polys, for ``_packed_sums``: the output for
+    (d, [(j_0, s_0), (j_1, s_1), ...]) of sums is sum_e s_e l^e w_(j_e) / d, where
+    w_j = sum c polys[i] over the (i, c) of rows[j]; c and s_e are ints and d is a
+    positive int. l1 bounds the l1 norm of every output's weights."""
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    sums: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    l1: int
+
+
+def _packed_plan(
     rows: Sequence[Sequence[tuple[int, int]]],
     sums: Sequence[tuple[int, Sequence[tuple[int, int]]]],
-) -> list[LambdaPoly]:
-    """sum_e s_e l^e w_(j_e) / d for each (d, [(j_0, s_0), (j_1, s_1), ...]) of sums,
-    where w_j = sum c polys[i] over the (i, c) of rows[j]; c and s_e are ints and
-    d is a positive int.
+) -> _PackedPlan:
+    """The immutable plan of these sums. An output's l1 norm is sum_e |s_e| times
+    sum |c| over rows[j_e]; the plan keeps the largest, so it holds for any polys."""
+    rows = tuple(map(tuple, rows))
+    sums = tuple((d, tuple(terms)) for d, terms in sums)
+    norms = [sum(abs(c) for _, c in row) for row in rows]
+    l1 = max((sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums), default=0)
+    return _PackedPlan(rows, sums, l1)
+
+
+def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaPoly]:
+    """The outputs of plan over polys, on packed rows.
 
     Each poly is packed once: its numerators over den, the lcm of the
     denominators, evaluated at l = 2^width as one int. A term is then one int
     multiply-add and l^e a shift by e*width. A slot of an output is at most
-    max|numerator| times the l1 norm of its weights, sum_e |s_e| sum |c| over
-    rows[j_e]; width is the bit length of the largest such bound plus one, so
-    every slot has magnitude below 2^(width-1) and ``_unpack`` splits it back.
+    max|numerator| times plan.l1; width is the bit length of that bound plus
+    one, so every slot has magnitude below 2^(width-1) and ``_unpack`` splits it
+    back.
     """
-    scales, den = _over_lcm([Fraction(1, q._den) for q in polys])
-    nums = [[c * scale for c in q._coeffs] for q, scale in zip(polys, scales)]
-    norms = [sum(abs(c) for _, c in row) for row in rows]
-    l1 = max((sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums), default=0)
-    width = (max(abs(c) for row in nums for c in row) * l1).bit_length() + 1
+    den = math.lcm(*(q._den for q in polys))
+    nums = [[c * (den // q._den) for c in q._coeffs] for q in polys]
+    width = (max(abs(c) for row in nums for c in row) * plan.l1).bit_length() + 1
     packed = []
     for row in nums:
         v = 0
         for c in reversed(row):
             v = (v << width) + c
         packed.append(v)
-    w = [sum(c * packed[i] for i, c in row) for row in rows]
+    w = [sum(c * packed[i] for i, c in row) for row in plan.rows]
     out = []
-    for d, terms in sums:
+    for d, terms in plan.sums:
         acc = 0
         for j, s in reversed(terms):  # Horner in l = 2^width
             acc = (acc << width) + s * w[j]

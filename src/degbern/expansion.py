@@ -43,9 +43,17 @@ read that table; the first route of each branch is its default.
 The two defaults are int linear maps of the coefficients p_i: stirling_sum
 with weights C(i,j) r! S2(i-j,r), then S2(j,m) l^(j-m); umbral_integral with
 C(i,j) B_(i-j)^(m) l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each
-over one lcm. Each states those weights to ``core._packed_sums``, which sums
-them on packed rows: each p_i packed once into one int, each term one int
-multiply-add, each power of l a shift. Every other route sums with
+over one lcm. Those weights belong to the basis, not to p, so each default
+builds them once into an immutable plan (``core._packed_plan``: the rows of
+weights over the support, the indices of p's nonzero coefficients, and the
+l1 bound of their sums) and hands plan and p to ``core._packed_sums``, which
+sums them on packed rows: each p_i packed once into one int, each term one
+int multiply-add, each power of l a shift. ``_f_plan`` keeps a plan per
+(degree, r, support) and ``_g_plan`` one per (degree, r, k, support), each in
+a ``functools.lru_cache`` of at most ``_PLAN_CACHE_SIZE`` plans that drops
+the least recently used; ``cache_clear()`` on either empties it. A sparse p
+keeps its O(n |support|) rows, and the degree guard bounds every plan: at
+degree 64 a plan holds at most about 0.3 MB. Every other route sums with
 ``core._dot``, so crosscheck compares two independent kernels.
 
 All divisions by powers of l are exact divisions; a failure raises
@@ -56,9 +64,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _packed_sums
+from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _packed_plan, _packed_sums, _PackedPlan
 from .families import _stirling2_rows, bernoulli_poly_order, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
@@ -89,6 +98,12 @@ __all__ = [
     "expand_order1",
     "reconstruct",
 ]
+
+
+#: The most weight plans each default route keeps, least recently used out first:
+#: a stirling_sum plan serves one (degree, r, support), an umbral_integral plan one
+#: a_k of it, so one expand at the top order r = 64 reads 64 of them.
+_PLAN_CACHE_SIZE = 64
 
 
 class RouteMismatchError(Exception):
@@ -131,6 +146,7 @@ def _validated(p: XPoly) -> int:
         raise TypeError("expected an XPoly")
     if p.is_zero:
         raise ValueError("cannot expand the zero polynomial")
+    check_size("degree", p.degree)
     return p.degree
 
 
@@ -181,15 +197,25 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
     return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
-def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
-    n, top = p.degree, p.degree - r  # [x^j] Delta^r p is 0 for j > top
+def _support(p: XPoly) -> tuple[int, ...]:
+    """The indices of p's nonzero coefficients, part of a plan's key."""
+    return tuple(i for i, c in enumerate(p.coeffs) if c)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _f_plan(n: int, r: int, live: tuple[int, ...]) -> _PackedPlan:
+    """stirling_sum's weights at degree n and order r over the p_i with i in live."""
+    top = n - r  # [x^j] Delta^r p is 0 for j > top
     jump = _jumps(r, n + 1)
-    live = [i for i, c in enumerate(p.coeffs) if c]
     rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
     s2 = _stirling2_rows(top)
     sums = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
-    return _packed_sums(p.coeffs, rows, sums)
+    return _packed_plan(rows, sums)
+
+
+def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
+    """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
+    return _packed_sums(p.coeffs, _f_plan(p.degree, r, _support(p)))
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
@@ -215,6 +241,22 @@ def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly
     return coeffs
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _g_plan(n: int, r: int, k: int, live: tuple[int, ...]) -> _PackedPlan:
+    """umbral_integral's weights for a_k at degree n and order r over the p_i with i
+    in live: s_t l^t for the sum and, for each t, the rows C(i,t) cw_(i-t)."""
+    m = r - k
+    jump = _jumps(r, n + r + 1)
+    bernoulli_poly_order(n, m)  # grows a cold table in one step, not one member per read below
+    s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).coeff(0) for t in range(n + 1)])
+    cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
+    rows = [
+        [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
+        for t, st in enumerate(s)
+    ]
+    return _packed_plan(rows, [(s_den * cw_den, list(enumerate(s)))])
+
+
 def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     """a_k = Delta^(m+k) [A^m q_m](0) / k!, m = r - k, on packed rows.
 
@@ -223,21 +265,8 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     a_k = sum_t s_t l^t y_t, y_t = sum_j cw_j C(j+t,j) p_(j+t) and
     cw_j = r! S2(j+m,r) j! / ((j+m)! k!).
     """
-    n = p.degree
-    live = [i for i, c in enumerate(p.coeffs) if c]
-    jump = _jumps(r, n + r + 1)
-    coeffs = []
-    for k in range(min(r, n + 1)):
-        m = r - k
-        bernoulli_poly_order(n, m)  # grows a cold table in one step, not one member per read below
-        s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).coeff(0) for t in range(n + 1)])
-        cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
-        rows = [
-            [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
-            for t, st in enumerate(s)
-        ]
-        coeffs.extend(_packed_sums(p.coeffs, rows, [(s_den * cw_den, list(enumerate(s)))]))
-    return coeffs
+    n, live = p.degree, _support(p)
+    return [a for k in range(min(r, n + 1)) for a in _packed_sums(p.coeffs, _g_plan(n, r, k, live))]
 
 
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:

@@ -111,19 +111,21 @@ def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-# kind -> (a_0..a_k of A(t), A(0) = 1, the core being A^(-r); the basis b_i, None for x^i)
+# kind -> (a_0..a_k of A(t) over one denominator, A(0) = 1, the core being A^(-r);
+# the basis b_i, None for x^i). The rational kinds give int a_j, so each
+# weight of Miller's recurrence is an int.
 _KINDS = {
-    # A = (e^t-1)/t
-    "bernoulli_r": (lambda k: [LambdaPoly.const(Fraction(1, factorial(j + 1))) for j in range(k + 1)], None),
-    # A = (e^t+1)/2
-    "euler": (lambda k: [LambdaPoly.const(Fraction(1, 2 * factorial(j)) if j else 1) for j in range(k + 1)], None),
+    # A = (e^t-1)/t, a_j = 1/(j+1)!
+    "bernoulli_r": (lambda k: ([perm(k + 1, k - j) for j in range(k + 1)], factorial(k + 1)), None),
+    # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
+    "euler": (lambda k: ([2 * factorial(k)] + [perm(k, k - j) for j in range(1, k + 1)], 2 * factorial(k)), None),
     # A = (e_l(t)-1)/t
-    "deg_bernoulli_r": (_deg_base, deg_falling),
+    "deg_bernoulli_r": (lambda k: (_deg_base(k), 1), deg_falling),
 }
 
 
-def _next_number(base: list[LambdaPoly], r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
-    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1} and a_0..a_k, by Miller's power recurrence.
+def _next_number(base: list, den: int, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
+    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1} and a_j = base[j] / den, by Miller's power recurrence.
 
     For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
     in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers, and the sum is
@@ -132,7 +134,8 @@ def _next_number(base: list[LambdaPoly], r: int, numbers: list[LambdaPoly]) -> L
     k = len(numbers)
     if k == 0:
         return LambdaPoly.one()
-    return _dot((numbers[k - j], base[j] * (((1 - r) * j - k) * perm(k - 1, j - 1))) for j in range(1, k + 1))
+    c = _dot((numbers[k - j], base[j] * (((1 - r) * j - k) * perm(k - 1, j - 1))) for j in range(1, k + 1))
+    return c / den if den != 1 else c
 
 
 class FamilyTable:
@@ -164,10 +167,10 @@ class FamilyTable:
                 series, basis = _KINDS[key[0]]
                 if basis:  # each b_i built once per grow, not once per member
                     basis = [basis(i) for i in range(n + 1)].__getitem__
-                base, numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
+                (base, den), numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
                 members = list(members)
                 for m in range(len(members), n + 1):
-                    numbers.append(_next_number(base, key[1], numbers))
+                    numbers.append(_next_number(base, den, key[1], numbers))
                     d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers))])
                     members.append(umbral_compose(d, basis) if basis else d)
                 self._cache[key] = members
@@ -225,7 +228,13 @@ def scaled_bernoulli(n: int, a: int) -> XPoly:
     return XPoly._make([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
 
 
-@lru_cache(maxsize=None)
+#: The bounds of the number memos below: stirling2 keeps its triangle to n = 89,
+#: past twice the default degree limit, and harmonic the first 256 numbers.
+_STIRLING2_CACHE_SIZE = 4096
+_HARMONIC_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_STIRLING2_CACHE_SIZE)
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind, by the explicit integer sum
     S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!."""
@@ -234,7 +243,7 @@ def stirling2(n: int, k: int) -> Fraction:
     return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
 def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
     if not isinstance(n, int) or n < 1:

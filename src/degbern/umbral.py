@@ -192,10 +192,9 @@ def umbral_compose(p: XPoly, family: Callable[[int], XPoly]) -> XPoly:
     """Substitute family(i) for x^i in the monomial expansion of p.
 
     [x^j] of the result is the dot product sum_i p_i [x^j]family(i), summed
-    by the kernel in ints over one denominator.
+    by the kernel in ints over one denominator. The members are read from the
+    top degree down, so the first read grows a cold table in one step.
     """
-    if p.coeffs:
-        family(p.degree)  # grows a cold table in one step, not one member per read below
-    terms = [(family(i).coeffs, b) for i, b in enumerate(p.coeffs) if b]
+    terms = [(family(i).coeffs, b) for i, b in reversed(list(enumerate(p.coeffs))) if b]
     size = max((len(f) for f, _ in terms), default=0)
     return XPoly._make([_dot((f[j], b) for f, b in terms if j < len(f)) for j in range(size)])

@@ -14,6 +14,7 @@ from degbern.core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
+    _packed_plan,
     _packed_sums,
     _unpack,
 )
@@ -258,8 +259,9 @@ def test_packed_rows_round_trip_at_the_slot_bounds(monkeypatch, width):
     widths = []
     monkeypatch.setattr(core, "_unpack", lambda v, w, d: widths.append(w) or _unpack(v, w, d))
     polys = [LambdaPoly._make(list(row), 6) for row in rows]
-    identity = [[(i, 1)] for i in range(len(polys))]
-    assert _packed_sums(polys, identity, [(1, [(i, 1)]) for i in range(len(polys))]) == polys
+    identity = _packed_plan([[(i, 1)] for i in range(len(polys))], [(1, [(i, 1)]) for i in range(len(polys))])
+    assert identity.l1 == 1
+    assert _packed_sums(polys, identity) == polys
     assert set(widths) == {width}
 
 
@@ -292,13 +294,18 @@ def test_packed_sums_match_the_sums_over_q_l():
             (rng.randint(1, 10**4), [(rng.randrange(4), weight()) for _ in range(rng.randint(0, 5))])
             for _ in range(3)
         ]
-        w = [sum((polys[i] * c for i, c in row), LambdaPoly.zero()) for row in rows]
-        expected = [
-            sum((w[j] * s * LAMBDA**e for e, (j, s) in enumerate(terms)), LambdaPoly.zero()) / d
-            for d, terms in sums
-        ]
-        assert _packed_sums(polys, rows, sums) == expected
-    assert _packed_sums(polys, rows, []) == []
+        plan = _packed_plan(rows, sums)
+        hash(plan)  # immutable all the way down, so one plan serves every caller
+        # one plan over inputs of different sizes: each call picks its own width
+        for scale in (1, rng.choice([-1, 1]) << rng.randint(1, 100)):
+            polys = [q * scale for q in polys]
+            w = [sum((polys[i] * c for i, c in row), LambdaPoly.zero()) for row in rows]
+            expected = [
+                sum((w[j] * s * LAMBDA**e for e, (j, s) in enumerate(terms)), LambdaPoly.zero()) / d
+                for d, terms in sums
+            ]
+            assert _packed_sums(polys, plan) == expected
+    assert _packed_sums(polys, _packed_plan(rows, [])) == []
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------

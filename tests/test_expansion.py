@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbern import expansion, families
-from degbern.core import LAMBDA, LambdaPoly, XPoly
+from degbern import core, expansion, families
+from degbern.core import LAMBDA, LambdaPoly, XPoly, _unpack
 from degbern.expansion import (
     F_ROUTES,
     G_ROUTES,
@@ -308,10 +308,20 @@ def test_order_is_bounded_by_the_degree_limit(monkeypatch):
             expand(p, r)
         with pytest.raises(ValueError, match="order r must be between 1 and 64"):
             crosscheck(p, r)
+    # the degree is guarded alike: a plan keys on it, so the guard bounds each plan
+    for n in (65, 100):
+        with pytest.raises(ValueError, match="degree must be between 0 and 64"):
+            expand(XPoly.monomial(n), 1)
+        with pytest.raises(ValueError, match="degree must be between 0 and 64"):
+            crosscheck(XPoly.monomial(n), 1)
     monkeypatch.setenv("DEGBERN_MAX_DEGREE", "3")
     with pytest.raises(ValueError, match="between 1 and 3"):
         expand(p, 4)
+    for check in (expand, crosscheck):
+        with pytest.raises(ValueError, match="degree must be between 0 and 3"):
+            check(XPoly.monomial(4), 1)
     assert reconstruct(crosscheck(p, 3)) == p
+    assert reconstruct(crosscheck(XPoly.monomial(3), 1)) == XPoly.monomial(3)
 
 
 def test_route_mismatch_error_payload():
@@ -348,6 +358,66 @@ def test_packed_default_routes_match_the_dot_routes(p, r):
     # umbral_integral and stirling_sum run on packed rows; umbral_integral_op and
     # functional sum every linear combination with core._dot
     assert expand(p, r).coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
+
+
+# -- the default routes' weight plans, one per (degree, r, support) --------------
+
+_NONZERO = st.builds(
+    Fraction, st.integers(1, 10**40) | st.integers(-(10**40), -1), st.integers(1, 10**12)
+)
+_NONZERO_LAMBDA_POLYS = st.dictionaries(st.integers(0, 4), _NONZERO, min_size=1, max_size=3).map(LambdaPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.integers(0, 8), min_size=1), st.integers(1, 4), st.data())
+def test_a_cached_plan_serves_every_poly_of_its_shape(support, r, data):
+    n = max(support)
+
+    def poly(values):
+        return XPoly([values.pop() if i in support else 0 for i in range(n + 1)])
+
+    # the first poly has numerators +-1 and takes the narrowest slots; the last
+    # has a top numerator of at least 2, so it reads the same plans at a wider width
+    first = poly([LambdaPoly.const(data.draw(st.sampled_from([1, -1]))) for _ in support])
+    def values(size):
+        return data.draw(st.lists(_NONZERO_LAMBDA_POLYS, min_size=size, max_size=size))
+
+    later = [poly(values(len(support))) for _ in range(data.draw(st.integers(1, 3)))]
+    top = data.draw(st.integers(2, 10**40) | st.integers(-(10**40), -2))
+    later.append(poly([*values(len(support) - 1), LambdaPoly.const(top)]))
+    def misses():
+        return expansion._f_plan.cache_info().misses, expansion._g_plan.cache_info().misses
+
+    widths = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_unpack", lambda v, w, d: widths.append(w) or _unpack(v, w, d))
+        expanded = [expand(first, r)]
+        first_width, built = max(widths), misses()
+        widths.clear()
+        expanded += [expand(p, r) for p in later]
+    assert misses() == built  # every later call reused the first call's plans
+    assert max(widths) > first_width
+    for p, e in zip([first, *later], expanded):
+        assert e.coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
+
+
+def test_plans_of_one_degree_keep_their_supports_apart():
+    # a plan holds rows for its support only: one shared by x^6 + x and x^6 + x^2
+    # would drop a term of the other
+    a, b = parse_poly("x^6 + x"), parse_poly("x^6 + x^2")
+    for p in (a, b, a + b, a, b):
+        assert expand(p, 2).coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
+
+
+def test_plan_caches_are_bounded_and_clearable():
+    x = XPoly.x()
+    for mask in range(2 * expansion._PLAN_CACHE_SIZE):  # that many supports of degree 7
+        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
+    for cache in (expansion._f_plan, expansion._g_plan):
+        info = cache.cache_info()
+        assert info.maxsize == expansion._PLAN_CACHE_SIZE and info.currsize == info.maxsize
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
 
 
 # -- every registered route is cross-checked ------------------------------------

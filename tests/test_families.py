@@ -9,7 +9,9 @@ from math import comb
 import pytest
 
 import degbern.families as families
+from degbern import expansion
 from degbern.core import LAMBDA, LambdaPoly, XPoly
+from degbern.expansion import expand
 from degbern.families import (
     FamilyTable,
     bernoulli_number,
@@ -26,6 +28,7 @@ from degbern.families import (
     scaled_bernoulli,
     stirling2,
 )
+from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
 from helpers import partition_count, series_family, series_stirling2
 
@@ -278,6 +281,19 @@ def test_harmonic_large_n_without_recursion():
     assert harmonic(3000) - harmonic(2999) == Fraction(1, 3000)
 
 
+def test_number_memos_are_bounded_and_clearable():
+    for memo, bound, call in (
+        (stirling2, families._STIRLING2_CACHE_SIZE, lambda i: stirling2(i, 1)),
+        (harmonic, families._HARMONIC_CACHE_SIZE, lambda i: harmonic(i + 1)),
+    ):
+        for i in range(bound + 10):
+            call(i)
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+
+
 def test_harmonic_rejects_zero():
     with pytest.raises(ValueError):
         harmonic(0)
@@ -426,6 +442,34 @@ def test_family_table_threaded_growth_matches_serial():
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
+
+
+def test_plan_cache_threaded_expands_match_serial():
+    # eight polys of one shape that no other test expands: every thread asks for
+    # the same cold plans at once, and each result must be the serial one
+    polys = [parse_poly(f"{c}*x^11 - {c}/7*l*x^9 + x^4 - {c}") for c in range(1, 9)]
+    expected = [expand(p, 3) for p in polys]
+    expansion._f_plan.cache_clear()
+    expansion._g_plan.cache_clear()
+    barrier = threading.Barrier(len(polys))
+    results: list = [None] * len(polys)
+
+    def worker(i: int) -> None:
+        barrier.wait(timeout=30)
+        results[i] = expand(polys[i], 3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(polys))]
         for t in threads:
             t.start()
         for t in threads:

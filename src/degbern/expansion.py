@@ -56,6 +56,21 @@ keeps its O(n |support|) rows, and the degree guard bounds every plan: at
 degree 64 a plan holds at most about 0.3 MB. Every other route sums with
 ``core._dot``, so crosscheck compares two independent kernels.
 
+reconstruct reads no member either. The basis is Appell in the degenerate
+falling factorials, beta_k^(r)(x) = sum_i C(k,i) c_(k-i) (x)_(i,l) with the
+numbers c_t = beta_t^(r)(0), so sum_k a_k beta_k^(r)(x) = sum_i d_i (x)_(i,l)
+with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, the Sheffer connection constants
+(S. Roman, The Umbral Calculus, 1984). The d_i are sums of products on
+packed rows (``core._packed_products``), then sum_i s(i,j) l^(i-j) d_i is
+``core._packed_sums`` on a plan of Stirling numbers of the first kind.
+``_appell_numbers`` keeps the numbers over one denominator with their norms
+per (degree, r), and ``_degree_plan`` the binomial terms of the d_i and that
+plan per degree, shared by every r; each is an ``lru_cache`` of
+``_PLAN_CACHE_SIZE``. At degree 64 a numbers entry holds about 0.15 MB and a
+degree plan about 0.5 MB; each cache stays near 10 MB at the degree limit.
+The residual g-route still reads the members, so crosscheck checks the same
+basis through them.
+
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
 """
@@ -67,8 +82,20 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot, _over_lcm, _packed_plan, _packed_sums, _PackedPlan
-from .families import _stirling2_rows, bernoulli_poly_order, deg_bernoulli_order, scaled_bernoulli
+from .core import (
+    LAMBDA,
+    LambdaPoly,
+    XPoly,
+    _dot,
+    _over_lcm,
+    _packed_plan,
+    _packed_products,
+    _packed_sums,
+    _PackedPlan,
+    _rows,
+    _Rows,
+)
+from .families import _numbers, _stirling1_rows, _stirling2_rows, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
@@ -102,7 +129,8 @@ __all__ = [
 
 #: The most weight plans each default route keeps, least recently used out first:
 #: a stirling_sum plan serves one (degree, r, support), an umbral_integral plan one
-#: a_k of it, so one expand at the top order r = 64 reads 64 of them.
+#: a_k of it, so one expand at the top order r = 64 reads 64 of them. reconstruct's
+#: two caches, per (degree, r) and per degree, keep as many.
 _PLAN_CACHE_SIZE = 64
 
 
@@ -247,8 +275,7 @@ def _g_plan(n: int, r: int, k: int, live: tuple[int, ...]) -> _PackedPlan:
     in live: s_t l^t for the sum and, for each t, the rows C(i,t) cw_(i-t)."""
     m = r - k
     jump = _jumps(r, n + r + 1)
-    bernoulli_poly_order(n, m)  # grows a cold table in one step, not one member per read below
-    s, s_den = _over_lcm([bernoulli_poly_order(t, m).coeff(0).coeff(0) for t in range(n + 1)])
+    s, s_den = _over_lcm([c.coeff(0) for c in _numbers("bernoulli_r", m, n)[: n + 1]])
     cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
     rows = [
         [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
@@ -347,9 +374,29 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
     return expand(p, 1, a0_route, ak_route)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _appell_numbers(n: int, r: int) -> _Rows:
+    """The numbers c_t = beta_t^(r)(0), t <= n, over one denominator, with their norms."""
+    return _rows(_numbers("deg_bernoulli_r", r, n)[: n + 1])
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _degree_plan(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], _PackedPlan]:
+    """What reconstruct reads at degree n for every r: for each i the terms
+    (k - i, k, C(k,i)) of d_i, and the plan of [x^j] sum_i d_i (x)_(i,l) =
+    sum_i s(i,j) l^(i-j) d_i over d_0..d_n."""
+    terms = tuple(tuple((k - i, k, comb(k, i)) for k in range(i, n + 1)) for i in range(n + 1))
+    s1 = _stirling1_rows(n)
+    sums = [(1, [(i, s1[i][j]) for i in range(j, n + 1)]) for j in range(n + 1)]
+    return terms, _packed_plan([[(i, 1)] for i in range(n + 1)], sums)
+
+
 def reconstruct(e: BasisExpansion) -> XPoly:
-    """Rebuild the polynomial sum_k a_k beta_k^(order)(x)."""
-    return umbral_compose(XPoly(e.coeffs), lambda k: deg_bernoulli_order(k, e.order))
+    """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
+    alone, as sum_i d_i (x)_(i,l) on packed rows; the module docstring says how."""
+    terms, plan = _degree_plan(e.degree)
+    d = _packed_products(_appell_numbers(e.degree, e.order), _rows(e.coeffs), terms)
+    return XPoly._make(_packed_sums(d, plan))
 
 
 def classical_limit(e: BasisExpansion) -> list[Fraction]:

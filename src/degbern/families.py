@@ -17,17 +17,20 @@ where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
 x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). Each core is A(t)^(-r) for a
 closed-form series A with A(0) = 1, so c_k follows from c_0..c_{k-1} by
-J. C. P. Miller's power recurrence, exactly in Q[l]. Since c_k is member
-k at x = 0, the members are all a table stores. Member n is those numbers
-times the monomials, or times the falling factorials read straight off the
-signed Stirling numbers of the first kind, (x)_{n,l} = sum_m s(n,m)
-l^(n-m) x^m (``deg_falling``). Stirling numbers of the second kind (an int
-triangle of them holds the expansion routes' weights) and harmonic numbers
-round out the kit.
+J. C. P. Miller's power recurrence, exactly in Q[l]. The numbers, c_k being
+member k at x = 0, are a table's state. Member n is those numbers times the
+monomials, or times the falling factorials read straight off the signed
+Stirling numbers of the first kind, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m
+(``deg_falling``); a table builds it when it is first read, and keeps it.
+Readers that want numbers only (the Bernoulli, Euler and Genocchi numbers,
+the default g-route, ``expansion.reconstruct``) read them through
+``_numbers`` and build no member. Stirling numbers of the second kind (an
+int triangle of them holds the expansion routes' weights) and harmonic
+numbers round out the kit.
 
-A table computes only the members it lacks and publishes each grown list
-wholesale; reads are safe from multiple threads (a reader sees either a
-missing entry or a complete one).
+A table computes only the numbers and members it lacks and publishes each
+grown list wholesale; reads are safe from multiple threads (a reader sees
+either a missing entry or a complete one).
 """
 
 from __future__ import annotations
@@ -89,14 +92,21 @@ def _grown(rows: list[tuple[int, ...]], n: int, weight) -> list[tuple[int, ...]]
     return rows
 
 
+def _stirling1_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the signed int Stirling numbers of the first kind:
+    ``deg_falling`` and ``expansion.reconstruct`` read them."""
+    global _stirling1
+    rows = _stirling1
+    if n >= len(rows):
+        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
+    return rows
+
+
 def deg_falling(n: int) -> XPoly:
     """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
     order-0 degenerate Bernoulli."""
-    global _stirling1
-    rows = _stirling1
-    if _check_index(n) >= len(rows):
-        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
-    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(rows[n]))
+    row = _stirling1_rows(_check_index(n))[n]
+    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(row))
 
 
 def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
@@ -141,43 +151,66 @@ def _next_number(base: list, den: int, r: int, numbers: list[LambdaPoly]) -> Lam
 class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
-    A request past the cached end computes only the missing members, under
-    a plain lock (no kind reads another), then replaces the cached list
-    wholesale; lists are never mutated in place, so unlocked readers always
-    see complete entries.
+    Its state is each key's numbers c_0, c_1, ..., grown by Miller's
+    recurrence; a member is built from them and its basis when it is first
+    read, and kept. A request past a cached end computes only the missing
+    numbers or members, under a plain lock (no kind reads another), then
+    replaces the cached list wholesale; lists are never mutated in place, so
+    unlocked readers always see complete entries.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple, list[XPoly]] = {}
+        self._numbers: dict[tuple, list[LambdaPoly]] = {}
+        self._members: dict[tuple, list[XPoly]] = {}
         self._lock = threading.Lock()
 
+    def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
+        """The published numbers c_0.. of key, at least through c_n; not to be mutated."""
+        entry = self._numbers.get(key)
+        if entry is not None and n < len(entry):
+            return entry
+        return self._grow(key, n)
+
     def get(self, key: tuple, n: int) -> XPoly:
-        entry = self._cache.get(key)
+        """Member n of key: sum_i C(n,i) c_(n-i) b_i."""
+        entry = self._members.get(key)
         if entry is not None and n < len(entry):
             return entry[n]
-        return self._grow(key, n)[n]
+        numbers = self.numbers(key, n)
+        with self._lock:
+            members = self._members.get(key, [])
+            if n >= len(members):
+                basis = _KINDS[key[0]][1]
+                if basis:  # each b_i built once per grow, not once per member
+                    basis = [basis(i) for i in range(n + 1)].__getitem__
+                members = list(members)
+                for m in range(len(members), n + 1):
+                    d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers[: m + 1]))])
+                    members.append(umbral_compose(d, basis) if basis else d)
+                self._members[key] = members
+        return members[n]
 
-    def _grow(self, key: tuple, n: int) -> list[XPoly]:
-        """The published members of key, grown to at least 0..n."""
+    def _grow(self, key: tuple, n: int) -> list[LambdaPoly]:
+        """The published numbers of key, grown to at least c_0..c_n."""
         if len(key) != 2 or key[0] not in _KINDS:
             raise ValueError(f"unknown family {key!r}")
         with self._lock:
-            members = self._cache.get(key, [])
-            if n >= len(members):
-                series, basis = _KINDS[key[0]]
-                if basis:  # each b_i built once per grow, not once per member
-                    basis = [basis(i) for i in range(n + 1)].__getitem__
-                (base, den), numbers = series(n), [p.coeff(0) for p in members]  # c_k is member k at x = 0
-                members = list(members)
-                for m in range(len(members), n + 1):
+            numbers = self._numbers.get(key, [])
+            if n >= len(numbers):
+                base, den = _KINDS[key[0]][0](n)
+                numbers = list(numbers)
+                while len(numbers) <= n:
                     numbers.append(_next_number(base, den, key[1], numbers))
-                    d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers))])
-                    members.append(umbral_compose(d, basis) if basis else d)
-                self._cache[key] = members
-            return members
+                self._numbers[key] = numbers
+            return numbers
 
 
 _TABLE = FamilyTable()
+
+
+def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
+    """c_0..c_n, at least, of the table key (kind, r): the published list, read and never mutated."""
+    return _TABLE.numbers((kind, _check_index(r, "r")), _check_index(n))
 
 
 def bernoulli_poly(n: int) -> XPoly:
@@ -187,7 +220,7 @@ def bernoulli_poly(n: int) -> XPoly:
 
 def bernoulli_number(n: int) -> Fraction:
     """Bernoulli number, the constant term of the Bernoulli polynomial."""
-    return bernoulli_poly(n).coeff(0).as_rational()
+    return _numbers("bernoulli_r", 1, n)[n].as_rational()
 
 
 def bernoulli_poly_order(n: int, r: int) -> XPoly:
@@ -200,7 +233,7 @@ def euler_poly(n: int) -> XPoly:
 
 
 def euler_number(n: int) -> Fraction:
-    return euler_poly(n).coeff(0).as_rational()
+    return _numbers("euler", 1, n)[n].as_rational()
 
 
 def genocchi_poly(n: int) -> XPoly:

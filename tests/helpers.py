@@ -18,7 +18,8 @@ from math import comb, factorial, gcd
 from hypothesis import strategies as st
 
 from degbern.core import LambdaPoly, TruncSeries, XPoly
-from degbern.umbral import integral_I, sequence_diff
+from degbern.families import deg_bernoulli_order
+from degbern.umbral import integral_I, sequence_diff, umbral_compose
 
 BOUND = 10**6
 
@@ -211,6 +212,12 @@ def functional_by_terms(f, p: XPoly) -> LambdaPoly:
     for k, c in enumerate(p.coeffs):
         total = total + f.coeff(k) * c * factorial(k)
     return total
+
+
+def member_reconstruct(e) -> XPoly:
+    """sum_k a_k beta_k^(r)(x) of an expansion, composed with the order-r members
+    themselves: the tables' members, where reconstruct reads only their numbers."""
+    return umbral_compose(XPoly(e.coeffs), lambda k: deg_bernoulli_order(k, e.order))
 
 
 def compose_by_products(p: XPoly, family) -> XPoly:

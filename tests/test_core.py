@@ -15,7 +15,9 @@ from degbern.core import (
     TruncSeries,
     XPoly,
     _packed_plan,
+    _packed_products,
     _packed_sums,
+    _rows,
     _unpack,
 )
 from helpers import (
@@ -306,6 +308,41 @@ def test_packed_sums_match_the_sums_over_q_l():
             ]
             assert _packed_sums(polys, plan) == expected
     assert _packed_sums(polys, _packed_plan(rows, [])) == []
+
+
+def test_packed_sums_of_zero_inputs_are_zero():
+    zero = LambdaPoly.zero()
+    plan = _packed_plan([[(0, 3)], [(0, -1), (1, 2)]], [(1, [(0, 1), (1, 5)]), (7, [(1, 1)])])
+    assert _packed_sums([zero, zero], plan) == [zero, zero]
+    assert _packed_sums([], _packed_plan([[]], [(1, [(0, 1)])])) == [zero]
+    # rows that sum no poly: every output is zero, whatever the polys
+    empty = _packed_plan([[], []], [(1, [(0, 1), (1, -4)]), (3, [])])
+    assert empty.l1 == 0
+    assert _packed_sums([LambdaPoly({0: 5, 2: Fraction(-3, 7)}), zero], empty) == [zero, zero]
+
+
+def test_packed_products_match_the_products_over_q_l():
+    rng = random.Random(83)
+
+    def poly():
+        kind = rng.random()
+        if kind < 0.2:
+            return LambdaPoly.zero()
+        if kind < 0.45:  # an l-monomial, packed as one small int
+            return LambdaPoly.monomial(rng.randint(0, 6), random_fraction(rng, 10**40) or 1)
+        return random_lambda_poly(rng, 6, rng.choice([10**3, 10**12, 10**40]))
+
+    def weight():
+        return rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 20))
+
+    for _ in range(150):
+        xs, ys = [poly() for _ in range(5)], [poly() for _ in range(6)]
+        sums = [[(rng.randrange(5), rng.randrange(6), weight()) for _ in range(rng.randint(0, 6))] for _ in range(4)]
+        expected = [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
+        got = _packed_products(_rows(xs), _rows(ys), sums)
+        assert got == expected and all(is_primitive(d) for d in got)
+    zero = LambdaPoly.zero()
+    assert _packed_products(_rows([zero]), _rows([zero, zero]), [[(0, 1, 5)], []]) == [zero, zero]
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------

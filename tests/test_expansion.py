@@ -29,9 +29,9 @@ from degbern.families import (
     deg_bernoulli_order,
     genocchi_poly,
 )
-from degbern.parser import parse_poly
+from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
-from helpers import classical_coeffs_higher, classical_coeffs_order1, random_xpoly
+from helpers import classical_coeffs_higher, classical_coeffs_order1, member_reconstruct, random_xpoly
 
 
 def test_basis_elements_expand_to_kronecker_delta():
@@ -413,11 +413,59 @@ def test_plan_caches_are_bounded_and_clearable():
     x = XPoly.x()
     for mask in range(2 * expansion._PLAN_CACHE_SIZE):  # that many supports of degree 7
         expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
-    for cache in (expansion._f_plan, expansion._g_plan):
+    # reconstruct keeps its constants per (degree, r) and its falling-factorial
+    # plan per degree: one basis member at every degree up to the limit, and
+    # member 3 at many orders
+    def member(n, r):
+        return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
+
+    for n in range(max_degree_limit() + 1):
+        assert member(n, 1).degree == n
+    for r in range(1, 2 * expansion._PLAN_CACHE_SIZE):
+        assert member(3, r) == deg_bernoulli_order(3, r)
+    for cache in (expansion._f_plan, expansion._g_plan, expansion._appell_numbers, expansion._degree_plan):
         info = cache.cache_info()
         assert info.maxsize == expansion._PLAN_CACHE_SIZE and info.currsize == info.maxsize
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
+
+
+# -- reconstruct from the numbers alone ------------------------------------------
+
+_COEFF = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12))
+_BASIS_COEFFS = st.one_of(
+    st.just(LambdaPoly.zero()),
+    st.builds(LambdaPoly.monomial, st.integers(0, 8), _COEFF),  # l-monomials
+    st.dictionaries(st.integers(0, 8), _COEFF, max_size=4).map(LambdaPoly),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.data())
+def test_reconstruct_matches_the_member_composition(n, data):
+    # orders 1..8 and past the degree, and lists that are sparse, all zero or
+    # all l-monomials as often as dense
+    r = data.draw(st.integers(1, 8) | st.integers(n + 1, n + 3))
+    coeffs = data.draw(st.lists(_BASIS_COEFFS, min_size=n + 1, max_size=n + 1))
+    e = BasisExpansion(r, n, tuple(coeffs), ("drawn",) * (n + 1))
+    assert reconstruct(e) == member_reconstruct(e)
+
+
+def test_a_cold_reconstruct_reads_numbers_and_builds_no_member(monkeypatch):
+    table = families.FamilyTable()
+    monkeypatch.setattr(families, "_TABLE", table)
+    expansion._appell_numbers.cache_clear()
+    p = parse_poly("x^9 - 2/5*l*x^4 + 3")
+    assert reconstruct(expand(p, 3)) == p
+    assert ("deg_bernoulli_r", 3) in table._numbers
+    assert table._members == {}  # neither expand nor reconstruct built a member
+
+
+def test_reconstruct_at_the_degree_limit_matches_the_member_composition():
+    for expr in ("(1+x+l)^64", "x^64 - 3/7*l*x^59 + x^3"):
+        p = parse_poly(expr)
+        e = expand(p, 1)
+        assert reconstruct(e) == member_reconstruct(e) == p, expr
 
 
 # -- every registered route is cross-checked ------------------------------------

@@ -352,10 +352,12 @@ def test_family_table_append_only_growth():
     table = FamilyTable()
     key = ("deg_bernoulli_r", 0)
     first = table.get(key, 3)
-    published = table._cache[key]
+    published = table._members[key], table._numbers[key]
     grown = table.get(key, 6)
     assert table.get(key, 3) is first
-    assert len(published) == 4  # growth replaced the list, it did not extend it
+    # growth replaced each list, it did not extend it
+    assert [len(entry) for entry in published] == [4, 4]
+    assert len(table._members[key]) == len(table._numbers[key]) == 7
     assert grown == deg_falling(6)
 
 
@@ -420,15 +422,20 @@ def test_family_table_rejects_unknown_family():
 
 
 def test_family_table_threaded_growth_matches_serial():
-    # two kinds grow at once under the table's one lock
+    # two kinds grow at once under the table's one lock, each thread reading
+    # numbers and members of both in its own order
     keys = [("deg_bernoulli_r", 2), ("euler", 1)]
     plans = []
     for seed in range(8):
-        plan = [(key, n) for key in keys for n in range(17)]
+        plan = [(key, n, read) for key in keys for n in range(17) for read in ("numbers", "member")]
         random.Random(seed).shuffle(plan)
         plans.append(plan)
+
+    def reads(table, plan):
+        return [table.numbers(key, n)[: n + 1] if read == "numbers" else table.get(key, n) for key, n, read in plan]
+
     serial = FamilyTable()
-    expected = [[serial.get(key, n) for key, n in plan] for plan in plans]
+    expected = [reads(serial, plan) for plan in plans]
 
     table = FamilyTable()
     barrier = threading.Barrier(len(plans))
@@ -436,7 +443,7 @@ def test_family_table_threaded_growth_matches_serial():
 
     def worker(i: int) -> None:
         barrier.wait(timeout=30)
-        results[i] = [table.get(key, n) for key, n in plans[i]]
+        results[i] = reads(table, plans[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -7,6 +7,7 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degbern.expansion as expansion
 import degbern.families as families
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.expansion import _alternating, expand, reconstruct
@@ -35,6 +36,7 @@ from helpers import (
     difference_by_values,
     functional_by_terms,
     is_primitive,
+    member_reconstruct,
     random_fraction,
     random_lambda_poly,
     random_xpoly,
@@ -278,8 +280,9 @@ def test_umbral_compose_single_monomial():
 
 
 def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
-    # reconstruct composes with deg_bernoulli_order(k, 3) for k = 0..n; on a cold
-    # table that is one grow to member n, not one grow per member
+    # composing with deg_bernoulli_order(k, 3) for k = 0..n reads the members
+    # from the top down; on a cold table that is one grow to number n, not one
+    # grow per member, and reconstruct grows the same numbers once
     grown = []
 
     class CountingTable(families.FamilyTable):
@@ -289,9 +292,12 @@ def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
 
     p = XPoly.monomial(12)
     e = expand(p, 3)
-    monkeypatch.setattr(families, "_TABLE", CountingTable())
-    assert reconstruct(e) == p
-    assert grown == [("deg_bernoulli_r", 3)]
+    for rebuild in (member_reconstruct, reconstruct):
+        monkeypatch.setattr(families, "_TABLE", CountingTable())
+        expansion._appell_numbers.cache_clear()
+        grown.clear()
+        assert rebuild(e) == p
+        assert grown == [("deg_bernoulli_r", 3)]
 
 
 def test_umbral_compose_then_integrate_gives_scaled_number():

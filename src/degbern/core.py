@@ -22,9 +22,11 @@ each take their own lcm and gcd. ``_dot`` does it for a sum of products: for
 each coefficient of an ``XPoly`` product and of a ``TruncSeries`` product over
 Q[l] (``_convolve``, through ``_dot_products``), for the product sums of the
 identity corpus, for ``XPoly.eval_x`` at a rational point, for
-``umbral.apply``, ``umbral.functional`` and ``umbral.umbral_compose``, for
-Miller's recurrence in ``families`` and for the differences at 0 in
-``expansion``. ``XPoly.shift`` does it for every output coefficient at once,
+``umbral.apply``, ``umbral.functional`` and ``umbral.umbral_compose``, and
+for the differences at 0 in ``expansion``. The family numbers take no sum
+over Q[l]: ``families`` sums Miller's recurrence for its rational kinds and
+the closed form of the degenerate numbers in plain ints, with one gcd per
+number. ``XPoly.shift`` does it for every output coefficient at once,
 one shift per term of c; by a single term, its difference form gives
 p(x + c) - p(x) from the same int rows, which is how ``umbral.forward_diff``
 and ``umbral.integral_I`` take a difference.

@@ -7,6 +7,7 @@ sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
 
     table kind        family                        generating function         b_i
     bernoulli_r       order-r Bernoulli             (t/(e^t-1))^r e^{xt}        x^i
+    bernoulli2_r      order-r, second kind          (t/log(1+t))^r e^{xt}       x^i
     euler             Euler (r = 1)                 2/(e^t+1) e^{xt}            x^i
     deg_bernoulli_r   order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   (x)_{i,l}
     (derived)         scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}, order a with [x^i] times l^(n-i)
@@ -15,18 +16,35 @@ sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
 
 where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
 x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
-scaled family is l^n B_n^(a)(x/l). Each core is A(t)^(-r) for a
-closed-form series A with A(0) = 1, so c_k follows from c_0..c_{k-1} by
-J. C. P. Miller's power recurrence, exactly in Q[l]. The numbers, c_k being
-member k at x = 0, are a table's state. Member n is those numbers times the
-monomials, or times the falling factorials read straight off the signed
-Stirling numbers of the first kind, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m
-(``deg_falling``); a table builds it when it is first read, and keeps it.
-Readers that want numbers only (the Bernoulli, Euler and Genocchi numbers,
-the default g-route, ``expansion.reconstruct``) read them through
-``_numbers`` and build no member. Stirling numbers of the second kind (an
-int triangle of them holds the expansion routes' weights) and harmonic
-numbers round out the kit.
+scaled family is l^n B_n^(a)(x/l). The numbers, c_k being member k at
+x = 0, are a table's state. Each rational core is A(t)^(-r) for a
+closed-form series A with A(0) = 1 ((e^t-1)/t, log(1+t)/t, (e^t+1)/2), so
+c_k follows from c_0..c_{k-1} by J. C. P. Miller's power recurrence, with
+int weights. The degenerate numbers take no recurrence over Q[l]. With
+u = log(1+lt)/l, e_l(t) = e^u and the core factors into two rational ones,
+
+    (t/(e_l(t)-1))^r = (lt/log(1+lt))^r (u/(e^u-1))^r,
+
+the second-kind core at lt, whose numbers are l^j b_j^(r), times the order-r
+Bernoulli core at u, whose numbers are B_m^(r). As u^m/m! is
+sum_N s(N,m) l^(N-m) t^N/N!, with s the signed Stirling numbers of the
+first kind,
+
+    c_N = sum_(m=0..N) B_m^(r) T(N,m) l^(N-m),
+    T(N,m) = sum_(j=0..N-m) C(N,j) b_j^(r) s(N-j,m)
+           = perm(N,r)/perm(m,r) s(N-r,m-r)   for m >= r,
+
+the collapse because (t/u)^r u^m = t^r u^(m-r) (N. E. Norlund, Vorlesungen
+uber Differenzenrechnung, 1924; L. Carlitz, Degenerate Stirling, Bernoulli
+and Eulerian numbers, 1979). So each c_N is one int sum over the two order-r
+tables' denominators, with one gcd. Member n is the numbers times the
+monomials, or times the falling factorials read straight off the same
+Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``); a
+table builds it when it is first read, and keeps it. Readers that want
+numbers only (the Bernoulli, Euler and Genocchi numbers, the default
+g-route, ``expansion.reconstruct``) read them through ``_numbers`` and build
+no member. Stirling numbers of the second kind (an int triangle of them
+holds the expansion routes' weights) and harmonic numbers round out the kit.
 
 A table computes only the numbers and members it lacks and publishes each
 grown list wholesale; reads are safe from multiple threads (a reader sees
@@ -38,9 +56,10 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, gcd, lcm, perm
+from operator import add
 
-from .core import LAMBDA, LambdaPoly, XPoly, _dot
+from .core import LambdaPoly, XPoly, _over_lcm
 from .umbral import sequence_diff, umbral_compose
 
 __all__ = [
@@ -65,15 +84,6 @@ def _check_index(n: int, name: str = "n") -> int:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     return n
-
-
-def _deg_base(k: int) -> list[LambdaPoly]:
-    """(1)_{j+1,l}/(j+1)! for j = 0..k, where (1)_{j+1,l} = (1-l)(1-2l)...(1-jl)."""
-    out, falling = [], LambdaPoly.one()
-    for j in range(k + 1):
-        out.append(falling / factorial(j + 1))
-        falling = falling * (1 - LAMBDA * (j + 1))
-    return out
 
 
 #: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n), and of
@@ -121,42 +131,99 @@ def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-# kind -> (a_0..a_k of A(t) over one denominator, A(0) = 1, the core being A^(-r);
-# the basis b_i, None for x^i). The rational kinds give int a_j, so each
-# weight of Miller's recurrence is an int.
+def _log_base(k: int) -> tuple[list[int], int]:
+    """a_0..a_k of A = log(1+t)/t, a_j = (-1)^j/(j+1), as ints over L = lcm(1..k+1), and L."""
+    den = lcm(*range(1, k + 2))
+    return [(-1) ** j * (den // (j + 1)) for j in range(k + 1)], den
+
+
+# kind -> (a_0..a_k of A(t) over one denominator, A(0) = 1, the core being A^(-r),
+# or None for the degenerate kind, summed from two rational kinds; the basis b_i,
+# None for x^i). The rational kinds give int a_j, so each weight of Miller's
+# recurrence is an int.
 _KINDS = {
     # A = (e^t-1)/t, a_j = 1/(j+1)!
     "bernoulli_r": (lambda k: ([perm(k + 1, k - j) for j in range(k + 1)], factorial(k + 1)), None),
+    # A = log(1+t)/t: the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
+    "bernoulli2_r": (_log_base, None),
     # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
     "euler": (lambda k: ([2 * factorial(k)] + [perm(k, k - j) for j in range(1, k + 1)], 2 * factorial(k)), None),
-    # A = (e_l(t)-1)/t
-    "deg_bernoulli_r": (lambda k: (_deg_base(k), 1), deg_falling),
+    # A = (e_l(t)-1)/t: the closed form of ``_deg_numbers``
+    "deg_bernoulli_r": (None, deg_falling),
 }
 
 
-def _next_number(base: list, den: int, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
-    """c_k = k! [t^k] A^(-r) from c_0..c_{k-1} and a_j = base[j] / den, by Miller's power recurrence.
+def _next_number(base: list[int], den: int, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
+    """c_k = k! [t^k] A^(-r) from the rational c_0..c_{k-1} and a_j = base[j] / den, by
+    Miller's power recurrence.
 
     For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
-    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers, and the sum is
-    one kernel dot product.
+    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers. The sum runs
+    in plain ints over the running lcm of the c_(k-j) denominators, with one gcd.
     """
     k = len(numbers)
     if k == 0:
         return LambdaPoly.one()
-    c = _dot((numbers[k - j], base[j] * (((1 - r) * j - k) * perm(k - 1, j - 1))) for j in range(1, k + 1))
-    return c / den if den != 1 else c
+    acc, d, w = 0, 1, 1  # w = perm(k-1, j-1)
+    for j in range(1, k + 1):
+        c = numbers[k - j]
+        if c._coeffs:
+            q = c._den
+            up = q // gcd(d, q)
+            if up != 1:  # q does not divide d: raise d to their lcm
+                acc *= up
+                d *= up
+            acc += c._coeffs[0] * (d // q) * base[j] * (((1 - r) * j - k) * w)
+        w *= k - j
+    return LambdaPoly._make([acc], d * den)
+
+
+def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: int, n: int) -> list[LambdaPoly]:
+    """c_lo..c_n of ("deg_bernoulli_r", r) by the module docstring's closed form, from
+    the order-r Bernoulli numbers B_m^(r) and second-kind numbers b_j^(r) through n.
+
+    Each c_N is summed in ints over D = bd sd (N-r)!, with bd and sd the lcm
+    denominators of the Bernoulli and the second-kind numbers. For m >= r the
+    (N-r)! cancels: perm(N,r)/perm(m,r) = perm(N,N-m) (m-r)!/(N-r)!. For m < r,
+    sd T(N,m) is an int dot product of C(N,j) sd b_j^(r) with column m of the
+    Stirling rows.
+    """
+    bn, bd = _over_lcm([c.as_rational() for c in bern[: n + 1]])
+    sn, sd = _over_lcm([c.as_rational() for c in second[: n + 1]])
+    rows, fact = _stirling1_rows(n), [factorial(i) for i in range(n + 1)]
+    out = []
+    for N in range(lo, n + 1):
+        nums = [0] * (N + 1)  # nums[N-m] holds the l^(N-m) term
+        scale = fact[N - r] if N >= r else 1
+        low = min(r, N + 1)
+        if low:  # m < r: sum over j of C(N,j) b_j^(r) s(N-j,m), for all such m at once
+            t = [0] * low
+            for j in range(N + 1):
+                w = comb(N, j) * sn[j]
+                if w:
+                    row = rows[N - j][:low]
+                    t[: len(row)] = map(add, t, [w * s for s in row])
+            for m in range(low):
+                nums[N - m] = bn[m] * scale * t[m]
+        if N >= r:  # m >= r: T(N,m) = perm(N,r)/perm(m,r) s(N-r,m-r)
+            row, w = rows[N - r], fact[N] * sd
+            for m in range(r, N + 1):
+                nums[N - m] = bn[m] * (w // fact[m]) * fact[m - r] * row[m - r]
+        out.append(LambdaPoly._make(nums, bd * sd * scale))
+    return out
 
 
 class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
-    Its state is each key's numbers c_0, c_1, ..., grown by Miller's
-    recurrence; a member is built from them and its basis when it is first
-    read, and kept. A request past a cached end computes only the missing
-    numbers or members, under a plain lock (no kind reads another), then
-    replaces the cached list wholesale; lists are never mutated in place, so
-    unlocked readers always see complete entries.
+    Its state is each key's numbers c_0, c_1, ...; a member is built from
+    them and its basis when it is first read, and kept. A request past a
+    cached end computes only the missing numbers or members, under one plain
+    lock, then replaces the cached list wholesale; lists are never mutated in
+    place, so unlocked readers always see complete entries. A rational kind
+    reads no other kind; a ("deg_bernoulli_r", r) key reads the numbers of
+    ("bernoulli_r", r) and ("bernoulli2_r", r), so it grows them before it
+    takes the lock, which is not reentrant.
     """
 
     def __init__(self) -> None:
@@ -194,13 +261,19 @@ class FamilyTable:
         """The published numbers of key, grown to at least c_0..c_n."""
         if len(key) != 2 or key[0] not in _KINDS:
             raise ValueError(f"unknown family {key!r}")
+        kind, r = key
+        if kind == "deg_bernoulli_r":  # its sources, read before the lock is taken
+            sources = self.numbers(("bernoulli_r", r), n), self.numbers(("bernoulli2_r", r), n)
         with self._lock:
             numbers = self._numbers.get(key, [])
             if n >= len(numbers):
-                base, den = _KINDS[key[0]][0](n)
-                numbers = list(numbers)
-                while len(numbers) <= n:
-                    numbers.append(_next_number(base, den, key[1], numbers))
+                if kind == "deg_bernoulli_r":
+                    numbers = numbers + _deg_numbers(*sources, r, len(numbers), n)
+                else:
+                    base, den = _KINDS[kind][0](n)
+                    numbers = list(numbers)
+                    while len(numbers) <= n:
+                        numbers.append(_next_number(base, den, r, numbers))
                 self._numbers[key] = numbers
             return numbers
 

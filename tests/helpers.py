@@ -6,14 +6,16 @@ numbers come from brute-force set-partition enumeration and from a series
 power, the classical expansion coefficients come straight from
 derivative/integral formulas, and the polynomial families come from
 products of truncated generating series instead of the tables' numbers x
-basis recurrences.
+basis recurrences. The degenerate numbers, which the library sums from a
+closed form, have a second oracle: Miller's recurrence on the Q[l]
+coefficients of (e_l(t)-1)/t.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, perm
 
 from hypothesis import strategies as st
 
@@ -275,6 +277,11 @@ def _scaled_core(order: int) -> TruncSeries:
     return TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.monomial(k, _inv_fact(k + 1))).inverse()
 
 
+def _second_kind_core(order: int) -> TruncSeries:
+    """t/log(1+t), inverse of sum_k (-1)^k t^k/(k+1)."""
+    return TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.const(Fraction((-1) ** k, k + 1))).inverse()
+
+
 def _euler_core(order: int) -> TruncSeries:
     """2/(e^t+1)."""
     base = TruncSeries.from_fn(LambdaPoly, order, lambda k: LambdaPoly.const(2 if k == 0 else _inv_fact(k)))
@@ -298,6 +305,8 @@ def series_family(key: tuple, n: int) -> list[XPoly]:
         polys = _falling_list(n)
     elif kind == "bernoulli_r":
         polys = _extract(_lift(_classic_core(n) ** key[1]) * _exp_x_series(n))
+    elif kind == "bernoulli2_r":
+        polys = _extract(_lift(_second_kind_core(n) ** key[1]) * _exp_x_series(n))
     elif kind == "euler":
         polys = _extract(_lift(_euler_core(n) ** key[1]) * _exp_x_series(n))
     elif kind == "genocchi":
@@ -314,6 +323,32 @@ def series_family(key: tuple, n: int) -> list[XPoly]:
         if p.degree != m:
             raise ArithmeticError(f"family {key!r} member {m} has degree {p.degree}")
     return polys
+
+
+def _deg_base(k: int) -> list[LambdaPoly]:
+    """(1)_{j+1,l}/(j+1)! for j = 0..k, the coefficients of (e_l(t)-1)/t, where
+    (1)_{j+1,l} = (1-l)(1-2l)...(1-jl)."""
+    out, falling = [], LambdaPoly.one()
+    lam = LambdaPoly.lam()
+    for j in range(k + 1):
+        out.append(falling * _inv_fact(j + 1))
+        falling = falling * (1 - lam * (j + 1))
+    return out
+
+
+def miller_deg_numbers(r: int, n: int) -> list[LambdaPoly]:
+    """c_0..c_n, c_k = k! [t^k] (t/(e_l(t)-1))^r, by Miller's power recurrence on the
+    Q[l] coefficients a_j of A = (e_l(t)-1)/t:
+    c_k = sum_(j=1..k) ((1-r)j - k) (k-1)!/(k-j)! a_j c_(k-j), one LambdaPoly product
+    and sum per term."""
+    base = _deg_base(n)
+    out = [LambdaPoly.one()]
+    for k in range(1, n + 1):
+        total = LambdaPoly.zero()
+        for j in range(1, k + 1):
+            total = total + out[k - j] * base[j] * (((1 - r) * j - k) * perm(k - 1, j - 1))
+        out.append(total)
+    return out
 
 
 def series_stirling2(n: int, k: int) -> Fraction:

@@ -288,7 +288,8 @@ def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r
 
 def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
     # every route reads order m as the ("bernoulli_r", m) table: scaled_bernoulli
-    # is a view of it, and umbral_integral_op reads order 1 alone
+    # is a view of it, and umbral_integral_op reads order 1 alone; the order-3
+    # degenerate numbers read the order-3 Bernoulli and second-kind numbers
     grown = []
 
     class CountingTable(families.FamilyTable):
@@ -298,7 +299,13 @@ def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
 
     monkeypatch.setattr(families, "_TABLE", CountingTable())
     crosscheck(parse_poly("x^6 - 2/3*l*x^4 + l^2*x + 5"), 3)
-    assert set(grown) == {("bernoulli_r", 1), ("bernoulli_r", 2), ("bernoulli_r", 3), ("deg_bernoulli_r", 3)}
+    assert set(grown) == {
+        ("bernoulli_r", 1),
+        ("bernoulli_r", 2),
+        ("bernoulli_r", 3),
+        ("bernoulli2_r", 3),
+        ("deg_bernoulli_r", 3),
+    }
 
 
 def test_order_is_bounded_by_the_degree_limit(monkeypatch):

@@ -4,7 +4,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -30,7 +30,7 @@ from degbern.families import (
 )
 from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
-from helpers import partition_count, series_family, series_stirling2
+from helpers import miller_deg_numbers, partition_count, series_family, series_stirling2
 
 HALF = Fraction(1, 2)
 
@@ -202,6 +202,31 @@ def test_deg_bernoulli_order_difference_lowers_order():
         for n in range(1, 7):
             lhs = forward_diff(deg_bernoulli_order(n, r), 1, 1)
             assert lhs == deg_bernoulli_order(n - 1, r - 1) * n
+
+
+def test_second_kind_numbers_match_the_series_oracle():
+    # b_j^(r) = j! [t^j] (t/log(1+t))^r, the oracle's member j at x = 0
+    table = FamilyTable()
+    for r in range(9):
+        key = ("bernoulli2_r", r)
+        assert table.numbers(key, 20)[:21] == [p.eval_x(0) for p in series_family(key, 20)], r
+
+
+def test_second_kind_sums_collapse_for_m_at_least_r():
+    # sum_j C(N,j) b_j^(r) s(N-j,m) = perm(N,r)/perm(m,r) s(N-r,m-r) for m >= r,
+    # as (t/u)^r u^m = t^r u^(m-r) with u = log(1+lt)/l; in ints over b's lcm den
+    rows = families._stirling1_rows(30)
+    for r in range(9):
+        b, den = families._over_lcm([c.as_rational() for c in FamilyTable().numbers(("bernoulli2_r", r), 30)[:31]])
+        for n in range(r, 31):
+            for m in range(r, n + 1):
+                lhs = sum(comb(n, j) * b[j] * rows[n - j][m] for j in range(n - m + 1))
+                assert lhs * perm(m, r) == perm(n, r) * rows[n - r][m - r] * den, (r, n, m)
+
+
+@pytest.mark.parametrize("r, n", [*((r, 24) for r in range(9)), (16, 64), (64, 64)])
+def test_deg_numbers_closed_form_matches_the_q_l_recurrence(r, n):
+    assert FamilyTable().numbers(("deg_bernoulli_r", r), n)[: n + 1] == miller_deg_numbers(r, n)
 
 
 def test_scaled_bernoulli_edges():
@@ -422,9 +447,10 @@ def test_family_table_rejects_unknown_family():
 
 
 def test_family_table_threaded_growth_matches_serial():
-    # two kinds grow at once under the table's one lock, each thread reading
-    # numbers and members of both in its own order
-    keys = [("deg_bernoulli_r", 2), ("euler", 1)]
+    # kinds grow at once under the table's one lock, each thread reading numbers
+    # and members of each in its own order; the degenerate key grows its two
+    # sources while other threads read them directly
+    keys = [("deg_bernoulli_r", 2), ("euler", 1), ("bernoulli_r", 2), ("bernoulli2_r", 2)]
     plans = []
     for seed in range(8):
         plan = [(key, n, read) for key in keys for n in range(17) for read in ("numbers", "member")]

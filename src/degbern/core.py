@@ -29,17 +29,23 @@ the closed form of the degenerate numbers in plain ints, with one gcd per
 number. ``XPoly.shift`` does it for every output coefficient at once,
 one shift per term of c; by a single term, its difference form gives
 p(x + c) - p(x) from the same int rows, which is how ``umbral.forward_diff``
-and ``umbral.integral_I`` take a difference.
+takes a difference whose step has a power of l.
 
-The default expansion routes, whose weights are all ints times powers of l,
-run on packed rows instead (Kronecker substitution, as FLINT's ``fmpz_poly``
-stores a polynomial). A route states its int weights once to ``_packed_plan``,
-which keeps them with the l1 bound of their sums as an immutable plan, and
-hands the plan and p's coefficients to ``_packed_sums``. That kernel turns each
-coefficient into one int, its numerators over the lcm denominator evaluated at
-l = 2^B, so a term is one int multiply-add and a power of l is a shift, and it
-splits each result back exactly, with one gcd. It picks the slot width B from
-the numerators and the plan's bound, by the rule its docstring states.
+The default expansion routes and ``umbral.forward_diff`` with a rational
+step (so ``umbral.integral_I`` and I^a too), whose weights are all ints times
+powers of l, run on packed rows instead (Kronecker substitution, as FLINT's
+``fmpz_poly`` stores a polynomial). A caller states its int weights once to
+``_packed_plan``, which keeps them with the l1 bound of their sums as an
+immutable plan, and hands the plan and p's coefficients to ``_packed_sums``.
+That kernel turns each coefficient into one int, its numerators over the lcm
+denominator evaluated at l = 2^B, so a term is one int multiply-add and a
+power of l is a shift, and it splits each result back exactly, with one gcd.
+It picks the slot width B from the numerators and the plan's bound, by the
+rule its docstring states. Its callers are ``expansion``'s stirling_sum and
+umbral_integral routes, the last stage of ``expansion.reconstruct``, and
+``umbral.forward_diff``, whose Delta^k weights are also stirling_sum's first
+stage. The int Stirling triangles of both kinds that these weights read are
+kept here (``_stirling1_rows``, ``_stirling2_rows``).
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
@@ -110,6 +116,45 @@ def _stripped(coeffs: list) -> tuple:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n), and of
+#: the second kind, S2(n, 0..n); grown row by row and published wholesale, like
+#: a ``families.FamilyTable`` entry.
+_stirling1: list[tuple[int, ...]] = [(1,)]
+_stirling2: list[tuple[int, ...]] = [(1,)]
+
+
+def _grown(rows: list[tuple[int, ...]], n: int, weight) -> list[tuple[int, ...]]:
+    """A copy of the triangle rows grown to rows 0..n by T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m)."""
+    rows = list(rows)
+    while len(rows) <= n:
+        k, prev = len(rows) - 1, (0, *rows[-1], 0)
+        rows.append(tuple(prev[m] + weight(k, m) * prev[m + 1] for m in range(k + 2)))
+    return rows
+
+
+def _stirling1_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the signed int Stirling numbers of the first kind:
+    ``families.deg_falling``, the degenerate numbers and ``expansion.reconstruct``
+    read them."""
+    global _stirling1
+    rows = _stirling1
+    if n >= len(rows):
+        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
+    return rows
+
+
+def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows 0..n, at least, of the int Stirling numbers of the second kind: the
+    weights of ``umbral.forward_diff``, of the expansion routes and of the
+    identities' order-1 map. ``families.stirling2`` keeps its explicit sum,
+    which serves any n without the rows below it."""
+    global _stirling2
+    rows = _stirling2
+    if n >= len(rows):
+        rows = _stirling2 = _grown(rows, n, lambda k, m: m)
+    return rows
 
 
 class _Ring:

@@ -41,7 +41,8 @@ The ``*_ROUTES`` name tuples, the route checks, expand and crosscheck all
 read that table; the first route of each branch is its default.
 
 The two defaults are int linear maps of the coefficients p_i: stirling_sum
-with weights C(i,j) r! S2(i-j,r), then S2(j,m) l^(j-m); umbral_integral with
+with weights C(i,j) r! S2(i-j,r), the rows of ``umbral.forward_diff``'s
+Delta^r (``umbral._diff_rows``), then S2(j,m) l^(j-m); umbral_integral with
 C(i,j) B_(i-j)^(m) l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each
 over one lcm. Those weights belong to the basis, not to p, so each default
 builds them once into an immutable plan (``core._packed_plan``: the rows of
@@ -54,7 +55,11 @@ a ``functools.lru_cache`` of at most ``_PLAN_CACHE_SIZE`` plans that drops
 the least recently used; ``cache_clear()`` on either empties it. A sparse p
 keeps its O(n |support|) rows, and the degree guard bounds every plan: at
 degree 64 a plan holds at most about 0.3 MB. Every other route sums with
-``core._dot``, so crosscheck compares two independent kernels.
+``core._dot``, except that delta_lambda, functional and umbral_integral_op
+take their unit differences (``forward_diff`` by 1, ``integral_I``) on the
+packed Delta^k plan. binomial_sum, stirling_op, operator_functional and
+residual take no packed sum, so crosscheck still compares two independent
+kernels in each branch.
 
 reconstruct reads no member either. The basis is Appell in the degenerate
 falling factorials, beta_k^(r)(x) = sum_i C(k,i) c_(k-i) (x)_(i,l) with the
@@ -94,11 +99,15 @@ from .core import (
     _PackedPlan,
     _rows,
     _Rows,
+    _stirling1_rows,
+    _stirling2_rows,
 )
-from .families import _numbers, _stirling1_rows, _stirling2_rows, deg_bernoulli_order, scaled_bernoulli
+from .families import _numbers, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
+    _diff_rows,
+    _jumps,
     apply,
     delta_op,
     forward_diff,
@@ -178,12 +187,6 @@ def _validated(p: XPoly) -> int:
     return p.degree
 
 
-def _jumps(k: int, size: int) -> list[int]:
-    """Delta^k x^i at 0, that is k! S2(i,k), for i = 0..size-1."""
-    weight = factorial(k)
-    return [weight * row[k] if k < len(row) else 0 for row in _stirling2_rows(size - 1)[:size]]
-
-
 def _alternating(w: XPoly, k: int) -> LambdaPoly:
     """The k-th forward difference of w at 0, as one kernel dot product:
     Delta^k w(0) = sum_i [x^i]w Delta^k x^i(0), which is 0 for k > deg w."""
@@ -234,11 +237,9 @@ def _support(p: XPoly) -> tuple[int, ...]:
 def _f_plan(n: int, r: int, live: tuple[int, ...]) -> _PackedPlan:
     """stirling_sum's weights at degree n and order r over the p_i with i in live."""
     top = n - r  # [x^j] Delta^r p is 0 for j > top
-    jump = _jumps(r, n + 1)
-    rows = [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + r] for j in range(top + 1)]
     s2 = _stirling2_rows(top)
     sums = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
-    return _packed_plan(rows, sums)
+    return _packed_plan(_diff_rows(n, r, live), sums)
 
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
@@ -306,6 +307,7 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     # given k >= r, then k < r from the top down, where a_k is rest[k] itself.
     count = min(r, p.degree + 1)
     rest = list(p.coeffs[:count])
+    deg_bernoulli_order(p.degree, r)  # the top member first: a cold table grows once
     for k in [*range(r, p.degree + 1), *reversed(range(count))]:
         a = upper[k - r] if k >= r else rest[k]
         beta = deg_bernoulli_order(k, r)

@@ -43,8 +43,9 @@ Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``); a
 table builds it when it is first read, and keeps it. Readers that want
 numbers only (the Bernoulli, Euler and Genocchi numbers, the default
 g-route, ``expansion.reconstruct``) read them through ``_numbers`` and build
-no member. Stirling numbers of the second kind (an int triangle of them
-holds the expansion routes' weights) and harmonic numbers round out the kit.
+no member. Stirling numbers of the second kind and harmonic numbers round
+out the kit; the int triangles of Stirling numbers of both kinds live in
+``core``.
 
 A table computes only the numbers and members it lacks and publishes each
 grown list wholesale; reads are safe from multiple threads (a reader sees
@@ -59,7 +60,7 @@ from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
-from .core import LambdaPoly, XPoly, _over_lcm
+from .core import LambdaPoly, XPoly, _over_lcm, _stirling1_rows
 from .umbral import sequence_diff, umbral_compose
 
 __all__ = [
@@ -86,49 +87,11 @@ def _check_index(n: int, name: str = "n") -> int:
     return n
 
 
-#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n), and of
-#: the second kind, S2(n, 0..n); grown row by row and published wholesale, like
-#: a FamilyTable entry.
-_stirling1: list[tuple[int, ...]] = [(1,)]
-_stirling2: list[tuple[int, ...]] = [(1,)]
-
-
-def _grown(rows: list[tuple[int, ...]], n: int, weight) -> list[tuple[int, ...]]:
-    """A copy of the triangle rows grown to rows 0..n by T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m)."""
-    rows = list(rows)
-    while len(rows) <= n:
-        k, prev = len(rows) - 1, (0, *rows[-1], 0)
-        rows.append(tuple(prev[m] + weight(k, m) * prev[m + 1] for m in range(k + 2)))
-    return rows
-
-
-def _stirling1_rows(n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n, at least, of the signed int Stirling numbers of the first kind:
-    ``deg_falling`` and ``expansion.reconstruct`` read them."""
-    global _stirling1
-    rows = _stirling1
-    if n >= len(rows):
-        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
-    return rows
-
-
 def deg_falling(n: int) -> XPoly:
     """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
     order-0 degenerate Bernoulli."""
     row = _stirling1_rows(_check_index(n))[n]
     return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(row))
-
-
-def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n, at least, of the int Stirling numbers of the second kind: the
-    expansion routes and the identities' order-1 map read their weights here.
-    ``stirling2`` keeps its explicit sum, which serves any n without the rows
-    below it."""
-    global _stirling2
-    rows = _stirling2
-    if n >= len(rows):
-        rows = _stirling2 = _grown(rows, n, lambda k, m: m)
-    return rows
 
 
 def _log_base(k: int) -> tuple[list[int], int]:
@@ -213,14 +176,24 @@ def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: i
     return out
 
 
+#: The most graded ``scaled_bernoulli`` members a table keeps, oldest out first.
+#: The verify sweep reads about 110 of them and ``verify --all`` 45. Within the
+#: degree limit 64 a reader asks for n <= 128 (n + a for ex_g_iop), where a
+#: graded member holds at most about 90 KB, so the memo holds at most about
+#: 23 MB. ``verify ex_g --n 64 --r 64`` reads about 4000, each once, which an
+#: unbounded memo would keep (+50 MB of peak RSS).
+_GRADED_CACHE_SIZE = 256
+
+
 class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
     Its state is each key's numbers c_0, c_1, ...; a member is built from
-    them and its basis when it is first read, and kept. A request past a
-    cached end computes only the missing numbers or members, under one plain
-    lock, then replaces the cached list wholesale; lists are never mutated in
-    place, so unlocked readers always see complete entries. A rational kind
+    them and its basis when it is first read, and kept, and so are the last
+    ``_GRADED_CACHE_SIZE`` graded members of ``scaled_bernoulli``. A request
+    past a cached end computes only the missing numbers or members, under one
+    plain lock, then replaces the cached list wholesale; lists are never
+    mutated in place, so unlocked readers always see complete entries. A rational kind
     reads no other kind; a ("deg_bernoulli_r", r) key reads the numbers of
     ("bernoulli_r", r) and ("bernoulli2_r", r), so it grows them before it
     takes the lock, which is not reentrant.
@@ -229,6 +202,7 @@ class FamilyTable:
     def __init__(self) -> None:
         self._numbers: dict[tuple, list[LambdaPoly]] = {}
         self._members: dict[tuple, list[XPoly]] = {}
+        self._graded: dict[tuple[int, int], XPoly] = {}
         self._lock = threading.Lock()
 
     def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
@@ -256,6 +230,27 @@ class FamilyTable:
                     members.append(umbral_compose(d, basis) if basis else d)
                 self._members[key] = members
         return members[n]
+
+    def _scaled(self, a: int, n: int) -> XPoly:
+        """l^n B_n^(a)(x/l), member n of ("bernoulli_r", a) with [x^i] times l^(n-i),
+        built on its first read and kept under (a, n).
+
+        It is built outside the lock from a published member, so two racing
+        readers at worst build it twice and keep equal values, and published
+        under the lock, which drops the oldest entry once the memo holds
+        ``_GRADED_CACHE_SIZE``.
+        """
+        member = self._graded.get((a, n))
+        if member is None:
+            member = self.get(("bernoulli_r", a), n)
+            member = XPoly._make(
+                [LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)]
+            )
+            with self._lock:
+                if len(self._graded) >= _GRADED_CACHE_SIZE:
+                    del self._graded[next(iter(self._graded))]
+                self._graded[a, n] = member
+        return member
 
     def _grow(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers of key, grown to at least c_0..c_n."""
@@ -330,8 +325,7 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:
     """The polynomial l^n B_n^(a)(x/l): the order-a Bernoulli member with [x^i] times l^(n-i)."""
-    member = _TABLE.get(("bernoulli_r", _check_index(a, "a")), _check_index(n))
-    return XPoly._make([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
+    return _TABLE._scaled(_check_index(a, "a"), _check_index(n))
 
 
 #: The bounds of the number memos below: stirling2 keeps its triangle to n = 89,

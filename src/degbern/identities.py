@@ -42,7 +42,7 @@ them to the order-1 basis (``_degenerate_form``; ex_a is the single term
 
 since Delta B_j = j x^(j-1) and the k-th step-l difference of x^e at 0
 is k! S2(e, k) l^e. Each a_k (k >= 1) is read from the int rows of S2
-(``families._stirling2_rows``) over the lcm of the w_j, with one gcd.
+(``core._stirling2_rows``) over the lcm of the w_j, with one gcd.
 A left side that sums products of a family, sum_k P_k P_{n-k}/(k(n-k))
 (``_product_sum``), takes each pair {k, n-k} once and each coefficient
 in x as one kernel dot product. DEFAULT_BOUNDS, parameter validation,
@@ -60,10 +60,9 @@ from itertools import product
 from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
-from .core import LambdaPoly, XPoly, _dot_products, _over_lcm
+from .core import LambdaPoly, XPoly, _dot_products, _over_lcm, _stirling2_rows
 from .expansion import BasisExpansion, _alternating, _f_stirling_sum, reconstruct
 from .families import (
-    _stirling2_rows,
     bernoulli_number,
     bernoulli_poly,
     euler_number,
@@ -73,7 +72,7 @@ from .families import (
     harmonic,
     scaled_bernoulli,
 )
-from .umbral import forward_diff, integral_I, umbral_compose
+from .umbral import _integral_power, forward_diff, umbral_compose
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -261,11 +260,9 @@ def _ex_f_terms(m: int, n: int) -> dict[int, Fraction]:
 
 
 def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
-    # <n+1>_a I^a [l^n B_n^(r)(x/l)] = sum_m (-1)^{a-m} C(a,m) l^{n+a} B_{n+a}^(r)((x+m)/l)
-    lhs = scaled_bernoulli(n, r)
-    for _ in range(a):
-        lhs = integral_I(lhs)
-    return lhs * perm(n + a, a)
+    # <n+1>_a I^a [l^n B_n^(r)(x/l)] = sum_m (-1)^{a-m} C(a,m) l^{n+a} B_{n+a}^(r)((x+m)/l),
+    # with I^a = Delta^a A^a as one map
+    return _integral_power(scaled_bernoulli(n, r), a, perm(n + a, a))
 
 
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:

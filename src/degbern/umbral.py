@@ -11,15 +11,27 @@ Also here: forward differences with a possibly symbolic step and of a
 value sequence, the unit interval integral operator
 I q(x) = integral_{x}^{x+1} q(u) du, definite integration over [0,1], and
 umbral composition.
+
+Delta = e^t - 1 and I = (e^t - 1)/t act as int linear maps. With A the
+antiderivative (zero constant term), A^a x^j = x^(j+a) j!/(j+a)! and
+I^a = Delta^a A^a on polynomials. Delta^k with a rational step is one map
+[x^j] Delta^k p = sum_i C(i,j) k! S2(i-j,k) p_i, whose int weights depend only
+on (deg p, k): ``_diff_plan`` keeps them as a dense plan for
+``core._packed_sums``, which sums them on packed rows, in a bounded
+``functools.lru_cache`` (``cache_clear()`` empties it). The same rows
+(``_diff_rows``) are the first stage of ``expansion``'s stirling_sum route.
+So ``integral_I`` is Delta(A p) and I^a p is Delta^a A^a p, each one map. A
+step with a power of l keeps the exact shift scheme of ``core.XPoly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, perm
 from typing import Any, Callable, Sequence
 
-from .core import LambdaPoly, Scalar, TruncSeries, XPoly, _dot
+from .core import LambdaPoly, Scalar, TruncSeries, XPoly, _dot, _packed_plan, _packed_sums, _PackedPlan, _stirling2_rows
 
 __all__ = [
     "OperatorSeries",
@@ -143,15 +155,55 @@ def functional(f: OperatorSeries, p: XPoly) -> LambdaPoly:
     return _dot(zip(ts, (c * factorial(k) for k, c in enumerate(p.coeffs))))
 
 
-def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
-    """n-th forward difference with step a: sum_i C(n,i)(-1)^{n-i} p(x+ia),
-    taken as n successive differences q(x+a) - q(x).
+def _jumps(k: int, size: int) -> list[int]:
+    """Delta^k x^i at 0, that is k! S2(i,k), for i = 0..size-1."""
+    weight = factorial(k)
+    return [weight * row[k] if k < len(row) else 0 for row in _stirling2_rows(size - 1)[:size]]
 
-    The step may be the symbol l itself; shifts are exact binomial
-    compositions, no numeric substitution.
+
+def _diff_rows(n: int, k: int, live: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """The int weights of [x^j] Delta^k p = sum_i C(i,j) k! S2(i-j,k) p_i for
+    j = 0..n-k, over the p_i with i in live, as one row of (i, weight) per j."""
+    jump = _jumps(k, n + 1)
+    return [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + k] for j in range(n - k + 1)]
+
+
+#: The most plans ``forward_diff`` keeps, least recently used out first. The
+#: verify sweep reads about 60 (degree, k) pairs. A dense plan holds
+#: (n-k+1)(n-k+2)/2 weights: at most about 0.2 MB at degree 64 and 0.9 MB at
+#: degree 128 (ex_g_iop's n + a at the degree limit), so the cache holds at
+#: most about 58 MB.
+_DIFF_PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_DIFF_PLAN_CACHE_SIZE)
+def _diff_plan(n: int, k: int) -> _PackedPlan:
+    """Delta^k at degree n as a dense plan for ``core._packed_sums``: output j is row j."""
+    return _packed_plan(_diff_rows(n, k, range(n + 1)), [(1, [(j, 1)]) for j in range(n - k + 1)])
+
+
+def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
+    """n-th forward difference with step a: sum_i C(n,i)(-1)^{n-i} p(x+ia).
+
+    A rational step is one int-weighted map on packed rows, for every n: with
+    q(y) = p(ay), Delta_a^n p(x) = (Delta^n q)(x/a), and
+    [x^j] Delta^n q = sum_i C(i,j) n! S2(i-j,n) q_i, whose weights depend only
+    on (deg p, n); ``_diff_plan`` keeps them. A step with a power of l, such as
+    the symbol l itself, takes n successive differences q(x+a) - q(x) by exact
+    binomial shifts, no numeric substitution.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
+    if isinstance(step, LambdaPoly) and step.degree == 0:
+        step = step.coeff(0)
+    if isinstance(step, (int, Fraction)) and step and p:
+        coeffs = p.coeffs
+        if step != 1:
+            coeffs = [c * step**i for i, c in enumerate(coeffs)]
+        out = _packed_sums(coeffs, _diff_plan(p.degree, n))
+        if step != 1:
+            out = [c / step**j for j, c in enumerate(out)]
+        return XPoly._make(out)
     step = _lp(step)
     terms = [(e, u) for e, u in enumerate(step._coeffs) if u]
     for _ in range(n):
@@ -178,8 +230,17 @@ def sequence_diff(values: Sequence[Any], k: int) -> Any:
 
 
 def integral_I(p: XPoly) -> XPoly:
-    """I p(x) = integral_x^{x+1} p(u) du, exact in Q[l]."""
+    """I p(x) = integral_x^{x+1} p(u) du = Delta(A p), A the antiderivative, with
+    Delta on ``forward_diff``'s int-weighted map; exact in Q[l]."""
     return forward_diff(p.antiderivative(), 1, 1)
+
+
+def _integral_power(p: XPoly, a: int, scale: int = 1) -> XPoly:
+    """scale I^a p as Delta^a [scale A^a p], one ``forward_diff`` map in place of a
+    chained ``integral_I`` calls: A^a maps x^j to x^(j+a) j!/(j+a)!, and
+    I^a = Delta^a A^a on polynomials (S. Roman, The Umbral Calculus, 1984)."""
+    anti = [c * Fraction(scale, perm(j + a, a)) for j, c in enumerate(p.coeffs)]
+    return forward_diff(XPoly._make([XPoly._ZERO] * a + anti), 1, a)
 
 
 def integral_01(p: XPoly) -> LambdaPoly:

@@ -146,9 +146,7 @@ def classical_coeffs_higher(p: XPoly, r: int) -> list[Fraction]:
     out = []
     for k in range(p.degree + 1):
         if k < r:
-            w = p
-            for _ in range(r - k):
-                w = integral_I(w)
+            w = chained_integral_I(p, r - k)
             acc = Fraction(0)
             for j in range(k + 1):
                 acc += Fraction((-1) ** (k - j) * comb(k, j)) * w.eval_x(j).as_rational()
@@ -192,6 +190,13 @@ def taylor_shift(p: XPoly, c: LambdaPoly | Fraction | int) -> XPoly:
     for k in range(p.degree + 1 if p else 0):
         total = total + p.derivative(k) * (c**k / factorial(k))
     return total
+
+
+def chained_integral_I(p: XPoly, a: int) -> XPoly:
+    """I^a p as a chained integral_I calls, one difference of one antiderivative each."""
+    for _ in range(a):
+        p = integral_I(p)
+    return p
 
 
 def difference_by_values(w: XPoly, k: int) -> LambdaPoly:

@@ -289,7 +289,9 @@ def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r
 def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
     # every route reads order m as the ("bernoulli_r", m) table: scaled_bernoulli
     # is a view of it, and umbral_integral_op reads order 1 alone; the order-3
-    # degenerate numbers read the order-3 Bernoulli and second-kind numbers
+    # degenerate numbers read the order-3 Bernoulli and second-kind numbers.
+    # The residual route reads its top member first, so the degenerate key
+    # grows once, not once per degree
     grown = []
 
     class CountingTable(families.FamilyTable):
@@ -306,6 +308,7 @@ def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
         ("bernoulli2_r", 3),
         ("deg_bernoulli_r", 3),
     }
+    assert grown.count(("deg_bernoulli_r", 3)) == 1
 
 
 def test_order_is_bounded_by_the_degree_limit(monkeypatch):

@@ -8,6 +8,7 @@ from math import comb, perm
 
 import pytest
 
+import degbern.core as core
 import degbern.families as families
 from degbern import expansion
 from degbern.core import LAMBDA, LambdaPoly, XPoly
@@ -139,7 +140,7 @@ def test_deg_falling_rows_grown_from_threads_match_the_product(monkeypatch):
             for seed in range(20):  # each round grows the rows from scratch
                 plan = list(range(33)) * 2
                 random.Random(seed).shuffle(plan)
-                monkeypatch.setattr(families, "_stirling1", [(1,)])
+                monkeypatch.setattr(core, "_stirling1", [(1,)])
                 got = list(pool.map(deg_falling, plan, timeout=60))
                 assert all(p == expected[n] for n, p in zip(plan, got)), seed
     finally:
@@ -215,7 +216,7 @@ def test_second_kind_numbers_match_the_series_oracle():
 def test_second_kind_sums_collapse_for_m_at_least_r():
     # sum_j C(N,j) b_j^(r) s(N-j,m) = perm(N,r)/perm(m,r) s(N-r,m-r) for m >= r,
     # as (t/u)^r u^m = t^r u^(m-r) with u = log(1+lt)/l; in ints over b's lcm den
-    rows = families._stirling1_rows(30)
+    rows = core._stirling1_rows(30)
     for r in range(9):
         b, den = families._over_lcm([c.as_rational() for c in FamilyTable().numbers(("bernoulli2_r", r), 30)[:31]])
         for n in range(r, 31):
@@ -248,6 +249,32 @@ def test_scaled_bernoulli_is_the_operator_image_of_monomials():
         assert apply(op, XPoly.monomial(n)) == scaled_bernoulli(n, 1)
 
 
+def test_scaled_bernoulli_members_are_kept_with_the_table(monkeypatch):
+    # a graded member is built once per table, from the order-a member, and a
+    # fresh table builds it again: the memo lives and dies with the table
+    grown = []
+
+    class CountingTable(FamilyTable):
+        def _grow(self, key, n):
+            grown.append(key)
+            return super()._grow(key, n)
+
+    expected = scaled_bernoulli(9, 2)
+    for _ in range(2):
+        monkeypatch.setattr(families, "_TABLE", CountingTable())
+        grown.clear()
+        first = scaled_bernoulli(9, 2)
+        assert first == expected and scaled_bernoulli(9, 2) is first
+        assert scaled_bernoulli(9, 2).subs_lambda(1) == bernoulli_poly_order(9, 2)
+        assert grown == [("bernoulli_r", 2)]
+        assert set(families._TABLE._graded) == {(2, 9)}
+    # the memo is bounded: past its size the oldest member goes first
+    monkeypatch.setattr(families, "_GRADED_CACHE_SIZE", 4)
+    for n in range(7):
+        assert scaled_bernoulli(n, 1).subs_lambda(1) == bernoulli_poly(n)
+    assert list(families._TABLE._graded) == [(1, 3), (1, 4), (1, 5), (1, 6)]
+
+
 def test_genocchi_degree_anomaly():
     assert genocchi_poly(0).is_zero
     for n in range(1, 10):
@@ -277,7 +304,7 @@ def test_stirling2_against_partition_enumeration():
 
 
 def test_stirling2_against_series_power_and_triangle():
-    rows = families._stirling2_rows(20)  # the int rows the expansion routes read
+    rows = core._stirling2_rows(20)  # the int rows the expansion routes read
     for n in range(21):
         assert len(rows[n]) == n + 1
         for k in range(n + 2):

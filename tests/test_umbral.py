@@ -2,7 +2,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +12,11 @@ import degbern.families as families
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.expansion import _alternating, expand, reconstruct
 from degbern.families import bernoulli_poly, deg_bernoulli, deg_falling, scaled_bernoulli
+from degbern.identities import _ex_g_iop_lhs
 from degbern.umbral import (
     OperatorSeries,
+    _diff_plan,
+    _integral_power,
     apply,
     delta_op,
     exp_op,
@@ -32,6 +35,7 @@ from helpers import (
     SMALL_LAMBDA_POLYS,
     all_primitive,
     apply_by_derivatives,
+    chained_integral_I,
     compose_by_products,
     difference_by_values,
     functional_by_terms,
@@ -173,9 +177,10 @@ _STEPS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_xpolys(9), _STEPS, st.integers(1, 2))
+@given(small_xpolys(9), _STEPS, st.integers(1, 6))
 def test_forward_diff_is_the_shift_minus_p(p, c, n):
-    # the fused difference: shifted int rows minus the starting rows, then the sign of u^j
+    # a rational step: one int-weighted map, the same plan for every n; a step with
+    # a power of l: shifted int rows minus the starting rows, then the sign of u^j
     reference = p
     for _ in range(n):
         reference = taylor_shift(reference, c) - reference
@@ -183,6 +188,50 @@ def test_forward_diff_is_the_shift_minus_p(p, c, n):
     assert diff == reference
     assert all_primitive(diff)
     assert forward_diff(p, c, 1) == p.shift(c) - p
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_xpolys(9), _NONZERO | st.sampled_from([1, -1]), st.integers(0, 4))
+def test_forward_diff_of_a_rational_step_ends_past_the_degree(p, c, extra):
+    # Delta_c^0 p = p, and Delta_c^k p = 0 for every k > deg p
+    assert forward_diff(p, c, 0) == p
+    assert forward_diff(p, LambdaPoly.const(c), 0) == p
+    top = p.degree + 1 if p else 0
+    assert forward_diff(p, c, top + extra).is_zero
+    if p:
+        assert forward_diff(p, c, p.degree) == XPoly.const(p.leading() * factorial(p.degree) * c**p.degree)
+
+
+def test_forward_diff_keeps_one_bounded_plan_per_degree_and_order():
+    _diff_plan.cache_clear()
+    x = XPoly.x()
+    for k in range(4):
+        for c in (1, -1, Fraction(2, 3), LambdaPoly.const(5)):
+            forward_diff(x**7 + 3, c, k)
+    info = _diff_plan.cache_info()
+    assert info.currsize == 4 and info.misses == 4
+    for n in range(1, 2 * info.maxsize + 1):
+        forward_diff(x**n, 1, 1)
+    assert _diff_plan.cache_info().currsize == info.maxsize
+    _diff_plan.cache_clear()
+    assert _diff_plan.cache_info().currsize == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_xpolys(9), st.integers(0, 5))
+def test_integral_power_is_the_chained_integral(p, a):
+    # I^a = Delta^a A^a on polynomials: one map against a chained integral_I calls
+    power = _integral_power(p, a)
+    assert power == chained_integral_I(p, a)
+    assert all_primitive(power)
+    assert _integral_power(p, a, 6) == power * 6
+
+
+def test_ex_g_iop_left_side_is_the_scaled_chained_integral():
+    for n, r, a in [(0, 0, 1), (3, 1, 2), (5, 2, 5), (8, 3, 4)]:
+        lhs = _ex_g_iop_lhs(n, r, a)
+        assert lhs == chained_integral_I(scaled_bernoulli(n, r), a) * perm(n + a, a)
+        assert all_primitive(lhs)
 
 
 @settings(max_examples=60, deadline=None)

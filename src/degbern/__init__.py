@@ -13,6 +13,7 @@ from .core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
+    clear_caches,
 )
 from .expansion import (
     BasisExpansion,
@@ -76,6 +77,7 @@ __all__ = [
     "bernoulli_poly",
     "bernoulli_poly_order",
     "classical_limit",
+    "clear_caches",
     "closed_form_coeffs",
     "crosscheck",
     "deg_bernoulli",

@@ -54,10 +54,33 @@ output once, with one gcd, so the n^2/2 terms of ``expansion.reconstruct``'s
 d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int product each. It reconstructs
 a warm x^32 at r = 3 2.5-3x faster than composing with the members did
 (BENCH_reconstruct_numbers.json).
+
+Every cache of the package is an entry of one registry here, and
+``clear_caches()`` (``degbern.clear_caches()``) empties them all. ``_cached``
+registers an ``lru_cache``; the family table and the Stirling triangles
+register themselves. Each entry answers ``cache_clear()`` and ``cache_info()``
+(``maxsize``, ``currsize``). Its bound (None: never evicted) and its worst case
+at the default degree limit L = 64, where readers ask for n <= 2L (n + a for
+ex_g_iop), are stated here once:
+
+    core._stirling1_rows        None  rows to 2L: 0.6 MB
+    core._stirling2_rows        None  rows to 2L: 0.5 MB
+    families._TABLE             None  keys (kind, r), r <= L; per r, ("bernoulli_r", r)
+                                      to 2L 1.4 MB and ("deg_bernoulli_r", r) with
+                                      its sources to L 3 MB: about 300 MB
+    families.scaled_bernoulli   256   members of 0.09 MB: 23 MB
+    families.stirling2          4096  the triangle to n = 89: 1 MB
+    families.harmonic           256   0.04 MB
+    umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB
+    expansion._f_plan           64    plans of 0.4 MB: 26 MB
+    expansion._g_plan           64    plans of 0.27 MB: 17 MB
+    expansion._appell_numbers   64    numbers of 0.16 MB: 10 MB
+    expansion._degree_plan      64    one plan per degree, 0.45 MB at L: 10 MB
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -71,6 +94,7 @@ __all__ = [
     "Scalar",
     "TruncSeries",
     "XPoly",
+    "clear_caches",
 ]
 
 Scalar = Union[int, Fraction]
@@ -118,43 +142,62 @@ def _stripped(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-#: Rows 0.. of the signed Stirling numbers of the first kind, s(n, 0..n), and of
-#: the second kind, S2(n, 0..n); grown row by row and published wholesale, like
-#: a ``families.FamilyTable`` entry.
-_stirling1: list[tuple[int, ...]] = [(1,)]
-_stirling2: list[tuple[int, ...]] = [(1,)]
+class _CacheInfo(NamedTuple):
+    maxsize: int | None
+    currsize: int
 
 
-def _grown(rows: list[tuple[int, ...]], n: int, weight) -> list[tuple[int, ...]]:
-    """A copy of the triangle rows grown to rows 0..n by T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m)."""
-    rows = list(rows)
-    while len(rows) <= n:
-        k, prev = len(rows) - 1, (0, *rows[-1], 0)
-        rows.append(tuple(prev[m] + weight(k, m) * prev[m + 1] for m in range(k + 2)))
-    return rows
+#: Every cache of the package, in registration order; the module docstring lists them.
+_CACHES: list = []
 
 
-def _stirling1_rows(n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n, at least, of the signed int Stirling numbers of the first kind:
-    ``families.deg_falling``, the degenerate numbers and ``expansion.reconstruct``
-    read them."""
-    global _stirling1
-    rows = _stirling1
-    if n >= len(rows):
-        rows = _stirling1 = _grown(rows, n, lambda k, m: -k)
-    return rows
+def _register(cache):
+    """Add cache, which answers ``cache_clear()`` and ``cache_info()``, to the registry."""
+    _CACHES.append(cache)
+    return cache
 
 
-def _stirling2_rows(n: int) -> list[tuple[int, ...]]:
-    """Rows 0..n, at least, of the int Stirling numbers of the second kind: the
-    weights of ``umbral.forward_diff``, of the expansion routes and of the
-    identities' order-1 map. ``families.stirling2`` keeps its explicit sum,
-    which serves any n without the rows below it."""
-    global _stirling2
-    rows = _stirling2
-    if n >= len(rows):
-        rows = _stirling2 = _grown(rows, n, lambda k, m: m)
-    return rows
+def _cached(bound: int):
+    """A registered ``functools.lru_cache(maxsize=bound)``, typed: 2.0 misses and meets the checks."""
+    return lambda fn: _register(functools.lru_cache(maxsize=bound, typed=True)(fn))
+
+
+def clear_caches() -> None:
+    """Empty every cache of the package: each entry of the module docstring's list."""
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+class _Triangle:
+    """Rows 0.. of the int triangle T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m), T(0,0) = 1. A call
+    publishes a grown copy wholesale, like a ``families.FamilyTable`` entry: unlocked readers are safe."""
+
+    def __init__(self, weight: Callable[[int, int], int]) -> None:
+        self._weight, self._rows = weight, []
+
+    def __call__(self, n: int) -> list[tuple[int, ...]]:
+        """Rows 0..n, at least; not to be mutated."""
+        rows = self._rows
+        if n >= len(rows):
+            rows = list(rows) or [(1,)]
+            while len(rows) <= n:
+                k, prev = len(rows) - 1, (0, *rows[-1], 0)
+                rows.append(tuple(prev[m] + self._weight(k, m) * prev[m + 1] for m in range(k + 2)))
+            self._rows = rows
+        return rows
+
+    def cache_clear(self) -> None:
+        self._rows = []
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(None, len(self._rows))
+
+
+#: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``,
+#: the degenerate numbers and reconstruct, and of the second kind S2(n, 0..n), the
+#: weights of ``forward_diff``, the routes and the identities' order-1 map.
+_stirling1_rows = _register(_Triangle(lambda k, m: -k))
+_stirling2_rows = _register(_Triangle(lambda k, m: m))
 
 
 class _Ring:

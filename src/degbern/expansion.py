@@ -50,14 +50,11 @@ weights over the support, the indices of p's nonzero coefficients, and the
 l1 bound of their sums) and hands plan and p to ``core._packed_sums``, which
 sums them on packed rows: each p_i packed once into one int, each term one
 int multiply-add, each power of l a shift. ``_f_plan`` keeps a plan per
-(degree, r, support) and ``_g_plan`` one per (degree, r, k, support), each in
-a ``functools.lru_cache`` of at most ``_PLAN_CACHE_SIZE`` plans that drops
-the least recently used; ``cache_clear()`` on either empties it. A sparse p
-keeps its O(n |support|) rows, and the degree guard bounds every plan: at
-degree 64 a plan holds at most about 0.3 MB. Every other route sums with
-``core._dot``, except that delta_lambda, functional and umbral_integral_op
-take their unit differences (``forward_diff`` by 1, ``integral_I``) on the
-packed Delta^k plan. binomial_sum, stirling_op, operator_functional and
+(degree, r, support) and ``_g_plan`` one per (degree, r, k, support). A
+sparse p keeps its O(n |support|) rows, and the degree guard bounds every
+plan. Every other route sums with ``core._dot``, except that delta_lambda,
+functional and umbral_integral_op take their unit differences
+(``forward_diff`` by 1, ``integral_I``) on the packed Delta^k plan. binomial_sum, stirling_op, operator_functional and
 residual take no packed sum, so crosscheck still compares two independent
 kernels in each branch.
 
@@ -70,11 +67,8 @@ packed rows (``core._packed_products``), then sum_i s(i,j) l^(i-j) d_i is
 ``core._packed_sums`` on a plan of Stirling numbers of the first kind.
 ``_appell_numbers`` keeps the numbers over one denominator with their norms
 per (degree, r), and ``_degree_plan`` the binomial terms of the d_i and that
-plan per degree, shared by every r; each is an ``lru_cache`` of
-``_PLAN_CACHE_SIZE``. At degree 64 a numbers entry holds about 0.15 MB and a
-degree plan about 0.5 MB; each cache stays near 10 MB at the degree limit.
-The residual g-route still reads the members, so crosscheck checks the same
-basis through them.
+plan per degree, shared by every r. The residual g-route still reads the
+members, so crosscheck checks the same basis through them.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -84,13 +78,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
 
 from .core import (
     LAMBDA,
     LambdaPoly,
     XPoly,
+    _cached,
     _dot,
     _over_lcm,
     _packed_plan,
@@ -134,13 +128,6 @@ __all__ = [
     "expand_order1",
     "reconstruct",
 ]
-
-
-#: The most weight plans each default route keeps, least recently used out first:
-#: a stirling_sum plan serves one (degree, r, support), an umbral_integral plan one
-#: a_k of it, so one expand at the top order r = 64 reads 64 of them. reconstruct's
-#: two caches, per (degree, r) and per degree, keep as many.
-_PLAN_CACHE_SIZE = 64
 
 
 class RouteMismatchError(Exception):
@@ -233,7 +220,7 @@ def _support(p: XPoly) -> tuple[int, ...]:
     return tuple(i for i, c in enumerate(p.coeffs) if c)
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@_cached(64)
 def _f_plan(n: int, r: int, live: tuple[int, ...]) -> _PackedPlan:
     """stirling_sum's weights at degree n and order r over the p_i with i in live."""
     top = n - r  # [x^j] Delta^r p is 0 for j > top
@@ -270,7 +257,8 @@ def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly
     return coeffs
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+# 64 plans: one expand at the top order r = 64 reads one per a_k with k < r.
+@_cached(64)
 def _g_plan(n: int, r: int, k: int, live: tuple[int, ...]) -> _PackedPlan:
     """umbral_integral's weights for a_k at degree n and order r over the p_i with i
     in live: s_t l^t for the sum and, for each t, the rows C(i,t) cw_(i-t)."""
@@ -376,13 +364,13 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
     return expand(p, 1, a0_route, ak_route)
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@_cached(64)
 def _appell_numbers(n: int, r: int) -> _Rows:
     """The numbers c_t = beta_t^(r)(0), t <= n, over one denominator, with their norms."""
     return _rows(_numbers("deg_bernoulli_r", r, n)[: n + 1])
 
 
-@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+@_cached(64)
 def _degree_plan(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], _PackedPlan]:
     """What reconstruct reads at degree n for every r: for each i the terms
     (k - i, k, C(k,i)) of d_i, and the plan of [x^j] sum_i d_i (x)_(i,l) =

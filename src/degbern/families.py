@@ -46,21 +46,16 @@ g-route, ``expansion.reconstruct``) read them through ``_numbers`` and build
 no member. Stirling numbers of the second kind and harmonic numbers round
 out the kit; the int triangles of Stirling numbers of both kinds live in
 ``core``.
-
-A table computes only the numbers and members it lacks and publishes each
-grown list wholesale; reads are safe from multiple threads (a reader sees
-either a missing entry or a complete one).
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
-from .core import LambdaPoly, XPoly, _over_lcm, _stirling1_rows
+from .core import LambdaPoly, XPoly, _cached, _CacheInfo, _over_lcm, _register, _stirling1_rows
 from .umbral import sequence_diff, umbral_compose
 
 __all__ = [
@@ -176,34 +171,31 @@ def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: i
     return out
 
 
-#: The most graded ``scaled_bernoulli`` members a table keeps, oldest out first.
-#: The verify sweep reads about 110 of them and ``verify --all`` 45. Within the
-#: degree limit 64 a reader asks for n <= 128 (n + a for ex_g_iop), where a
-#: graded member holds at most about 90 KB, so the memo holds at most about
-#: 23 MB. ``verify ex_g --n 64 --r 64`` reads about 4000, each once, which an
-#: unbounded memo would keep (+50 MB of peak RSS).
-_GRADED_CACHE_SIZE = 256
-
-
 class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
     Its state is each key's numbers c_0, c_1, ...; a member is built from
-    them and its basis when it is first read, and kept, and so are the last
-    ``_GRADED_CACHE_SIZE`` graded members of ``scaled_bernoulli``. A request
-    past a cached end computes only the missing numbers or members, under one
-    plain lock, then replaces the cached list wholesale; lists are never
-    mutated in place, so unlocked readers always see complete entries. A rational kind
+    them and its basis when it is first read, and kept. A request past a
+    cached end computes only the missing numbers or members, under one plain
+    lock, then replaces the cached list wholesale; lists are never mutated in
+    place, so unlocked readers always see complete entries, and
+    ``cache_clear()`` empties the table under the same lock. A rational kind
     reads no other kind; a ("deg_bernoulli_r", r) key reads the numbers of
     ("bernoulli_r", r) and ("bernoulli2_r", r), so it grows them before it
     takes the lock, which is not reentrant.
     """
 
     def __init__(self) -> None:
-        self._numbers: dict[tuple, list[LambdaPoly]] = {}
-        self._members: dict[tuple, list[XPoly]] = {}
-        self._graded: dict[tuple[int, int], XPoly] = {}
         self._lock = threading.Lock()
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._numbers: dict[tuple, list[LambdaPoly]] = {}
+            self._members: dict[tuple, list[XPoly]] = {}
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(None, len(self._numbers))
 
     def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers c_0.. of key, at least through c_n; not to be mutated."""
@@ -231,27 +223,6 @@ class FamilyTable:
                 self._members[key] = members
         return members[n]
 
-    def _scaled(self, a: int, n: int) -> XPoly:
-        """l^n B_n^(a)(x/l), member n of ("bernoulli_r", a) with [x^i] times l^(n-i),
-        built on its first read and kept under (a, n).
-
-        It is built outside the lock from a published member, so two racing
-        readers at worst build it twice and keep equal values, and published
-        under the lock, which drops the oldest entry once the memo holds
-        ``_GRADED_CACHE_SIZE``.
-        """
-        member = self._graded.get((a, n))
-        if member is None:
-            member = self.get(("bernoulli_r", a), n)
-            member = XPoly._make(
-                [LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)]
-            )
-            with self._lock:
-                if len(self._graded) >= _GRADED_CACHE_SIZE:
-                    del self._graded[next(iter(self._graded))]
-                self._graded[a, n] = member
-        return member
-
     def _grow(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers of key, grown to at least c_0..c_n."""
         if len(key) != 2 or key[0] not in _KINDS:
@@ -273,7 +244,7 @@ class FamilyTable:
             return numbers
 
 
-_TABLE = FamilyTable()
+_TABLE = _register(FamilyTable())
 
 
 def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
@@ -323,18 +294,16 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
     return _TABLE.get(("deg_bernoulli_r", _check_index(r, "r")), _check_index(n))
 
 
+# 256: the verify sweep reads about 110 and ``verify --all`` 45; ``verify ex_g --n 64
+# --r 64`` reads about 4000 once each, which an unbounded memo keeps (+50 MB of peak RSS).
+@_cached(256)
 def scaled_bernoulli(n: int, a: int) -> XPoly:
     """The polynomial l^n B_n^(a)(x/l): the order-a Bernoulli member with [x^i] times l^(n-i)."""
-    return _TABLE._scaled(_check_index(a, "a"), _check_index(n))
+    member = _TABLE.get(("bernoulli_r", _check_index(a, "a")), _check_index(n))
+    return XPoly._make([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
 
 
-#: The bounds of the number memos below: stirling2 keeps its triangle to n = 89,
-#: past twice the default degree limit, and harmonic the first 256 numbers.
-_STIRLING2_CACHE_SIZE = 4096
-_HARMONIC_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_STIRLING2_CACHE_SIZE)
+@_cached(4096)
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind, by the explicit integer sum
     S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!."""
@@ -343,7 +312,7 @@ def stirling2(n: int, k: int) -> Fraction:
     return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
 
 
-@lru_cache(maxsize=_HARMONIC_CACHE_SIZE)
+@_cached(256)
 def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
     if not isinstance(n, int) or n < 1:

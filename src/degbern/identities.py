@@ -72,6 +72,7 @@ from .families import (
     harmonic,
     scaled_bernoulli,
 )
+from .parser import max_degree_limit
 from .umbral import _integral_power, forward_diff, umbral_compose
 
 __all__ = [
@@ -476,14 +477,17 @@ def verify_all(
     *,
     perturb: bool = False,
 ) -> list[IdentityCase]:
-    """Sweep identities over their parameter ranges; deterministic order."""
+    """Sweep identities over their parameter ranges; deterministic order. A case takes
+    work of about (sum of its parameters)^3, L^3 at the degree limit L: a sweep of more
+    than 4 L^4 in all raises ValueError before any case."""
     chosen = sorted(ids) if ids is not None else identity_ids()
     entries = [(identity_id, _lookup(identity_id)) for identity_id in chosen]  # every id, before any case
-    cases: list[IdentityCase] = []
-    for identity_id, entry in entries:
-        eff = dict(entry.bounds)
-        if bounds and identity_id in bounds:
-            eff.update(bounds[identity_id])
-        for params in entry.sweep(eff):
-            cases.append(verify(identity_id, params, perturb=perturb))
-    return cases
+    sweep = [
+        (identity_id, params)
+        for identity_id, entry in entries
+        for params in entry.sweep({**entry.bounds, **(bounds or {}).get(identity_id, {})})
+    ]
+    limit = max_degree_limit()
+    if sum(sum(params.values()) ** 3 for _, params in sweep) > 4 * limit**4:
+        raise ValueError(f"a sweep of {len(sweep)} cases is too big for the degree limit {limit} (DEGBERN_MAX_DEGREE)")
+    return [verify(identity_id, params, perturb=perturb) for identity_id, params in sweep]

@@ -17,8 +17,7 @@ antiderivative (zero constant term), A^a x^j = x^(j+a) j!/(j+a)! and
 I^a = Delta^a A^a on polynomials. Delta^k with a rational step is one map
 [x^j] Delta^k p = sum_i C(i,j) k! S2(i-j,k) p_i, whose int weights depend only
 on (deg p, k): ``_diff_plan`` keeps them as a dense plan for
-``core._packed_sums``, which sums them on packed rows, in a bounded
-``functools.lru_cache`` (``cache_clear()`` empties it). The same rows
+``core._packed_sums``, which sums them on packed rows. The same rows
 (``_diff_rows``) are the first stage of ``expansion``'s stirling_sum route.
 So ``integral_I`` is Delta(A p) and I^a p is Delta^a A^a p, each one map. A
 step with a power of l keeps the exact shift scheme of ``core.XPoly``.
@@ -27,11 +26,12 @@ step with a power of l keeps the exact shift scheme of ``core.XPoly``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Any, Callable, Sequence
 
-from .core import LambdaPoly, Scalar, TruncSeries, XPoly, _dot, _packed_plan, _packed_sums, _PackedPlan, _stirling2_rows
+from .core import (
+    LambdaPoly, Scalar, TruncSeries, XPoly, _cached, _dot, _packed_plan, _packed_sums, _PackedPlan, _stirling2_rows
+)
 
 __all__ = [
     "OperatorSeries",
@@ -168,15 +168,8 @@ def _diff_rows(n: int, k: int, live: Sequence[int]) -> list[list[tuple[int, int]
     return [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + k] for j in range(n - k + 1)]
 
 
-#: The most plans ``forward_diff`` keeps, least recently used out first. The
-#: verify sweep reads about 60 (degree, k) pairs. A dense plan holds
-#: (n-k+1)(n-k+2)/2 weights: at most about 0.2 MB at degree 64 and 0.9 MB at
-#: degree 128 (ex_g_iop's n + a at the degree limit), so the cache holds at
-#: most about 58 MB.
-_DIFF_PLAN_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_DIFF_PLAN_CACHE_SIZE)
+# 64 plans: the verify sweep reads about 60 (degree, k) pairs.
+@_cached(64)
 def _diff_plan(n: int, k: int) -> _PackedPlan:
     """Delta^k at degree n as a dense plan for ``core._packed_sums``: output j is row j."""
     return _packed_plan(_diff_rows(n, k, range(n + 1)), [(1, [(j, 1)]) for j in range(n - k + 1)])

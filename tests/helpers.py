@@ -19,11 +19,26 @@ from math import comb, factorial, gcd, perm
 
 from hypothesis import strategies as st
 
-from degbern.core import LambdaPoly, TruncSeries, XPoly
-from degbern.families import deg_bernoulli_order
+from degbern.core import LambdaPoly, TruncSeries, XPoly, clear_caches
+from degbern.families import FamilyTable, deg_bernoulli_order
 from degbern.umbral import integral_I, sequence_diff, umbral_compose
 
 BOUND = 10**6
+_GROW = FamilyTable._grow
+
+
+def record_grows(monkeypatch) -> list[tuple]:
+    """Empty every cache, then record the key of each family-table grow, in order,
+    in the list returned. A second call starts a new record."""
+    clear_caches()
+    grown: list[tuple] = []
+
+    def grow(table, key, n):
+        grown.append(key)
+        return _GROW(table, key, n)
+
+    monkeypatch.setattr(FamilyTable, "_grow", grow)
+    return grown
 
 
 def random_fraction(rng: random.Random, bound: int = BOUND) -> Fraction:

@@ -1,0 +1,123 @@
+"""The cache registry: every cache of the package is one entry of it, with the
+bound the ``core`` docstring states, and ``clear_caches()`` empties them all,
+also while other threads read them."""
+
+import re
+import sys
+import threading
+from pathlib import Path
+
+import degbern
+from degbern import core, expansion, families, umbral
+from degbern.core import LambdaPoly, XPoly
+from degbern.expansion import BasisExpansion, expand, reconstruct
+from degbern.families import bernoulli_poly_order, deg_bernoulli_order, harmonic, scaled_bernoulli, stirling2
+from degbern.parser import max_degree_limit, parse_poly
+from degbern.umbral import forward_diff
+
+#: entry -> the bound the core docstring states for it
+_BOUNDS = {
+    core._stirling1_rows: None,
+    core._stirling2_rows: None,
+    families._TABLE: None,
+    scaled_bernoulli: 256,
+    stirling2: 4096,
+    harmonic: 256,
+    umbral._diff_plan: 64,
+    expansion._f_plan: 64,
+    expansion._g_plan: 64,
+    expansion._appell_numbers: 64,
+    expansion._degree_plan: 64,
+}
+
+
+def _member(n: int, r: int) -> XPoly:
+    """beta_n^(r) rebuilt by reconstruct, which reads the numbers and the plan of degree n."""
+    return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
+
+
+def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
+    bound = {cache: cache.cache_info().maxsize for cache in core._CACHES}
+    assert len(core._CACHES) == len(_BOUNDS) and bound == _BOUNDS
+    # fill each lru entry past its bound through its callers
+    x = XPoly.x()
+    for i in range(bound[stirling2] + 10):
+        stirling2(i, 1)
+    for i in range(bound[harmonic] + 10):
+        harmonic(i + 1)
+    for i in range(bound[scaled_bernoulli] + 10):  # n <= 9 at orders 1 up
+        n, a = i % 10, 1 + i // 10
+        assert scaled_bernoulli(n, a).subs_lambda(1) == bernoulli_poly_order(n, a)
+    for n in range(1, bound[umbral._diff_plan] + 10):
+        forward_diff(x**n, 1, 1)
+    # that many supports of degree 7: each expand reads one plan of each default route
+    for mask in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
+        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
+    # reconstruct keeps its numbers per (degree, r) and its falling-factorial
+    # plan per degree: member 3 at many orders, and a member at every degree up
+    # to the limit
+    for r in range(1, bound[expansion._appell_numbers] + 10):
+        assert _member(3, r) == deg_bernoulli_order(3, r)
+    assert max_degree_limit() + 1 > bound[expansion._degree_plan]
+    for n in range(max_degree_limit() + 1):
+        assert _member(n, 1).degree == n
+    for cache in core._CACHES:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize if info.maxsize else info.currsize > 0, cache
+    degbern.clear_caches()
+    assert [cache.cache_info().currsize for cache in core._CACHES] == [0] * len(core._CACHES)
+
+
+def test_no_module_but_core_applies_lru_cache():
+    # a cache made with functools.lru_cache directly would bypass the registry
+    src = Path(core.__file__).parent
+    users = sorted(path.name for path in src.glob("*.py") if re.search(r"\blru_cache\b", path.read_text()))
+    assert users == ["core.py"]
+
+
+def test_clear_caches_while_threads_expand_and_reconstruct():
+    # in each round eight threads expand and reconstruct polys of degrees 11..32,
+    # from cold caches, while another thread empties every cache in a loop: each
+    # result must be the serial one. The degrees differ, so a triangle or table
+    # cleared in place under a reader would be regrown short by another thread
+    polys = [parse_poly(f"{c}*x^{8 + 3 * c} - {c}/5*l*x^{5 + c} + x^3 - {c}") for c in range(1, 9)]
+
+    def work(p):
+        e = expand(p, 3)
+        return e, reconstruct(e)
+
+    expected = [work(p) for p in polys]
+    assert all(back == p for p, (_, back) in zip(polys, expected))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            degbern.clear_caches()
+            barrier = threading.Barrier(len(polys) + 1)
+            done = threading.Event()
+            results: list = [None] * len(polys)
+            clears = []
+
+            def worker(i: int) -> None:
+                barrier.wait(timeout=30)
+                results[i] = work(polys[i])
+
+            def clearer() -> None:
+                barrier.wait(timeout=30)
+                while not done.is_set():
+                    degbern.clear_caches()
+                    clears.append(1)
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(polys))]
+            sweeper = threading.Thread(target=clearer)
+            for t in [*threads, sweeper]:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            done.set()
+            sweeper.join(timeout=30)
+            assert not any(t.is_alive() for t in [*threads, sweeper])
+            assert clears
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -404,6 +404,16 @@ def test_size_flag_outside_the_degree_limit_exits_1(capsys, argv, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("ids", [["ex_g"], ["--all"]])
+def test_sweep_past_the_work_of_the_degree_limit_exits_1(monkeypatch, capsys, ids):
+    # each flag within the limit, the sweep not: about 2000 and 23509 cases
+    monkeypatch.delenv("DEGBERN_MAX_DEGREE", raising=False)
+    assert cli.main(["verify", *ids, "--n-max", "64", "--r-max", "64"]) == 1
+    captured = capsys.readouterr()
+    assert "cases is too big for the degree limit 64 (DEGBERN_MAX_DEGREE)" in captured.err
+    assert captured.out == ""
+
+
 def test_lambda_degree_outside_the_degree_limit_exits_1(capsys):
     assert cli.main(["expand", "--expr", "(1+l)^65"]) == 1
     captured = capsys.readouterr()

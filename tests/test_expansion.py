@@ -29,9 +29,9 @@ from degbern.families import (
     deg_bernoulli_order,
     genocchi_poly,
 )
-from degbern.parser import max_degree_limit, parse_poly
+from degbern.parser import parse_poly
 from degbern.umbral import forward_diff
-from helpers import classical_coeffs_higher, classical_coeffs_order1, member_reconstruct, random_xpoly
+from helpers import classical_coeffs_higher, classical_coeffs_order1, member_reconstruct, random_xpoly, record_grows
 
 
 def test_basis_elements_expand_to_kronecker_delta():
@@ -292,14 +292,7 @@ def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
     # degenerate numbers read the order-3 Bernoulli and second-kind numbers.
     # The residual route reads its top member first, so the degenerate key
     # grows once, not once per degree
-    grown = []
-
-    class CountingTable(families.FamilyTable):
-        def _grow(self, key, n):
-            grown.append(key)
-            return super()._grow(key, n)
-
-    monkeypatch.setattr(families, "_TABLE", CountingTable())
+    grown = record_grows(monkeypatch)
     crosscheck(parse_poly("x^6 - 2/3*l*x^4 + l^2*x + 5"), 3)
     assert set(grown) == {
         ("bernoulli_r", 1),
@@ -419,27 +412,6 @@ def test_plans_of_one_degree_keep_their_supports_apart():
         assert expand(p, 2).coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
 
 
-def test_plan_caches_are_bounded_and_clearable():
-    x = XPoly.x()
-    for mask in range(2 * expansion._PLAN_CACHE_SIZE):  # that many supports of degree 7
-        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
-    # reconstruct keeps its constants per (degree, r) and its falling-factorial
-    # plan per degree: one basis member at every degree up to the limit, and
-    # member 3 at many orders
-    def member(n, r):
-        return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
-
-    for n in range(max_degree_limit() + 1):
-        assert member(n, 1).degree == n
-    for r in range(1, 2 * expansion._PLAN_CACHE_SIZE):
-        assert member(3, r) == deg_bernoulli_order(3, r)
-    for cache in (expansion._f_plan, expansion._g_plan, expansion._appell_numbers, expansion._degree_plan):
-        info = cache.cache_info()
-        assert info.maxsize == expansion._PLAN_CACHE_SIZE and info.currsize == info.maxsize
-        cache.cache_clear()
-        assert cache.cache_info().currsize == 0
-
-
 # -- reconstruct from the numbers alone ------------------------------------------
 
 _COEFF = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**12))
@@ -462,13 +434,11 @@ def test_reconstruct_matches_the_member_composition(n, data):
 
 
 def test_a_cold_reconstruct_reads_numbers_and_builds_no_member(monkeypatch):
-    table = families.FamilyTable()
-    monkeypatch.setattr(families, "_TABLE", table)
-    expansion._appell_numbers.cache_clear()
+    grown = record_grows(monkeypatch)
     p = parse_poly("x^9 - 2/5*l*x^4 + 3")
     assert reconstruct(expand(p, 3)) == p
-    assert ("deg_bernoulli_r", 3) in table._numbers
-    assert table._members == {}  # neither expand nor reconstruct built a member
+    assert ("deg_bernoulli_r", 3) in grown and ("deg_bernoulli_r", 3) in families._TABLE._numbers
+    assert families._TABLE._members == {}  # neither expand nor reconstruct built a member
 
 
 def test_reconstruct_at_the_degree_limit_matches_the_member_composition():

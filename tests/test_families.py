@@ -10,8 +10,7 @@ import pytest
 
 import degbern.core as core
 import degbern.families as families
-from degbern import expansion
-from degbern.core import LAMBDA, LambdaPoly, XPoly
+from degbern.core import LAMBDA, LambdaPoly, XPoly, clear_caches
 from degbern.expansion import expand
 from degbern.families import (
     FamilyTable,
@@ -31,7 +30,7 @@ from degbern.families import (
 )
 from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
-from helpers import miller_deg_numbers, partition_count, series_family, series_stirling2
+from helpers import miller_deg_numbers, partition_count, record_grows, series_family, series_stirling2
 
 HALF = Fraction(1, 2)
 
@@ -128,7 +127,7 @@ def test_deg_falling_product_structure():
         assert deg_falling(n) == deg_falling(n - 1) * XPoly([-LAMBDA * (n - 1), 1])
 
 
-def test_deg_falling_rows_grown_from_threads_match_the_product(monkeypatch):
+def test_deg_falling_rows_grown_from_threads_match_the_product():
     # concurrent growth of the Stirling-number rows publishes complete rows only
     expected = [XPoly.one()]
     for n in range(1, 33):
@@ -140,7 +139,7 @@ def test_deg_falling_rows_grown_from_threads_match_the_product(monkeypatch):
             for seed in range(20):  # each round grows the rows from scratch
                 plan = list(range(33)) * 2
                 random.Random(seed).shuffle(plan)
-                monkeypatch.setattr(core, "_stirling1", [(1,)])
+                clear_caches()
                 got = list(pool.map(deg_falling, plan, timeout=60))
                 assert all(p == expected[n] for n, p in zip(plan, got)), seed
     finally:
@@ -250,29 +249,18 @@ def test_scaled_bernoulli_is_the_operator_image_of_monomials():
 
 
 def test_scaled_bernoulli_members_are_kept_with_the_table(monkeypatch):
-    # a graded member is built once per table, from the order-a member, and a
-    # fresh table builds it again: the memo lives and dies with the table
-    grown = []
-
-    class CountingTable(FamilyTable):
-        def _grow(self, key, n):
-            grown.append(key)
-            return super()._grow(key, n)
-
+    # a graded member is built once, from the order-a member, and built again
+    # once the caches are cleared with the table; the bound is checked with
+    # every other cache's in test_caches
     expected = scaled_bernoulli(9, 2)
     for _ in range(2):
-        monkeypatch.setattr(families, "_TABLE", CountingTable())
-        grown.clear()
+        grown = record_grows(monkeypatch)
         first = scaled_bernoulli(9, 2)
-        assert first == expected and scaled_bernoulli(9, 2) is first
+        assert first == expected and first is not expected and scaled_bernoulli(9, 2) is first
         assert scaled_bernoulli(9, 2).subs_lambda(1) == bernoulli_poly_order(9, 2)
         assert grown == [("bernoulli_r", 2)]
-        assert set(families._TABLE._graded) == {(2, 9)}
-    # the memo is bounded: past its size the oldest member goes first
-    monkeypatch.setattr(families, "_GRADED_CACHE_SIZE", 4)
-    for n in range(7):
-        assert scaled_bernoulli(n, 1).subs_lambda(1) == bernoulli_poly(n)
-    assert list(families._TABLE._graded) == [(1, 3), (1, 4), (1, 5), (1, 6)]
+        assert scaled_bernoulli.cache_info().currsize == 1
+        expected = first
 
 
 def test_genocchi_degree_anomaly():
@@ -333,22 +321,22 @@ def test_harmonic_large_n_without_recursion():
     assert harmonic(3000) - harmonic(2999) == Fraction(1, 3000)
 
 
-def test_number_memos_are_bounded_and_clearable():
-    for memo, bound, call in (
-        (stirling2, families._STIRLING2_CACHE_SIZE, lambda i: stirling2(i, 1)),
-        (harmonic, families._HARMONIC_CACHE_SIZE, lambda i: harmonic(i + 1)),
-    ):
-        for i in range(bound + 10):
-            call(i)
-        info = memo.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
-        memo.cache_clear()
-        assert memo.cache_info().currsize == 0
-
-
 def test_harmonic_rejects_zero():
     with pytest.raises(ValueError):
         harmonic(0)
+
+
+def test_cached_families_check_their_arguments_on_every_call():
+    # an int argument's cached value is not returned for an equal float
+    assert scaled_bernoulli(2, 1) and stirling2(3, 1) == 1 and harmonic(2) == Fraction(3, 2)
+    with pytest.raises(ValueError, match="n must be a non-negative integer, got 2.0"):
+        scaled_bernoulli(2.0, 1)
+    with pytest.raises(ValueError, match="a must be a non-negative integer, got 1.0"):
+        scaled_bernoulli(2, 1.0)
+    with pytest.raises(ValueError, match="n must be a non-negative integer, got 3.0"):
+        stirling2(3.0, 1)
+    with pytest.raises(ValueError, match="needs a positive integer, got 2.0"):
+        harmonic(2.0)
 
 
 # -- structural identities of the degenerate family ------------------------------
@@ -517,8 +505,7 @@ def test_plan_cache_threaded_expands_match_serial():
     # the same cold plans at once, and each result must be the serial one
     polys = [parse_poly(f"{c}*x^11 - {c}/7*l*x^9 + x^4 - {c}") for c in range(1, 9)]
     expected = [expand(p, 3) for p in polys]
-    expansion._f_plan.cache_clear()
-    expansion._g_plan.cache_clear()
+    clear_caches()
     barrier = threading.Barrier(len(polys))
     results: list = [None] * len(polys)
 

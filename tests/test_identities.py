@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -104,6 +105,24 @@ def test_verify_all_small_sweep():
 
 def test_verify_all_zero_bounds_empty():
     assert verify_all({"miki": {"n_max": 0}}, ids=["miki"]) == []
+
+
+def test_verify_all_rejects_a_sweep_past_the_work_of_the_degree_limit(monkeypatch):
+    # about 2000 ex_g cases, and 23509 of every identity, at the default limit 64:
+    # rejected before any case runs
+    sweeps = [(["ex_g"], {"n_max": 64, "r_max": 64}), (identity_ids(), {"n_max": 64, "r_max": 64})]
+    for ids, bounds in sweeps:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too big for the degree limit 64"):
+            verify_all(dict.fromkeys(ids, bounds), ids=ids)
+        assert time.perf_counter() - start < 5
+    # the rule follows the limit: ex_g's default sweep sums (n + r)^3 to 5985,
+    # past 4 * 6^4 and within 4 * 8^4
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "6")
+    with pytest.raises(ValueError, match="a sweep of 15 cases is too big for the degree limit 6"):
+        verify_all(ids=["ex_g"])
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "8")
+    assert len(verify_all(ids=["ex_g"])) == 15
 
 
 def test_verify_all_perturb_self_test():

@@ -7,9 +7,7 @@ from math import factorial, perm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import degbern.expansion as expansion
-import degbern.families as families
-from degbern.core import LAMBDA, LambdaPoly, XPoly
+from degbern.core import LAMBDA, LambdaPoly, XPoly, clear_caches
 from degbern.expansion import _alternating, expand, reconstruct
 from degbern.families import bernoulli_poly, deg_bernoulli, deg_falling, scaled_bernoulli
 from degbern.identities import _ex_g_iop_lhs
@@ -44,6 +42,7 @@ from helpers import (
     random_fraction,
     random_lambda_poly,
     random_xpoly,
+    record_grows,
     series_stirling2,
     small_xpolys,
     taylor_shift,
@@ -203,18 +202,15 @@ def test_forward_diff_of_a_rational_step_ends_past_the_degree(p, c, extra):
 
 
 def test_forward_diff_keeps_one_bounded_plan_per_degree_and_order():
-    _diff_plan.cache_clear()
+    # every rational step shares the plan of its (degree, order); the bound is
+    # checked with every other cache's in test_caches
+    clear_caches()
     x = XPoly.x()
     for k in range(4):
         for c in (1, -1, Fraction(2, 3), LambdaPoly.const(5)):
             forward_diff(x**7 + 3, c, k)
     info = _diff_plan.cache_info()
     assert info.currsize == 4 and info.misses == 4
-    for n in range(1, 2 * info.maxsize + 1):
-        forward_diff(x**n, 1, 1)
-    assert _diff_plan.cache_info().currsize == info.maxsize
-    _diff_plan.cache_clear()
-    assert _diff_plan.cache_info().currsize == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,19 +329,10 @@ def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
     # from the top down; on a cold table that is one grow to number n, not one
     # grow per member, and reconstruct grows the same numbers once; that grow
     # first grows its two order-3 sources, once each
-    grown = []
-
-    class CountingTable(families.FamilyTable):
-        def _grow(self, key, n):
-            grown.append(key)
-            return super()._grow(key, n)
-
     p = XPoly.monomial(12)
     e = expand(p, 3)
     for rebuild in (member_reconstruct, reconstruct):
-        monkeypatch.setattr(families, "_TABLE", CountingTable())
-        expansion._appell_numbers.cache_clear()
-        grown.clear()
+        grown = record_grows(monkeypatch)
         assert rebuild(e) == p
         assert grown == [("deg_bernoulli_r", 3), ("bernoulli_r", 3), ("bernoulli2_r", 3)]
 

@@ -29,7 +29,7 @@ from degbern.families import (
     deg_bernoulli_order,
     genocchi_poly,
 )
-from degbern.parser import parse_poly
+from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
 from helpers import classical_coeffs_higher, classical_coeffs_order1, member_reconstruct, random_xpoly, record_grows
 
@@ -410,6 +410,32 @@ def test_plans_of_one_degree_keep_their_supports_apart():
     a, b = parse_poly("x^6 + x"), parse_poly("x^6 + x^2")
     for p in (a, b, a + b, a, b):
         assert expand(p, 2).coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
+
+
+def test_plan_caches_are_bounded_and_clearable():
+    caches = (expansion._f_plan, expansion._g_plan, expansion._appell_numbers, expansion._degree_plan)
+    for cache in caches:
+        cache.cache_clear()
+    bound = max(cache.cache_info().maxsize for cache in caches)
+    x = XPoly.x()
+    for mask in range(bound + 10):  # that many supports of degree 7
+        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
+
+    # reconstruct keeps its numbers per (degree, r) and its falling-factorial
+    # plan per degree: one basis member at every degree up to the limit, and
+    # member 3 at many orders
+    def member(n, r):
+        return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
+
+    for n in range(max_degree_limit() + 1):
+        assert member(n, 1).degree == n
+    for r in range(1, bound + 10):
+        assert member(3, r) == deg_bernoulli_order(3, r)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
 
 
 # -- reconstruct from the numbers alone ------------------------------------------

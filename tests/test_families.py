@@ -321,6 +321,18 @@ def test_harmonic_large_n_without_recursion():
     assert harmonic(3000) - harmonic(2999) == Fraction(1, 3000)
 
 
+def test_number_memos_are_bounded_and_clearable():
+    for memo, call in ((stirling2, lambda i: stirling2(i, 1)), (harmonic, lambda i: harmonic(i + 1))):
+        memo.cache_clear()
+        bound = memo.cache_info().maxsize
+        for i in range(bound + 10):
+            call(i)
+        info = memo.cache_info()
+        assert info.currsize == bound
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+
+
 def test_harmonic_rejects_zero():
     with pytest.raises(ValueError):
         harmonic(0)

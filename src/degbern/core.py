@@ -68,13 +68,11 @@ ex_g_iop), are stated here once:
     families._TABLE             None  keys (kind, r), r <= L; per r, ("bernoulli_r", r)
                                       to 2L 1.4 MB and ("deg_bernoulli_r", r) with
                                       its sources to L 3 MB: about 300 MB
-    families.scaled_bernoulli   256   members of 0.09 MB: 23 MB
     families.stirling2          4096  the triangle to n = 89: 1 MB
     families.harmonic           256   0.04 MB
     umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB
     expansion._f_plan           64    plans of 0.4 MB: 26 MB
     expansion._g_plan           64    plans of 0.27 MB: 17 MB
-    expansion._appell_numbers   64    numbers of 0.16 MB: 10 MB
     expansion._degree_plan      64    one plan per degree, 0.45 MB at L: 10 MB
 """
 
@@ -626,32 +624,9 @@ def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaP
     return out
 
 
-class _Rows(NamedTuple):
-    """LambdaPolys over one denominator den, the lcm of theirs, for
-    ``_packed_products``: each one's numerators from its lowest nonzero power of
-    l up, that power, and the l1 and max norms of those numerators."""
-
-    nums: tuple[tuple[int, ...], ...]
-    low: tuple[int, ...]
-    l1: tuple[int, ...]
-    top: tuple[int, ...]
-    den: int
-
-
-def _rows(polys: Sequence[LambdaPoly]) -> _Rows:
-    den = math.lcm(*(q._den for q in polys))
-    nums, low = [], []
-    for q in polys:
-        c, e, scale = q._coeffs, 0, den // q._den
-        while e < len(c) and not c[e]:
-            e += 1
-        nums.append(tuple([x * scale for x in c[e:]]))
-        low.append(e)
-    norms = [[abs(x) for x in row] for row in nums]
-    return _Rows(tuple(nums), tuple(low), tuple(map(sum, norms)), tuple(max(n, default=0) for n in norms), den)
-
-
-def _packed_products(xs: _Rows, ys: _Rows, sums: Sequence[Sequence[tuple[int, int, int]]]) -> list[LambdaPoly]:
+def _packed_products(
+    xs: Sequence[LambdaPoly], ys: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]
+) -> list[LambdaPoly]:
     """The output sum w x_t y_k over the (t, k, w) of each sums[i], for int w, on
     packed rows.
 
@@ -665,15 +640,26 @@ def _packed_products(xs: _Rows, ys: _Rows, sums: Sequence[Sequence[tuple[int, in
     largest sum over an output of |w| times that bound, plus one, so every slot
     has magnitude below 2^(width-1) and ``_unpack`` splits it back.
     """
-    xl1, xtop, yl1, ytop = xs.l1, xs.top, ys.l1, ys.top
+    sides = []
+    for polys in (xs, ys):
+        den = math.lcm(*(q._den for q in polys))
+        nums, low = [], []
+        for q in polys:
+            c, e = q._coeffs, 0
+            while e < len(c) and not c[e]:
+                e += 1
+            nums.append([x * (den // q._den) for x in c[e:]])
+            low.append(e)
+        norms = [[abs(x) for x in row] for row in nums]
+        sides.append((nums, low, [sum(n) for n in norms], [max(n, default=0) for n in norms], den))
+    (xn, xlow, xl1, xtop, xden), (yn, ylow, yl1, ytop, yden) = sides
     width = max(
         (sum(abs(w) * min(xl1[t] * ytop[k], xtop[t] * yl1[k]) for t, k, w in terms) for terms in sums),
         default=0,
     ).bit_length() + 1
-    px, py = _pack(xs.nums, width), _pack(ys.nums, width)
-    lx = [width * e for e in xs.low]
-    ly = [width * e for e in ys.low]
-    den = xs.den * ys.den
+    px, py = _pack(xn, width), _pack(yn, width)
+    lx = [width * e for e in xlow]
+    ly = [width * e for e in ylow]
     out = []
     for terms in sums:
         acc = 0
@@ -681,7 +667,7 @@ def _packed_products(xs: _Rows, ys: _Rows, sums: Sequence[Sequence[tuple[int, in
             v = py[k]
             if v:
                 acc += px[t] * (w * v) << (lx[t] + ly[k])
-        out.append(_unpack(acc, width, den))
+        out.append(_unpack(acc, width, xden * yden))
     return out
 
 

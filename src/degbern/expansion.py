@@ -65,9 +65,8 @@ with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, the Sheffer connection constants
 (S. Roman, The Umbral Calculus, 1984). The d_i are sums of products on
 packed rows (``core._packed_products``), then sum_i s(i,j) l^(i-j) d_i is
 ``core._packed_sums`` on a plan of Stirling numbers of the first kind.
-``_appell_numbers`` keeps the numbers over one denominator with their norms
-per (degree, r), and ``_degree_plan`` the binomial terms of the d_i and that
-plan per degree, shared by every r. The residual g-route still reads the
+``_degree_plan`` keeps the binomial terms of the d_i and that plan per
+degree, shared by every r. The residual g-route still reads the
 members, so crosscheck checks the same basis through them.
 
 All divisions by powers of l are exact divisions; a failure raises
@@ -91,8 +90,6 @@ from .core import (
     _packed_products,
     _packed_sums,
     _PackedPlan,
-    _rows,
-    _Rows,
     _stirling1_rows,
     _stirling2_rows,
 )
@@ -365,12 +362,6 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
 
 
 @_cached(64)
-def _appell_numbers(n: int, r: int) -> _Rows:
-    """The numbers c_t = beta_t^(r)(0), t <= n, over one denominator, with their norms."""
-    return _rows(_numbers("deg_bernoulli_r", r, n)[: n + 1])
-
-
-@_cached(64)
 def _degree_plan(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], _PackedPlan]:
     """What reconstruct reads at degree n for every r: for each i the terms
     (k - i, k, C(k,i)) of d_i, and the plan of [x^j] sum_i d_i (x)_(i,l) =
@@ -385,7 +376,7 @@ def reconstruct(e: BasisExpansion) -> XPoly:
     """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
     alone, as sum_i d_i (x)_(i,l) on packed rows; the module docstring says how."""
     terms, plan = _degree_plan(e.degree)
-    d = _packed_products(_appell_numbers(e.degree, e.order), _rows(e.coeffs), terms)
+    d = _packed_products(_numbers("deg_bernoulli_r", e.order, e.degree)[: e.degree + 1], e.coeffs, terms)
     return XPoly._make(_packed_sums(d, plan))
 
 

@@ -41,11 +41,12 @@ tables' denominators, with one gcd. Member n is the numbers times the
 monomials, or times the falling factorials read straight off the same
 Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``); a
 table builds it when it is first read, and keeps it. Readers that want
-numbers only (the Bernoulli, Euler and Genocchi numbers, the default
-g-route, ``expansion.reconstruct``) read them through ``_numbers`` and build
-no member. Stirling numbers of the second kind and harmonic numbers round
-out the kit; the int triangles of Stirling numbers of both kinds live in
-``core``.
+numbers only read them through ``_numbers`` and build no member: the
+Bernoulli, Euler and Genocchi numbers, the scaled family, whose [x^i] is
+C(n,i) B_(n-i)^(a) l^(n-i), the default g-route, ``expansion.reconstruct``
+and ex_g's closed form in ``identities``. Stirling numbers of the second
+kind and harmonic numbers round out the kit; the int triangles of Stirling
+numbers of both kinds live in ``core``.
 """
 
 from __future__ import annotations
@@ -294,21 +295,23 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
     return _TABLE.get(("deg_bernoulli_r", _check_index(r, "r")), _check_index(n))
 
 
-# 256: the verify sweep reads about 110 and ``verify --all`` 45; ``verify ex_g --n 64
-# --r 64`` reads about 4000 once each, which an unbounded memo keeps (+50 MB of peak RSS).
-@_cached(256)
 def scaled_bernoulli(n: int, a: int) -> XPoly:
-    """The polynomial l^n B_n^(a)(x/l): the order-a Bernoulli member with [x^i] times l^(n-i)."""
-    member = _TABLE.get(("bernoulli_r", _check_index(a, "a")), _check_index(n))
-    return XPoly._make([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
+    """The polynomial l^n B_n^(a)(x/l), read off the order-a Bernoulli numbers:
+    [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member."""
+    numbers = _numbers("bernoulli_r", _check_index(a, "a"), _check_index(n))
+    coeffs = []
+    for i in range(n + 1):
+        c = numbers[n - i]  # a rational: no numerator, or one
+        coeffs.append(LambdaPoly._make([0] * (n - i) + [comb(n, i) * x for x in c._coeffs], c._den))
+    return XPoly._make(coeffs)
 
 
 @_cached(4096)
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind, by the explicit integer sum
-    S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!."""
-    _check_index(n)
-    _check_index(k, "k")
+    S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!, taken only for k <= n."""
+    if _check_index(n) < _check_index(k, "k"):
+        return Fraction(0)
     return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
 
 

@@ -61,8 +61,9 @@ from math import comb, factorial, inf, perm
 from typing import Callable, Iterator, Mapping
 
 from .core import LambdaPoly, XPoly, _dot_products, _over_lcm, _stirling2_rows
-from .expansion import BasisExpansion, _alternating, _f_stirling_sum, reconstruct
+from .expansion import BasisExpansion, _f_stirling_sum, reconstruct
 from .families import (
+    _numbers,
     bernoulli_number,
     bernoulli_poly,
     euler_number,
@@ -269,20 +270,33 @@ def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
 def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
     """a_0..a_{max(r,n-1)-1} of the Genocchi product sum P (the left side), order r.
 
-    a_k = -4/(n k!) Delta^(r-1) [sum_{i<n-1} w_i l^(i+mm) B_{i+mm}^(r-k)(x/l)](0)
-    for k < r, with mm = r-k-1 and w_i = C(n,i) G_{n-i} / ((n-i) <i+1>_mm), since
-    sum_{j+m2=s} C(k,j) C(mm,m2) = C(r-1,s) folds differences of orders k and mm.
-    <a>_mm is the rising factorial. For k >= r, up to n - 2 (the degree of P),
-    a_k is the f-branch of P's own expansion.
+    For k < r, with s = r-k, mm = s-1 and w_i = C(n,i) G_{n-i} / (n-i),
+    a_k = -4/(n k!) Delta^(r-1) [sum_{i<n-1} t_i l^(i+mm) B_{i+mm}^(s)(x/l)](0)
+    with t_i = w_i / <i+1>_mm, since sum_{j+m2=q} C(k,j) C(mm,m2) = C(r-1,q)
+    folds differences of orders k and mm; <a>_mm = perm(a+mm-1, mm) is the
+    rising factorial. As [x^j] l^N B_N^(s)(x/l) = C(N,j) B_(N-j)^(s) l^(N-j)
+    and Delta^(r-1) x^j (0) = (r-1)! S2(j, r-1),
+
+        a_k = -4 (r-1)!/(n k!) sum_e B_e^(s) l^e sum_i t_i C(i+mm, e) S2(i+mm-e, r-1),
+
+    where S2 vanishes unless e <= i - k. So each power of l is one int sum over
+    the lcm of the t_i, times one order-s Bernoulli number, with one gcd per a_k:
+    no member is built. For k >= r, up to n - 2 (the degree of P), a_k is the
+    f-branch of P's own expansion.
     """
     upper = _f_stirling_sum(_product_sum(genocchi_poly, n), r)
     weights = [Fraction(comb(n, i)) * genocchi_number(n - i) / (n - i) for i in range(n - 1)]
+    s2 = _stirling2_rows(n + r)
     lower = []
     for k in range(r):
-        mm = r - k - 1
-        terms = XPoly([c / perm(i + mm, mm) for i, c in enumerate(weights)])
-        w = umbral_compose(terms, lambda i: scaled_bernoulli(i + mm, r - k))
-        lower.append(_alternating(w, r - 1) * Fraction(-4, n * factorial(k)))
+        mm, top = r - k - 1, n - 2 - k  # e <= i - k <= top
+        t, t_den = _over_lcm([w / perm(i + mm, mm) for i, w in enumerate(weights)])
+        b, b_den = _over_lcm([c.as_rational() for c in _numbers("bernoulli_r", r - k, max(top, 0))[: top + 1]])
+        nums = [
+            b[e] * sum(t[i] * comb(i + mm, e) * s2[i + mm - e][r - 1] for i in range(e + k, n - 1))
+            for e in range(top + 1)
+        ]
+        lower.append(LambdaPoly._make([-4 * factorial(r - 1) * x for x in nums], t_den * b_den * n * factorial(k)))
     return lower + upper
 
 

@@ -183,13 +183,16 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     [x^j] Delta^n q = sum_i C(i,j) n! S2(i-j,n) q_i, whose weights depend only
     on (deg p, n); ``_diff_plan`` keeps them. A step with a power of l, such as
     the symbol l itself, takes n successive differences q(x+a) - q(x) by exact
-    binomial shifts, no numeric substitution.
+    binomial shifts, no numeric substitution. Each difference lowers the degree
+    by one, so for n > deg p the result is 0 at once, whatever the step.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
+    if n > p.degree:
+        return XPoly.zero()
     if isinstance(step, LambdaPoly) and step.degree == 0:
         step = step.coeff(0)
-    if isinstance(step, (int, Fraction)) and step and p:
+    if isinstance(step, (int, Fraction)) and step:
         coeffs = p.coeffs
         if step != 1:
             coeffs = [c * step**i for i, c in enumerate(coeffs)]

@@ -8,7 +8,9 @@ derivative/integral formulas, and the polynomial families come from
 products of truncated generating series instead of the tables' numbers x
 basis recurrences. The degenerate numbers, which the library sums from a
 closed form, have a second oracle: Miller's recurrence on the Q[l]
-coefficients of (e_l(t)-1)/t.
+coefficients of (e_l(t)-1)/t. So do the scaled Bernoulli family and ex_g's
+closed form, which the library reads off the Bernoulli numbers: the members
+themselves, and their composition.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from math import comb, factorial, gcd, perm
 from hypothesis import strategies as st
 
 from degbern.core import LambdaPoly, TruncSeries, XPoly, clear_caches
-from degbern.families import FamilyTable, deg_bernoulli_order
+from degbern.expansion import _alternating
+from degbern.families import FamilyTable, bernoulli_poly_order, deg_bernoulli_order, genocchi_number
 from degbern.umbral import integral_I, sequence_diff, umbral_compose
 
 BOUND = 10**6
@@ -240,6 +243,26 @@ def member_reconstruct(e) -> XPoly:
     """sum_k a_k beta_k^(r)(x) of an expansion, composed with the order-r members
     themselves: the tables' members, where reconstruct reads only their numbers."""
     return umbral_compose(XPoly(e.coeffs), lambda k: deg_bernoulli_order(k, e.order))
+
+
+def scaled_member(n: int, a: int) -> XPoly:
+    """l^n B_n^(a)(x/l): the order-a Bernoulli member with [x^i], a rational, times l^(n-i)."""
+    member = bernoulli_poly_order(n, a)
+    return XPoly([LambdaPoly._make([0] * (n - i) + list(c._coeffs), c._den) for i, c in enumerate(member.coeffs)])
+
+
+def member_ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
+    """a_0..a_(r-1) of ex_g's closed form, composed with the scaled members:
+    a_k = -4/(n k!) Delta^(r-1) [sum_i t_i l^(i+mm) B_(i+mm)^(r-k)(x/l)](0), with
+    mm = r-k-1 and t_i = C(n,i) G_(n-i) / ((n-i) perm(i+mm, mm))."""
+    weights = [Fraction(comb(n, i)) * genocchi_number(n - i) / (n - i) for i in range(n - 1)]
+    lower = []
+    for k in range(r):
+        mm = r - k - 1
+        terms = XPoly([c / perm(i + mm, mm) for i, c in enumerate(weights)])
+        w = umbral_compose(terms, lambda i: scaled_member(i + mm, r - k))
+        lower.append(_alternating(w, r - 1) * Fraction(-4, n * factorial(k)))
+    return lower
 
 
 def compose_by_products(p: XPoly, family) -> XPoly:

@@ -11,7 +11,7 @@ import degbern
 from degbern import core, expansion, families, umbral
 from degbern.core import LambdaPoly, XPoly
 from degbern.expansion import BasisExpansion, expand, reconstruct
-from degbern.families import bernoulli_poly_order, deg_bernoulli_order, harmonic, scaled_bernoulli, stirling2
+from degbern.families import harmonic, stirling2
 from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
 
@@ -20,13 +20,11 @@ _BOUNDS = {
     core._stirling1_rows: None,
     core._stirling2_rows: None,
     families._TABLE: None,
-    scaled_bernoulli: 256,
     stirling2: 4096,
     harmonic: 256,
     umbral._diff_plan: 64,
     expansion._f_plan: 64,
     expansion._g_plan: 64,
-    expansion._appell_numbers: 64,
     expansion._degree_plan: 64,
 }
 
@@ -45,19 +43,13 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
         stirling2(i, 1)
     for i in range(bound[harmonic] + 10):
         harmonic(i + 1)
-    for i in range(bound[scaled_bernoulli] + 10):  # n <= 9 at orders 1 up
-        n, a = i % 10, 1 + i // 10
-        assert scaled_bernoulli(n, a).subs_lambda(1) == bernoulli_poly_order(n, a)
     for n in range(1, bound[umbral._diff_plan] + 10):
         forward_diff(x**n, 1, 1)
     # that many supports of degree 7: each expand reads one plan of each default route
     for mask in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
         expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
-    # reconstruct keeps its numbers per (degree, r) and its falling-factorial
-    # plan per degree: member 3 at many orders, and a member at every degree up
-    # to the limit
-    for r in range(1, bound[expansion._appell_numbers] + 10):
-        assert _member(3, r) == deg_bernoulli_order(3, r)
+    # reconstruct keeps its falling-factorial plan per degree: a member at every
+    # degree up to the limit
     assert max_degree_limit() + 1 > bound[expansion._degree_plan]
     for n in range(max_degree_limit() + 1):
         assert _member(n, 1).degree == n

@@ -17,7 +17,6 @@ from degbern.core import (
     _packed_plan,
     _packed_products,
     _packed_sums,
-    _rows,
     _unpack,
 )
 from helpers import (
@@ -339,10 +338,10 @@ def test_packed_products_match_the_products_over_q_l():
         xs, ys = [poly() for _ in range(5)], [poly() for _ in range(6)]
         sums = [[(rng.randrange(5), rng.randrange(6), weight()) for _ in range(rng.randint(0, 6))] for _ in range(4)]
         expected = [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
-        got = _packed_products(_rows(xs), _rows(ys), sums)
+        got = _packed_products(xs, ys, sums)
         assert got == expected and all(is_primitive(d) for d in got)
     zero = LambdaPoly.zero()
-    assert _packed_products(_rows([zero]), _rows([zero, zero]), [[(0, 1, 5)], []]) == [zero, zero]
+    assert _packed_products([zero], [zero, zero], [[(0, 1, 5)], []]) == [zero, zero]
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------

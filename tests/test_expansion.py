@@ -413,7 +413,7 @@ def test_plans_of_one_degree_keep_their_supports_apart():
 
 
 def test_plan_caches_are_bounded_and_clearable():
-    caches = (expansion._f_plan, expansion._g_plan, expansion._appell_numbers, expansion._degree_plan)
+    caches = (expansion._f_plan, expansion._g_plan, expansion._degree_plan)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
@@ -421,9 +421,9 @@ def test_plan_caches_are_bounded_and_clearable():
     for mask in range(bound + 10):  # that many supports of degree 7
         expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
 
-    # reconstruct keeps its numbers per (degree, r) and its falling-factorial
-    # plan per degree: one basis member at every degree up to the limit, and
-    # member 3 at many orders
+    # reconstruct keeps its falling-factorial plan per degree: one basis member
+    # at every degree up to the limit, and member 3 at many orders, each read
+    # from that order's numbers
     def member(n, r):
         return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
 

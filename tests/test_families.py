@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +31,7 @@ from degbern.families import (
 )
 from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
-from helpers import miller_deg_numbers, partition_count, record_grows, series_family, series_stirling2
+from helpers import miller_deg_numbers, partition_count, record_grows, scaled_member, series_family, series_stirling2
 
 HALF = Fraction(1, 2)
 
@@ -248,19 +249,20 @@ def test_scaled_bernoulli_is_the_operator_image_of_monomials():
         assert apply(op, XPoly.monomial(n)) == scaled_bernoulli(n, 1)
 
 
-def test_scaled_bernoulli_members_are_kept_with_the_table(monkeypatch):
-    # a graded member is built once, from the order-a member, and built again
-    # once the caches are cleared with the table; the bound is checked with
-    # every other cache's in test_caches
-    expected = scaled_bernoulli(9, 2)
+def test_scaled_bernoulli_is_the_l_shift_of_the_order_a_member():
+    for a in range(9):
+        for n in range(25):
+            assert scaled_bernoulli(n, a) == scaled_member(n, a), (n, a)
+
+
+def test_a_cold_scaled_bernoulli_reads_numbers_and_builds_no_member(monkeypatch):
+    # each call reads the order-a numbers afresh; a cleared table is grown again
     for _ in range(2):
         grown = record_grows(monkeypatch)
-        first = scaled_bernoulli(9, 2)
-        assert first == expected and first is not expected and scaled_bernoulli(9, 2) is first
-        assert scaled_bernoulli(9, 2).subs_lambda(1) == bernoulli_poly_order(9, 2)
-        assert grown == [("bernoulli_r", 2)]
-        assert scaled_bernoulli.cache_info().currsize == 1
-        expected = first
+        value = scaled_bernoulli(9, 2)
+        assert value == scaled_bernoulli(9, 2)
+        assert grown == [("bernoulli_r", 2)] and families._TABLE._members == {}
+        assert value.subs_lambda(1) == bernoulli_poly_order(9, 2)
 
 
 def test_genocchi_degree_anomaly():
@@ -301,6 +303,13 @@ def test_stirling2_against_series_power_and_triangle():
                 assert rows[n][k] == stirling2(n, k)
             if n and k:
                 assert stirling2(n, k) == k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+def test_stirling2_past_the_diagonal_is_zero_at_once():
+    stirling2.cache_clear()
+    start = time.perf_counter()
+    assert stirling2(3, 10**6) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_stirling2_large_n_on_cold_cache():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbern import identities
-from degbern.core import LambdaPoly, XPoly
+from degbern import families, identities
+from degbern.core import LambdaPoly, XPoly, clear_caches
 from degbern.expansion import expand
 from degbern.families import bernoulli_poly, euler_poly, genocchi_poly
 from degbern.identities import (
@@ -18,6 +18,7 @@ from degbern.identities import (
     verify,
     verify_all,
 )
+from helpers import member_ex_g_coeffs, record_grows
 
 
 def test_identity_ids_complete():
@@ -64,6 +65,26 @@ def test_ex_g_full_order_range():
     for n in range(3, 6):
         for r in range(1, n + 1):
             assert verify("ex_g", n=n, r=r).passed
+
+
+def test_ex_g_closed_form_matches_the_member_composition():
+    for n in range(3, 25):
+        for r in range(1, n + 1):
+            assert identities._ex_g_coeffs(n, r)[:r] == member_ex_g_coeffs(n, r), (n, r)
+
+
+def test_ex_g_closed_form_at_the_degree_limit_matches_the_member_composition():
+    try:
+        assert identities._ex_g_coeffs(64, 64) == member_ex_g_coeffs(64, 64)
+    finally:
+        clear_caches()  # the oracle's members: orders 1..64 to degree 125
+
+
+def test_a_cold_ex_g_closed_form_reads_numbers_and_builds_no_member(monkeypatch):
+    grown = record_grows(monkeypatch)
+    closed_form_coeffs("ex_g", n=64, r=64)
+    assert {("bernoulli_r", s) for s in range(1, 65)} <= set(grown)
+    assert not [key for key in families._TABLE._members if key[0] == "bernoulli_r"]
 
 
 def test_unknown_identity():

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from math import factorial, perm
 
@@ -199,6 +200,15 @@ def test_forward_diff_of_a_rational_step_ends_past_the_degree(p, c, extra):
     assert forward_diff(p, c, top + extra).is_zero
     if p:
         assert forward_diff(p, c, p.degree) == XPoly.const(p.leading() * factorial(p.degree) * c**p.degree)
+
+
+def test_forward_diff_past_the_degree_is_zero_at_once():
+    # for an l-power step as for a rational one: no 10^9 differences, no 10^9!
+    p = XPoly.x() ** 3
+    start = time.perf_counter()
+    for step in (LAMBDA, LAMBDA * 3 + 1, 1, Fraction(2, 3)):
+        assert forward_diff(p, step, 10**9).is_zero
+    assert time.perf_counter() - start < 1
 
 
 def test_forward_diff_keeps_one_bounded_plan_per_degree_and_order():

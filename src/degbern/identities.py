@@ -18,7 +18,7 @@ Corpus (ids):
     ex_e_classical / ex_e   Nielsen's product of two Bernoulli polynomials
     ex_f_classical / ex_f   Nielsen's product of two Euler polynomials
     ex_g_iop      iterated unit-interval integral of l^n B_n^(r)(x/l)
-    ex_g          Genocchi products in the order-r degenerate basis
+    ex_g          ex_d's Genocchi products and terms in the order-r degenerate basis
 
 Each identity is one entry of the table ``_IDENTITIES``: its parameters
 with their minima, an optional cross-parameter constraint (``n >= r``,
@@ -28,21 +28,18 @@ degenerate-basis expansions, a ``closed_form`` coefficient list in the
 order-r basis (r = 1 unless the case has an r), rebuilt into a polynomial
 by ``expansion.reconstruct``.
 
-A right side in the Bernoulli basis (miki_poly, ex_b..ex_f) is written
+A right side in the Bernoulli basis (miki_poly, ex_b..ex_g) is written
 once, as terms ``{j: w_j}`` of sum_j w_j B_j(x) with the constant at
 j = 0. Each pair ex_X_classical / ex_X comes from ``_pair``, which takes
 one left side and one term function. The classical entry sums the terms
 (``_bernoulli_sum``, the umbral composition ``umbral_compose`` of
 sum_j w_j x^j with the Bernoulli polynomials); the degenerate entry maps
-them to the order-1 basis (``_degenerate_form``; ex_a is the single term
-{n: 1}), by
-
-    a_0 = sum_j w_j l^j B_j,
-    a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k    (k >= 1),
-
-since Delta B_j = j x^(j-1) and the k-th step-l difference of x^e at 0
-is k! S2(e, k) l^e. Each a_k (k >= 1) is read from the int rows of S2
-(``core._stirling2_rows``) over the lcm of the w_j, with one gcd.
+them to the order-1 basis. ex_a is the single term {n: 1}, and ex_g is
+ex_d's left side and terms at order r. One map serves them all,
+``_degenerate_form(terms, r)``: each a_k is a sum of int products of the
+w_j over their lcm, order-s Bernoulli numbers and rows of S2
+(``core._stirling2_rows``), with one gcd; its docstring gives the two
+formulas, for k < r and k >= r. It builds no member.
 A left side that sums products of a family, sum_k P_k P_{n-k}/(k(n-k))
 (``_product_sum``), takes each pair {k, n-k} once and each coefficient
 in x as one kernel dot product. DEFAULT_BOUNDS, parameter validation,
@@ -57,11 +54,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, inf, perm
+from math import comb, factorial, inf, lcm, perm
 from typing import Callable, Iterator, Mapping
 
 from .core import LambdaPoly, XPoly, _dot_products, _over_lcm, _stirling2_rows
-from .expansion import BasisExpansion, _f_stirling_sum, reconstruct
+from .expansion import BasisExpansion, reconstruct
 from .families import (
     _numbers,
     bernoulli_number,
@@ -73,7 +70,7 @@ from .families import (
     harmonic,
     scaled_bernoulli,
 )
-from .parser import max_degree_limit
+from .parser import check_size, max_degree_limit
 from .umbral import _integral_power, forward_diff, umbral_compose
 
 __all__ = [
@@ -139,24 +136,53 @@ def _bernoulli_sum(terms: Mapping[int, Fraction]) -> XPoly:
     return umbral_compose(XPoly([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]), bernoulli_poly)
 
 
-def _degenerate_form(terms: Mapping[int, Fraction]) -> list[LambdaPoly]:
-    """a_0..a_top of sum_j w_j B_j(x) in the order-1 degenerate Bernoulli basis.
+def _degenerate_form(terms: Mapping[int, Fraction], r: int = 1) -> list[LambdaPoly]:
+    """a_0..a_(max(r, top+1)-1) of sum_j w_j B_j(x) in the order-r degenerate basis.
 
-    a_0 = sum_j w_j l^j B_j and, for k >= 1,
-    a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k,
-    since Delta B_j = j x^(j-1) and D_l^k x^e at 0 is k! S2(e, k) l^e.
+    Write q = sum_j w_j x^j, so the sum is (t/(e^t-1)) q, with A the
+    antiderivative, D = d/dx and Delta the unit difference. For k < r, with
+    s = r - k and S = lt/(e^{lt}-1),
+
+        a_k = (1/k!) sum_e B_e^(s) l^e [x^e] Delta^(r-1) A^(s-1) q,
+
+    since g(t)^s t/(e^t-1) = I^(s-1) S^s, I^(s-1) = Delta^(s-1) A^(s-1), and
+    [x^0] S^s x^e = B_e^(s) l^e. For k >= r, with m = k - r,
+
+        a_k = m!/k! sum_i S2(i,m) l^(i-m) [x^i] Delta^(r-1) D q,
+
+    since Delta^r t/(e^t-1) = Delta^(r-1) D. Both read
+    [x^e] Delta^(r-1) u = sum_N C(N,e) (r-1)! S2(N-e, r-1) u_N, as int sums
+    over one lcm with one gcd per a_k. At r = 1 they are a_0 = sum_j w_j l^j B_j
+    and a_k = sum_j w_j j S2(j-1, k-1) l^(j-k) / k. Entries with top < k < r are 0.
     """
     top = max(j for j, w in terms.items() if w)
-    coeffs = [LambdaPoly({j: w * bernoulli_number(j) for j, w in terms.items()})]
-    js = [j for j, w in terms.items() if w and j]
-    nums, den = _over_lcm([terms[j] for j in js])  # w_j = nums / den
-    s2 = _stirling2_rows(top - 1)
-    for k in range(1, top + 1):
-        row = [0] * (top - k + 1)
-        for j, c in zip(js, nums):
-            if j >= k:
-                row[j - k] = c * j * s2[j - 1][k - 1]
-        coeffs.append(LambdaPoly._make(row, den * k))
+    s2 = _stirling2_rows(top + r - 1)
+    # (r-1)! S2(d, r-1), without its zeros
+    column = [(d, factorial(r - 1) * s2[d][r - 1]) for d in range(r - 1, top + r) if s2[d][r - 1]]
+
+    def diff(u: list[int]) -> list[int]:
+        """[x^e] Delta^(r-1) u for e = 0..len(u)-r, from the nonzero u_N."""
+        out = [0] * (len(u) - r + 1)
+        for n, x in enumerate(u):
+            if x:
+                for d, c in column:
+                    if d > n:
+                        break
+                    out[n - d] += comb(n, d) * c * x
+        return out
+
+    w, den = _over_lcm([terms.get(j, 0) for j in range(top + 1)])  # w_j = w[j] / den
+    coeffs = []
+    for k in range(min(r, top + 1)):
+        mm = r - k - 1  # A^mm x^j = x^(j+mm) / perm(j+mm, mm)
+        scale = lcm(*(perm(j + mm, mm) for j in range(top + 1)))
+        du = diff([0] * mm + [x and x * (scale // perm(j + mm, mm)) for j, x in enumerate(w)])
+        b, b_den = _over_lcm([x and c.as_rational() for c, x in zip(_numbers("bernoulli_r", mm + 1, top - k), du)])
+        coeffs.append(LambdaPoly._make([x * y for x, y in zip(b, du)], den * scale * b_den * factorial(k)))
+    coeffs += [LambdaPoly.zero()] * (r - len(coeffs))
+    dq = diff([j * x for j, x in enumerate(w)][1:])
+    for m in range(top - r + 1):
+        coeffs.append(LambdaPoly._make([s2[i][m] * dq[i] for i in range(m, top - r + 1)], den * perm(m + r, r)))
     return coeffs
 
 
@@ -267,39 +293,6 @@ def _ex_g_iop_lhs(n: int, r: int, a: int) -> XPoly:
     return _integral_power(scaled_bernoulli(n, r), a, perm(n + a, a))
 
 
-def _ex_g_coeffs(n: int, r: int) -> list[LambdaPoly]:
-    """a_0..a_{max(r,n-1)-1} of the Genocchi product sum P (the left side), order r.
-
-    For k < r, with s = r-k, mm = s-1 and w_i = C(n,i) G_{n-i} / (n-i),
-    a_k = -4/(n k!) Delta^(r-1) [sum_{i<n-1} t_i l^(i+mm) B_{i+mm}^(s)(x/l)](0)
-    with t_i = w_i / <i+1>_mm, since sum_{j+m2=q} C(k,j) C(mm,m2) = C(r-1,q)
-    folds differences of orders k and mm; <a>_mm = perm(a+mm-1, mm) is the
-    rising factorial. As [x^j] l^N B_N^(s)(x/l) = C(N,j) B_(N-j)^(s) l^(N-j)
-    and Delta^(r-1) x^j (0) = (r-1)! S2(j, r-1),
-
-        a_k = -4 (r-1)!/(n k!) sum_e B_e^(s) l^e sum_i t_i C(i+mm, e) S2(i+mm-e, r-1),
-
-    where S2 vanishes unless e <= i - k. So each power of l is one int sum over
-    the lcm of the t_i, times one order-s Bernoulli number, with one gcd per a_k:
-    no member is built. For k >= r, up to n - 2 (the degree of P), a_k is the
-    f-branch of P's own expansion.
-    """
-    upper = _f_stirling_sum(_product_sum(genocchi_poly, n), r)
-    weights = [Fraction(comb(n, i)) * genocchi_number(n - i) / (n - i) for i in range(n - 1)]
-    s2 = _stirling2_rows(n + r)
-    lower = []
-    for k in range(r):
-        mm, top = r - k - 1, n - 2 - k  # e <= i - k <= top
-        t, t_den = _over_lcm([w / perm(i + mm, mm) for i, w in enumerate(weights)])
-        b, b_den = _over_lcm([c.as_rational() for c in _numbers("bernoulli_r", r - k, max(top, 0))[: top + 1]])
-        nums = [
-            b[e] * sum(t[i] * comb(i + mm, e) * s2[i + mm - e][r - 1] for i in range(e + k, n - 1))
-            for e in range(top + 1)
-        ]
-        lower.append(LambdaPoly._make([-4 * factorial(r - 1) * x for x in nums], t_den * b_den * n * factorial(k)))
-    return lower + upper
-
-
 # -- the identity table ---------------------------------------------------------
 
 #: The sweep bound for each parameter name (n_max bounds m as well as n).
@@ -334,6 +327,8 @@ class _Identity:
 
     def sweep(self, bounds: Mapping[str, int]) -> Iterator[dict[str, int]]:
         """The product of the parameter ranges, in declaration order, within the constraint."""
+        for name in self.minima:
+            check_size(_BOUND_OF[name], bounds[_BOUND_OF[name]])
         ranges = [range(lo, bounds[_BOUND_OF[name]] + 1) for name, lo in self.minima.items()]
         for values in product(*ranges):
             params = dict(zip(self.minima, values))
@@ -418,7 +413,7 @@ _IDENTITIES: dict[str, _Identity] = {
         lambda n, r: _product_sum(genocchi_poly, n),
         {"n": 3, "r": 1},
         {"n_max": 6, "r_max": 4},
-        closed_form=_ex_g_coeffs,
+        closed_form=lambda n, r: _degenerate_form(_ex_d_terms(n), r),
         constraint="n >= r",
     ),
 }
@@ -447,13 +442,16 @@ def _check_params(identity_id: str, entry: _Identity, params: Mapping[str, int])
     missing = set(names) - set(params)
     if missing:
         raise ValueError(f"{identity_id} is missing parameters {sorted(missing)}")
+    for name in names:
+        check_size(name, params[name])
     violated = entry.violations(params)
     if violated:
         raise ValueError(f"{identity_id} requires {' and '.join(violated)}")
 
 
 def closed_form_coeffs(identity_id: str, **params: int) -> list[LambdaPoly]:
-    """Coefficient list stated by the closed-form expansion of an identity."""
+    """Coefficient list stated by the closed-form expansion of an identity: a_0..a_(N-1) in
+    the order-r basis, N = max(r, top + 1) for terms up to B_top (ex_g: max(r, n - 1))."""
     entry = _lookup(identity_id)
     if entry.closed_form is None:
         raise ValueError(f"{identity_id!r} has no closed-form coefficient list")

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from degbern import families, identities
 from degbern.core import LambdaPoly, XPoly, clear_caches
-from degbern.expansion import expand
+from degbern.expansion import _f_stirling_sum, expand
 from degbern.families import bernoulli_poly, euler_poly, genocchi_poly
 from degbern.identities import (
     DEFAULT_BOUNDS,
@@ -67,15 +68,21 @@ def test_ex_g_full_order_range():
             assert verify("ex_g", n=n, r=r).passed
 
 
+def _ex_g_oracle(n, r):
+    """ex_g's closed form from two other routes: the member composition for k < r,
+    and for k >= r the default f-route on the left side itself."""
+    return member_ex_g_coeffs(n, r) + _f_stirling_sum(identities._product_sum(genocchi_poly, n), r)
+
+
 def test_ex_g_closed_form_matches_the_member_composition():
     for n in range(3, 25):
         for r in range(1, n + 1):
-            assert identities._ex_g_coeffs(n, r)[:r] == member_ex_g_coeffs(n, r), (n, r)
+            assert closed_form_coeffs("ex_g", n=n, r=r) == _ex_g_oracle(n, r), (n, r)
 
 
 def test_ex_g_closed_form_at_the_degree_limit_matches_the_member_composition():
     try:
-        assert identities._ex_g_coeffs(64, 64) == member_ex_g_coeffs(64, 64)
+        assert closed_form_coeffs("ex_g", n=64, r=64) == _ex_g_oracle(64, 64)
     finally:
         clear_caches()  # the oracle's members: orders 1..64 to degree 125
 
@@ -83,8 +90,8 @@ def test_ex_g_closed_form_at_the_degree_limit_matches_the_member_composition():
 def test_a_cold_ex_g_closed_form_reads_numbers_and_builds_no_member(monkeypatch):
     grown = record_grows(monkeypatch)
     closed_form_coeffs("ex_g", n=64, r=64)
-    assert {("bernoulli_r", s) for s in range(1, 65)} <= set(grown)
-    assert not [key for key in families._TABLE._members if key[0] == "bernoulli_r"]
+    assert {("bernoulli_r", s) for s in range(2, 65)} <= set(grown)
+    assert families._TABLE._members == {}  # not even the Genocchi products of the left side
 
 
 def test_unknown_identity():
@@ -99,6 +106,28 @@ def test_out_of_range_parameters():
         verify("ex_g", n=4, r=5)
     with pytest.raises(ValueError, match="n >= 3"):
         verify("ex_d", n=2)
+
+
+def test_a_case_past_the_degree_limit_raises_at_once():
+    start = time.perf_counter()
+    for call in (lambda: verify("ex_b", n=65), lambda: closed_form_coeffs("ex_g", n=10**6, r=1)):
+        with pytest.raises(ValueError, match="n must be between 0 and 64 \\(DEGBERN_MAX_DEGREE\\)"):
+            call()
+    assert time.perf_counter() - start < 1
+
+
+def test_verify_all_checks_its_bounds_before_any_case(monkeypatch):
+    ran = []
+    monkeypatch.setattr(identities, "verify", lambda identity_id, params, **kw: ran.append(params))
+    tracemalloc.start()
+    try:
+        for ids, bounds in ((["ex_a"], {"n_max": 65}), (["ex_g"], {"n_max": 6, "r_max": 10**6})):
+            with pytest.raises(ValueError, match="_max must be between 0 and 64 \\(DEGBERN_MAX_DEGREE\\)"):
+                verify_all(dict.fromkeys(ids, bounds), ids=ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == [] and peak < 10**6  # no case ran, and no range of 10^6 values was built
 
 
 def test_wrong_parameter_names():
@@ -226,12 +255,16 @@ def test_closed_forms_match_expansion_order1():
         st.fractions(min_value=-5, max_value=5, max_denominator=12),
         min_size=1,
         max_size=6,
-    ).filter(lambda terms: terms[max(terms)] != 0)
+    ).filter(lambda terms: terms[max(terms)] != 0),
+    st.integers(min_value=1, max_value=16),
 )
-def test_degenerate_form_matches_expansion_of_any_bernoulli_sum(terms):
-    # weights beyond the corpus' own: the order-1 map against the expansion routes
-    stated = identities._degenerate_form(terms)
-    assert stated == list(expand(identities._bernoulli_sum(terms)).coeffs)
+def test_degenerate_form_matches_expansion_of_any_bernoulli_sum(terms, r):
+    # weights and orders beyond the corpus' own: the order-r map against the expansion routes
+    stated = identities._degenerate_form(terms, r)
+    e = expand(identities._bernoulli_sum(terms), r)
+    assert len(stated) == max(r, e.degree + 1)
+    assert stated[: e.degree + 1] == list(e.coeffs)
+    assert all(c.is_zero for c in stated[e.degree + 1 :])
 
 
 # The default sweep, then cases past DEFAULT_BOUNDS, among them r = n - 1, r = n and a taller n.

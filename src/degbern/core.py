@@ -27,9 +27,7 @@ for the differences at 0 in ``expansion``. The family numbers take no sum
 over Q[l]: ``families`` sums Miller's recurrence for its rational kinds and
 the closed form of the degenerate numbers in plain ints, with one gcd per
 number. ``XPoly.shift`` does it for every output coefficient at once,
-one shift per term of c; by a single term, its difference form gives
-p(x + c) - p(x) from the same int rows, which is how ``umbral.forward_diff``
-takes a difference whose step has a power of l.
+one shift per term of c.
 
 The default expansion routes and ``umbral.forward_diff`` with a rational
 step (so ``umbral.integral_I`` and I^a too), whose weights are all ints times
@@ -767,12 +765,8 @@ class XPoly(_Poly):
                 p = p._shift_by_monomial(u, c._den, e)
         return p
 
-    def _shift_by_monomial(self, u: int, v: int, e: int, difference: bool = False) -> "XPoly":
-        """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``.
-
-        With ``difference``, p(x + (u/v) l^e) - p(x): the starting row b_j is
-        p_j over the same denominator, so it is subtracted before the gcd.
-        """
+    def _shift_by_monomial(self, u: int, v: int, e: int) -> "XPoly":
+        """p(x + (u/v) l^e) for ints u != 0, v > 0 and e >= 0; see ``shift``."""
         a = self._coeffs
         n = len(a) - 1
         den = math.lcm(*(q._den for q in a))
@@ -780,7 +774,6 @@ class XPoly(_Poly):
         for i, q in enumerate(a):
             scale = den // q._den * u**i * v ** (n - i)
             rows.append([x * scale for x in q._coeffs] if scale != 1 else q._coeffs)
-        start = rows[:]  # the scheme replaces rows and never mutates one
         pad = (0,) * e
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
@@ -793,8 +786,6 @@ class XPoly(_Poly):
                     rows[j] = [*map(operator.add, row, step), *row[len(step) :]]
         out = []
         for j, row in enumerate(rows):
-            if difference:  # a row only grows, so it is at least as long as start[j]
-                row = [*map(operator.sub, row, start[j]), *row[len(start[j]) :]]
             row = [-x for x in row] if u < 0 and j % 2 else list(row)
             out.append(LambdaPoly._make(row, den * abs(u) ** j * v ** (n - j)))
         return XPoly._make(out)

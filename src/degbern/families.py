@@ -200,6 +200,7 @@ class FamilyTable:
 
     def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers c_0.. of key, at least through c_n; not to be mutated."""
+        _check_index(n)
         entry = self._numbers.get(key)
         if entry is not None and n < len(entry):
             return entry
@@ -207,6 +208,7 @@ class FamilyTable:
 
     def get(self, key: tuple, n: int) -> XPoly:
         """Member n of key: sum_i C(n,i) c_(n-i) b_i."""
+        _check_index(n)
         entry = self._members.get(key)
         if entry is not None and n < len(entry):
             return entry[n]
@@ -229,6 +231,7 @@ class FamilyTable:
         if len(key) != 2 or key[0] not in _KINDS:
             raise ValueError(f"unknown family {key!r}")
         kind, r = key
+        _check_index(r, "r")
         if kind == "deg_bernoulli_r":  # its sources, read before the lock is taken
             sources = self.numbers(("bernoulli_r", r), n), self.numbers(("bernoulli2_r", r), n)
         with self._lock:
@@ -250,12 +253,12 @@ _TABLE = _register(FamilyTable())
 
 def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     """c_0..c_n, at least, of the table key (kind, r): the published list, read and never mutated."""
-    return _TABLE.numbers((kind, _check_index(r, "r")), _check_index(n))
+    return _TABLE.numbers((kind, _check_index(r, "r")), n)
 
 
 def bernoulli_poly(n: int) -> XPoly:
     """Bernoulli polynomial of degree n."""
-    return _TABLE.get(("bernoulli_r", 1), _check_index(n))
+    return _TABLE.get(("bernoulli_r", 1), n)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -265,11 +268,11 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly_order(n: int, r: int) -> XPoly:
     """Order-r Bernoulli polynomial; order 0 gives x^n, order 1 the classical one."""
-    return _TABLE.get(("bernoulli_r", _check_index(r, "r")), _check_index(n))
+    return _TABLE.get(("bernoulli_r", _check_index(r, "r")), n)
 
 
 def euler_poly(n: int) -> XPoly:
-    return _TABLE.get(("euler", 1), _check_index(n))
+    return _TABLE.get(("euler", 1), n)
 
 
 def euler_number(n: int) -> Fraction:
@@ -287,18 +290,18 @@ def genocchi_number(n: int) -> Fraction:
 
 def deg_bernoulli(n: int) -> XPoly:
     """Degenerate Bernoulli polynomial; specializes to the Bernoulli polynomial at l=0."""
-    return _TABLE.get(("deg_bernoulli_r", 1), _check_index(n))
+    return _TABLE.get(("deg_bernoulli_r", 1), n)
 
 
 def deg_bernoulli_order(n: int, r: int) -> XPoly:
     """Order-r degenerate Bernoulli polynomial; order 0 gives (x)_{n,l}."""
-    return _TABLE.get(("deg_bernoulli_r", _check_index(r, "r")), _check_index(n))
+    return _TABLE.get(("deg_bernoulli_r", _check_index(r, "r")), n)
 
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:
     """The polynomial l^n B_n^(a)(x/l), read off the order-a Bernoulli numbers:
     [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member."""
-    numbers = _numbers("bernoulli_r", _check_index(a, "a"), _check_index(n))
+    numbers = _numbers("bernoulli_r", _check_index(a, "a"), n)
     coeffs = []
     for i in range(n + 1):
         c = numbers[n - i]  # a rational: no numerator, or one

@@ -71,7 +71,7 @@ from .families import (
     scaled_bernoulli,
 )
 from .parser import check_size, max_degree_limit
-from .umbral import _integral_power, forward_diff, umbral_compose
+from .umbral import _integral_power, _jumps, forward_diff, umbral_compose
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -157,8 +157,7 @@ def _degenerate_form(terms: Mapping[int, Fraction], r: int = 1) -> list[LambdaPo
     """
     top = max(j for j, w in terms.items() if w)
     s2 = _stirling2_rows(top + r - 1)
-    # (r-1)! S2(d, r-1), without its zeros
-    column = [(d, factorial(r - 1) * s2[d][r - 1]) for d in range(r - 1, top + r) if s2[d][r - 1]]
+    column = [(d, c) for d, c in enumerate(_jumps(r - 1, top + r)) if c]  # (r-1)! S2(d, r-1), no zeros
 
     def diff(u: list[int]) -> list[int]:
         """[x^e] Delta^(r-1) u for e = 0..len(u)-r, from the nonzero u_N."""

@@ -19,8 +19,8 @@ I^a = Delta^a A^a on polynomials. Delta^k with a rational step is one map
 on (deg p, k): ``_diff_plan`` keeps them as a dense plan for
 ``core._packed_sums``, which sums them on packed rows. The same rows
 (``_diff_rows``) are the first stage of ``expansion``'s stirling_sum route.
-So ``integral_I`` is Delta(A p) and I^a p is Delta^a A^a p, each one map. A
-step with a power of l keeps the exact shift scheme of ``core.XPoly``.
+So I^a p is Delta^a A^a p, one map, and ``integral_I`` is its a = 1. Any
+other step takes p(x + c) - p(x) by ``XPoly.shift``, once per difference.
 """
 
 from __future__ import annotations
@@ -181,10 +181,10 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     A rational step is one int-weighted map on packed rows, for every n: with
     q(y) = p(ay), Delta_a^n p(x) = (Delta^n q)(x/a), and
     [x^j] Delta^n q = sum_i C(i,j) n! S2(i-j,n) q_i, whose weights depend only
-    on (deg p, n); ``_diff_plan`` keeps them. A step with a power of l, such as
-    the symbol l itself, takes n successive differences q(x+a) - q(x) by exact
-    binomial shifts, no numeric substitution. Each difference lowers the degree
-    by one, so for n > deg p the result is 0 at once, whatever the step.
+    on (deg p, n); ``_diff_plan`` keeps them. Any other step, such as the
+    symbol l itself, takes n successive differences p(x+a) - p(x) by exact
+    shifts, no numeric substitution. Each difference lowers the degree by one,
+    so for n > deg p the result is 0 at once, whatever the step.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
@@ -200,14 +200,8 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
         if step != 1:
             out = [c / step**j for j, c in enumerate(out)]
         return XPoly._make(out)
-    step = _lp(step)
-    terms = [(e, u) for e, u in enumerate(step._coeffs) if u]
     for _ in range(n):
-        if len(terms) == 1:  # one int-row shift that subtracts p before its gcd
-            [(e, u)] = terms
-            p = p._shift_by_monomial(u, step._den, e, difference=True)
-        else:
-            p = p.shift(step) - p
+        p = p.shift(step) - p
     return p
 
 
@@ -226,14 +220,13 @@ def sequence_diff(values: Sequence[Any], k: int) -> Any:
 
 
 def integral_I(p: XPoly) -> XPoly:
-    """I p(x) = integral_x^{x+1} p(u) du = Delta(A p), A the antiderivative, with
-    Delta on ``forward_diff``'s int-weighted map; exact in Q[l]."""
-    return forward_diff(p.antiderivative(), 1, 1)
+    """I p(x) = integral_x^{x+1} p(u) du = Delta(A p), A the antiderivative; exact in Q[l]."""
+    return _integral_power(p, 1)
 
 
 def _integral_power(p: XPoly, a: int, scale: int = 1) -> XPoly:
     """scale I^a p as Delta^a [scale A^a p], one ``forward_diff`` map in place of a
-    chained ``integral_I`` calls: A^a maps x^j to x^(j+a) j!/(j+a)!, and
+    successive unit integrals: A^a maps x^j to x^(j+a) j!/(j+a)!, and
     I^a = Delta^a A^a on polynomials (S. Roman, The Umbral Calculus, 1984)."""
     anti = [c * Fraction(scale, perm(j + a, a)) for j, c in enumerate(p.coeffs)]
     return forward_diff(XPoly._make([XPoly._ZERO] * a + anti), 1, a)

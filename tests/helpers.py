@@ -202,11 +202,13 @@ def all_primitive(p: XPoly) -> bool:
 
 
 def taylor_shift(p: XPoly, c: LambdaPoly | Fraction | int) -> XPoly:
-    """p(x + c) = sum_k p^(k)(x) c^k / k!, one Taylor term at a time."""
+    """p(x + c) = sum_k p^(k)(x) c^k / k!, one Taylor term at a time, each
+    derivative taken from the last."""
     c = c if isinstance(c, LambdaPoly) else LambdaPoly.const(c)
-    total = XPoly.zero()
-    for k in range(p.degree + 1 if p else 0):
-        total = total + p.derivative(k) * (c**k / factorial(k))
+    total, term, k = XPoly.zero(), p, 0
+    while term:
+        total = total + term * (c**k / factorial(k))
+        term, k = term.derivative(), k + 1
     return total
 
 

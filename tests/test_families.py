@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 import time
@@ -480,6 +481,25 @@ def test_family_table_rejects_unknown_family():
     for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("scaled_bernoulli", 1), ("euler",)]:
         with pytest.raises(ValueError, match="unknown family"):
             FamilyTable().get(key, 3)
+
+
+def test_family_table_checks_the_index_and_the_order():
+    # n is checked on a grown table as on an empty one, before any read; an order
+    # that is not a non-negative int is refused before anything is built
+    grown = FamilyTable()
+    grown.get(("bernoulli_r", 1), 5)
+    for table in (grown, FamilyTable()):
+        for n in (-1, 2.0):
+            for read in (table.get, table.numbers):
+                with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
+                    read(("bernoulli_r", 1), n)
+    for order in (-1, 1.5):
+        for kind in ("bernoulli_r", "deg_bernoulli_r"):
+            table = FamilyTable()
+            for read in (table.get, table.numbers):
+                with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
+                    read((kind, order), 3)
+            assert table._numbers == {} and table._members == {}
 
 
 def test_family_table_threaded_growth_matches_serial():

@@ -166,7 +166,7 @@ def test_forward_diff_matches_iterated_difference():
 _NONZERO = SMALL_FRACTIONS.filter(bool)
 
 # the unit steps, a rational of either sign, a monomial in l with a negative
-# coefficient, and a step of two or more terms, which takes shift(c) - p
+# coefficient, and a step of two or more terms; every step with l takes shift(c) - p
 _STEPS = st.one_of(
     st.sampled_from([1, -1]),
     _NONZERO,
@@ -180,7 +180,7 @@ _STEPS = st.one_of(
 @given(small_xpolys(9), _STEPS, st.integers(1, 6))
 def test_forward_diff_is_the_shift_minus_p(p, c, n):
     # a rational step: one int-weighted map, the same plan for every n; a step with
-    # a power of l: shifted int rows minus the starting rows, then the sign of u^j
+    # a power of l: n passes of p(x + c) - p(x), each one shift per term of c
     reference = p
     for _ in range(n):
         reference = taylor_shift(reference, c) - reference
@@ -188,6 +188,15 @@ def test_forward_diff_is_the_shift_minus_p(p, c, n):
     assert diff == reference
     assert all_primitive(diff)
     assert forward_diff(p, c, 1) == p.shift(c) - p
+
+
+def test_forward_diff_is_the_shift_minus_p_at_the_degree_limit():
+    # a dense degree-64 p, by a monomial step, one with a negative coefficient and two terms
+    p = (XPoly([1, 1]) + LAMBDA) ** 64 - XPoly.monomial(17) * Fraction(2, 3)
+    for c in (LAMBDA, LambdaPoly.monomial(2, Fraction(-2, 3)), LAMBDA + 1):
+        diff = forward_diff(p, c, 1)
+        assert diff == taylor_shift(p, c) - p
+        assert all_primitive(diff)
 
 
 @settings(max_examples=100, deadline=None)

@@ -69,7 +69,8 @@ ex_g_iop), are stated here once:
     families.stirling2          4096  the triangle to n = 89: 1 MB
     families.harmonic           256   0.04 MB
     umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB
-    expansion._f_plan           64    plans of 0.4 MB: 26 MB
+    expansion._f_plan           64    plans of 0.4 MB, half of it the rows of the
+                                      _diff_plan at (n, r), shared while both are kept: 26 MB
     expansion._g_plan           64    plans of 0.27 MB: 17 MB
     expansion._degree_plan      64    one plan per degree, 0.45 MB at L: 10 MB
 """

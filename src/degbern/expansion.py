@@ -42,21 +42,22 @@ read that table; the first route of each branch is its default.
 
 The two defaults are int linear maps of the coefficients p_i: stirling_sum
 with weights C(i,j) r! S2(i-j,r), the rows of ``umbral.forward_diff``'s
-Delta^r (``umbral._diff_rows``), then S2(j,m) l^(j-m); umbral_integral with
-C(i,j) B_(i-j)^(m) l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each
-over one lcm. Those weights belong to the basis, not to p, so each default
-builds them once into an immutable plan (``core._packed_plan``: the rows of
-weights over the support, the indices of p's nonzero coefficients, and the
-l1 bound of their sums) and hands plan and p to ``core._packed_sums``, which
-sums them on packed rows: each p_i packed once into one int, each term one
-int multiply-add, each power of l a shift. ``_f_plan`` keeps a plan per
-(degree, r, support) and ``_g_plan`` one per (degree, r, k, support). A
-sparse p keeps its O(n |support|) rows, and the degree guard bounds every
-plan. Every other route sums with ``core._dot``, except that delta_lambda,
+Delta^r, then S2(j,m) l^(j-m); umbral_integral with C(i,j) B_(i-j)^(m)
+l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each over one lcm.
+Those weights belong to the basis, not to p: they depend only on the degree
+and r, and p supplies the values they multiply. So each default builds them
+once into an immutable plan (``core._packed_plan``: the rows of weights and
+the l1 bound of their sums) and hands plan and p to ``core._packed_sums``,
+which sums them on packed rows: each p_i packed once into one int, each term
+one int multiply-add, each power of l a shift. ``_f_plan`` keeps a plan per
+(degree, r), whose rows are the row tuples of ``umbral._diff_plan`` at
+(degree, r), and ``_g_plan`` one per (degree, r, k). Every plan is dense, so
+p's zero coefficients take part as zeros, and the degree guard bounds it.
+Every other route sums with ``core._dot``, except that delta_lambda,
 functional and umbral_integral_op take their unit differences
-(``forward_diff`` by 1, ``integral_I``) on the packed Delta^k plan. binomial_sum, stirling_op, operator_functional and
-residual take no packed sum, so crosscheck still compares two independent
-kernels in each branch.
+(``forward_diff`` by 1, ``integral_I``) on the same packed Delta^k plans.
+binomial_sum, stirling_op, operator_functional and residual take no packed
+sum, so crosscheck still compares two independent kernels in each branch.
 
 reconstruct reads no member either. The basis is Appell in the degenerate
 falling factorials, beta_k^(r)(x) = sum_i C(k,i) c_(k-i) (x)_(i,l) with the
@@ -97,7 +98,7 @@ from .families import _numbers, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
-    _diff_rows,
+    _diff_plan,
     _jumps,
     apply,
     delta_op,
@@ -212,23 +213,19 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
     return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
-def _support(p: XPoly) -> tuple[int, ...]:
-    """The indices of p's nonzero coefficients, part of a plan's key."""
-    return tuple(i for i, c in enumerate(p.coeffs) if c)
-
-
 @_cached(64)
-def _f_plan(n: int, r: int, live: tuple[int, ...]) -> _PackedPlan:
-    """stirling_sum's weights at degree n and order r over the p_i with i in live."""
+def _f_plan(n: int, r: int) -> _PackedPlan:
+    """stirling_sum's weights at degree n and order r: the row tuples of
+    ``umbral._diff_plan(n, r)``, then the sums S2(j,m) l^(j-m) w_j."""
     top = n - r  # [x^j] Delta^r p is 0 for j > top
     s2 = _stirling2_rows(top)
     sums = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
-    return _packed_plan(_diff_rows(n, r, live), sums)
+    return _packed_plan(_diff_plan(n, r).rows, sums)
 
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
-    return _packed_sums(p.coeffs, _f_plan(p.degree, r, _support(p)))
+    return _packed_sums(p.coeffs, _f_plan(p.degree, r))
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
@@ -256,15 +253,15 @@ def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly
 
 # 64 plans: one expand at the top order r = 64 reads one per a_k with k < r.
 @_cached(64)
-def _g_plan(n: int, r: int, k: int, live: tuple[int, ...]) -> _PackedPlan:
-    """umbral_integral's weights for a_k at degree n and order r over the p_i with i
-    in live: s_t l^t for the sum and, for each t, the rows C(i,t) cw_(i-t)."""
+def _g_plan(n: int, r: int, k: int) -> _PackedPlan:
+    """umbral_integral's weights for a_k at degree n and order r: s_t l^t for the
+    sum and, for each t, the row C(i,t) cw_(i-t) over i = t..n."""
     m = r - k
     jump = _jumps(r, n + r + 1)
     s, s_den = _over_lcm([c.coeff(0) for c in _numbers("bernoulli_r", m, n)[: n + 1]])
     cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
     rows = [
-        [(i, cw[i - t] * comb(i, t)) for i in live if i >= t and cw[i - t]] if st else []
+        [(i, cw[i - t] * comb(i, t)) for i in range(t, n + 1) if cw[i - t]] if st else []
         for t, st in enumerate(s)
     ]
     return _packed_plan(rows, [(s_den * cw_den, list(enumerate(s)))])
@@ -278,8 +275,8 @@ def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[Lambda
     a_k = sum_t s_t l^t y_t, y_t = sum_j cw_j C(j+t,j) p_(j+t) and
     cw_j = r! S2(j+m,r) j! / ((j+m)! k!).
     """
-    n, live = p.degree, _support(p)
-    return [a for k in range(min(r, n + 1)) for a in _packed_sums(p.coeffs, _g_plan(n, r, k, live))]
+    n = p.degree
+    return [a for k in range(min(r, n + 1)) for a in _packed_sums(p.coeffs, _g_plan(n, r, k))]
 
 
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:

@@ -78,7 +78,7 @@ __all__ = [
 
 
 def _check_index(n: int, name: str = "n") -> int:
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
     return n
 

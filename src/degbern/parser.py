@@ -106,9 +106,9 @@ def max_degree_limit() -> int:
 
 def check_size(name: str, value: int, low: int = 0) -> None:
     """The one size guard for degrees, orders and sweep bounds: ValueError unless
-    value is an integer from low to max_degree_limit()."""
+    value is an integer from low to max_degree_limit(), not a bool."""
     limit = max_degree_limit()
-    if not isinstance(value, int) or not low <= value <= limit:
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= limit:
         raise ValueError(f"{name} must be between {low} and {limit} (DEGBERN_MAX_DEGREE), got {value!r}")
 
 

@@ -17,8 +17,8 @@ antiderivative (zero constant term), A^a x^j = x^(j+a) j!/(j+a)! and
 I^a = Delta^a A^a on polynomials. Delta^k with a rational step is one map
 [x^j] Delta^k p = sum_i C(i,j) k! S2(i-j,k) p_i, whose int weights depend only
 on (deg p, k): ``_diff_plan`` keeps them as a dense plan for
-``core._packed_sums``, which sums them on packed rows. The same rows
-(``_diff_rows``) are the first stage of ``expansion``'s stirling_sum route.
+``core._packed_sums``, which sums them on packed rows. ``expansion``'s
+stirling_sum route reads the same row tuples as its first stage.
 So I^a p is Delta^a A^a p, one map, and ``integral_I`` is its a = 1. Any
 other step takes p(x + c) - p(x) by ``XPoly.shift``, once per difference.
 """
@@ -161,18 +161,14 @@ def _jumps(k: int, size: int) -> list[int]:
     return [weight * row[k] if k < len(row) else 0 for row in _stirling2_rows(size - 1)[:size]]
 
 
-def _diff_rows(n: int, k: int, live: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """The int weights of [x^j] Delta^k p = sum_i C(i,j) k! S2(i-j,k) p_i for
-    j = 0..n-k, over the p_i with i in live, as one row of (i, weight) per j."""
-    jump = _jumps(k, n + 1)
-    return [[(i, comb(i, j) * jump[i - j]) for i in live if i >= j + k] for j in range(n - k + 1)]
-
-
 # 64 plans: the verify sweep reads about 60 (degree, k) pairs.
 @_cached(64)
 def _diff_plan(n: int, k: int) -> _PackedPlan:
-    """Delta^k at degree n as a dense plan for ``core._packed_sums``: output j is row j."""
-    return _packed_plan(_diff_rows(n, k, range(n + 1)), [(1, [(j, 1)]) for j in range(n - k + 1)])
+    """Delta^k at degree n as a dense plan for ``core._packed_sums``: output j is
+    row j, the int weights (i, C(i,j) k! S2(i-j,k)) of [x^j] Delta^k p."""
+    jump = _jumps(k, n + 1)
+    rows = [[(i, comb(i, j) * jump[i - j]) for i in range(j + k, n + 1)] for j in range(n - k + 1)]
+    return _packed_plan(rows, [(1, [(j, 1)]) for j in range(n - k + 1)])
 
 
 def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:

@@ -45,9 +45,10 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
         harmonic(i + 1)
     for n in range(1, bound[umbral._diff_plan] + 10):
         forward_diff(x**n, 1, 1)
-    # that many supports of degree 7: each expand reads one plan of each default route
-    for mask in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
-        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
+    # that many (degree, order) shapes: each expand reads its stirling_sum plan and
+    # one umbral_integral plan per k < r
+    for i in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
+        expand(x ** (i % 37 + 2), 1 + i // 37)
     # reconstruct keeps its falling-factorial plan per degree: a member at every
     # degree up to the limit
     assert max_degree_limit() + 1 > bound[expansion._degree_plan]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbern import core, expansion, families
+from degbern import core, expansion, families, umbral
 from degbern.core import LAMBDA, LambdaPoly, XPoly, _unpack
 from degbern.expansion import (
     F_ROUTES,
@@ -363,7 +363,7 @@ def test_packed_default_routes_match_the_dot_routes(p, r):
     assert expand(p, r).coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
 
 
-# -- the default routes' weight plans, one per (degree, r, support) --------------
+# -- the default routes' weight plans, one per (degree, r), k too for branch g ---
 
 _NONZERO = st.builds(
     Fraction, st.integers(1, 10**40) | st.integers(-(10**40), -1), st.integers(1, 10**12)
@@ -404,12 +404,50 @@ def test_a_cached_plan_serves_every_poly_of_its_shape(support, r, data):
         assert e.coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
 
 
-def test_plans_of_one_degree_keep_their_supports_apart():
-    # a plan holds rows for its support only: one shared by x^6 + x and x^6 + x^2
-    # would drop a term of the other
+def test_one_plan_serves_every_support_of_its_degree():
+    # a plan's weights belong to the basis: x^6 + x, x^6 + x^2 and their sum read
+    # the plans the first one built, and no term of the others is dropped
     a, b = parse_poly("x^6 + x"), parse_poly("x^6 + x^2")
-    for p in (a, b, a + b, a, b):
-        assert expand(p, 2).coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
+    core.clear_caches()
+    expanded = [expand(p, 2) for p in (a, b, a + b)]
+    assert expansion._f_plan.cache_info().misses == 1
+    assert expansion._g_plan.cache_info().misses == 2  # one per k < r
+    for p, e in zip((a, b, a + b), expanded):
+        assert e.coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
+
+
+def test_the_shared_difference_table_stays_crosschecked():
+    # stirling_sum reads the row tuples of forward_diff's Delta^r plan, as
+    # delta_lambda and functional do, so a wrong weight in that one table moves
+    # all three alike; crosscheck must still fail, on a route of another kernel
+    for n, r in ((3, 1), (10, 2), (12, 3), (max_degree_limit(), 8)):
+        f_rows, d_rows = expansion._f_plan(n, r).rows, umbral._diff_plan(n, r).rows
+        assert len(f_rows) == len(d_rows) and all(f is d for f, d in zip(f_rows, d_rows))
+    diff_plan = umbral._diff_plan.__wrapped__
+
+    def one_off(n, r):
+        """_diff_plan, but at (n, r) the weight of p_n in [x^0] Delta^r p is one too large."""
+        def plan(m, k):
+            right = diff_plan(m, k)
+            if (m, k) != (n, r):
+                return right
+            *rest, (i, c) = right.rows[0]
+            return core._packed_plan([(*rest, (i, c + 1)), *right.rows[1:]], right.sums)
+        return plan
+
+    for src in ("x^3 - 1/2*l*x + 2", "(1+x+l)^10", "x^12 + l*x^3"):
+        p = parse_poly(src)
+        for r in (1, 2, 3):
+            core.clear_caches()
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    for module in (umbral, expansion):
+                        mp.setattr(module, "_diff_plan", one_off(p.degree, r))
+                    with pytest.raises(RouteMismatchError) as caught:
+                        crosscheck(p, r)
+            finally:
+                core.clear_caches()
+            assert caught.value.route_b in ("residual", "binomial_sum")
 
 
 def test_plan_caches_are_bounded_and_clearable():
@@ -418,8 +456,8 @@ def test_plan_caches_are_bounded_and_clearable():
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
     x = XPoly.x()
-    for mask in range(bound + 10):  # that many supports of degree 7
-        expand(x**7 + sum((x**i for i in range(7) if mask >> i & 1), XPoly.zero()), 1)
+    for i in range(bound + 10):  # that many (degree, order) shapes
+        expand(x ** (i % 37 + 2), 1 + i // 37)
 
     # reconstruct keeps its falling-factorial plan per degree: one basis member
     # at every degree up to the limit, and member 3 at many orders, each read

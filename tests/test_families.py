@@ -485,15 +485,16 @@ def test_family_table_rejects_unknown_family():
 
 def test_family_table_checks_the_index_and_the_order():
     # n is checked on a grown table as on an empty one, before any read; an order
-    # that is not a non-negative int is refused before anything is built
+    # that is not a non-negative int is refused before anything is built. A bool
+    # is neither: True == 1 and hashes as 1
     grown = FamilyTable()
     grown.get(("bernoulli_r", 1), 5)
     for table in (grown, FamilyTable()):
-        for n in (-1, 2.0):
+        for n in (-1, 2.0, True, False):
             for read in (table.get, table.numbers):
                 with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
                     read(("bernoulli_r", 1), n)
-    for order in (-1, 1.5):
+    for order in (-1, 1.5, True, False):
         for kind in ("bernoulli_r", "deg_bernoulli_r"):
             table = FamilyTable()
             for read in (table.get, table.numbers):

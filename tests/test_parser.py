@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from degbern.core import LAMBDA, LambdaPoly, XPoly
 from degbern.families import bernoulli_poly, bernoulli_poly_order, euler_poly, genocchi_poly
-from degbern.parser import ParseError, parse_poly
+from degbern.expansion import expand
+from degbern.identities import verify
+from degbern.parser import ParseError, check_size, parse_poly
 
 
 def test_grammar_smoke():
@@ -184,6 +186,18 @@ def test_family_arguments_bounded_by_the_degree_limit(monkeypatch):
     with pytest.raises(ValueError, match=r"order r of B.* between 0 and 5 \(DEGBERN_MAX_DEGREE\)"):
         parse_poly("B(2,6)")
     assert parse_poly("B(2,5)").degree == 2
+
+
+def test_size_guard_refuses_a_bool():
+    # True == 1, so a bool would pass as a size, and expand would hand back order=True
+    check_size("degree", 1)
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"degree must be between 0 and 64 .*got {value!r}"):
+            check_size("degree", value)
+    with pytest.raises(ValueError, match="order r must be between 1 and 64 .*got True"):
+        expand(XPoly.x() ** 3, True)
+    with pytest.raises(ValueError, match="r must be between 0 and 64 .*got True"):
+        verify("ex_g", n=3, r=True)
 
 
 def test_recursion_depth_bounded():

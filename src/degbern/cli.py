@@ -39,7 +39,6 @@ from .families import (
     genocchi_number,
     scaled_bernoulli,
 )
-from .identities import _check_params, _lookup, identity_ids, verify, verify_all
 from .parser import ParseError, check_size, max_degree_limit, parse_poly
 
 __all__ = [
@@ -263,6 +262,9 @@ def _bad_lambda(reason: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
+    # only this command reads the corpus, so only it pays for loading it
+    from .identities import _check_params, _lookup, identity_ids, verify, verify_all
+
     # verify() and verify_all() reject, with exit 1, an unknown id
     ids = sorted(set(args.ids + [_given(value) for value in args.id_flags]))
     if not ids or args.all:

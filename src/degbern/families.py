@@ -172,6 +172,14 @@ def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: i
     return out
 
 
+def _check_key(key: tuple) -> None:
+    """Refuse a key that is not (kind, r): checked on every read, since a cached
+    ("bernoulli_r", 1) would also answer ("bernoulli_r", True)."""
+    if len(key) != 2 or key[0] not in _KINDS:
+        raise ValueError(f"unknown family {key!r}")
+    _check_index(key[1], "r")
+
+
 class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
@@ -201,6 +209,7 @@ class FamilyTable:
     def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers c_0.. of key, at least through c_n; not to be mutated."""
         _check_index(n)
+        _check_key(key)
         entry = self._numbers.get(key)
         if entry is not None and n < len(entry):
             return entry
@@ -209,6 +218,7 @@ class FamilyTable:
     def get(self, key: tuple, n: int) -> XPoly:
         """Member n of key: sum_i C(n,i) c_(n-i) b_i."""
         _check_index(n)
+        _check_key(key)
         entry = self._members.get(key)
         if entry is not None and n < len(entry):
             return entry[n]
@@ -228,10 +238,7 @@ class FamilyTable:
 
     def _grow(self, key: tuple, n: int) -> list[LambdaPoly]:
         """The published numbers of key, grown to at least c_0..c_n."""
-        if len(key) != 2 or key[0] not in _KINDS:
-            raise ValueError(f"unknown family {key!r}")
         kind, r = key
-        _check_index(r, "r")
         if kind == "deg_bernoulli_r":  # its sources, read before the lock is taken
             sources = self.numbers(("bernoulli_r", r), n), self.numbers(("bernoulli2_r", r), n)
         with self._lock:
@@ -253,7 +260,7 @@ _TABLE = _register(FamilyTable())
 
 def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     """c_0..c_n, at least, of the table key (kind, r): the published list, read and never mutated."""
-    return _TABLE.numbers((kind, _check_index(r, "r")), n)
+    return _TABLE.numbers((kind, r), n)
 
 
 def bernoulli_poly(n: int) -> XPoly:
@@ -268,7 +275,7 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly_order(n: int, r: int) -> XPoly:
     """Order-r Bernoulli polynomial; order 0 gives x^n, order 1 the classical one."""
-    return _TABLE.get(("bernoulli_r", _check_index(r, "r")), n)
+    return _TABLE.get(("bernoulli_r", r), n)
 
 
 def euler_poly(n: int) -> XPoly:
@@ -295,7 +302,7 @@ def deg_bernoulli(n: int) -> XPoly:
 
 def deg_bernoulli_order(n: int, r: int) -> XPoly:
     """Order-r degenerate Bernoulli polynomial; order 0 gives (x)_{n,l}."""
-    return _TABLE.get(("deg_bernoulli_r", _check_index(r, "r")), n)
+    return _TABLE.get(("deg_bernoulli_r", r), n)
 
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:

@@ -93,7 +93,7 @@ class OperatorSeries:
         return OperatorSeries(lambda order: self.series(order) * other.series(order))
 
     def __pow__(self, r: int) -> "OperatorSeries":
-        if not isinstance(r, int) or r < 0:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise ValueError("operator power must be a non-negative integer")
         if r == 1:
             return self
@@ -182,7 +182,7 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     shifts, no numeric substitution. Each difference lowers the degree by one,
     so for n > deg p the result is 0 at once, whatever the step.
     """
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError("difference order must be a non-negative integer")
     if n > p.degree:
         return XPoly.zero()

@@ -501,6 +501,13 @@ def test_family_table_checks_the_index_and_the_order():
                 with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
                     read((kind, order), 3)
             assert table._numbers == {} and table._members == {}
+    # also on a table grown for the int a bool equals, where a lookup would hit
+    for order in (True, False):
+        grown = FamilyTable()
+        grown.get(("bernoulli_r", int(order)), 5)
+        for read in (grown.get, grown.numbers):
+            with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
+                read(("bernoulli_r", order), 3)
 
 
 def test_family_table_threaded_growth_matches_serial():

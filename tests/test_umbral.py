@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from math import factorial, perm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,6 +231,17 @@ def test_forward_diff_keeps_one_bounded_plan_per_degree_and_order():
             forward_diff(x**7 + 3, c, k)
     info = _diff_plan.cache_info()
     assert info.currsize == 4 and info.misses == 4
+
+
+def test_a_bool_is_no_difference_order_and_no_operator_power():
+    # True == 1 and hashes as 1: it would pass an int check and key a plan of its own
+    clear_caches()
+    for order in (True, False):
+        with pytest.raises(ValueError, match="difference order"):
+            forward_diff(XPoly.x() ** 3, 1, order)
+        with pytest.raises(ValueError, match="operator power"):
+            delta_op(1) ** order
+    assert _diff_plan.cache_info().currsize == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -307,12 +307,20 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:
     """The polynomial l^n B_n^(a)(x/l), read off the order-a Bernoulli numbers:
-    [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member."""
+    [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member.
+    Each coefficient is a single term, set at primitive content by one gcd."""
     numbers = _numbers("bernoulli_r", _check_index(a, "a"), n)
     coeffs = []
     for i in range(n + 1):
         c = numbers[n - i]  # a rational: no numerator, or one
-        coeffs.append(LambdaPoly._make([0] * (n - i) + [comb(n, i) * x for x in c._coeffs], c._den))
+        p = object.__new__(LambdaPoly)
+        if c._coeffs:
+            num = comb(n, i) * c._coeffs[0]
+            g = gcd(num, c._den)
+            p._coeffs, p._den = (0,) * (n - i) + (num // g,), c._den // g
+        else:
+            p._coeffs, p._den = (), 1
+        coeffs.append(p)
     return XPoly._make(coeffs)
 
 

@@ -2,15 +2,19 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degbern
 import degbern.cli as cli
 import degbern.identities as identities
 from degbern.core import ExactDivisionError, LambdaPoly
@@ -363,10 +367,38 @@ def test_verify_checks_every_id_before_any_case(monkeypatch, capsys, bad):
     assert bad in captured.err
 
 
-def test_version_flag():
-    proc = run_cli("--version")
-    assert proc.returncode == 0
-    assert "degbern" in proc.stdout
+def test_version_flag(capsys):
+    # the entry answers exactly --version itself; argparse's action, which
+    # --help lists, and the abbreviation --ver print the same line
+    want = f"degbern {degbern.__version__}\n"
+    assert cli.main(["--version"]) == 0
+    assert capsys.readouterr() == (want, "")
+    assert cli.main(["--help"]) == 0
+    assert "--version" in capsys.readouterr().out
+    for flag in ("--version", "--ver"):
+        proc = run_cli(flag)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    # a reader that closed the pipe before the line was written
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "degbern", "--version"], stdout=write, stderr=subprocess.PIPE, text=True, timeout=60
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_package_version_is_the_pyproject_version():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    versions = set(re.findall(r'^version\s*=\s*"([^"]*)"$', project, re.M))
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        versions.add(tomllib.loads(text)["project"]["version"])
+    assert versions == {degbern.__version__}
 
 
 # -- size guards: every size flag is bounded by DEGBERN_MAX_DEGREE -----------------

@@ -32,7 +32,15 @@ from degbern.families import (
 )
 from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
-from helpers import miller_deg_numbers, partition_count, record_grows, scaled_member, series_family, series_stirling2
+from helpers import (
+    all_primitive,
+    miller_deg_numbers,
+    partition_count,
+    record_grows,
+    scaled_member,
+    series_family,
+    series_stirling2,
+)
 
 HALF = Fraction(1, 2)
 
@@ -253,7 +261,8 @@ def test_scaled_bernoulli_is_the_operator_image_of_monomials():
 def test_scaled_bernoulli_is_the_l_shift_of_the_order_a_member():
     for a in range(9):
         for n in range(25):
-            assert scaled_bernoulli(n, a) == scaled_member(n, a), (n, a)
+            value = scaled_bernoulli(n, a)
+            assert value == scaled_member(n, a) and all_primitive(value), (n, a)
 
 
 def test_a_cold_scaled_bernoulli_reads_numbers_and_builds_no_member(monkeypatch):

@@ -33,17 +33,22 @@ print(json.dumps(sorted(set(sys.modules) - before)))
         (["expand", "--expr", "x^3 - l*x", "--order", "2", "--crosscheck", "--format", "json"], False),
         (["table", "--family", "euler", "--n-max", "8"], False),
         (["verify", "miki", "--n", "2"], True),
+        (["--version"], False),
     ],
 )
 def test_each_command_loads_the_identity_corpus_only_if_it_reads_it(argv, loads_corpus):
+    # through the entry that `python -m degbern` and the console script run
     script = f"""
 import contextlib, io, json, sys
-from degbern.cli import main
+from degbern.__main__ import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main({argv!r})
-print(json.dumps([status, "degbern.identities" in sys.modules]))
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("degbern"))]))
 """
-    assert _run(script) == [0, loads_corpus]
+    status, loaded = _run(script)
+    assert status == 0 and ("degbern.identities" in loaded) == loads_corpus
+    if argv == ["--version"]:  # answered before any library module is imported
+        assert loaded == ["degbern", "degbern.__main__"]
 
 
 def test_every_public_name_is_its_home_modules_object_and_is_bound_on_first_read():

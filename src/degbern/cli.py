@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .core import ExactDivisionError, LambdaPoly
+from .core import ExactDivisionError, LambdaPoly, _signed_sum
 from .expansion import BasisExpansion, RouteMismatchError, crosscheck, expand
 from .families import (
     bernoulli_number,
@@ -108,21 +108,11 @@ def _latex_rational(q: Fraction) -> str:
 
 
 def _latex_lambda_poly(p: LambdaPoly) -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for exp, coeff in reversed(p.items()):
-        if exp == 0:
-            body = _latex_rational(abs(coeff))
-        else:
-            lam = "\\lambda" if exp == 1 else f"\\lambda^{{{exp}}}"
-            mag = abs(coeff)
-            body = lam if mag == 1 else f"{_latex_rational(mag)}{lam}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-    return "".join(parts)
+    terms = []
+    for e, c in reversed(p.items()):
+        lam = "" if e == 0 else "\\lambda" if e == 1 else f"\\lambda^{{{e}}}"
+        terms.append((c < 0, _latex_rational(abs(c)), lam))
+    return _signed_sum(terms, times="")
 
 
 def _latex_expansion(e: BasisExpansion) -> str:
@@ -203,18 +193,17 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
     check_size("--order", args.order, 1)
     p = parse_poly(args.expr)
     if p.is_zero:
-        print("error: cannot expand the zero polynomial", file=sys.stderr)
-        return 1
+        raise ValueError("cannot expand the zero polynomial")
     lam_value = None
     if args.lambda_sub is not None:
         text = _given(args.lambda_sub)
         # Fraction() alone would also take "1e50000000", "1.5" or non-ASCII digits
         if not re.fullmatch("-?[0-9]+(/0*[1-9][0-9]*)?", text):
-            return _bad_lambda(f"needs a rational [-]P[/Q] with Q != 0, got {text!r}")
+            raise ValueError(f"--lambda needs a rational [-]P[/Q] with Q != 0, got {text!r}")
         try:
             lam_value = Fraction(args.lambda_sub)
         except ValueError:  # more digits than int() reads
-            return _bad_lambda(_lambda_too_large())
+            raise ValueError(_lambda_too_large()) from None
     if args.crosscheck:
         e = crosscheck(p, args.order)
     else:
@@ -224,7 +213,7 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
         try:
             at_lambda = [str(c.subs(lam_value)) for c in e.coeffs]
         except ValueError:  # more digits than str() writes
-            return _bad_lambda(_lambda_too_large())
+            raise ValueError(_lambda_too_large()) from None
 
     if args.format == "json":
         doc = expansion_to_document(args.expr, e)
@@ -246,7 +235,7 @@ def _cmd_expand(args: argparse.Namespace, out: list[str]) -> int:
 
 def _lambda_too_large() -> str:
     return (
-        f"is too large: it or a value at it has more than {sys.get_int_max_str_digits()} digits, "
+        f"--lambda is too large: it or a value at it has more than {sys.get_int_max_str_digits()} digits, "
         "the most Python converts between int and text"
     )
 
@@ -254,11 +243,6 @@ def _lambda_too_large() -> str:
 def _given(value: str | list) -> str:
     """An option's value as typed: argparse hands "--opt=--" over as [], not as "--"."""
     return value if isinstance(value, str) else "--"
-
-
-def _bad_lambda(reason: str) -> int:
-    print(f"error: --lambda {reason}", file=sys.stderr)
-    return 1
 
 
 def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
@@ -305,14 +289,12 @@ def _cmd_verify(args: argparse.Namespace, out: list[str]) -> int:
     return 0 if not failures else 2
 
 
-_NUMBER_FAMILIES = {
-    "bernoulli": bernoulli_number,
-    "euler": euler_number,
-    "genocchi": genocchi_number,
-}
-
-# name -> (n, order) -> XPoly; each looks its family up when called.
-_POLY_FAMILIES = {
+# name -> (n, order) -> a number (Fraction) or a polynomial (XPoly); each looks
+# its family up when called, so that a wrapper set on this module sees each call.
+_FAMILIES = {
+    "bernoulli": lambda n, order: bernoulli_number(n),
+    "euler": lambda n, order: euler_number(n),
+    "genocchi": lambda n, order: genocchi_number(n),
     "bernoulli-order": lambda n, order: bernoulli_poly_order(n, order),
     "deg-bernoulli": lambda n, order: deg_bernoulli_order(n, 1),
     "deg-bernoulli-order": lambda n, order: deg_bernoulli_order(n, order),
@@ -324,15 +306,13 @@ _POLY_FAMILIES = {
 def _cmd_table(args: argparse.Namespace, out: list[str]) -> int:
     check_size("--n-max", args.n_max)
     check_size("--order", args.order)
-    family = args.family
-    number, maker = _NUMBER_FAMILIES.get(family), _POLY_FAMILIES.get(family)
-    if number is None and maker is None:
-        known = sorted([*_NUMBER_FAMILIES, *_POLY_FAMILIES])
-        print(f"error: unknown family {family!r}; known: {', '.join(known)}", file=sys.stderr)
-        return 1
-    values = [number(n) if number else maker(n, args.order) for n in range(args.n_max + 1)]
+    family = _FAMILIES.get(args.family)
+    if family is None:
+        raise ValueError(f"unknown family {args.family!r}; known: {', '.join(sorted(_FAMILIES))}")
+    values = [family(n, args.order) for n in range(args.n_max + 1)]
     if args.format == "json":
-        doc = {"family": family} if number else {"family": family, "order": str(args.order)}
+        number = isinstance(values[0], Fraction)
+        doc = {"family": args.family} if number else {"family": args.family, "order": str(args.order)}
         doc["entries"] = [
             {"n": str(n), "value": str(v)} if number else {"n": str(n), "coefficients": _coefficient_list(v.coeffs)}
             for n, v in enumerate(values)

@@ -53,6 +53,11 @@ d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int product each. It reconstructs
 a warm x^32 at r = 3 2.5-3x faster than composing with the members did
 (BENCH_reconstruct_numbers.json).
 
+Two rules of the package live here once: ``_check_index`` checks every index,
+exponent and order in ``core``, ``families`` and ``umbral``, and
+``_signed_sum`` writes every sum of terms, the text of ``LambdaPoly`` and
+``XPoly`` and the CLI's LaTeX.
+
 Every cache of the package is an entry of one registry here, and
 ``clear_caches()`` (``degbern.clear_caches()``) empties them all. ``_cached``
 registers an ``lru_cache``; the family table and the Stirling triangles
@@ -110,6 +115,30 @@ def _fr(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _check_index(n: int, name: str = "n", least: int = 0) -> int:
+    """n, if it is an int of at least ``least`` (0 or 1), else a ValueError naming it.
+    A bool is refused: True == 1 and hashes as 1, so it would key a cache entry of its own."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        need = "needs a positive" if least else "must be a non-negative"
+        raise ValueError(f"{name} {need} integer, got {n!r}")
+    return n
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str, str]], times: str = "*") -> str:
+    """The text of a sum of (negative, magnitude, variable) terms, the one sign
+    rule of every writer: the first term takes a bare "-", later ones join with
+    " + " or " - ", a unit magnitude is left out before its variable, and the
+    empty sum is "0". ``times`` joins a magnitude to its variable."""
+    parts: list[str] = []
+    for negative, mag, var in terms:
+        body = mag if not var else var if mag == "1" else f"{mag}{times}{var}"
+        if parts:
+            parts.append(f" - {body}" if negative else f" + {body}")
+        else:
+            parts.append(f"-{body}" if negative else body)
+    return "".join(parts) or "0"
 
 
 def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -226,8 +255,7 @@ class _Ring:
         return self.__mul__(Fraction(other.denominator, other.numerator))  # ZeroDivisionError at 0
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+        _check_index(n, "exponent")
         result, base = self._unit(), self
         while n:
             if n & 1:
@@ -273,8 +301,7 @@ class _Poly(_Ring):
 
     @classmethod
     def monomial(cls, exponent: int, coeff=1):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"invalid {cls._VAR}-exponent {exponent!r}")
+        _check_index(exponent, f"{cls._VAR}-exponent")
         coeff = cls._coeff_of(coeff)
         return cls._make([cls._ZERO] * exponent + [coeff] if coeff else [])
 
@@ -388,9 +415,7 @@ class LambdaPoly(_Poly):
     def __init__(self, terms: Mapping[int, Scalar] | None = None) -> None:
         fracs: dict[int, Fraction] = {}
         for exp, coeff in (terms or {}).items():
-            if not isinstance(exp, int) or exp < 0:
-                raise ValueError(f"invalid l-exponent {exp!r}")
-            fracs[exp] = _fr(coeff)
+            fracs[_check_index(exp, "l-exponent")] = _fr(coeff)
         scaled, den = _over_lcm(list(fracs.values()))
         nums = [0] * (max(fracs, default=-1) + 1)
         for exp, c in zip(fracs, scaled):
@@ -414,8 +439,7 @@ class LambdaPoly(_Poly):
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LambdaPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"invalid l-exponent {exponent!r}")
+        _check_index(exponent, "l-exponent")
         coeff = _fr(coeff)
         return cls._make([0] * exponent + [coeff.numerator], coeff.denominator)
 
@@ -491,26 +515,14 @@ class LambdaPoly(_Poly):
 
     def divexact(self, k: int) -> "LambdaPoly":
         """Exact division by l**k; every term must have exponent >= k."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("k must be a non-negative integer")
+        _check_index(k, "k")
         if any(self._coeffs[:k]):
             raise ExactDivisionError(f"{self} is not divisible by l^{k}")
         return self._make(list(self._coeffs[k:]), self._den) if k else self
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for exp, coeff in reversed(self.items()):
-            mag = abs(coeff)
-            if exp == 0:
-                body = str(mag)
-            else:
-                var = "l" if exp == 1 else f"l^{exp}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(parts) or "0"
+        terms = reversed(self.items())
+        return _signed_sum((c < 0, str(abs(c)), "" if e == 0 else "l" if e == 1 else f"l^{e}") for e, c in terms)
 
 
 LAMBDA = LambdaPoly.lam()
@@ -735,8 +747,7 @@ class XPoly(_Poly):
     # -- calculus ----------------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "XPoly":
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
+        _check_index(order, "derivative order")
         p = self
         for _ in range(order):
             p = XPoly._make([c * (i + 1) for i, c in enumerate(p._coeffs[1:])])
@@ -816,26 +827,15 @@ class XPoly(_Poly):
         return XPoly._make([c.divexact(k) for c in self._coeffs])
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            if not c:
-                continue
-            xpart = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-            terms = c.items()
-            negative = len(terms) == 1 and terms[0][1] < 0
-            scalar = str(-c if negative else c)
-            if len(terms) > 1:
-                body = f"({scalar})*{xpart}" if xpart else f"({scalar})"
-            elif xpart and scalar == "1":
-                body = xpart
-            else:
-                body = f"{scalar}*{xpart}" if xpart else scalar
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" - {body}" if negative else f" + {body}")
-        return "".join(parts) or "0"
+        """The ``_signed_sum`` of the terms, a coefficient of several terms in parentheses."""
+        terms = []
+        for k, c in reversed(list(enumerate(self._coeffs))):
+            if c:
+                single = len(c.items()) == 1
+                negative = single and c.leading() < 0
+                mag = str(-c if negative else c) if single else f"({c})"
+                terms.append((negative, mag, "" if k == 0 else "x" if k == 1 else f"x^{k}"))
+        return _signed_sum(terms)
 
 
 class TruncSeries(_Ring):
@@ -849,8 +849,7 @@ class TruncSeries(_Ring):
     __slots__ = ("_ring", "_order", "_coeffs")
 
     def __init__(self, ring: type, order: int, coeffs: Iterable = ()) -> None:
-        if not isinstance(order, int) or order < 0:
-            raise ValueError("truncation order must be a non-negative integer")
+        _check_index(order, "truncation order")
         lst = []
         for c in coeffs:
             if not isinstance(c, ring):

@@ -56,7 +56,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 from operator import add
 
-from .core import LambdaPoly, XPoly, _cached, _CacheInfo, _over_lcm, _register, _stirling1_rows
+from .core import LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _register, _stirling1_rows
 from .umbral import sequence_diff, umbral_compose
 
 __all__ = [
@@ -75,12 +75,6 @@ __all__ = [
     "scaled_bernoulli",
     "stirling2",
 ]
-
-
-def _check_index(n: int, name: str = "n") -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {n!r}")
-    return n
 
 
 def deg_falling(n: int) -> XPoly:
@@ -336,8 +330,7 @@ def stirling2(n: int, k: int) -> Fraction:
 @_cached(256)
 def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"harmonic() needs a positive integer, got {n!r}")
+    _check_index(n, "harmonic()", 1)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction(1, k)

@@ -54,7 +54,13 @@ class ParseError(ValueError):
 
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "/", "(", ")", ","}
-_CALL_ARITY = {"B": (1, 2), "E": (1, 1), "G": (1, 1)}
+# name -> (most arguments, function of them); each looks its family up at call
+# time, so that a wrapper set on this module (a tracer, say) sees each call.
+_CALLS = {
+    "B": (2, lambda n, r=None: bernoulli_poly(n) if r is None else bernoulli_poly_order(n, r)),
+    "E": (1, lambda n: euler_poly(n)),
+    "G": (1, lambda n: genocchi_poly(n)),
+}
 # ASCII only: str.isdigit and str.isspace also accept digits such as "٣" or
 # "²" and spaces such as U+3000.
 _DIGITS = "0123456789"
@@ -79,7 +85,7 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
             continue
         if ch in ("x", "l"):
             tokens.append(("var", ch, i))
-        elif ch in _CALL_ARITY:
+        elif ch in _CALLS:
             tokens.append(("name", ch, i))
         elif ch in _TOKEN_CHARS:
             tokens.append((ch, ch, i))
@@ -245,16 +251,12 @@ class _Parser:
         if self._peek()[0] == ",":
             raise ParseError(f"{name} takes at most two arguments", self._peek()[2])
         self._expect(")")
-        lo, hi = _CALL_ARITY[name]
-        if not lo <= len(args) <= hi:
-            raise ParseError(f"{name} takes exactly {lo} argument(s)", offset)
+        most, family = _CALLS[name]
+        if len(args) > most:
+            raise ParseError(f"{name} takes exactly {most} argument(s)", offset)
         for what, value in zip(("family index", "order r"), args):
             check_size(f"{what} of {name}(...)", value)
-        # B, E and G are looked up as module globals at call time, so that a
-        # wrapper set on this module (a tracer, say) sees each call.
-        if name == "B":
-            return bernoulli_poly_order(*args) if len(args) == 2 else bernoulli_poly(args[0])
-        return euler_poly(args[0]) if name == "E" else genocchi_poly(args[0])
+        return family(*args)
 
 
 def parse_poly(src: str) -> XPoly:

@@ -30,7 +30,8 @@ from math import comb, factorial, perm
 from typing import Any, Callable, Sequence
 
 from .core import (
-    LambdaPoly, Scalar, TruncSeries, XPoly, _cached, _dot, _packed_plan, _packed_sums, _PackedPlan, _stirling2_rows
+    LambdaPoly, Scalar, TruncSeries, XPoly, _cached, _check_index, _dot, _packed_plan, _packed_sums, _PackedPlan,
+    _stirling2_rows,
 )
 
 __all__ = [
@@ -93,9 +94,7 @@ class OperatorSeries:
         return OperatorSeries(lambda order: self.series(order) * other.series(order))
 
     def __pow__(self, r: int) -> "OperatorSeries":
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-            raise ValueError("operator power must be a non-negative integer")
-        if r == 1:
+        if _check_index(r, "operator power") == 1:
             return self
         return OperatorSeries(lambda order: self.series(order) ** r)
 
@@ -182,9 +181,7 @@ def forward_diff(p: XPoly, step: LambdaPoly | Scalar, n: int) -> XPoly:
     shifts, no numeric substitution. Each difference lowers the degree by one,
     so for n > deg p the result is 0 at once, whatever the step.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError("difference order must be a non-negative integer")
-    if n > p.degree:
+    if _check_index(n, "difference order") > p.degree:
         return XPoly.zero()
     if isinstance(step, LambdaPoly) and step.degree == 0:
         step = step.coeff(0)

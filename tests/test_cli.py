@@ -21,6 +21,7 @@ from degbern.core import ExactDivisionError, LambdaPoly
 from degbern.expansion import RouteMismatchError, expand, reconstruct
 from degbern.identities import identity_ids
 from degbern.parser import parse_poly
+from helpers import SMALL_FRACTIONS
 
 
 def run_cli(*args, timeout=300):
@@ -188,6 +189,19 @@ def test_latex_output_is_balanced():
     assert out.count("{") == out.count("}")
     assert "\\beta" in out
     assert all(ch.isprintable() or ch == "\n" for ch in proc.stdout)
+
+
+# unit coefficients of either sign, as many as the other small fractions; the empty dict is 0
+_LATEX_TERMS = st.dictionaries(st.integers(0, 12), st.sampled_from([1, -1]) | SMALL_FRACTIONS, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LATEX_TERMS.map(LambdaPoly))
+def test_latex_lambda_poly_writes_the_text_terms(p):
+    # the LaTeX pieces mapped back to text give str(p), sign and unit rule included
+    text = re.sub(r"\\frac\{(\d+)\}\{(\d+)\}", r"\1/\2", cli._latex_lambda_poly(p))
+    text = re.sub(r"\\lambda\^\{(\d+)\}", r"l^\1", text).replace("\\lambda", "l")
+    assert re.sub(r"(\d)l", r"\1*l", text) == str(p)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -496,7 +510,7 @@ def _verify_or_table_argv(draw) -> list[str]:
         if draw(st.booleans()):
             argv.append("--perturb")
     else:
-        families = sorted([*cli._NUMBER_FAMILIES, *cli._POLY_FAMILIES])
+        families = sorted(cli._FAMILIES)
         argv = ["table", "--family", draw(st.sampled_from(families) | _NAMES), "--n-max", str(draw(_SIZES))]
         flags = ["--order"]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from degbern.core import (
     _packed_sums,
     _unpack,
 )
+from degbern.families import harmonic
 from helpers import (
     SMALL_FRACTIONS,
     SMALL_LAMBDA_POLYS,
@@ -464,6 +466,27 @@ def test_series_order_bounds_enforced():
         _ = f * g  # order mismatch
     with pytest.raises(ValueError):
         TruncSeries(LambdaPoly, 1, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: XPoly.monomial(True), "x-exponent"),
+        (lambda: XPoly.x() ** True, "exponent"),
+        (lambda: LambdaPoly({True: 1}), "l-exponent"),
+        (lambda: LambdaPoly.monomial(True), "l-exponent"),
+        (lambda: LAMBDA.divexact(True), "k"),
+        (lambda: XPoly.x().derivative(True), "derivative order"),
+        (lambda: TruncSeries(LambdaPoly, True, [1]), "truncation order"),
+        (lambda: harmonic(True), "harmonic()"),
+    ],
+    ids=["x-monomial", "pow", "LambdaPoly", "l-monomial", "divexact", "derivative", "TruncSeries", "harmonic"],
+)
+def test_a_bool_is_no_index_exponent_or_order(call, name):
+    # True == 1 and hashes as 1, so an int check alone would take it as 1
+    need = "(must be a non-negative|needs a positive) integer"
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} {need}, got True$"):
+        call()
 
 
 def test_series_over_xpoly_ring():

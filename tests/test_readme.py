@@ -24,7 +24,7 @@ def test_readme_identity_ids():
 
 def test_readme_table_families():
     families = _names_between("Families for `table`:", "(polynomials")
-    assert sorted(families) == sorted([*cli._NUMBER_FAMILIES, *cli._POLY_FAMILIES])
+    assert sorted(families) == sorted(cli._FAMILIES)
 
 
 def test_readme_routes():

@@ -824,6 +824,7 @@ class XPoly(_Poly):
 
     def divexact(self, k: int) -> "XPoly":
         """Exact coefficient-wise division by l**k."""
+        _check_index(k, "k")
         return XPoly._make([c.divexact(k) for c in self._coeffs])
 
     def __str__(self) -> str:

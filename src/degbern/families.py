@@ -17,11 +17,13 @@ sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
 where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
 x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). The numbers, c_k being member k at
-x = 0, are a table's state. Each rational core is A(t)^(-r) for a
-closed-form series A with A(0) = 1 ((e^t-1)/t, log(1+t)/t, (e^t+1)/2), so
-c_k follows from c_0..c_{k-1} by J. C. P. Miller's power recurrence, with
-int weights. The degenerate numbers take no recurrence over Q[l]. With
-u = log(1+lt)/l, e_l(t) = e^u and the core factors into two rational ones,
+x = 0, are a table's state; one entry of ``_KINDS`` per kind holds their
+rule, the kinds whose numbers it reads, and the basis. Each rational core
+is A(t)^(-r) for a closed-form series A with A(0) = 1 ((e^t-1)/t,
+log(1+t)/t, (e^t+1)/2), so c_k follows from c_0..c_{k-1} by J. C. P.
+Miller's power recurrence, with int weights. The degenerate numbers take no
+recurrence over Q[l]. With u = log(1+lt)/l, e_l(t) = e^u and the core
+factors into two rational ones,
 
     (t/(e_l(t)-1))^r = (lt/log(1+lt))^r (u/(e^u-1))^r,
 
@@ -53,7 +55,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, perm
+from functools import partial
+from math import comb, factorial, gcd, lcm
 from operator import add
 
 from .core import LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _register, _stirling1_rows
@@ -84,56 +87,38 @@ def deg_falling(n: int) -> XPoly:
     return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(row))
 
 
-def _log_base(k: int) -> tuple[list[int], int]:
-    """a_0..a_k of A = log(1+t)/t, a_j = (-1)^j/(j+1), as ints over L = lcm(1..k+1), and L."""
-    den = lcm(*range(1, k + 2))
-    return [(-1) ** j * (den // (j + 1)) for j in range(k + 1)], den
-
-
-# kind -> (a_0..a_k of A(t) over one denominator, A(0) = 1, the core being A^(-r),
-# or None for the degenerate kind, summed from two rational kinds; the basis b_i,
-# None for x^i). The rational kinds give int a_j, so each weight of Miller's
-# recurrence is an int.
-_KINDS = {
-    # A = (e^t-1)/t, a_j = 1/(j+1)!
-    "bernoulli_r": (lambda k: ([perm(k + 1, k - j) for j in range(k + 1)], factorial(k + 1)), None),
-    # A = log(1+t)/t: the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
-    "bernoulli2_r": (_log_base, None),
-    # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
-    "euler": (lambda k: ([2 * factorial(k)] + [perm(k, k - j) for j in range(1, k + 1)], 2 * factorial(k)), None),
-    # A = (e_l(t)-1)/t: the closed form of ``_deg_numbers``
-    "deg_bernoulli_r": (None, deg_falling),
-}
-
-
-def _next_number(base: list[int], den: int, r: int, numbers: list[LambdaPoly]) -> LambdaPoly:
-    """c_k = k! [t^k] A^(-r) from the rational c_0..c_{k-1} and a_j = base[j] / den, by
-    Miller's power recurrence.
+def _miller(recip, numbers: list[LambdaPoly], r: int, n: int) -> list[LambdaPoly]:
+    """The rational numbers extended through c_n, c_k = k! [t^k] A^(-r) for
+    A = sum_j t^j / recip(j), recip(0) = 1, by Miller's power recurrence.
 
     For B = A^alpha with a_0 = 1: b_k = (1/k) sum_{j=1..k} ((alpha+1)j - k) a_j b_{k-j};
-    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers. The sum runs
-    in plain ints over the running lcm of the c_(k-j) denominators, with one gcd.
+    in terms of c_k = k! b_k the weights (k-1)!/(k-j)! are integers, and so are the
+    a_j over den, the lcm of the recip(j). Each sum runs in plain ints over the running
+    lcm of the c_(k-j) denominators, with one gcd.
     """
-    k = len(numbers)
-    if k == 0:
-        return LambdaPoly.one()
-    acc, d, w = 0, 1, 1  # w = perm(k-1, j-1)
-    for j in range(1, k + 1):
-        c = numbers[k - j]
-        if c._coeffs:
-            q = c._den
-            up = q // gcd(d, q)
-            if up != 1:  # q does not divide d: raise d to their lcm
-                acc *= up
-                d *= up
-            acc += c._coeffs[0] * (d // q) * base[j] * (((1 - r) * j - k) * w)
-        w *= k - j
-    return LambdaPoly._make([acc], d * den)
+    qs = [recip(j) for j in range(n + 1)]
+    den = lcm(*qs)
+    base = [den // q for q in qs]
+    out = list(numbers) or [LambdaPoly.one()]
+    for k in range(len(out), n + 1):
+        acc, d, w = 0, 1, 1  # w = perm(k-1, j-1)
+        for j in range(1, k + 1):
+            c = out[k - j]
+            if c._coeffs:
+                q = c._den
+                up = q // gcd(d, q)
+                if up != 1:  # q does not divide d: raise d to their lcm
+                    acc *= up
+                    d *= up
+                acc += c._coeffs[0] * (d // q) * base[j] * (((1 - r) * j - k) * w)
+            w *= k - j
+        out.append(LambdaPoly._make([acc], d * den))
+    return out
 
 
-def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: int, n: int) -> list[LambdaPoly]:
-    """c_lo..c_n of ("deg_bernoulli_r", r) by the module docstring's closed form, from
-    the order-r Bernoulli numbers B_m^(r) and second-kind numbers b_j^(r) through n.
+def _deg_numbers(numbers: list, r: int, n: int, bern: list, second: list) -> list[LambdaPoly]:
+    """The degenerate numbers extended through c_n by the module docstring's closed form,
+    from the order-r Bernoulli numbers B_m^(r) and second-kind numbers b_j^(r) through n.
 
     Each c_N is summed in ints over D = bd sd (N-r)!, with bd and sd the lcm
     denominators of the Bernoulli and the second-kind numbers. For m >= r the
@@ -144,8 +129,8 @@ def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: i
     bn, bd = _over_lcm([c.as_rational() for c in bern[: n + 1]])
     sn, sd = _over_lcm([c.as_rational() for c in second[: n + 1]])
     rows, fact = _stirling1_rows(n), [factorial(i) for i in range(n + 1)]
-    out = []
-    for N in range(lo, n + 1):
+    out = list(numbers)
+    for N in range(len(numbers), n + 1):
         nums = [0] * (N + 1)  # nums[N-m] holds the l^(N-m) term
         scale = fact[N - r] if N >= r else 1
         low = min(r, N + 1)
@@ -166,6 +151,22 @@ def _deg_numbers(bern: list[LambdaPoly], second: list[LambdaPoly], r: int, lo: i
     return out
 
 
+# kind -> (the kinds at the same r whose numbers its rule reads; its rule
+# (numbers, r, n, *their numbers) -> a new list of its numbers through c_n; its
+# basis b_i, None for x^i). A rational kind's core is A^(-r), A(0) = 1, and its
+# rule is Miller's recurrence on the a_j = 1/recip(j) of A.
+_KINDS = {
+    # A = (e^t-1)/t, a_j = 1/(j+1)!
+    "bernoulli_r": ((), partial(_miller, lambda j: factorial(j + 1)), None),
+    # A = log(1+t)/t, a_j = (-1)^j/(j+1): the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
+    "bernoulli2_r": ((), partial(_miller, lambda j: (-1) ** j * (j + 1)), None),
+    # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
+    "euler": ((), partial(_miller, lambda j: 2 * factorial(j) if j else 1), None),
+    # core (t/(e_l(t)-1))^r: the closed form of ``_deg_numbers``
+    "deg_bernoulli_r": (("bernoulli_r", "bernoulli2_r"), _deg_numbers, deg_falling),
+}
+
+
 def _check_key(key: tuple) -> None:
     """Refuse a key that is not (kind, r): checked on every read, since a cached
     ("bernoulli_r", 1) would also answer ("bernoulli_r", True)."""
@@ -178,24 +179,24 @@ class FamilyTable:
     """Append-only cache of the module docstring's families, keyed by (kind, r).
 
     Its state is each key's numbers c_0, c_1, ...; a member is built from
-    them and its basis when it is first read, and kept. A request past a
-    cached end computes only the missing numbers or members, under one plain
-    lock, then replaces the cached list wholesale; lists are never mutated in
+    them and its kind's basis when it is first read, and kept. ``_KINDS``
+    states each kind's rule, sources and basis. A request past a cached end
+    grows the key's sources first, since the lock is not reentrant; then
+    ``_grow`` computes only the missing numbers or members, under one plain
+    lock, and replaces the cached list wholesale. Lists are never mutated in
     place, so unlocked readers always see complete entries, and
-    ``cache_clear()`` empties the table under the same lock. A rational kind
-    reads no other kind; a ("deg_bernoulli_r", r) key reads the numbers of
-    ("bernoulli_r", r) and ("bernoulli2_r", r), so it grows them before it
-    takes the lock, which is not reentrant.
+    ``cache_clear()`` empties the table under the same lock.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.cache_clear()
+        self._numbers: dict[tuple, list[LambdaPoly]] = {}
+        self._members: dict[tuple, list[XPoly]] = {}
 
     def cache_clear(self) -> None:
         with self._lock:
-            self._numbers: dict[tuple, list[LambdaPoly]] = {}
-            self._members: dict[tuple, list[XPoly]] = {}
+            self._numbers.clear()
+            self._members.clear()
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(None, len(self._numbers))
@@ -207,7 +208,9 @@ class FamilyTable:
         entry = self._numbers.get(key)
         if entry is not None and n < len(entry):
             return entry
-        return self._grow(key, n)
+        r, (sources, rule, _) = key[1], _KINDS[key[0]]
+        theirs = [self.numbers((source, r), n) for source in sources]
+        return self._grow(self._numbers, key, n, lambda numbers: rule(numbers, r, n, *theirs))
 
     def get(self, key: tuple, n: int) -> XPoly:
         """Member n of key: sum_i C(n,i) c_(n-i) b_i."""
@@ -216,37 +219,26 @@ class FamilyTable:
         entry = self._members.get(key)
         if entry is not None and n < len(entry):
             return entry[n]
-        numbers = self.numbers(key, n)
-        with self._lock:
-            members = self._members.get(key, [])
-            if n >= len(members):
-                basis = _KINDS[key[0]][1]
-                if basis:  # each b_i built once per grow, not once per member
-                    basis = [basis(i) for i in range(n + 1)].__getitem__
-                members = list(members)
-                for m in range(len(members), n + 1):
-                    d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers[: m + 1]))])
-                    members.append(umbral_compose(d, basis) if basis else d)
-                self._members[key] = members
-        return members[n]
+        numbers, basis = self.numbers(key, n), _KINDS[key[0]][2]
 
-    def _grow(self, key: tuple, n: int) -> list[LambdaPoly]:
-        """The published numbers of key, grown to at least c_0..c_n."""
-        kind, r = key
-        if kind == "deg_bernoulli_r":  # its sources, read before the lock is taken
-            sources = self.numbers(("bernoulli_r", r), n), self.numbers(("bernoulli2_r", r), n)
+        def extend(members: list[XPoly]) -> list[XPoly]:
+            b = basis and [basis(i) for i in range(n + 1)].__getitem__  # each b_i once per grow, not per member
+            members = list(members)
+            for m in range(len(members), n + 1):
+                d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers[: m + 1]))])
+                members.append(umbral_compose(d, b) if b else d)
+            return members
+
+        return self._grow(self._members, key, n, extend)[n]
+
+    def _grow(self, store: dict, key: tuple, n: int, extend) -> list:
+        """store[key], at least through entry n: under the lock, a list still too short is
+        replaced by extend(list), a new list, and published wholesale."""
         with self._lock:
-            numbers = self._numbers.get(key, [])
-            if n >= len(numbers):
-                if kind == "deg_bernoulli_r":
-                    numbers = numbers + _deg_numbers(*sources, r, len(numbers), n)
-                else:
-                    base, den = _KINDS[kind][0](n)
-                    numbers = list(numbers)
-                    while len(numbers) <= n:
-                        numbers.append(_next_number(base, den, r, numbers))
-                self._numbers[key] = numbers
-            return numbers
+            entry = store.get(key, [])
+            if n >= len(entry):
+                entry = store[key] = extend(entry)
+            return entry
 
 
 _TABLE = _register(FamilyTable())

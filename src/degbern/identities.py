@@ -314,10 +314,6 @@ class _Identity:
     closed_form: Callable[..., list[LambdaPoly]] | None = None  # order-r basis coefficients
     constraint: str | None = None  # a key of _CONSTRAINTS
 
-    def __post_init__(self) -> None:
-        if (self.rhs is None) == (self.closed_form is None):
-            raise TypeError("an identity states exactly one of rhs and closed_form")
-
     def violations(self, values: Mapping[str, int]) -> list[str]:
         out = [f"{name} >= {lo}" for name, lo in self.minima.items() if values[name] < lo]
         if self.constraint and not _CONSTRAINTS[self.constraint](**values):

@@ -31,14 +31,16 @@ _GROW = FamilyTable._grow
 
 
 def record_grows(monkeypatch) -> list[tuple]:
-    """Empty every cache, then record the key of each family-table grow, in order,
-    in the list returned. A second call starts a new record."""
+    """Empty every cache, then record the key of each grow of a family table's
+    numbers, in order, in the list returned; a key's sources grow, and are
+    recorded, before it. A second call starts a new record."""
     clear_caches()
     grown: list[tuple] = []
 
-    def grow(table, key, n):
-        grown.append(key)
-        return _GROW(table, key, n)
+    def grow(table, store, key, n, extend):
+        if store is table._numbers:
+            grown.append(key)
+        return _GROW(table, store, key, n, extend)
 
     monkeypatch.setattr(FamilyTable, "_grow", grow)
     return grown

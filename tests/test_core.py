@@ -230,6 +230,10 @@ def test_xpoly_divexact():
     assert p.divexact(1) == XPoly([LambdaPoly.one(), LambdaPoly({1: 3})])
     with pytest.raises(ExactDivisionError):
         XPoly([LambdaPoly.one()]).divexact(1)
+    # k is checked before any coefficient, so also on the zero polynomial
+    for q in (p, XPoly.zero()):
+        with pytest.raises(ValueError, match="^k must be a non-negative integer, got -1$"):
+            q.divexact(-1)
 
 
 # -- packed rows ------------------------------------------------------------------
@@ -476,11 +480,14 @@ def test_series_order_bounds_enforced():
         (lambda: LambdaPoly({True: 1}), "l-exponent"),
         (lambda: LambdaPoly.monomial(True), "l-exponent"),
         (lambda: LAMBDA.divexact(True), "k"),
+        (lambda: XPoly.zero().divexact(True), "k"),
         (lambda: XPoly.x().derivative(True), "derivative order"),
         (lambda: TruncSeries(LambdaPoly, True, [1]), "truncation order"),
         (lambda: harmonic(True), "harmonic()"),
     ],
-    ids=["x-monomial", "pow", "LambdaPoly", "l-monomial", "divexact", "derivative", "TruncSeries", "harmonic"],
+    ids=[
+        "x-monomial", "pow", "LambdaPoly", "l-monomial", "divexact", "x-divexact", "derivative", "TruncSeries", "harmonic"
+    ],
 )
 def test_a_bool_is_no_index_exponent_or_order(call, name):
     # True == 1 and hashes as 1, so an int check alone would take it as 1

@@ -437,6 +437,7 @@ def test_family_table_append_only_growth():
 ORACLE_N = 24
 ORACLE_KEYS = (
     [("bernoulli_r", r) for r in range(4)]
+    + [("bernoulli2_r", r) for r in range(4)]
     + [("deg_bernoulli_r", r) for r in range(4)]
     + [("euler", 1)]
 )

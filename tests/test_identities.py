@@ -44,6 +44,11 @@ def test_identity_ids_complete():
     )
 
 
+def test_each_identity_states_exactly_one_of_rhs_and_closed_form():
+    for identity_id, entry in identities._IDENTITIES.items():
+        assert (entry.rhs is None) != (entry.closed_form is None), identity_id
+
+
 def test_miki_case():
     case = verify("miki", n=4)
     assert case.passed

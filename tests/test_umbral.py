@@ -358,14 +358,14 @@ def test_umbral_compose_single_monomial():
 def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
     # composing with deg_bernoulli_order(k, 3) for k = 0..n reads the members
     # from the top down; on a cold table that is one grow to number n, not one
-    # grow per member, and reconstruct grows the same numbers once; that grow
-    # first grows its two order-3 sources, once each
+    # grow per member, and reconstruct grows the same numbers once; their two
+    # order-3 sources grow first, once each
     p = XPoly.monomial(12)
     e = expand(p, 3)
     for rebuild in (member_reconstruct, reconstruct):
         grown = record_grows(monkeypatch)
         assert rebuild(e) == p
-        assert grown == [("deg_bernoulli_r", 3), ("bernoulli_r", 3), ("bernoulli2_r", 3)]
+        assert grown == [("bernoulli_r", 3), ("bernoulli2_r", 3), ("deg_bernoulli_r", 3)]
 
 
 def test_umbral_compose_then_integrate_gives_scaled_number():

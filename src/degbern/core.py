@@ -35,23 +35,22 @@ powers of l, run on packed rows instead (Kronecker substitution, as FLINT's
 ``fmpz_poly`` stores a polynomial). A caller states its int weights once to
 ``_packed_plan``, which keeps them with the l1 bound of their sums as an
 immutable plan, and hands the plan and p's coefficients to ``_packed_sums``.
-That kernel turns each coefficient into one int, its numerators over the lcm
-denominator evaluated at l = 2^B, so a term is one int multiply-add and a
-power of l is a shift, and it splits each result back exactly, with one gcd.
-It picks the slot width B from the numerators and the plan's bound, by the
-rule its docstring states. Its callers are ``expansion``'s stirling_sum and
-umbral_integral routes, the last stage of ``expansion.reconstruct``, and
+It puts them over their lcm denominator, and its int-row body ``_row_sums``
+turns each into one int, its numerators evaluated at l = 2^B, so a term is one
+int multiply-add and a power of l is a shift, and splits each result back
+exactly, with one gcd, at the slot width B its docstring's rule gives. The
+callers are ``expansion``'s stirling_sum and umbral_integral routes,
 ``umbral.forward_diff``, whose Delta^k weights are also stirling_sum's first
-stage. The int Stirling triangles of both kinds that these weights read are
-kept here (``_stirling1_rows``, ``_stirling2_rows``).
+stage, and (``_row_sums`` alone) the last stage of ``expansion.reconstruct``.
+The int Stirling triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
-``_packed_products`` packs each of its 2(n+1) inputs once and unpacks each
-output once, with one gcd, so the n^2/2 terms of ``expansion.reconstruct``'s
-d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int product each. It reconstructs
-a warm x^32 at r = 3 2.5-3x faster than composing with the members did
-(BENCH_reconstruct_numbers.json).
+``_packed_products`` packs each of its 2(n+1) inputs once and splits each
+output into its int slots once, so the n^2/2 terms of
+``expansion.reconstruct``'s d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int
+product each. The d_i stay int rows over one denominator, fed straight to
+``_row_sums``: only p's n+1 coefficients are reduced, one gcd each.
 
 Two rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``, and
@@ -348,6 +347,17 @@ class _Poly(_Ring):
     def __neg__(self):
         return self._make([-c for c in self._coeffs])
 
+    def __sub__(self, other):
+        """self + (-other), where an equal pair of coefficients gives zero after one compare."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = [*self._coeffs, *[self._ZERO] * (len(other._coeffs) - len(self._coeffs))]
+        for i, c in enumerate(other._coeffs):
+            if c:
+                out[i] = -c if not out[i] else self._ZERO if out[i] == c else out[i] - c
+        return self._make(out)
+
     def __mul__(self, other):
         if not isinstance(other, type(self)):  # tested first: isinstance(_, Fraction) is slow on a miss
             if isinstance(other, self._SCALARS):
@@ -491,8 +501,13 @@ class LambdaPoly(_Poly):
             a, b = b, a
         return self._make([*map(operator.add, a, b), *a[len(b) :]], den)
 
+    __sub__ = _Ring.__sub__  # _Poly's loop over bare numerators would ignore _den
+
     def __neg__(self) -> "LambdaPoly":
-        return self._make([-c for c in self._coeffs], self._den)
+        """-self, with no gcd: negating the numerators keeps primitive content."""
+        p = object.__new__(LambdaPoly)
+        p._coeffs, p._den = tuple([-c for c in self._coeffs]), self._den
+        return p
 
     def __mul__(self, other):
         if isinstance(other, LambdaPoly):  # tested first: isinstance(_, Fraction) is slow on a miss
@@ -612,17 +627,21 @@ def _packed_plan(
 
 
 def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaPoly]:
-    """The outputs of plan over polys, on packed rows.
-
-    Each poly is packed once: its numerators over den, the lcm of the
-    denominators, evaluated at l = 2^width as one int. A term is then one int
-    multiply-add and l^e a shift by e*width. A slot of an output is at most
-    max|numerator| times plan.l1; width is the bit length of that bound plus
-    one, so every slot has magnitude below 2^(width-1) and ``_unpack`` splits it
-    back.
-    """
+    """The outputs of plan over polys: ``_row_sums`` of their numerators over their lcm denominator."""
     den = math.lcm(*(q._den for q in polys))
-    nums = [[c * (den // q._den) for c in q._coeffs] for q in polys]
+    return _row_sums([[c * (den // q._den) for c in q._coeffs] for q in polys], den, plan)
+
+
+def _row_sums(nums: Sequence[Sequence[int]], den: int, plan: _PackedPlan) -> list[LambdaPoly]:
+    """The outputs of plan over the polys nums[i] / den, for int rows nums and a
+    positive int den, on packed rows.
+
+    Each row is packed once, evaluated at l = 2^width as one int. A term is then
+    one int multiply-add and l^e a shift by e*width. A slot of an output is at
+    most max|numerator| times plan.l1; width is the bit length of that bound plus
+    one, so every slot has magnitude below 2^(width-1) and ``_slots`` splits it
+    back. Each output is reduced once, with one gcd.
+    """
     width = (max((abs(c) for row in nums for c in row), default=0) * plan.l1).bit_length() + 1
     packed = _pack(nums, width)
     w = [sum(c * packed[i] for i, c in row) for row in plan.rows]
@@ -631,25 +650,26 @@ def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaP
         acc = 0
         for j, s in reversed(terms):  # Horner in l = 2^width
             acc = (acc << width) + s * w[j]
-        out.append(_unpack(acc, width, den * d))
+        out.append(LambdaPoly._make(_slots(acc, width), den * d))
     return out
 
 
 def _packed_products(
     xs: Sequence[LambdaPoly], ys: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]
-) -> list[LambdaPoly]:
-    """The output sum w x_t y_k over the (t, k, w) of each sums[i], for int w, on
-    packed rows.
+) -> tuple[list[list[int]], int]:
+    """The outputs sum w x_t y_k over the (t, k, w) of each sums[i], for int w, on
+    packed rows: each as its int row of numerators over one denominator, the
+    product of the two sides' lcm denominators, which is returned with them.
 
     Each x_t and y_k is packed once: its numerators over its side's denominator,
     from its lowest nonzero power of l up, evaluated at l = 2^width as one int.
     A term is then one int product, shifted back by width times the two lowest
     powers, so an l-monomial y_k costs one small multiply, and each output is
-    unpacked once, with one gcd. A slot of x_t y_k is a sum of products of slots,
-    so its magnitude is at most min(|x_t|_1 |y_k|_inf, |x_t|_inf |y_k|_1) in the
-    l1 and max norms of the numerators. The width is the bit length of the
+    split into its slots once, with no gcd. A slot of x_t y_k is a sum of products
+    of slots, so its magnitude is at most min(|x_t|_1 |y_k|_inf, |x_t|_inf |y_k|_1)
+    in the l1 and max norms of the numerators. The width is the bit length of the
     largest sum over an output of |w| times that bound, plus one, so every slot
-    has magnitude below 2^(width-1) and ``_unpack`` splits it back.
+    has magnitude below 2^(width-1) and ``_slots`` splits it back.
     """
     sides = []
     for polys in (xs, ys):
@@ -678,8 +698,8 @@ def _packed_products(
             v = py[k]
             if v:
                 acc += px[t] * (w * v) << (lx[t] + ly[k])
-        out.append(_unpack(acc, width, xden * yden))
-    return out
+        out.append(_slots(acc, width))
+    return out, xden * yden
 
 
 def _pack(rows: Iterable[Sequence[int]], width: int) -> list[int]:
@@ -693,9 +713,9 @@ def _pack(rows: Iterable[Sequence[int]], width: int) -> list[int]:
     return packed
 
 
-def _unpack(v: int, width: int, den: int) -> LambdaPoly:
-    """The LambdaPoly with the signed width-bit slots of v as numerators over den,
-    with one gcd; every slot must have magnitude below 2^(width-1).
+def _slots(v: int, width: int) -> list[int]:
+    """The signed width-bit slots of v, lowest first, with no trailing zero; every
+    slot must have magnitude below 2^(width-1).
 
     Then v has at most v.bit_length() // width + 1 slots, so a v that is not
     used up after one more pass holds a slot that does not fit the width (at
@@ -706,7 +726,7 @@ def _unpack(v: int, width: int, den: int) -> LambdaPoly:
     nums = []
     for _ in range(v.bit_length() // width + 2):
         if not v:
-            return LambdaPoly._make(nums, den)
+            return nums
         c = v & (full - 1)
         v >>= width
         if c >= half:  # a negative slot borrowed one from the slot above

@@ -64,11 +64,13 @@ falling factorials, beta_k^(r)(x) = sum_i C(k,i) c_(k-i) (x)_(i,l) with the
 numbers c_t = beta_t^(r)(0), so sum_k a_k beta_k^(r)(x) = sum_i d_i (x)_(i,l)
 with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, the Sheffer connection constants
 (S. Roman, The Umbral Calculus, 1984). The d_i are sums of products on
-packed rows (``core._packed_products``), then sum_i s(i,j) l^(i-j) d_i is
-``core._packed_sums`` on a plan of Stirling numbers of the first kind.
-``_degree_plan`` keeps the binomial terms of the d_i and that plan per
-degree, shared by every r. The residual g-route still reads the
-members, so crosscheck checks the same basis through them.
+packed rows (``core._packed_products``), kept as int rows over one
+denominator, and sum_i s(i,j) l^(i-j) d_i is ``core._row_sums`` of those rows
+on a plan of Stirling numbers of the first kind, so only p's coefficients get
+a gcd, one each. ``_degree_plan`` keeps the binomial terms of the d_i and that
+plan per degree, shared by every r. The residual g-route still reads the
+members, so crosscheck checks the same basis through them, and crosscheck
+ends by rebuilding p with reconstruct.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -91,6 +93,7 @@ from .core import (
     _packed_products,
     _packed_sums,
     _PackedPlan,
+    _row_sums,
     _stirling1_rows,
     _stirling2_rows,
 )
@@ -373,8 +376,8 @@ def reconstruct(e: BasisExpansion) -> XPoly:
     """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
     alone, as sum_i d_i (x)_(i,l) on packed rows; the module docstring says how."""
     terms, plan = _degree_plan(e.degree)
-    d = _packed_products(_numbers("deg_bernoulli_r", e.order, e.degree)[: e.degree + 1], e.coeffs, terms)
-    return XPoly._make(_packed_sums(d, plan))
+    d, den = _packed_products(_numbers("deg_bernoulli_r", e.order, e.degree)[: e.degree + 1], e.coeffs, terms)
+    return XPoly._make(_row_sums(d, den, plan))
 
 
 def classical_limit(e: BasisExpansion) -> list[Fraction]:
@@ -391,7 +394,8 @@ def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
 
     The default expansion comes first and is returned. Every other route runs
     once against it, a g-route reading its f-coefficients; no f-route runs
-    when r > deg p, where every a_k is in branch g.
+    when r > deg p, where every a_k is in branch g. Last, reconstruct must
+    rebuild p from it; if not, k of the error is the lowest power of x that differs.
     """
     base = expand(p, r)
     upper = list(base.coeffs[r:])
@@ -402,4 +406,9 @@ def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
         for k, value in enumerate(coeffs, r if branch == "f" else 0):
             if value != base.coeffs[k]:
                 raise RouteMismatchError(k, base.routes[k], base.coeffs[k], name, value)
+    back, k = reconstruct(base), 0
+    if back != p:
+        while back.coeff(k) == p.coeff(k):
+            k += 1
+        raise RouteMismatchError(k, "p", p.coeff(k), "reconstruct", back.coeff(k))
     return base

@@ -15,10 +15,11 @@ from degbern.core import (
     LambdaPoly,
     TruncSeries,
     XPoly,
+    _dot,
     _packed_plan,
     _packed_products,
     _packed_sums,
-    _unpack,
+    _slots,
 )
 from degbern.families import harmonic
 from helpers import (
@@ -253,18 +254,16 @@ def test_packed_rows_round_trip_at_the_slot_bounds(monkeypatch, width):
         [-edge, edge],
         [1, -1, 0, 1, -1],
         # the least top slot over the widest lower slots of the other sign: the
-        # fewest bits for a slot count, where _unpack's bound on its passes is tight
+        # fewest bits for a slot count, where _slots' bound on its passes is tight
         [-edge, -edge, 1],
         [edge, edge, -1],
     ]
-    for den in (1, 6):
-        for row in rows:
-            got = _unpack(sum(c << (width * e) for e, c in enumerate(row)), width, den)
-            assert got == LambdaPoly._make(list(row), den) and is_primitive(got)
+    for row in rows:  # none ends in a zero slot, so each comes back as it is
+        assert _slots(sum(c << (width * e) for e, c in enumerate(row)), width) == row
     # _packed_sums picks the narrowest width whose slots hold max|numerator| * l1:
     # each poly by itself, at l1 = 1, comes back through width-bit slots
     widths = []
-    monkeypatch.setattr(core, "_unpack", lambda v, w, d: widths.append(w) or _unpack(v, w, d))
+    monkeypatch.setattr(core, "_slots", lambda v, w: widths.append(w) or _slots(v, w))
     polys = [LambdaPoly._make(list(row), 6) for row in rows]
     identity = _packed_plan([[(i, 1)] for i in range(len(polys))], [(1, [(i, 1)]) for i in range(len(polys))])
     assert identity.l1 == 1
@@ -276,13 +275,13 @@ def test_unpack_raises_when_a_slot_does_not_fit_the_width():
     # at width 1 the slot 1 reads as -1 and borrows v back to 1; an unbounded
     # loop would spin here and grow its list until memory runs out
     def hang(signum, frame):
-        raise TimeoutError("_unpack(1, 1, 1) did not return")
+        raise TimeoutError("_slots(1, 1) did not return")
 
     previous = signal.signal(signal.SIGALRM, hang)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         with pytest.raises(ArithmeticError, match="does not fit 1 bits"):
-            _unpack(1, 1, 1)
+            _slots(1, 1)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -343,11 +342,15 @@ def test_packed_products_match_the_products_over_q_l():
     for _ in range(150):
         xs, ys = [poly() for _ in range(5)], [poly() for _ in range(6)]
         sums = [[(rng.randrange(5), rng.randrange(6), weight()) for _ in range(rng.randint(0, 6))] for _ in range(4)]
-        expected = [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
-        got = _packed_products(xs, ys, sums)
-        assert got == expected and all(is_primitive(d) for d in got)
+        expected = [_dot((xs[t], ys[k] * w) for t, k, w in terms) for terms in sums]
+        assert expected == [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
+        rows, den = _packed_products(xs, ys, sums)
+        # int rows with no trailing zero, over the product of the two sides' lcm denominators
+        assert den == math.lcm(*(x._den for x in xs)) * math.lcm(*(y._den for y in ys))
+        assert all(all(type(c) is int for c in row) and (not row or row[-1]) for row in rows)
+        assert [LambdaPoly._make(row, den) for row in rows] == expected
     zero = LambdaPoly.zero()
-    assert _packed_products([zero], [zero, zero], [[(0, 1, 5)], []]) == [zero, zero]
+    assert _packed_products([zero], [zero, zero], [[(0, 1, 5)], []]) == ([[], []], 1)
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------
@@ -535,6 +538,38 @@ def test_sums_keep_one_canonical_form(draw):
         assert (p - p).is_zero and (p - p).degree == float("-inf")
         if isinstance(p, LambdaPoly):
             assert LambdaPoly(dict(p.items())) == p
+
+
+_SCALARS = st.integers(-60, 60) | SMALL_FRACTIONS
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.randoms(use_true_random=False), _SCALARS)
+def test_subtraction_is_the_sum_with_the_negation(lambda_poly, rng, s):
+    def draw():
+        return random_lambda_poly(rng, 4, 50) if lambda_poly else random_xpoly(rng, 5, True, 50)
+
+    def primitive(value):
+        return is_primitive(value) if lambda_poly else all_primitive(value)
+
+    p, q = draw(), draw()
+    scalars = [s] if lambda_poly else [s, random_lambda_poly(rng, 3, 50)]
+    # scalars on either side, and q = p + s, whose coefficients mostly equal p's
+    for a, b in [(p, q), (p, p + s), (p, p), *((p, c) for c in scalars), *((c, p) for c in scalars)]:
+        diff = a - b
+        assert diff == a + (-b) and primitive(diff)
+    assert (p - p).is_zero and (p - p).degree == float("-inf")
+    assert -(-p) == p and hash(-(-p)) == hash(p) and primitive(-p)
+
+
+def test_subtraction_reads_the_denominators():
+    x, half = XPoly.x(), Fraction(1, 2)
+    assert 1 - x == XPoly([1, -1])
+    assert x - half == XPoly([-half, 1]) and half - x == XPoly([half, -1])
+    assert LAMBDA - 3 == LambdaPoly({0: -3, 1: 1}) and 3 - LAMBDA == LambdaPoly({0: 3, 1: -1})
+    # equal numerators over different denominators: 1/2 - 1/3, not 0
+    assert LambdaPoly.const(half) - LambdaPoly.const(Fraction(1, 3)) == LambdaPoly.const(Fraction(1, 6))
+    assert XPoly([half, 1]) - XPoly([Fraction(1, 3), 1]) == XPoly([Fraction(1, 6)])
 
 
 def test_floats_are_rejected():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbern import core, expansion, families, umbral
-from degbern.core import LAMBDA, LambdaPoly, XPoly, _unpack
+from degbern import cli, core, expansion, families, umbral
+from degbern.core import LAMBDA, LambdaPoly, XPoly, _slots
 from degbern.expansion import (
     F_ROUTES,
     G_ROUTES,
@@ -393,7 +393,7 @@ def test_a_cached_plan_serves_every_poly_of_its_shape(support, r, data):
 
     widths = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_unpack", lambda v, w, d: widths.append(w) or _unpack(v, w, d))
+        mp.setattr(core, "_slots", lambda v, w: widths.append(w) or _slots(v, w))
         expanded = [expand(first, r)]
         first_width, built = max(widths), misses()
         widths.clear()
@@ -510,6 +510,28 @@ def test_reconstruct_at_the_degree_limit_matches_the_member_composition():
         p = parse_poly(expr)
         e = expand(p, 1)
         assert reconstruct(e) == member_reconstruct(e) == p, expr
+
+
+def test_crosscheck_rebuilds_p_and_catches_a_wrong_connection_constant(monkeypatch, capsys):
+    # reconstruct is the one reader of _packed_products; no route reads it
+    products = expansion._packed_products
+
+    def plus_one_in_output_4(xs, ys, sums):
+        rows, den = products(xs, ys, sums)
+        rows[4] = [(rows[4][0] if rows[4] else 0) + den, *rows[4][1:]]  # d_4 + 1
+        return rows, den
+
+    p = parse_poly("x^12 + l*x^3")
+    assert reconstruct(crosscheck(p, 3)) == p
+    monkeypatch.setattr(expansion, "_packed_products", plus_one_in_output_4)
+    with pytest.raises(RouteMismatchError) as caught:
+        crosscheck(p, 3)
+    # d_4 + 1 adds (x)_(4,l) = x^4 - 6l x^3 + ..., whose lowest term is a multiple of x
+    assert (caught.value.k, caught.value.route_a, caught.value.route_b) == (1, "p", "reconstruct")
+    capsys.readouterr()
+    assert cli.main(["expand", "--expr", "x^12 + l*x^3", "--order", "3", "--crosscheck"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "reconstruct" in err
 
 
 # -- every registered route is cross-checked ------------------------------------

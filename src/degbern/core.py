@@ -67,9 +67,13 @@ ex_g_iop), are stated here once:
 
     core._stirling1_rows        None  rows to 2L: 0.6 MB
     core._stirling2_rows        None  rows to 2L: 0.5 MB
-    families._TABLE             None  keys (kind, r), r <= L; per r, ("bernoulli_r", r)
-                                      to 2L 1.4 MB and ("deg_bernoulli_r", r) with
-                                      its sources to L 3 MB: about 300 MB
+    families._TABLE             None  numbers only; keys (kind, r), r <= L. Per r,
+                                      ("bernoulli_r", r) to 2L and ("deg_bernoulli_r", r)
+                                      with its sources to L: 10 MB in all
+    families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
+                                      Every order's degenerate members to L and
+                                      Bernoulli members to 2L, read in one process,
+                                      peak at 40 MB RSS; 299 MB with every member kept
     families.stirling2          4096  the triangle to n = 89: 1 MB
     families.harmonic           256   0.04 MB
     umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB

@@ -292,7 +292,7 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
     # given k >= r, then k < r from the top down, where a_k is rest[k] itself.
     count = min(r, p.degree + 1)
     rest = list(p.coeffs[:count])
-    deg_bernoulli_order(p.degree, r)  # the top member first: a cold table grows once
+    deg_bernoulli_order(p.degree, r)  # the top member first: cold numbers grow once
     for k in [*range(r, p.degree + 1), *reversed(range(count))]:
         a = upper[k - r] if k >= r else rest[k]
         beta = deg_bernoulli_order(k, r)

@@ -41,8 +41,9 @@ uber Differenzenrechnung, 1924; L. Carlitz, Degenerate Stirling, Bernoulli
 and Eulerian numbers, 1979). So each c_N is one int sum over the two order-r
 tables' denominators, with one gcd. Member n is the numbers times the
 monomials, or times the falling factorials read straight off the same
-Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``); a
-table builds it when it is first read, and keeps it. Readers that want
+Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``).
+The table keeps numbers only: ``_member`` builds a member from them, and its
+one bounded cache keeps the 512 read last. Readers that want
 numbers only read them through ``_numbers`` and build no member: the
 Bernoulli, Euler and Genocchi numbers, the scaled family, whose [x^i] is
 C(n,i) B_(n-i)^(a) l^(n-i), the default g-route, ``expansion.reconstruct``
@@ -84,7 +85,7 @@ def deg_falling(n: int) -> XPoly:
     """Degenerate falling factorial (x)_{n,l} = x(x-l)...(x-(n-1)l) = sum_m s(n,m) l^(n-m) x^m,
     order-0 degenerate Bernoulli."""
     row = _stirling1_rows(_check_index(n))[n]
-    return XPoly(LambdaPoly.monomial(n - m, s) for m, s in enumerate(row))
+    return XPoly._make([LambdaPoly._make([0] * (n - m) + [s]) for m, s in enumerate(row)])
 
 
 def _miller(recip, numbers: list[LambdaPoly], r: int, n: int) -> list[LambdaPoly]:
@@ -176,27 +177,23 @@ def _check_key(key: tuple) -> None:
 
 
 class FamilyTable:
-    """Append-only cache of the module docstring's families, keyed by (kind, r).
+    """Append-only table of the module docstring's numbers c_0, c_1, ..., keyed by (kind, r).
 
-    Its state is each key's numbers c_0, c_1, ...; a member is built from
-    them and its kind's basis when it is first read, and kept. ``_KINDS``
-    states each kind's rule, sources and basis. A request past a cached end
+    ``_KINDS`` states each kind's rule and sources. A request past a cached end
     grows the key's sources first, since the lock is not reentrant; then
-    ``_grow`` computes only the missing numbers or members, under one plain
-    lock, and replaces the cached list wholesale. Lists are never mutated in
-    place, so unlocked readers always see complete entries, and
-    ``cache_clear()`` empties the table under the same lock.
+    ``_grow`` computes only the missing numbers, under one plain lock, and
+    replaces the cached list wholesale. Lists are never mutated in place, so
+    unlocked readers always see complete entries, and ``cache_clear()`` empties
+    the table under the same lock. It keeps no member: ``_member`` builds those.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._numbers: dict[tuple, list[LambdaPoly]] = {}
-        self._members: dict[tuple, list[XPoly]] = {}
 
     def cache_clear(self) -> None:
         with self._lock:
             self._numbers.clear()
-            self._members.clear()
 
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(None, len(self._numbers))
@@ -210,34 +207,15 @@ class FamilyTable:
             return entry
         r, (sources, rule, _) = key[1], _KINDS[key[0]]
         theirs = [self.numbers((source, r), n) for source in sources]
-        return self._grow(self._numbers, key, n, lambda numbers: rule(numbers, r, n, *theirs))
+        return self._grow(key, n, lambda numbers: rule(numbers, r, n, *theirs))
 
-    def get(self, key: tuple, n: int) -> XPoly:
-        """Member n of key: sum_i C(n,i) c_(n-i) b_i."""
-        _check_index(n)
-        _check_key(key)
-        entry = self._members.get(key)
-        if entry is not None and n < len(entry):
-            return entry[n]
-        numbers, basis = self.numbers(key, n), _KINDS[key[0]][2]
-
-        def extend(members: list[XPoly]) -> list[XPoly]:
-            b = basis and [basis(i) for i in range(n + 1)].__getitem__  # each b_i once per grow, not per member
-            members = list(members)
-            for m in range(len(members), n + 1):
-                d = XPoly([c * comb(m, i) for i, c in enumerate(reversed(numbers[: m + 1]))])
-                members.append(umbral_compose(d, b) if b else d)
-            return members
-
-        return self._grow(self._members, key, n, extend)[n]
-
-    def _grow(self, store: dict, key: tuple, n: int, extend) -> list:
-        """store[key], at least through entry n: under the lock, a list still too short is
+    def _grow(self, key: tuple, n: int, extend) -> list[LambdaPoly]:
+        """The numbers of key, at least through c_n: under the lock, a list still too short is
         replaced by extend(list), a new list, and published wholesale."""
         with self._lock:
-            entry = store.get(key, [])
+            entry = self._numbers.get(key, [])
             if n >= len(entry):
-                entry = store[key] = extend(entry)
+                entry = self._numbers[key] = extend(entry)
             return entry
 
 
@@ -249,9 +227,17 @@ def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     return _TABLE.numbers((kind, r), n)
 
 
+@_cached(512)
+def _member(kind: str, r: int, n: int) -> XPoly:
+    """Member n of the table key (kind, r): sum_i C(n,i) c_(n-i) b_i."""
+    numbers, basis = _numbers(kind, r, n), _KINDS[kind][2]
+    d = XPoly([c * comb(n, i) for i, c in enumerate(reversed(numbers[: n + 1]))])
+    return umbral_compose(d, basis) if basis else d
+
+
 def bernoulli_poly(n: int) -> XPoly:
     """Bernoulli polynomial of degree n."""
-    return _TABLE.get(("bernoulli_r", 1), n)
+    return _member("bernoulli_r", 1, n)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -261,11 +247,11 @@ def bernoulli_number(n: int) -> Fraction:
 
 def bernoulli_poly_order(n: int, r: int) -> XPoly:
     """Order-r Bernoulli polynomial; order 0 gives x^n, order 1 the classical one."""
-    return _TABLE.get(("bernoulli_r", r), n)
+    return _member("bernoulli_r", r, n)
 
 
 def euler_poly(n: int) -> XPoly:
-    return _TABLE.get(("euler", 1), n)
+    return _member("euler", 1, n)
 
 
 def euler_number(n: int) -> Fraction:
@@ -283,12 +269,12 @@ def genocchi_number(n: int) -> Fraction:
 
 def deg_bernoulli(n: int) -> XPoly:
     """Degenerate Bernoulli polynomial; specializes to the Bernoulli polynomial at l=0."""
-    return _TABLE.get(("deg_bernoulli_r", 1), n)
+    return _member("deg_bernoulli_r", 1, n)
 
 
 def deg_bernoulli_order(n: int, r: int) -> XPoly:
     """Order-r degenerate Bernoulli polynomial; order 0 gives (x)_{n,l}."""
-    return _TABLE.get(("deg_bernoulli_r", r), n)
+    return _member("deg_bernoulli_r", r, n)
 
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:

@@ -37,10 +37,9 @@ def record_grows(monkeypatch) -> list[tuple]:
     clear_caches()
     grown: list[tuple] = []
 
-    def grow(table, store, key, n, extend):
-        if store is table._numbers:
-            grown.append(key)
-        return _GROW(table, store, key, n, extend)
+    def grow(table, key, n, extend):
+        grown.append(key)
+        return _GROW(table, key, n, extend)
 
     monkeypatch.setattr(FamilyTable, "_grow", grow)
     return grown

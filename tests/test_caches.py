@@ -11,7 +11,7 @@ import degbern
 from degbern import core, expansion, families, umbral
 from degbern.core import LambdaPoly, XPoly
 from degbern.expansion import BasisExpansion, expand, reconstruct
-from degbern.families import harmonic, stirling2
+from degbern.families import deg_bernoulli_order, harmonic, stirling2
 from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
 
@@ -20,6 +20,7 @@ _BOUNDS = {
     core._stirling1_rows: None,
     core._stirling2_rows: None,
     families._TABLE: None,
+    families._member: 512,
     stirling2: 4096,
     harmonic: 256,
     umbral._diff_plan: 64,
@@ -43,6 +44,8 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
         stirling2(i, 1)
     for i in range(bound[harmonic] + 10):
         harmonic(i + 1)
+    for i in range(bound[families._member] + 10):
+        deg_bernoulli_order(i % 9, i // 9)
     for n in range(1, bound[umbral._diff_plan] + 10):
         forward_diff(x**n, 1, 1)
     # that many (degree, order) shapes: each expand reads its stirling_sum plan and

@@ -271,7 +271,7 @@ def test_a_cold_scaled_bernoulli_reads_numbers_and_builds_no_member(monkeypatch)
         grown = record_grows(monkeypatch)
         value = scaled_bernoulli(9, 2)
         assert value == scaled_bernoulli(9, 2)
-        assert grown == [("bernoulli_r", 2)] and families._TABLE._members == {}
+        assert grown == [("bernoulli_r", 2)] and families._member.cache_info().currsize == 0
         assert value.subs_lambda(1) == bernoulli_poly_order(9, 2)
 
 
@@ -411,25 +411,33 @@ def test_addition_formula_at_rational_second_argument():
 
 
 def test_family_table_concurrent_reads():
+    # threads reading one cold key all get the one list it publishes, and threads
+    # reading one cold member all get the serial member
     table = FamilyTable()
     key = ("deg_bernoulli_r", 1)
+    clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: table.get(key, 10), range(16)))
-    assert all(p == results[0] for p in results)
-    assert results[0] == deg_bernoulli(10)
+        numbers = list(pool.map(lambda _: table.numbers(key, 10), range(16)))
+        members = list(pool.map(lambda _: deg_bernoulli(10), range(16)))
+    assert all(c is numbers[0] for c in numbers)
+    assert numbers[0][:11] == FamilyTable().numbers(key, 10)[:11]
+    assert all(p == members[0] for p in members)
+    assert members[0] == _oracle(key)[10]
 
 
 def test_family_table_append_only_growth():
     table = FamilyTable()
     key = ("deg_bernoulli_r", 0)
-    first = table.get(key, 3)
-    published = table._members[key], table._numbers[key]
-    grown = table.get(key, 6)
-    assert table.get(key, 3) is first
-    # growth replaced each list, it did not extend it
-    assert [len(entry) for entry in published] == [4, 4]
-    assert len(table._members[key]) == len(table._numbers[key]) == 7
-    assert grown == deg_falling(6)
+    first = table.numbers(key, 3)
+    grown = table.numbers(key, 6)
+    assert table.numbers(key, 3) is grown
+    # growth replaced the list, it did not extend it, and kept each number it had
+    assert len(first) == 4 and len(grown) == 7
+    assert all(a is b for a, b in zip(first, grown))
+    # a cached member is the one built, and member n of the order-0 key is (x)_{n,l}
+    member = deg_bernoulli_order(3, 0)
+    assert deg_bernoulli_order(6, 0) == deg_falling(6)
+    assert deg_bernoulli_order(3, 0) is member
 
 
 # -- family tables against the generating-series oracle -----------------------------
@@ -460,9 +468,14 @@ def _requests(order: str) -> list[tuple[tuple, int]]:
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_family_table_matches_series_oracle(order):
+    # the numbers of a fresh table, then the members built from cold caches, each
+    # in the same request order: the bernoulli2_r members have no public function
     table = FamilyTable()
     for key, n in _requests(order):
-        assert table.get(key, n) == _oracle(key)[n], (key, n)
+        assert table.numbers(key, n)[n] == _oracle(key)[n].coeff(0), (key, n)
+    clear_caches()
+    for key, n in _requests(order):
+        assert families._member(*key, n) == _oracle(key)[n], (key, n)
 
 
 def test_public_families_match_series_oracle():
@@ -490,39 +503,60 @@ def test_family_table_rejects_unknown_family():
     # the derived families and a key without its order are not table keys
     for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("scaled_bernoulli", 1), ("euler",)]:
         with pytest.raises(ValueError, match="unknown family"):
-            FamilyTable().get(key, 3)
+            FamilyTable().numbers(key, 3)
+    for kind in ("fibonacci", "deg_falling", "genocchi", "scaled_bernoulli"):
+        with pytest.raises(ValueError, match="unknown family"):
+            families._member(kind, 1, 3)
 
 
 def test_family_table_checks_the_index_and_the_order():
-    # n is checked on a grown table as on an empty one, before any read; an order
-    # that is not a non-negative int is refused before anything is built. A bool
-    # is neither: True == 1 and hashes as 1
+    # n is checked on a grown table and past cached members as on empty ones,
+    # before any read; an order that is not a non-negative int is refused before
+    # anything is built. A bool is neither: True == 1 and hashes as 1
+    def member(key, n):
+        return families._member(*key, n)
+
+    clear_caches()
     grown = FamilyTable()
-    grown.get(("bernoulli_r", 1), 5)
-    for table in (grown, FamilyTable()):
+    grown.numbers(("bernoulli_r", 1), 5)
+    for n in range(6):
+        member(("bernoulli_r", 1), n)
+    for read in (grown.numbers, FamilyTable().numbers, member):
         for n in (-1, 2.0, True, False):
-            for read in (table.get, table.numbers):
-                with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
-                    read(("bernoulli_r", 1), n)
+            with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
+                read(("bernoulli_r", 1), n)
     for order in (-1, 1.5, True, False):
         for kind in ("bernoulli_r", "deg_bernoulli_r"):
+            clear_caches()
             table = FamilyTable()
-            for read in (table.get, table.numbers):
+            for read in (member, table.numbers):
                 with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
                     read((kind, order), 3)
-            assert table._numbers == {} and table._members == {}
+            assert table._numbers == families._TABLE._numbers == {}
+            assert families._member.cache_info().currsize == 0
     # also on a table grown for the int a bool equals, where a lookup would hit
     for order in (True, False):
         grown = FamilyTable()
-        grown.get(("bernoulli_r", int(order)), 5)
-        for read in (grown.get, grown.numbers):
-            with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
-                read(("bernoulli_r", order), 3)
+        grown.numbers(("bernoulli_r", int(order)), 5)
+        with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
+            grown.numbers(("bernoulli_r", order), 3)
+
+
+def test_a_cached_member_never_answers_a_bool():
+    # the member cache is typed: with (3, 1) and (1, 1) cached, an untyped cache
+    # would answer (3, True) and (True, 1)
+    for fn in (bernoulli_poly_order, deg_bernoulli_order):
+        for n in (5, 3, 1):
+            fn(n, 1)
+        with pytest.raises(ValueError, match=re.escape("r must be a non-negative integer, got True")):
+            fn(3, True)
+        with pytest.raises(ValueError, match=re.escape("n must be a non-negative integer, got True")):
+            fn(True, 1)
 
 
 def test_family_table_threaded_growth_matches_serial():
     # kinds grow at once under the table's one lock, each thread reading numbers
-    # and members of each in its own order; the degenerate key grows its two
+    # and cold members of each in its own order; the degenerate key grows its two
     # sources while other threads read them directly
     keys = [("deg_bernoulli_r", 2), ("euler", 1), ("bernoulli_r", 2), ("bernoulli2_r", 2)]
     plans = []
@@ -531,19 +565,18 @@ def test_family_table_threaded_growth_matches_serial():
         random.Random(seed).shuffle(plan)
         plans.append(plan)
 
-    def reads(table, plan):
-        return [table.numbers(key, n)[: n + 1] if read == "numbers" else table.get(key, n) for key, n, read in plan]
+    def reads(plan):
+        return [families._numbers(*key, n)[: n + 1] if read == "numbers" else families._member(*key, n) for key, n, read in plan]
 
-    serial = FamilyTable()
-    expected = [reads(serial, plan) for plan in plans]
-
-    table = FamilyTable()
+    clear_caches()
+    expected = [reads(plan) for plan in plans]
+    clear_caches()
     barrier = threading.Barrier(len(plans))
     results: list = [None] * len(plans)
 
     def worker(i: int) -> None:
         barrier.wait(timeout=30)
-        results[i] = reads(table, plans[i])
+        results[i] = reads(plans[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

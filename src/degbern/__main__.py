@@ -1,5 +1,15 @@
 """Entry point of `python -m degbern` and of the `degbern` console script.
 
+``run`` is the process entry of both. It turns the cyclic garbage collector
+off before any library module is imported, runs ``main``, and freezes every
+object before the interpreter exits, so that neither the collections during
+import nor the shutdown's final collection walk the process's objects: about a
+tenth of a short command. It can, because a command makes O(1) cyclic garbage,
+the couple of hundred objects of its argparse parser whatever the size of its
+input, so nothing grows unreclaimed. Shutdown is otherwise the usual one:
+atexit handlers run, so profilers and coverage still see the whole command.
+``main`` called in-process leaves the collector as it finds it.
+
 An argument list of exactly `--version` is answered here, from the
 package's `__version__`, before any library module is imported: a fresh
 process without compiled bytecode would otherwise compile every module that
@@ -10,6 +20,7 @@ process without compiled bytecode would otherwise compile every module that
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -30,5 +41,13 @@ def main(argv: list[str] | None = None) -> int:
     return cli_main(argv)
 
 
+def run() -> int:
+    """main() on sys.argv in a process of its own, without the cyclic collector; its status."""
+    gc.disable()
+    status = main()
+    gc.freeze()  # the final collections at shutdown skip every object
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -186,9 +186,25 @@ def _register(cache):
     return cache
 
 
-def _cached(bound: int):
-    """A registered ``functools.lru_cache(maxsize=bound)``, typed: 2.0 misses and meets the checks."""
-    return lambda fn: _register(functools.lru_cache(maxsize=bound, typed=True)(fn))
+def _cached(bound: int, check: Callable[..., object] | None = None):
+    """A registered ``functools.lru_cache(maxsize=bound)``, typed: 2.0 misses and meets the checks.
+    ``check(*args)`` runs before the lookup, so that an unhashable index gets its
+    ValueError rather than the cache's TypeError."""
+
+    def wrap(fn):
+        cache = functools.lru_cache(maxsize=bound, typed=True)(fn)
+        if check is None:
+            return _register(cache)
+
+        @functools.wraps(fn)
+        def checked(*args):
+            check(*args)
+            return cache(*args)
+
+        checked.cache_info, checked.cache_clear = cache.cache_info, cache.cache_clear
+        return _register(checked)
+
+    return wrap
 
 
 def clear_caches() -> None:

@@ -132,16 +132,17 @@ __all__ = [
 
 
 class RouteMismatchError(Exception):
-    """Two supposedly equivalent coefficient routes disagreed."""
+    """Two supposedly equivalent coefficient routes disagreed: at a_k, or, with
+    ``of_x``, at the coefficient of x^k of p and of its reconstruction."""
 
-    def __init__(self, k: int, route_a: str, value_a, route_b: str, value_b):
+    def __init__(self, k: int, route_a: str, value_a, route_b: str, value_b, *, of_x: bool = False):
         self.k = k
         self.route_a = route_a
         self.value_a = value_a
         self.route_b = route_b
         self.value_b = value_b
         super().__init__(
-            f"coefficient a_{k} differs between routes: "
+            f"coefficient {f'of x^{k}' if of_x else f'a_{k}'} differs between routes: "
             f"{route_a} -> {value_a}, {route_b} -> {value_b}"
         )
 
@@ -410,5 +411,5 @@ def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
     if back != p:
         while back.coeff(k) == p.coeff(k):
             k += 1
-        raise RouteMismatchError(k, "p", p.coeff(k), "reconstruct", back.coeff(k))
+        raise RouteMismatchError(k, "p", p.coeff(k), "reconstruct", back.coeff(k), of_x=True)
     return base

@@ -227,7 +227,12 @@ def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     return _TABLE.numbers((kind, r), n)
 
 
-@_cached(512)
+def _check_member(kind: str, r: int, n: int) -> None:
+    _check_index(n)
+    _check_key((kind, r))
+
+
+@_cached(512, _check_member)
 def _member(kind: str, r: int, n: int) -> XPoly:
     """Member n of the table key (kind, r): sum_i C(n,i) c_(n-i) b_i."""
     numbers, basis = _numbers(kind, r, n), _KINDS[kind][2]
@@ -296,19 +301,18 @@ def scaled_bernoulli(n: int, a: int) -> XPoly:
     return XPoly._make(coeffs)
 
 
-@_cached(4096)
+@_cached(4096, lambda n, k: (_check_index(n), _check_index(k, "k")))
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind, by the explicit integer sum
     S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!, taken only for k <= n."""
-    if _check_index(n) < _check_index(k, "k"):
+    if n < k:
         return Fraction(0)
     return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
 
 
-@_cached(256)
+@_cached(256, lambda n: _check_index(n, "harmonic()", 1))
 def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
-    _check_index(n, "harmonic()", 1)
     total = Fraction(0)
     for k in range(1, n + 1):
         total += Fraction(1, k)

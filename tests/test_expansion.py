@@ -528,10 +528,12 @@ def test_crosscheck_rebuilds_p_and_catches_a_wrong_connection_constant(monkeypat
         crosscheck(p, 3)
     # d_4 + 1 adds (x)_(4,l) = x^4 - 6l x^3 + ..., whose lowest term is a multiple of x
     assert (caught.value.k, caught.value.route_a, caught.value.route_b) == (1, "p", "reconstruct")
+    # k there is a power of x, and the message says so
+    assert str(caught.value).startswith("coefficient of x^1 differs between routes: p -> 0, reconstruct -> ")
     capsys.readouterr()
     assert cli.main(["expand", "--expr", "x^12 + l*x^3", "--order", "3", "--crosscheck"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "reconstruct" in err
+    assert out == "" and "coefficient of x^1 differs" in err and "a_1" not in err
 
 
 # -- every registered route is cross-checked ------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import random
 import re
 import sys
@@ -368,6 +369,22 @@ def test_cached_families_check_their_arguments_on_every_call():
         stirling2(3.0, 1)
     with pytest.raises(ValueError, match="needs a positive integer, got 2.0"):
         harmonic(2.0)
+
+
+_INDEXED = sorted(set(families.__all__) - {"FamilyTable"})
+
+
+@pytest.mark.parametrize("name", _INDEXED)
+def test_an_unhashable_index_is_a_value_error_before_any_cache(name):
+    # a cached family checks its index before the lookup, which would raise
+    # TypeError (unhashable) first; each index in turn, the others valid
+    fn = getattr(families, name)
+    arity = len(inspect.signature(fn).parameters)
+    for at in range(arity):
+        args = [3] * arity
+        args[at] = [1]
+        with pytest.raises(ValueError, match=re.escape("integer, got [1]")):
+            fn(*args)
 
 
 # -- structural identities of the degenerate family ------------------------------

@@ -50,7 +50,9 @@ the int kernel above at every length. A sum of many such products wins:
 output into its int slots once, so the n^2/2 terms of
 ``expansion.reconstruct``'s d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int
 product each. The d_i stay int rows over one denominator, fed straight to
-``_row_sums``: only p's n+1 coefficients are reduced, one gcd each.
+``_row_sums``: only p's n+1 coefficients are reduced, one gcd each. The side of
+the numbers c_t is the same for every reconstruct at (r, n): ``_product_side``
+prepares it once, with the per-k bounds that give the slot width in O(n).
 
 Two rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``, and
@@ -81,6 +83,20 @@ ex_g_iop), are stated here once:
                                       _diff_plan at (n, r), shared while both are kept: 26 MB
     expansion._g_plan           64    plans of 0.27 MB: 17 MB
     expansion._degree_plan      64    one plan per degree, 0.45 MB at L: 10 MB
+    expansion._number_side      64    reconstruct's numbers per (r, n), 0.09-0.16 MB at n = L: 10 MB
+    identities._product_sum     128   left sides per (family, n), n <= 2L; 0.2 MB at 2L: 25 MB
+    identities._ex_b_terms      64    term lists per n; 8 KB at L: 0.5 MB
+    identities._ex_c_terms      64    22 KB at L: 1.4 MB
+    identities._ex_d_terms      64    7 KB at L: 0.5 MB
+    identities._nielsen         512   left sides per (family, m, n); 16 KB at m = n = L: 8 MB
+    identities._ex_e_terms      512   term lists per (m, n); 7 KB at m = n = L: 3.7 MB
+    identities._ex_f_terms      512   15 KB at m = n = L: 7.7 MB
+
+The last eight keep what the cases of a sweep share: the twins of an identity
+pair, and ex_g at every order with ex_d, read one left side and one term list,
+miki_poly at n reads ex_b's left side at 2n, and reconstruct one number side
+per (r, n). With them,
+``verify --all --n-max 32 --r-max 8`` peaks at 53.4 MB RSS, 53.8 MB without.
 """
 
 from __future__ import annotations
@@ -674,42 +690,70 @@ def _row_sums(nums: Sequence[Sequence[int]], den: int, plan: _PackedPlan) -> lis
     return out
 
 
+def _low_rows(polys: Sequence[LambdaPoly]) -> tuple[list[list[int]], list[int], int]:
+    """Each poly's numerators over den, the lcm of their denominators, from its
+    lowest nonzero power of l up; each of those powers; and den."""
+    den = math.lcm(*(q._den for q in polys))
+    nums, low = [], []
+    for q in polys:
+        c, e = q._coeffs, 0
+        while e < len(c) and not c[e]:
+            e += 1
+        nums.append([x * (den // q._den) for x in c[e:]])
+        low.append(e)
+    return nums, low, den
+
+
+class _ProductSide(NamedTuple):
+    """The x side of ``_packed_products`` for some sums, prepared once: each x_t's
+    numerators over den, the lcm of the x_t's denominators, from its lowest nonzero
+    power of l, low[t], up; and bound[k] >= sum |w| |x_t|_1 over the terms (t, k, w)
+    of any one sum, in the l1 norm of those numerators."""
+
+    nums: tuple[tuple[int, ...], ...]
+    low: tuple[int, ...]
+    den: int
+    bound: tuple[int, ...]
+
+
+def _product_side(xs: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]) -> _ProductSide:
+    """xs prepared as the x side of ``_packed_products`` over sums."""
+    nums, low, den = _low_rows(xs)
+    l1 = [sum(map(abs, row)) for row in nums]
+    bound = [0] * (1 + max((k for terms in sums for _, k, _ in terms), default=-1))
+    for terms in sums:
+        own: dict[int, int] = {}
+        for t, k, w in terms:
+            own[k] = own.get(k, 0) + abs(w) * l1[t]
+        for k, b in own.items():
+            if b > bound[k]:
+                bound[k] = b
+    return _ProductSide(tuple(map(tuple, nums)), tuple(low), den, tuple(bound))
+
+
 def _packed_products(
-    xs: Sequence[LambdaPoly], ys: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]
+    xs: _ProductSide, ys: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]
 ) -> tuple[list[list[int]], int]:
     """The outputs sum w x_t y_k over the (t, k, w) of each sums[i], for int w, on
     packed rows: each as its int row of numerators over one denominator, the
-    product of the two sides' lcm denominators, which is returned with them.
+    product of the two sides' lcm denominators, which is returned with them. xs is
+    the x side, prepared for these sums by ``_product_side``.
 
     Each x_t and y_k is packed once: its numerators over its side's denominator,
     from its lowest nonzero power of l up, evaluated at l = 2^width as one int.
     A term is then one int product, shifted back by width times the two lowest
     powers, so an l-monomial y_k costs one small multiply, and each output is
     split into its slots once, with no gcd. A slot of x_t y_k is a sum of products
-    of slots, so its magnitude is at most min(|x_t|_1 |y_k|_inf, |x_t|_inf |y_k|_1)
-    in the l1 and max norms of the numerators. The width is the bit length of the
-    largest sum over an output of |w| times that bound, plus one, so every slot
+    of slots, so its magnitude is at most |x_t|_1 |y_k|_inf in the l1 and max
+    norms of the numerators, and a slot of an output at most sum_k xs.bound[k]
+    |y_k|_inf, one O(n) sum. The width is its bit length plus one, so every slot
     has magnitude below 2^(width-1) and ``_slots`` splits it back.
     """
-    sides = []
-    for polys in (xs, ys):
-        den = math.lcm(*(q._den for q in polys))
-        nums, low = [], []
-        for q in polys:
-            c, e = q._coeffs, 0
-            while e < len(c) and not c[e]:
-                e += 1
-            nums.append([x * (den // q._den) for x in c[e:]])
-            low.append(e)
-        norms = [[abs(x) for x in row] for row in nums]
-        sides.append((nums, low, [sum(n) for n in norms], [max(n, default=0) for n in norms], den))
-    (xn, xlow, xl1, xtop, xden), (yn, ylow, yl1, ytop, yden) = sides
-    width = max(
-        (sum(abs(w) * min(xl1[t] * ytop[k], xtop[t] * yl1[k]) for t, k, w in terms) for terms in sums),
-        default=0,
-    ).bit_length() + 1
-    px, py = _pack(xn, width), _pack(yn, width)
-    lx = [width * e for e in xlow]
+    yn, ylow, yden = _low_rows(ys)
+    top = sum(b * max(map(abs, row), default=0) for b, row in zip(xs.bound, yn) if b)
+    width = top.bit_length() + 1
+    px, py = _pack(xs.nums, width), _pack(yn, width)
+    lx = [width * e for e in xs.low]
     ly = [width * e for e in ylow]
     out = []
     for terms in sums:
@@ -719,7 +763,7 @@ def _packed_products(
             if v:
                 acc += px[t] * (w * v) << (lx[t] + ly[k])
         out.append(_slots(acc, width))
-    return out, xden * yden
+    return out, xs.den * yden
 
 
 def _pack(rows: Iterable[Sequence[int]], width: int) -> list[int]:

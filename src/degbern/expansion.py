@@ -68,7 +68,8 @@ packed rows (``core._packed_products``), kept as int rows over one
 denominator, and sum_i s(i,j) l^(i-j) d_i is ``core._row_sums`` of those rows
 on a plan of Stirling numbers of the first kind, so only p's coefficients get
 a gcd, one each. ``_degree_plan`` keeps the binomial terms of the d_i and that
-plan per degree, shared by every r. The residual g-route still reads the
+plan per degree, shared by every r, and ``_number_side`` the numbers' side of
+the products per (r, degree), shared by every a_k. The residual g-route still reads the
 members, so crosscheck checks the same basis through them, and crosscheck
 ends by rebuilding p with reconstruct.
 
@@ -93,6 +94,8 @@ from .core import (
     _packed_products,
     _packed_sums,
     _PackedPlan,
+    _product_side,
+    _ProductSide,
     _row_sums,
     _stirling1_rows,
     _stirling2_rows,
@@ -373,11 +376,18 @@ def _degree_plan(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], 
     return terms, _packed_plan([[(i, 1)] for i in range(n + 1)], sums)
 
 
+@_cached(64)
+def _number_side(r: int, n: int) -> _ProductSide:
+    """The order-r numbers c_0..c_n as reconstruct's side of ``core._packed_products``
+    at degree n, with b_k = max_i C(k,i) |c_(k-i)|_1, the bound of its slot width."""
+    return _product_side(_numbers("deg_bernoulli_r", r, n)[: n + 1], _degree_plan(n)[0])
+
+
 def reconstruct(e: BasisExpansion) -> XPoly:
     """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
     alone, as sum_i d_i (x)_(i,l) on packed rows; the module docstring says how."""
     terms, plan = _degree_plan(e.degree)
-    d, den = _packed_products(_numbers("deg_bernoulli_r", e.order, e.degree)[: e.degree + 1], e.coeffs, terms)
+    d, den = _packed_products(_number_side(e.order, e.degree), e.coeffs, terms)
     return XPoly._make(_row_sums(d, den, plan))
 
 

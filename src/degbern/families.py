@@ -41,7 +41,8 @@ uber Differenzenrechnung, 1924; L. Carlitz, Degenerate Stirling, Bernoulli
 and Eulerian numbers, 1979). So each c_N is one int sum over the two order-r
 tables' denominators, with one gcd. Member n is the numbers times the
 monomials, or times the falling factorials read straight off the same
-Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``).
+Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``),
+as one packed sum (``core._packed_sums``) with no falling factorial built.
 The table keeps numbers only: ``_member`` builds a member from them, and its
 one bounded cache keeps the 512 read last. Readers that want
 numbers only read them through ``_numbers`` and build no member: the
@@ -60,8 +61,11 @@ from functools import partial
 from math import comb, factorial, gcd, lcm
 from operator import add
 
-from .core import LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _register, _stirling1_rows
-from .umbral import sequence_diff, umbral_compose
+from .core import (
+    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_plan, _packed_sums, _register,
+    _stirling1_rows,
+)
+from .umbral import sequence_diff
 
 __all__ = [
     "FamilyTable",
@@ -154,8 +158,9 @@ def _deg_numbers(numbers: list, r: int, n: int, bern: list, second: list) -> lis
 
 # kind -> (the kinds at the same r whose numbers its rule reads; its rule
 # (numbers, r, n, *their numbers) -> a new list of its numbers through c_n; its
-# basis b_i, None for x^i). A rational kind's core is A^(-r), A(0) = 1, and its
-# rule is Miller's recurrence on the a_j = 1/recip(j) of A.
+# basis b_i, None for x^i, which ``_member`` reads off the Stirling rows). A
+# rational kind's core is A^(-r), A(0) = 1, and its rule is Miller's recurrence
+# on the a_j = 1/recip(j) of A.
 _KINDS = {
     # A = (e^t-1)/t, a_j = 1/(j+1)!
     "bernoulli_r": ((), partial(_miller, lambda j: factorial(j + 1)), None),
@@ -234,10 +239,15 @@ def _check_member(kind: str, r: int, n: int) -> None:
 
 @_cached(512, _check_member)
 def _member(kind: str, r: int, n: int) -> XPoly:
-    """Member n of the table key (kind, r): sum_i C(n,i) c_(n-i) b_i."""
-    numbers, basis = _numbers(kind, r, n), _KINDS[kind][2]
-    d = XPoly([c * comb(n, i) for i, c in enumerate(reversed(numbers[: n + 1]))])
-    return umbral_compose(d, basis) if basis else d
+    """Member n of the table key (kind, r): sum_i C(n,i) c_(n-i) b_i. On the falling
+    factorials, [x^m] is sum_e C(n,m+e) s(m+e,m) l^e c_(n-m-e), read straight off
+    the Stirling rows and summed on packed rows."""
+    numbers = _numbers(kind, r, n)[: n + 1]
+    if _KINDS[kind][2] is None:
+        return XPoly([c * comb(n, i) for i, c in enumerate(reversed(numbers))])
+    s1 = _stirling1_rows(n)
+    sums = [(1, [(n - i, comb(n, i) * s1[i][m]) for i in range(m, n + 1)]) for m in range(n + 1)]
+    return XPoly._make(_packed_sums(numbers, _packed_plan([[(t, 1)] for t in range(n + 1)], sums)))
 
 
 def bernoulli_poly(n: int) -> XPoly:

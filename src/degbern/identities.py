@@ -42,7 +42,15 @@ w_j over their lcm, order-s Bernoulli numbers and rows of S2
 formulas, for k < r and k >= r. It builds no member.
 A left side that sums products of a family, sum_k P_k P_{n-k}/(k(n-k))
 (``_product_sum``), takes each pair {k, n-k} once and each coefficient
-in x as one kernel dot product. DEFAULT_BOUNDS, parameter validation,
+in x as one kernel dot product.
+
+What cases share is computed once: each term list and each product left
+side (``_product_sum``, the Nielsen products ``_nielsen``) is a bounded cache
+entry, so the twins of a pair read one left side and one term list, ex_g at
+every order reads ex_d's, and miki_poly at n reads ex_b's left side at 2n. A left side is
+keyed by the family function it reads, looked up in this module at call
+time. A cached value is never mutated: a term list is a read-only mapping,
+and ``perturb`` adds to a new right side. DEFAULT_BOUNDS, parameter validation,
 closed_form_coeffs and the verify_all sweep all read that table. A case
 outside the range raises ValueError naming the violated constraint (e.g.
 miki needs n >= 2, ex_g needs n >= 3 and n >= r).
@@ -55,9 +63,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, inf, lcm, perm
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .core import LambdaPoly, XPoly, _dot_products, _over_lcm, _stirling2_rows
+from .core import LambdaPoly, XPoly, _cached, _dot_products, _over_lcm, _stirling2_rows
 from .expansion import BasisExpansion, reconstruct
 from .families import (
     _numbers,
@@ -114,12 +123,14 @@ def _H(m: int) -> Fraction:
     return harmonic(m) if m >= 1 else Fraction(0)
 
 
+@_cached(128)
 def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
     """sum_{k=1}^{n-1} P_k(x) P_{n-k}(x) / (k(n-k)) for a polynomial family P.
 
     The terms k and n-k are equal, so each pair k < n-k is taken once with
     weight 2/(k(n-k)), the midpoint k = n/2 with 1/k^2, and each coefficient
-    in x is one kernel dot product over all the pairs.
+    in x is one kernel dot product over all the pairs. Cached by the family
+    itself, so a family rebound in this module's namespace keys its own entries.
     """
     pairs = [
         ((family(k) * Fraction(1 if 2 * k == n else 2, k * (n - k))).coeffs, family(n - k).coeffs)
@@ -236,15 +247,17 @@ def _ex_a_polyid_lhs(n: int) -> XPoly:
 # -- products of two polynomials, weighted by 1/(k(n-k)) ----------------------
 
 
-def _ex_b_terms(n: int) -> dict[int, Fraction]:
+@_cached(64)
+def _ex_b_terms(n: int) -> Mapping[int, Fraction]:
     terms = {
         l: Fraction(2 * comb(n, l), n * (n - l)) * bernoulli_number(n - l) for l in range(n - 1)
     }
     terms[n] = Fraction(2, n) * harmonic(n - 1)
-    return terms
+    return MappingProxyType(terms)
 
 
-def _ex_c_terms(n: int) -> dict[int, Fraction]:
+@_cached(64)
+def _ex_c_terms(n: int) -> Mapping[int, Fraction]:
     terms = {
         l: Fraction(-4 * comb(n, l), n * (n - l + 1))
         * (_H(n - 1) - _H(n - l))
@@ -252,35 +265,45 @@ def _ex_c_terms(n: int) -> dict[int, Fraction]:
         for l in range(1, n + 1)
     }
     terms[0] = Fraction(4) * euler_number(n + 1) / (n * n * (n + 1))
-    return terms
+    return MappingProxyType(terms)
 
 
-def _ex_d_terms(n: int) -> dict[int, Fraction]:
-    return {
-        k: Fraction(-4 * comb(n, k), n * (n - k)) * genocchi_number(n - k) for k in range(n - 1)
-    }
+@_cached(64)
+def _ex_d_terms(n: int) -> Mapping[int, Fraction]:
+    return MappingProxyType(
+        {k: Fraction(-4 * comb(n, k), n * (n - k)) * genocchi_number(n - k) for k in range(n - 1)}
+    )
 
 
 # -- Nielsen products ---------------------------------------------------------
 
 
-def _ex_e_terms(m: int, n: int) -> dict[int, Fraction]:
+@_cached(512)
+def _nielsen(family: Callable[[int], XPoly], m: int, n: int) -> XPoly:
+    """P_m(x) P_n(x), the left side of both entries of a Nielsen pair; cached by the
+    family itself, as ``_product_sum`` is."""
+    return family(m) * family(n)
+
+
+@_cached(512)
+def _ex_e_terms(m: int, n: int) -> Mapping[int, Fraction]:
     terms = {
         m + n - 2 * r: Fraction(comb(m, 2 * r) * n + comb(n, 2 * r) * m, m + n - 2 * r)
         * bernoulli_number(2 * r)
         for r in range((m + n + 1) // 2)  # while m + n - 2r >= 1
     }
     terms[0] = Fraction((-1) ** (m + 1)) * bernoulli_number(m + n) / comb(m + n, m)
-    return terms
+    return MappingProxyType(terms)
 
 
-def _ex_f_terms(m: int, n: int) -> dict[int, Fraction]:
+@_cached(512)
+def _ex_f_terms(m: int, n: int) -> Mapping[int, Fraction]:
     constant = Fraction(2 * (-1) ** (n + 1) * factorial(m) * factorial(n), factorial(m + n + 1))
     terms = Counter({0: constant * euler_number(m + n + 1)})
     for size in (m, n):  # the sum over r <= m, then the sum over s <= n
         for r in range(1, size + 1):
             terms[m + n - r + 1] -= Fraction(2 * comb(size, r), m + n - r + 1) * euler_number(r)
-    return terms
+    return MappingProxyType(terms)
 
 
 # -- order-r machinery --------------------------------------------------------
@@ -396,8 +419,8 @@ _IDENTITIES: dict[str, _Identity] = {
     ),
     **_pair("ex_c", lambda n: _product_sum(euler_poly, n), _ex_c_terms, {"n": 2}, {"n_max": 8}),
     **_pair("ex_d", lambda n: _product_sum(genocchi_poly, n), _ex_d_terms, {"n": 3}, {"n_max": 10}),
-    **_pair("ex_e", lambda m, n: bernoulli_poly(m) * bernoulli_poly(n), _ex_e_terms, **_NIELSEN),
-    **_pair("ex_f", lambda m, n: euler_poly(m) * euler_poly(n), _ex_f_terms, **_NIELSEN),
+    **_pair("ex_e", lambda m, n: _nielsen(bernoulli_poly, m, n), _ex_e_terms, **_NIELSEN),
+    **_pair("ex_f", lambda m, n: _nielsen(euler_poly, m, n), _ex_f_terms, **_NIELSEN),
     "ex_g_iop": _Identity(
         _ex_g_iop_lhs,
         {"n": 0, "r": 0, "a": 1},

@@ -8,7 +8,7 @@ import threading
 from pathlib import Path
 
 import degbern
-from degbern import core, expansion, families, umbral
+from degbern import core, expansion, families, identities, umbral
 from degbern.core import LambdaPoly, XPoly
 from degbern.expansion import BasisExpansion, expand, reconstruct
 from degbern.families import deg_bernoulli_order, harmonic, stirling2
@@ -27,6 +27,14 @@ _BOUNDS = {
     expansion._f_plan: 64,
     expansion._g_plan: 64,
     expansion._degree_plan: 64,
+    expansion._number_side: 64,
+    identities._product_sum: 128,
+    identities._ex_b_terms: 64,
+    identities._ex_c_terms: 64,
+    identities._ex_d_terms: 64,
+    identities._nielsen: 512,
+    identities._ex_e_terms: 512,
+    identities._ex_f_terms: 512,
 }
 
 
@@ -52,11 +60,25 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
     # one umbral_integral plan per k < r
     for i in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
         expand(x ** (i % 37 + 2), 1 + i // 37)
-    # reconstruct keeps its falling-factorial plan per degree: a member at every
-    # degree up to the limit
-    assert max_degree_limit() + 1 > bound[expansion._degree_plan]
+    # reconstruct keeps its falling-factorial plan per degree and its number side
+    # per (order, degree): a member at every degree up to the limit
+    assert max_degree_limit() + 1 > max(bound[expansion._degree_plan], bound[expansion._number_side])
     for n in range(max_degree_limit() + 1):
         assert _member(n, 1).degree == n
+    # the identity corpus keeps its term lists and left sides per parameters, and
+    # a product sum per family and n: products of x^k sum cheaply
+    by_n = (identities._ex_b_terms, identities._ex_c_terms, identities._ex_d_terms)
+    for n in range(2, max(bound[entry] for entry in by_n) + 12):
+        for entry in by_n:
+            entry(n)
+    for n in range(bound[identities._product_sum] + 10):
+        identities._product_sum(XPoly.monomial, n)
+    by_mn = (identities._ex_e_terms, identities._ex_f_terms)
+    pairs = [(m, n) for m in range(1, 40) for n in range(1, 40)]
+    for m, n in pairs[: max(bound[entry] for entry in (identities._nielsen, *by_mn)) + 10]:
+        identities._nielsen(XPoly.monomial, m, n)
+        for entry in by_mn:
+            entry(m, n)
     for cache in core._CACHES:
         info = cache.cache_info()
         assert info.currsize == info.maxsize if info.maxsize else info.currsize > 0, cache

@@ -19,6 +19,7 @@ from degbern.core import (
     _packed_plan,
     _packed_products,
     _packed_sums,
+    _product_side,
     _slots,
 )
 from degbern.families import harmonic
@@ -344,13 +345,14 @@ def test_packed_products_match_the_products_over_q_l():
         sums = [[(rng.randrange(5), rng.randrange(6), weight()) for _ in range(rng.randint(0, 6))] for _ in range(4)]
         expected = [_dot((xs[t], ys[k] * w) for t, k, w in terms) for terms in sums]
         assert expected == [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
-        rows, den = _packed_products(xs, ys, sums)
+        rows, den = _packed_products(_product_side(xs, sums), ys, sums)
         # int rows with no trailing zero, over the product of the two sides' lcm denominators
         assert den == math.lcm(*(x._den for x in xs)) * math.lcm(*(y._den for y in ys))
         assert all(all(type(c) is int for c in row) and (not row or row[-1]) for row in rows)
         assert [LambdaPoly._make(row, den) for row in rows] == expected
     zero = LambdaPoly.zero()
-    assert _packed_products([zero], [zero, zero], [[(0, 1, 5)], []]) == ([[], []], 1)
+    sums = [[(0, 1, 5)], []]
+    assert _packed_products(_product_side([zero], sums), [zero, zero], sums) == ([[], []], 1)
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------

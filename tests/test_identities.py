@@ -207,6 +207,21 @@ def test_stated_side_reaches_the_comparison(monkeypatch, identity_id):
     assert verify(identity_id, smallest).passed
 
 
+def test_twins_share_one_left_side_and_each_checks_its_own_right_side(monkeypatch):
+    pair = ("ex_e", "ex_e_classical")
+    first, second = (verify(identity_id, m=3, n=4) for identity_id in pair)
+    assert first.lhs is second.lhs and first.passed and second.passed
+    # a perturbed right side fails its own twin only: the shared left side is never changed
+    for bad in pair:
+        assert [verify(identity_id, m=3, n=4, perturb=identity_id == bad).passed for identity_id in pair] == [
+            identity_id != bad for identity_id in pair
+        ]
+    # a wrong Bernoulli polynomial reaches both twins
+    clear_caches()
+    monkeypatch.setattr(identities, "bernoulli_poly", lambda n: bernoulli_poly(n) + XPoly.one())
+    assert [verify(identity_id, m=3, n=4).passed for identity_id in pair] == [False, False]
+
+
 def test_default_bounds_cover_required_ranges():
     assert DEFAULT_BOUNDS["miki"]["n_max"] >= 8
     assert DEFAULT_BOUNDS["ex_d"]["n_max"] >= 10

@@ -41,18 +41,19 @@ int multiply-add and a power of l is a shift, and splits each result back
 exactly, with one gcd, at the slot width B its docstring's rule gives. The
 callers are ``expansion``'s stirling_sum and umbral_integral routes,
 ``umbral.forward_diff``, whose Delta^k weights are also stirling_sum's first
-stage, and (``_row_sums`` alone) the last stage of ``expansion.reconstruct``.
-The int Stirling triangles these weights read are kept here.
+stage, and the falling factorials of ``families`` (``_row_sums`` alone in
+``_appell``). The int Stirling triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
 ``_packed_products`` packs each of its 2(n+1) inputs once and splits each
-output into its int slots once, so the n^2/2 terms of
-``expansion.reconstruct``'s d_i = sum_(k>=i) C(k,i) c_(k-i) a_k are one int
-product each. The d_i stay int rows over one denominator, fed straight to
-``_row_sums``: only p's n+1 coefficients are reduced, one gcd each. The side of
-the numbers c_t is the same for every reconstruct at (r, n): ``_product_side``
-prepares it once, with the per-k bounds that give the slot width in O(n).
+output into its int slots once, so the n^2/2 terms of the Appell sum
+``families._appell``, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, are one int product
+each. The d_i stay int rows over one denominator, fed straight to
+``_row_sums``: only the n+1 outputs are reduced, one gcd each. The side of the
+numbers c_t is the same for every sum over one family at degree n:
+``_product_side`` prepares it once, with the per-k bounds that give the slot
+width in O(n).
 
 Two rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``, and
@@ -72,6 +73,9 @@ ex_g_iop), are stated here once:
     families._TABLE             None  numbers only; keys (kind, r), r <= L. Per r,
                                       ("bernoulli_r", r) to 2L and ("deg_bernoulli_r", r)
                                       with its sources to L: 10 MB in all
+    families._falling_plan      65    one plan per degree 0..L, sharing their terms: 0.7 MB
+    families._connection        64    the d_i's terms per degree, shared across degrees: 3.4 MB
+    families._number_side       128   numbers per (kind, r, n), 70 in the verify sweep; 0.16 MB at L: 20 MB
     families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
                                       Every order's degenerate members to L and
                                       Bernoulli members to 2L, read in one process,
@@ -82,8 +86,6 @@ ex_g_iop), are stated here once:
     expansion._f_plan           64    plans of 0.4 MB, half of it the rows of the
                                       _diff_plan at (n, r), shared while both are kept: 26 MB
     expansion._g_plan           64    plans of 0.27 MB: 17 MB
-    expansion._degree_plan      64    one plan per degree, 0.45 MB at L: 10 MB
-    expansion._number_side      64    reconstruct's numbers per (r, n), 0.09-0.16 MB at n = L: 10 MB
     identities._product_sum     128   left sides per (family, n), n <= 2L; 0.2 MB at 2L: 25 MB
     identities._ex_b_terms      64    term lists per n; 8 KB at L: 0.5 MB
     identities._ex_c_terms      64    22 KB at L: 1.4 MB
@@ -92,11 +94,11 @@ ex_g_iop), are stated here once:
     identities._ex_e_terms      512   term lists per (m, n); 7 KB at m = n = L: 3.7 MB
     identities._ex_f_terms      512   15 KB at m = n = L: 7.7 MB
 
-The last eight keep what the cases of a sweep share: the twins of an identity
-pair, and ex_g at every order with ex_d, read one left side and one term list,
-miki_poly at n reads ex_b's left side at 2n, and reconstruct one number side
-per (r, n). With them,
-``verify --all --n-max 32 --r-max 8`` peaks at 53.4 MB RSS, 53.8 MB without.
+The last seven and the number sides keep what the cases of a sweep share: the
+twins of an identity pair, and ex_g at every order with ex_d, read one left
+side and one term list, miki_poly at n reads ex_b's left side at 2n, and the
+Appell sums over one family at one degree read one number side. With them,
+``verify --all --n-max 32 --r-max 8`` peaks at 53.3 MB RSS, 53.8 MB without.
 """
 
 from __future__ import annotations
@@ -255,8 +257,8 @@ class _Triangle:
 
 
 #: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``,
-#: the degenerate numbers and reconstruct, and of the second kind S2(n, 0..n), the
-#: weights of ``forward_diff``, the routes and the identities' order-1 map.
+#: the degenerate numbers and the falling-factorial plan, and of the second kind
+#: S2(n, 0..n), the weights of ``forward_diff``, the routes and the identities' order-1 map.
 _stirling1_rows = _register(_Triangle(lambda k, m: -k))
 _stirling2_rows = _register(_Triangle(lambda k, m: m))
 

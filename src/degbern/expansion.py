@@ -59,19 +59,12 @@ functional and umbral_integral_op take their unit differences
 binomial_sum, stirling_op, operator_functional and residual take no packed
 sum, so crosscheck still compares two independent kernels in each branch.
 
-reconstruct reads no member either. The basis is Appell in the degenerate
-falling factorials, beta_k^(r)(x) = sum_i C(k,i) c_(k-i) (x)_(i,l) with the
-numbers c_t = beta_t^(r)(0), so sum_k a_k beta_k^(r)(x) = sum_i d_i (x)_(i,l)
-with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, the Sheffer connection constants
-(S. Roman, The Umbral Calculus, 1984). The d_i are sums of products on
-packed rows (``core._packed_products``), kept as int rows over one
-denominator, and sum_i s(i,j) l^(i-j) d_i is ``core._row_sums`` of those rows
-on a plan of Stirling numbers of the first kind, so only p's coefficients get
-a gcd, one each. ``_degree_plan`` keeps the binomial terms of the d_i and that
-plan per degree, shared by every r, and ``_number_side`` the numbers' side of
-the products per (r, degree), shared by every a_k. The residual g-route still reads the
-members, so crosscheck checks the same basis through them, and crosscheck
-ends by rebuilding p with reconstruct.
+reconstruct reads no member either: the basis is Appell in the degenerate
+falling factorials, with numbers c_t = beta_t^(r)(0), so sum_k a_k beta_k^(r)(x)
+= sum_i d_i (x)_(i,l) with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k (S. Roman, The
+Umbral Calculus, 1984), the one Appell sum ``families._appell``. The residual
+g-route still reads the members, so crosscheck checks the same basis through
+them, and ends by rebuilding p with reconstruct.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -91,16 +84,11 @@ from .core import (
     _dot,
     _over_lcm,
     _packed_plan,
-    _packed_products,
     _packed_sums,
     _PackedPlan,
-    _product_side,
-    _ProductSide,
-    _row_sums,
-    _stirling1_rows,
     _stirling2_rows,
 )
-from .families import _numbers, deg_bernoulli_order, scaled_bernoulli
+from .families import _appell, _numbers, deg_bernoulli_order, scaled_bernoulli
 from .parser import check_size
 from .umbral import (
     OperatorSeries,
@@ -365,30 +353,10 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
     return expand(p, 1, a0_route, ak_route)
 
 
-@_cached(64)
-def _degree_plan(n: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], _PackedPlan]:
-    """What reconstruct reads at degree n for every r: for each i the terms
-    (k - i, k, C(k,i)) of d_i, and the plan of [x^j] sum_i d_i (x)_(i,l) =
-    sum_i s(i,j) l^(i-j) d_i over d_0..d_n."""
-    terms = tuple(tuple((k - i, k, comb(k, i)) for k in range(i, n + 1)) for i in range(n + 1))
-    s1 = _stirling1_rows(n)
-    sums = [(1, [(i, s1[i][j]) for i in range(j, n + 1)]) for j in range(n + 1)]
-    return terms, _packed_plan([[(i, 1)] for i in range(n + 1)], sums)
-
-
-@_cached(64)
-def _number_side(r: int, n: int) -> _ProductSide:
-    """The order-r numbers c_0..c_n as reconstruct's side of ``core._packed_products``
-    at degree n, with b_k = max_i C(k,i) |c_(k-i)|_1, the bound of its slot width."""
-    return _product_side(_numbers("deg_bernoulli_r", r, n)[: n + 1], _degree_plan(n)[0])
-
-
 def reconstruct(e: BasisExpansion) -> XPoly:
     """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
-    alone, as sum_i d_i (x)_(i,l) on packed rows; the module docstring says how."""
-    terms, plan = _degree_plan(e.degree)
-    d, den = _packed_products(_number_side(e.order, e.degree), e.coeffs, terms)
-    return XPoly._make(_row_sums(d, den, plan))
+    alone, as ``families._appell``; the module docstring says how."""
+    return _appell("deg_bernoulli_r", e.order, e.coeffs)
 
 
 def classical_limit(e: BasisExpansion) -> list[Fraction]:

@@ -18,11 +18,11 @@ where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
 x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). The numbers, c_k being member k at
 x = 0, are a table's state; one entry of ``_KINDS`` per kind holds their
-rule, the kinds whose numbers it reads, and the basis. Each rational core
-is A(t)^(-r) for a closed-form series A with A(0) = 1 ((e^t-1)/t,
-log(1+t)/t, (e^t+1)/2), so c_k follows from c_0..c_{k-1} by J. C. P.
-Miller's power recurrence, with int weights. The degenerate numbers take no
-recurrence over Q[l]. With u = log(1+lt)/l, e_l(t) = e^u and the core
+rule, the kinds whose numbers it reads, and whether its basis is the falling
+factorials. Each rational core is A(t)^(-r) for a closed-form series A with
+A(0) = 1 ((e^t-1)/t, log(1+t)/t, (e^t+1)/2), so c_k follows from c_0..c_{k-1}
+by J. C. P. Miller's power recurrence, with int weights. The degenerate numbers
+take no recurrence over Q[l]. With u = log(1+lt)/l, e_l(t) = e^u and the core
 factors into two rational ones,
 
     (t/(e_l(t)-1))^r = (lt/log(1+lt))^r (u/(e^u-1))^r,
@@ -39,18 +39,21 @@ first kind,
 the collapse because (t/u)^r u^m = t^r u^(m-r) (N. E. Norlund, Vorlesungen
 uber Differenzenrechnung, 1924; L. Carlitz, Degenerate Stirling, Bernoulli
 and Eulerian numbers, 1979). So each c_N is one int sum over the two order-r
-tables' denominators, with one gcd. Member n is the numbers times the
-monomials, or times the falling factorials read straight off the same
-Stirling numbers, (x)_{n,l} = sum_m s(n,m) l^(n-m) x^m (``deg_falling``),
-as one packed sum (``core._packed_sums``) with no falling factorial built.
-The table keeps numbers only: ``_member`` builds a member from them, and its
-one bounded cache keeps the 512 read last. Readers that want
-numbers only read them through ``_numbers`` and build no member: the
-Bernoulli, Euler and Genocchi numbers, the scaled family, whose [x^i] is
-C(n,i) B_(n-i)^(a) l^(n-i), the default g-route, ``expansion.reconstruct``
-and ex_g's closed form in ``identities``. Stirling numbers of the second
-kind and harmonic numbers round out the kit; the int triangles of Stirling
-numbers of both kinds live in ``core``.
+tables' denominators, with one gcd.
+
+Every kind is Appell in its basis, so a sum over its members is one sum over
+its numbers, sum_k a_k P_k(x) = sum_i d_i b_i with d_i = sum_(k>=i) C(k,i)
+c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum,
+both ``expansion.reconstruct`` and the identities' Bernoulli sums: the d_i are
+one ``core._packed_products`` over a number side kept per (kind, r, n), and on
+the falling factorials (x)_{i,l} = sum_m s(i,m) l^(i-m) x^m (``deg_falling``)
+they go through one plan per degree (``_falling_plan``). Member n is the row
+d_i = C(n,i) c_(n-i) (``_row``) on x^i, or through the same plan; the scaled
+family is that row on the order-a Bernoulli numbers times l^(n-i). ``_member``'s
+one bounded cache keeps the 512 members read last; the table keeps numbers only,
+and its other readers build no member. Stirling numbers of the second kind and
+harmonic numbers round out the kit; the int triangles of Stirling numbers of
+both kinds live in ``core``.
 """
 
 from __future__ import annotations
@@ -60,12 +63,12 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd, lcm
 from operator import add
+from typing import Sequence
 
 from .core import (
-    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_plan, _packed_sums, _register,
-    _stirling1_rows,
+    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_plan, _packed_products, _packed_sums,
+    _PackedPlan, _product_side, _ProductSide, _register, _row_sums, _stirling1_rows,
 )
-from .umbral import sequence_diff
 
 __all__ = [
     "FamilyTable",
@@ -157,19 +160,18 @@ def _deg_numbers(numbers: list, r: int, n: int, bern: list, second: list) -> lis
 
 
 # kind -> (the kinds at the same r whose numbers its rule reads; its rule
-# (numbers, r, n, *their numbers) -> a new list of its numbers through c_n; its
-# basis b_i, None for x^i, which ``_member`` reads off the Stirling rows). A
-# rational kind's core is A^(-r), A(0) = 1, and its rule is Miller's recurrence
-# on the a_j = 1/recip(j) of A.
+# (numbers, r, n, *their numbers) -> a new list of its numbers through c_n; whether
+# its basis b_i is (x)_{i,l}, else x^i). A rational kind's core is A^(-r), A(0) = 1,
+# and its rule is Miller's recurrence on the a_j = 1/recip(j) of A.
 _KINDS = {
     # A = (e^t-1)/t, a_j = 1/(j+1)!
-    "bernoulli_r": ((), partial(_miller, lambda j: factorial(j + 1)), None),
+    "bernoulli_r": ((), partial(_miller, lambda j: factorial(j + 1)), False),
     # A = log(1+t)/t, a_j = (-1)^j/(j+1): the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
-    "bernoulli2_r": ((), partial(_miller, lambda j: (-1) ** j * (j + 1)), None),
+    "bernoulli2_r": ((), partial(_miller, lambda j: (-1) ** j * (j + 1)), False),
     # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
-    "euler": ((), partial(_miller, lambda j: 2 * factorial(j) if j else 1), None),
+    "euler": ((), partial(_miller, lambda j: 2 * factorial(j) if j else 1), False),
     # core (t/(e_l(t)-1))^r: the closed form of ``_deg_numbers``
-    "deg_bernoulli_r": (("bernoulli_r", "bernoulli2_r"), _deg_numbers, deg_falling),
+    "deg_bernoulli_r": (("bernoulli_r", "bernoulli2_r"), _deg_numbers, True),
 }
 
 
@@ -232,22 +234,60 @@ def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     return _TABLE.numbers((kind, r), n)
 
 
-def _check_member(kind: str, r: int, n: int) -> None:
-    _check_index(n)
-    _check_key((kind, r))
+def _row(kind: str, r: int, n: int, graded: bool = False) -> list[LambdaPoly]:
+    """C(n,i) c_(n-i) for i = 0..n, member n on its basis, each times l^(n-i) if graded:
+    one gcd each, of C(n,i) and the denominator, as c_(n-i) is at primitive content."""
+    numbers, row = _numbers(kind, r, n), []
+    for i in range(n + 1):
+        c = numbers[n - i]
+        if c._coeffs:  # a zero number gives a zero entry as it is
+            w, p = comb(n, i), object.__new__(LambdaPoly)
+            g = gcd(w, c._den)
+            p._coeffs = (0,) * (n - i if graded else 0) + tuple([x * (w // g) for x in c._coeffs])
+            p._den, c = c._den // g, p
+        row.append(c)
+    return row
 
 
-@_cached(512, _check_member)
+@_cached(65)  # degrees 0..L: readers that cycle through them all must not evict each other
+def _falling_plan(n: int) -> _PackedPlan:
+    """The plan of [x^j] sum_i d_i (x)_(i,l) = sum_i s(i,j) l^(i-j) d_i over d_0..d_n, for
+    every kind and r: degree n - 1's plan, whose terms it shares, with the terms of i = n."""
+    rows, sums = _falling_plan(n - 1)[:2] if n else ((), ())
+    sums = [(1, terms + ((n, s),)) for (_, terms), s in zip((*sums, (1, ())), _stirling1_rows(n)[n])]
+    return _packed_plan((*rows, ((n, 1),)), sums)
+
+
+@_cached(64)
+def _connection(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The terms (k - i, k, C(k,i)) of each d_i of ``_appell`` at degree n, for every kind
+    and r: degree n - 1's rows, whose terms it shares, each with its term at k = n."""
+    rows = [row + ((n - i, n, comb(n, i)),) for i, row in enumerate(_connection(n - 1))] if n else []
+    return (*rows, ((0, n, 1),))
+
+
+@_cached(128)
+def _number_side(kind: str, r: int, n: int) -> _ProductSide:
+    """c_0..c_n of (kind, r) as the number side of ``core._packed_products`` at degree n."""
+    return _product_side(_numbers(kind, r, n)[: n + 1], _connection(n))
+
+
+def _appell(kind: str, r: int, coeffs: Sequence[LambdaPoly]) -> XPoly:
+    """sum_k a_k P_k(x) over the members of (kind, r), for coeffs a_0..a_n, from the numbers
+    alone: sum_i d_i b_i, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k as int rows over one denominator,
+    fed straight to ``_falling_plan`` on the falling factorials: only the output gets a gcd."""
+    n = len(coeffs) - 1
+    d, den = _packed_products(_number_side(kind, r, n), coeffs, _connection(n))
+    if _KINDS[kind][2]:
+        return XPoly._make(_row_sums(d, den, _falling_plan(n)))
+    return XPoly._make([LambdaPoly._make(row, den) for row in d])
+
+
+@_cached(512, lambda kind, r, n: (_check_index(n), _check_key((kind, r))))
 def _member(kind: str, r: int, n: int) -> XPoly:
-    """Member n of the table key (kind, r): sum_i C(n,i) c_(n-i) b_i. On the falling
-    factorials, [x^m] is sum_e C(n,m+e) s(m+e,m) l^e c_(n-m-e), read straight off
-    the Stirling rows and summed on packed rows."""
-    numbers = _numbers(kind, r, n)[: n + 1]
-    if _KINDS[kind][2] is None:
-        return XPoly([c * comb(n, i) for i, c in enumerate(reversed(numbers))])
-    s1 = _stirling1_rows(n)
-    sums = [(1, [(n - i, comb(n, i) * s1[i][m]) for i in range(m, n + 1)]) for m in range(n + 1)]
-    return XPoly._make(_packed_sums(numbers, _packed_plan([[(t, 1)] for t in range(n + 1)], sums)))
+    """Member n of the table key (kind, r): its ``_row``, on the falling factorials through ``_falling_plan``."""
+    row = _row(kind, r, n)
+    return XPoly._make(_packed_sums(row, _falling_plan(n)) if _KINDS[kind][2] else row)
 
 
 def bernoulli_poly(n: int) -> XPoly:
@@ -294,21 +334,8 @@ def deg_bernoulli_order(n: int, r: int) -> XPoly:
 
 def scaled_bernoulli(n: int, a: int) -> XPoly:
     """The polynomial l^n B_n^(a)(x/l), read off the order-a Bernoulli numbers:
-    [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member.
-    Each coefficient is a single term, set at primitive content by one gcd."""
-    numbers = _numbers("bernoulli_r", _check_index(a, "a"), n)
-    coeffs = []
-    for i in range(n + 1):
-        c = numbers[n - i]  # a rational: no numerator, or one
-        p = object.__new__(LambdaPoly)
-        if c._coeffs:
-            num = comb(n, i) * c._coeffs[0]
-            g = gcd(num, c._den)
-            p._coeffs, p._den = (0,) * (n - i) + (num // g,), c._den // g
-        else:
-            p._coeffs, p._den = (), 1
-        coeffs.append(p)
-    return XPoly._make(coeffs)
+    [x^i] = C(n,i) B_(n-i)^(a) l^(n-i) (N. E. Norlund, 1924). It builds no member."""
+    return XPoly._make(_row("bernoulli_r", _check_index(a, "a"), n, graded=True))
 
 
 @_cached(4096, lambda n, k: (_check_index(n), _check_index(k, "k")))
@@ -317,7 +344,7 @@ def stirling2(n: int, k: int) -> Fraction:
     S2(n,k) = sum_j (-1)^(k-j) C(k,j) j^n / k!, taken only for k <= n."""
     if n < k:
         return Fraction(0)
-    return Fraction(sequence_diff([j**n for j in range(k + 1)], k) // factorial(k))
+    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k))
 
 
 @_cached(256, lambda n: _check_index(n, "harmonic()", 1))

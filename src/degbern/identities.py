@@ -32,8 +32,8 @@ A right side in the Bernoulli basis (miki_poly, ex_b..ex_g) is written
 once, as terms ``{j: w_j}`` of sum_j w_j B_j(x) with the constant at
 j = 0. Each pair ex_X_classical / ex_X comes from ``_pair``, which takes
 one left side and one term function. The classical entry sums the terms
-(``_bernoulli_sum``, the umbral composition ``umbral_compose`` of
-sum_j w_j x^j with the Bernoulli polynomials); the degenerate entry maps
+(``_bernoulli_sum``: ``families._appell`` on the Bernoulli numbers, the Appell
+sum that is also reconstruct, so it reads no member); the degenerate entry maps
 them to the order-1 basis. ex_a is the single term {n: 1}, and ex_g is
 ex_d's left side and terms at order r. One map serves them all,
 ``_degenerate_form(terms, r)``: each a_k is a sum of int products of the
@@ -69,6 +69,7 @@ from typing import Callable, Iterator, Mapping
 from .core import LambdaPoly, XPoly, _cached, _dot_products, _over_lcm, _stirling2_rows
 from .expansion import BasisExpansion, reconstruct
 from .families import (
+    _appell,
     _numbers,
     bernoulli_number,
     bernoulli_poly,
@@ -80,7 +81,7 @@ from .families import (
     scaled_bernoulli,
 )
 from .parser import check_size, max_degree_limit
-from .umbral import _integral_power, _jumps, forward_diff, umbral_compose
+from .umbral import _integral_power, _jumps, forward_diff
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -143,8 +144,8 @@ def _product_sum(family: Callable[[int], XPoly], n: int) -> XPoly:
 
 
 def _bernoulli_sum(terms: Mapping[int, Fraction]) -> XPoly:
-    """sum_j w_j B_j(x) for terms {j: w_j}."""
-    return umbral_compose(XPoly([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]), bernoulli_poly)
+    """sum_j w_j B_j(x) for terms {j: w_j}, from the Bernoulli numbers alone (``families._appell``)."""
+    return _appell("bernoulli_r", 1, [LambdaPoly.const(terms.get(j, 0)) for j in range(max(terms, default=0) + 1)])
 
 
 def _degenerate_form(terms: Mapping[int, Fraction], r: int = 1) -> list[LambdaPoly]:

@@ -8,9 +8,10 @@ derivative/integral formulas, and the polynomial families come from
 products of truncated generating series instead of the tables' numbers x
 basis recurrences. The degenerate numbers, which the library sums from a
 closed form, have a second oracle: Miller's recurrence on the Q[l]
-coefficients of (e_l(t)-1)/t. So do the scaled Bernoulli family and ex_g's
-closed form, which the library reads off the Bernoulli numbers: the members
-themselves, and their composition.
+coefficients of (e_l(t)-1)/t. So do the scaled Bernoulli family, the Appell
+sums over a family's members (reconstruct, the Bernoulli sums) and ex_g's
+closed form, which the library reads off the numbers: the members themselves,
+and their composition.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from math import comb, factorial, gcd, perm
 
 from hypothesis import strategies as st
 
+from degbern import families
 from degbern.core import LambdaPoly, TruncSeries, XPoly, clear_caches
 from degbern.expansion import _alternating
-from degbern.families import FamilyTable, bernoulli_poly_order, deg_bernoulli_order, genocchi_number
+from degbern.families import FamilyTable, bernoulli_poly_order, genocchi_number
 from degbern.umbral import integral_I, sequence_diff, umbral_compose
 
 BOUND = 10**6
@@ -242,10 +244,16 @@ def functional_by_terms(f, p: XPoly) -> LambdaPoly:
     return total
 
 
+def member_sum(kind: str, r: int, coeffs) -> XPoly:
+    """sum_k a_k P_k(x) for the members P_k of the table key (kind, r), composed with
+    the members themselves, where ``families._appell`` reads only their numbers."""
+    return umbral_compose(XPoly(coeffs), lambda k: families._member(kind, r, k))
+
+
 def member_reconstruct(e) -> XPoly:
     """sum_k a_k beta_k^(r)(x) of an expansion, composed with the order-r members
     themselves: the tables' members, where reconstruct reads only their numbers."""
-    return umbral_compose(XPoly(e.coeffs), lambda k: deg_bernoulli_order(k, e.order))
+    return member_sum("deg_bernoulli_r", e.order, e.coeffs)
 
 
 def scaled_member(n: int, a: int) -> XPoly:

@@ -15,27 +15,16 @@ from degbern.families import deg_bernoulli_order, harmonic, stirling2
 from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
 
-#: entry -> the bound the core docstring states for it
-_BOUNDS = {
-    core._stirling1_rows: None,
-    core._stirling2_rows: None,
-    families._TABLE: None,
-    families._member: 512,
-    stirling2: 4096,
-    harmonic: 256,
-    umbral._diff_plan: 64,
-    expansion._f_plan: 64,
-    expansion._g_plan: 64,
-    expansion._degree_plan: 64,
-    expansion._number_side: 64,
-    identities._product_sum: 128,
-    identities._ex_b_terms: 64,
-    identities._ex_c_terms: 64,
-    identities._ex_d_terms: 64,
-    identities._nielsen: 512,
-    identities._ex_e_terms: 512,
-    identities._ex_f_terms: 512,
-}
+_MODULES = {"core": core, "expansion": expansion, "families": families, "identities": identities, "umbral": umbral}
+
+
+def _stated_bounds() -> dict:
+    """entry -> the bound the core docstring's table states for it, read off the
+    table's rows: "module.name", then the bound, None or an int."""
+    rows = re.findall(r"^    (\w+)\.(\w+) +(None|\d+)  ", core.__doc__, re.MULTILINE)
+    bounds = {getattr(_MODULES[module], name): None if b == "None" else int(b) for module, name, b in rows}
+    assert len(bounds) == len(rows) > 0, rows
+    return bounds
 
 
 def _member(n: int, r: int) -> XPoly:
@@ -45,7 +34,8 @@ def _member(n: int, r: int) -> XPoly:
 
 def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
     bound = {cache: cache.cache_info().maxsize for cache in core._CACHES}
-    assert len(core._CACHES) == len(_BOUNDS) and bound == _BOUNDS
+    stated = _stated_bounds()
+    assert len(core._CACHES) == len(stated) and bound == stated
     # fill each lru entry past its bound through its callers
     x = XPoly.x()
     for i in range(bound[stirling2] + 10):
@@ -60,11 +50,15 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
     # one umbral_integral plan per k < r
     for i in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
         expand(x ** (i % 37 + 2), 1 + i // 37)
-    # reconstruct keeps its falling-factorial plan per degree and its number side
-    # per (order, degree): a member at every degree up to the limit
-    assert max_degree_limit() + 1 > max(bound[expansion._degree_plan], bound[expansion._number_side])
-    for n in range(max_degree_limit() + 1):
+    # reconstruct keeps its falling-factorial plan and its connection terms per
+    # degree, and a number side per (kind, order, degree): a member at every degree
+    # up to the limit, then member 3 at more orders than that
+    limit = max_degree_limit()
+    assert limit + 1 >= max(bound[families._falling_plan], bound[families._connection])
+    for n in range(limit + 1):
         assert _member(n, 1).degree == n
+    for r in range(2, bound[families._number_side] - limit + 10):
+        assert _member(3, r).degree == 3
     # the identity corpus keeps its term lists and left sides per parameters, and
     # a product sum per family and n: products of x^k sum cheaply
     by_n = (identities._ex_b_terms, identities._ex_c_terms, identities._ex_d_terms)

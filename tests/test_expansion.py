@@ -451,7 +451,7 @@ def test_the_shared_difference_table_stays_crosschecked():
 
 
 def test_plan_caches_are_bounded_and_clearable():
-    caches = (expansion._f_plan, expansion._g_plan, expansion._degree_plan)
+    caches = (expansion._f_plan, expansion._g_plan, families._falling_plan)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
@@ -513,8 +513,8 @@ def test_reconstruct_at_the_degree_limit_matches_the_member_composition():
 
 
 def test_crosscheck_rebuilds_p_and_catches_a_wrong_connection_constant(monkeypatch, capsys):
-    # reconstruct is the one reader of _packed_products; no route reads it
-    products = expansion._packed_products
+    # reconstruct reads _packed_products through families._appell; no route reads it
+    products = families._packed_products
 
     def plus_one_in_output_4(xs, ys, sums):
         rows, den = products(xs, ys, sums)
@@ -523,7 +523,7 @@ def test_crosscheck_rebuilds_p_and_catches_a_wrong_connection_constant(monkeypat
 
     p = parse_poly("x^12 + l*x^3")
     assert reconstruct(crosscheck(p, 3)) == p
-    monkeypatch.setattr(expansion, "_packed_products", plus_one_in_output_4)
+    monkeypatch.setattr(families, "_packed_products", plus_one_in_output_4)
     with pytest.raises(RouteMismatchError) as caught:
         crosscheck(p, 3)
     # d_4 + 1 adds (x)_(4,l) = x^4 - 6l x^3 + ..., whose lowest term is a multiple of x

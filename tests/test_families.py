@@ -10,6 +10,8 @@ from functools import lru_cache
 from math import comb, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degbern.core as core
 import degbern.families as families
@@ -35,8 +37,10 @@ from degbern.parser import parse_poly
 from degbern.umbral import apply, delta_op, forward_diff, scaled_bernoulli_op, unit_integral_op
 from helpers import (
     all_primitive,
+    member_sum,
     miller_deg_numbers,
     partition_count,
+    random_lambda_poly,
     record_grows,
     scaled_member,
     series_family,
@@ -514,6 +518,23 @@ def test_public_families_match_series_oracle():
     for number, key in ((bernoulli_number, ("bernoulli_r", 1)), (euler_number, ("euler", 1)), (genocchi_number, ("genocchi",))):
         for n in range(ORACLE_N + 1):
             assert number(n) == _oracle(key)[n].coeff(0).as_rational(), (key, n)
+
+
+_APPELL_KEYS = [(kind, r) for kind in families._KINDS for r in (0, 1, 2, 3, 64)]
+
+
+@pytest.mark.parametrize("kind, r", _APPELL_KEYS, ids=[f"{kind}-r{r}" for kind, r in _APPELL_KEYS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_appell_sum_matches_the_member_composition(kind, r, data):
+    # the one sum behind reconstruct and the Bernoulli sums, on every kind, against
+    # the members composed one by one: to the degree limit on the falling
+    # factorials, to twice it on x^i, on sparse lists with l-bearing entries
+    top = 64 if families._KINDS[kind][2] else 128
+    n = data.draw(st.integers(0, top) | st.just(top), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    coeffs = [random_lambda_poly(rng) if rng.random() < 0.6 else LambdaPoly.zero() for _ in range(n + 1)]
+    assert families._appell(kind, r, coeffs) == member_sum(kind, r, coeffs)
 
 
 def test_family_table_rejects_unknown_family():

@@ -19,6 +19,7 @@ from degbern.identities import (
     verify,
     verify_all,
 )
+from degbern.umbral import umbral_compose
 from helpers import member_ex_g_coeffs, record_grows
 
 
@@ -97,6 +98,38 @@ def test_a_cold_ex_g_closed_form_reads_numbers_and_builds_no_member(monkeypatch)
     closed_form_coeffs("ex_g", n=64, r=64)
     assert {("bernoulli_r", s) for s in range(2, 65)} <= set(grown)
     assert families._member.cache_info().currsize == 0  # not even the Genocchi products of the left side
+
+
+_CLASSICAL = {
+    identity_id: {"m": 3, "n": 5} if "m" in identities._IDENTITIES[identity_id].minima else {"n": 9}
+    for identity_id in identity_ids()
+    if identity_id.endswith("_classical") or identity_id == "miki_poly"
+}
+
+
+@pytest.mark.parametrize("identity_id", _CLASSICAL)
+def test_a_cold_classical_right_side_reads_numbers_and_builds_no_member(monkeypatch, identity_id):
+    # the Bernoulli sum is one Appell sum on the Bernoulli numbers; the left side still reads members
+    grown = record_grows(monkeypatch)
+    params = _CLASSICAL[identity_id]
+    rhs = identities._IDENTITIES[identity_id].stated(identity_id, params)
+    assert ("bernoulli_r", 1) in grown
+    assert families._member.cache_info().currsize == 0
+    assert rhs == verify(identity_id, params).lhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=40),
+        st.fractions(max_denominator=10**6) | st.just(Fraction(0)),
+        max_size=8,
+    )
+)
+def test_bernoulli_sum_is_the_composition_with_the_bernoulli_polynomials(terms):
+    # any weights, zero ones and the empty sum included, against the members composed one by one
+    q = XPoly([terms.get(j, 0) for j in range(max(terms, default=-1) + 1)])
+    assert identities._bernoulli_sum(terms) == umbral_compose(q, bernoulli_poly)
 
 
 def test_unknown_identity():

@@ -41,19 +41,14 @@ int multiply-add and a power of l is a shift, and splits each result back
 exactly, with one gcd, at the slot width B its docstring's rule gives. The
 callers are ``expansion``'s stirling_sum and umbral_integral routes,
 ``umbral.forward_diff``, whose Delta^k weights are also stirling_sum's first
-stage, and the falling factorials of ``families`` (``_row_sums`` alone in
-``_appell``). The int Stirling triangles these weights read are kept here.
+stage, and the falling factorials of ``families``' members and ``_appell``. The int Stirling triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
 ``_packed_products`` packs each of its 2(n+1) inputs once and splits each
-output into its int slots once, so the n^2/2 terms of the Appell sum
-``families._appell``, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k, are one int product
-each. The d_i stay int rows over one denominator, fed straight to
-``_row_sums``: only the n+1 outputs are reduced, one gcd each. The side of the
-numbers c_t is the same for every sum over one family at degree n:
-``_product_side`` prepares it once, with the per-k bounds that give the slot
-width in O(n).
+output into int slots once, with no gcd, so each of the n^2/2 terms of the
+Appell sum ``families._appell`` is one int product. ``_product_side`` prepares
+the side shared by many sums once, with the bounds that give the width in O(n).
 
 Two rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``, and
@@ -61,20 +56,20 @@ exponent and order in ``core``, ``families`` and ``umbral``, and
 ``XPoly`` and the CLI's LaTeX.
 
 Every cache of the package is an entry of one registry here, and
-``clear_caches()`` (``degbern.clear_caches()``) empties them all. ``_cached``
-registers an ``lru_cache``; the family table and the Stirling triangles
-register themselves. Each entry answers ``cache_clear()`` and ``cache_info()``
-(``maxsize``, ``currsize``). Its bound (None: never evicted) and its worst case
-at the default degree limit L = 64, where readers ask for n <= 2L (n + a for
-ex_g_iop), are stated here once:
+``clear_caches()`` (``degbern.clear_caches()``) empties them all: each
+``lru_cache`` of ``_cached``, the family table, and each ``_Table``, grown to
+the largest index read. Each entry answers ``cache_clear()`` and
+``cache_info()`` (``maxsize``, ``currsize``). Its bound (None: never evicted)
+and its worst case at the default degree limit L = 64, where readers ask for
+n <= 2L (n + a for ex_g_iop), are stated here once:
 
     core._stirling1_rows        None  rows to 2L: 0.6 MB
     core._stirling2_rows        None  rows to 2L: 0.5 MB
     families._TABLE             None  numbers only; keys (kind, r), r <= L. Per r,
                                       ("bernoulli_r", r) to 2L and ("deg_bernoulli_r", r)
                                       with its sources to L: 10 MB in all
-    families._falling_plan      65    one plan per degree 0..L, sharing their terms: 0.7 MB
-    families._connection        64    the d_i's terms per degree, shared across degrees: 3.4 MB
+    families._CONNECTION        None  the d_i's terms, to the largest degree read, 2L: 0.8 MB
+    families._FALLING           None  the falling-factorial plan's terms, to L: 0.1 MB
     families._number_side       128   numbers per (kind, r, n), 70 in the verify sweep; 0.16 MB at L: 20 MB
     families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
                                       Every order's degenerate members to L and
@@ -231,36 +226,41 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-class _Triangle:
-    """Rows 0.. of the int triangle T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m), T(0,0) = 1. A call
-    publishes a grown copy wholesale, like a ``families.FamilyTable`` entry: unlocked readers are safe."""
+class _Table:
+    """Entries 0.. to the largest index read, grown by grow(entries, n) -> a new sequence through n
+    at least, published wholesale like a ``families.FamilyTable`` entry: unlocked readers are safe."""
 
-    def __init__(self, weight: Callable[[int, int], int]) -> None:
-        self._weight, self._rows = weight, []
+    def __init__(self, grow: Callable[[Sequence, int], Sequence]) -> None:
+        self._grow, self._entries = grow, ()
 
-    def __call__(self, n: int) -> list[tuple[int, ...]]:
-        """Rows 0..n, at least; not to be mutated."""
-        rows = self._rows
-        if n >= len(rows):
-            rows = list(rows) or [(1,)]
-            while len(rows) <= n:
-                k, prev = len(rows) - 1, (0, *rows[-1], 0)
-                rows.append(tuple(prev[m] + self._weight(k, m) * prev[m + 1] for m in range(k + 2)))
-            self._rows = rows
-        return rows
+    def __call__(self, n: int) -> Sequence:
+        """Entries 0..n, at least; not to be mutated."""
+        entries = self._entries
+        if n >= len(entries):
+            entries = self._entries = self._grow(entries, n)
+        return entries
 
     def cache_clear(self) -> None:
-        self._rows = []
+        self._entries = ()
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(None, len(self._rows))
+        return _CacheInfo(None, len(self._entries))
+
+
+def _triangle(weight: Callable[[int, int], int], rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """rows grown through row n of the int triangle T(k+1,m) = T(k,m-1) + weight(k,m) T(k,m), T(0,0) = 1."""
+    rows = list(rows) or [(1,)]
+    while len(rows) <= n:
+        k, prev = len(rows) - 1, (0, *rows[-1], 0)
+        rows.append(tuple(prev[m] + weight(k, m) * prev[m + 1] for m in range(k + 2)))
+    return rows
 
 
 #: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``,
 #: the degenerate numbers and the falling-factorial plan, and of the second kind
 #: S2(n, 0..n), the weights of ``forward_diff``, the routes and the identities' order-1 map.
-_stirling1_rows = _register(_Triangle(lambda k, m: -k))
-_stirling2_rows = _register(_Triangle(lambda k, m: m))
+_stirling1_rows = _register(_Table(functools.partial(_triangle, lambda k, m: -k)))
+_stirling2_rows = _register(_Table(functools.partial(_triangle, lambda k, m: m)))
 
 
 class _Ring:

@@ -43,17 +43,16 @@ tables' denominators, with one gcd.
 
 Every kind is Appell in its basis, so a sum over its members is one sum over
 its numbers, sum_k a_k P_k(x) = sum_i d_i b_i with d_i = sum_(k>=i) C(k,i)
-c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum,
-both ``expansion.reconstruct`` and the identities' Bernoulli sums: the d_i are
-one ``core._packed_products`` over a number side kept per (kind, r, n), and on
-the falling factorials (x)_{i,l} = sum_m s(i,m) l^(i-m) x^m (``deg_falling``)
-they go through one plan per degree (``_falling_plan``). Member n is the row
-d_i = C(n,i) c_(n-i) (``_row``) on x^i, or through the same plan; the scaled
-family is that row on the order-a Bernoulli numbers times l^(n-i). ``_member``'s
-one bounded cache keeps the 512 members read last; the table keeps numbers only,
-and its other readers build no member. Stirling numbers of the second kind and
-harmonic numbers round out the kit; the int triangles of Stirling numbers of
-both kinds live in ``core``.
+c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum, both
+``expansion.reconstruct`` and the identities' Bernoulli sums: the d_i are one
+``core._packed_products`` over a number side kept per (kind, r, n), put on the
+falling factorials (x)_{i,l} = sum_m s(i,m) l^(i-m) x^m (``deg_falling``) by one
+``_row_sums`` plan. The terms of both are two tables grown to the largest degree
+read, whose rows each lower degree reads cut short. Member n is the row C(n,i)
+c_(n-i) (``_row``), through the same plan on the falling factorials; the scaled
+family is that row on the order-a Bernoulli numbers times l^(n-i). ``_member``
+keeps the 512 members read last; the table keeps numbers only. Stirling numbers
+of the second kind and harmonic numbers round out the kit.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ from operator import add
 from typing import Sequence
 
 from .core import (
-    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_plan, _packed_products, _packed_sums,
-    _PackedPlan, _product_side, _ProductSide, _register, _row_sums, _stirling1_rows,
+    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_products, _packed_sums, _PackedPlan,
+    _product_side, _ProductSide, _register, _row_sums, _stirling1_rows, _Table,
 )
 
 __all__ = [
@@ -249,27 +248,33 @@ def _row(kind: str, r: int, n: int, graded: bool = False) -> list[LambdaPoly]:
     return row
 
 
-@_cached(65)  # degrees 0..L: readers that cycle through them all must not evict each other
+def _grown(terms, rows: Sequence[tuple], n: int) -> tuple[tuple, ...]:
+    """rows grown through degree n, row i holding terms(k)[i] for k = i..n."""
+    new = [terms(k) for k in range(len(rows), n + 1)]  # terms(k) has k + 1 entries
+    rows = [*rows, *[()] * len(new)]
+    return tuple((*row, *[t[i] for t in new if i < len(t)]) for i, row in enumerate(rows))
+
+
+#: The terms (k - i, k, C(k,i)) of each d_i of ``_appell``, and (i, s(i,j)) of each [x^j]
+#: sum_i d_i (x)_(i,l) = sum_i s(i,j) l^(i-j) d_i: one table each, for every kind, r and degree.
+_CONNECTION = _register(_Table(partial(_grown, lambda k: [(k - i, k, comb(k, i)) for i in range(k + 1)])))
+_FALLING = _register(_Table(partial(_grown, lambda k: [(k, s) for s in _stirling1_rows(k)[k]])))
+
+
+def _degree(table: _Table, n: int) -> list[tuple]:
+    """Rows 0..n of table, row i cut at k = n: its terms at degree n."""
+    return [row[: n + 1 - i] for i, row in enumerate(table(n)[: n + 1])]
+
+
 def _falling_plan(n: int) -> _PackedPlan:
-    """The plan of [x^j] sum_i d_i (x)_(i,l) = sum_i s(i,j) l^(i-j) d_i over d_0..d_n, for
-    every kind and r: degree n - 1's plan, whose terms it shares, with the terms of i = n."""
-    rows, sums = _falling_plan(n - 1)[:2] if n else ((), ())
-    sums = [(1, terms + ((n, s),)) for (_, terms), s in zip((*sums, (1, ())), _stirling1_rows(n)[n])]
-    return _packed_plan((*rows, ((n, 1),)), sums)
-
-
-@_cached(64)
-def _connection(n: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """The terms (k - i, k, C(k,i)) of each d_i of ``_appell`` at degree n, for every kind
-    and r: degree n - 1's rows, whose terms it shares, each with its term at k = n."""
-    rows = [row + ((n - i, n, comb(n, i)),) for i, row in enumerate(_connection(n - 1))] if n else []
-    return (*rows, ((0, n, 1),))
+    """The plan of [x^j] sum_i d_i (x)_(i,l) over d_0..d_n; l1 = 2 n! >= sum_(i<=n) sum_j |s(i,j)|."""
+    return _PackedPlan([((i, 1),) for i in range(n + 1)], [(1, t) for t in _degree(_FALLING, n)], 2 * factorial(n))
 
 
 @_cached(128)
 def _number_side(kind: str, r: int, n: int) -> _ProductSide:
     """c_0..c_n of (kind, r) as the number side of ``core._packed_products`` at degree n."""
-    return _product_side(_numbers(kind, r, n)[: n + 1], _connection(n))
+    return _product_side(_numbers(kind, r, n)[: n + 1], _degree(_CONNECTION, n))
 
 
 def _appell(kind: str, r: int, coeffs: Sequence[LambdaPoly]) -> XPoly:
@@ -277,7 +282,7 @@ def _appell(kind: str, r: int, coeffs: Sequence[LambdaPoly]) -> XPoly:
     alone: sum_i d_i b_i, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k as int rows over one denominator,
     fed straight to ``_falling_plan`` on the falling factorials: only the output gets a gcd."""
     n = len(coeffs) - 1
-    d, den = _packed_products(_number_side(kind, r, n), coeffs, _connection(n))
+    d, den = _packed_products(_number_side(kind, r, n), coeffs, _degree(_CONNECTION, n))
     if _KINDS[kind][2]:
         return XPoly._make(_row_sums(d, den, _falling_plan(n)))
     return XPoly._make([LambdaPoly._make(row, den) for row in d])
@@ -350,7 +355,4 @@ def stirling2(n: int, k: int) -> Fraction:
 @_cached(256, lambda n: _check_index(n, "harmonic()", 1))
 def harmonic(n: int) -> Fraction:
     """Harmonic number 1 + 1/2 + ... + 1/n, exact."""
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction(1, k)
-    return total
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))

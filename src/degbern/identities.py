@@ -220,10 +220,8 @@ def _bbar(j: int) -> Fraction:
 
 def _miki_lhs(at: Callable[[int], Fraction], n: int) -> XPoly:
     """Miki's left side with B_j(x) at one point: bernoulli_number (x = 0) or _bbar (x = 1/2)."""
-    lhs = Fraction(0)
-    for k in range(1, n):
-        lhs += at(2 * k) * at(2 * n - 2 * k) / Fraction(2 * k * (2 * n - 2 * k))
-    return XPoly.const(lhs)
+    pairs = (at(2 * k) * at(2 * n - 2 * k) / (2 * k * (2 * n - 2 * k)) for k in range(1, n))
+    return XPoly.const(sum(pairs, Fraction(0)))
 
 
 def _miki_rhs(at: Callable[[int], Fraction], n: int) -> XPoly:

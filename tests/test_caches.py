@@ -50,15 +50,15 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
     # one umbral_integral plan per k < r
     for i in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
         expand(x ** (i % 37 + 2), 1 + i // 37)
-    # reconstruct keeps its falling-factorial plan and its connection terms per
-    # degree, and a number side per (kind, order, degree): a member at every degree
-    # up to the limit, then member 3 at more orders than that
+    # reconstruct keeps a number side per (kind, order, degree), and its connection
+    # terms and falling-factorial plan in one table each, grown to the largest degree
+    # read: a member at every degree up to the limit, then member 3 at more orders
     limit = max_degree_limit()
-    assert limit + 1 >= max(bound[families._falling_plan], bound[families._connection])
-    for n in range(limit + 1):
-        assert _member(n, 1).degree == n
-    for r in range(2, bound[families._number_side] - limit + 10):
-        assert _member(3, r).degree == 3
+    keys = [(n, 1) for n in range(limit + 1)] + [(3, r) for r in range(2, bound[families._number_side] - limit + 10)]
+    assert len(keys) > bound[families._number_side]
+    for n, r in keys:
+        assert _member(n, r).degree == n
+    assert families._CONNECTION.cache_info() == families._FALLING.cache_info() == (None, limit + 1)
     # the identity corpus keeps its term lists and left sides per parameters, and
     # a product sum per family and n: products of x^k sum cheaply
     by_n = (identities._ex_b_terms, identities._ex_c_terms, identities._ex_d_terms)

@@ -451,17 +451,17 @@ def test_the_shared_difference_table_stays_crosschecked():
 
 
 def test_plan_caches_are_bounded_and_clearable():
-    caches = (expansion._f_plan, expansion._g_plan, families._falling_plan)
-    for cache in caches:
+    caches = (expansion._f_plan, expansion._g_plan, families._number_side)
+    for cache in (*caches, families._FALLING):
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
     x = XPoly.x()
     for i in range(bound + 10):  # that many (degree, order) shapes
         expand(x ** (i % 37 + 2), 1 + i // 37)
 
-    # reconstruct keeps its falling-factorial plan per degree: one basis member
-    # at every degree up to the limit, and member 3 at many orders, each read
-    # from that order's numbers
+    # reconstruct keeps a number side per (order, degree) and one falling-factorial
+    # table, grown to the largest degree read: one basis member at every degree up
+    # to the limit, and member 3 at many orders, each read from that order's numbers
     def member(n, r):
         return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
 
@@ -469,9 +469,9 @@ def test_plan_caches_are_bounded_and_clearable():
         assert member(n, 1).degree == n
     for r in range(1, bound + 10):
         assert member(3, r) == deg_bernoulli_order(3, r)
-    for cache in caches:
+    for cache in (*caches, families._FALLING):
         info = cache.cache_info()
-        assert info.currsize == info.maxsize
+        assert info.currsize == (info.maxsize or max_degree_limit() + 1)
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
 

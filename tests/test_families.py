@@ -537,6 +537,50 @@ def test_appell_sum_matches_the_member_composition(kind, r, data):
     assert families._appell(kind, r, coeffs) == member_sum(kind, r, coeffs)
 
 
+def test_appell_term_tables_read_each_degree_as_if_built_alone():
+    # one table each, grown to the largest degree read: every degree, read in any
+    # order, sees exactly the terms of that degree, and the falling-factorial
+    # plan's l1 bound holds its weights, within 4 bits to degree 2L
+    rng = random.Random(5)
+    degrees = [*range(0, 130, 7), 129, 3, 0, 64]
+    clear_caches()
+    for n in rng.sample(degrees, len(degrees)):
+        s1 = core._stirling1_rows(n)
+        want = core._packed_plan([[(i, 1)] for i in range(n + 1)], [(1, [(i, s1[i][j]) for i in range(j, n + 1)]) for j in range(n + 1)])
+        plan = families._falling_plan(n)
+        assert (tuple(map(tuple, plan.rows)), tuple(plan.sums)) == want[:2], n
+        assert want.l1 <= plan.l1 < 16 * want.l1, n
+        terms = [tuple((k - i, k, comb(k, i)) for k in range(i, n + 1)) for i in range(n + 1)]
+        assert families._degree(families._CONNECTION, n) == terms, n
+    assert families._FALLING.cache_info().currsize == families._CONNECTION.cache_info().currsize == 130
+
+
+def test_cold_appell_tables_grow_past_the_recursion_limit(monkeypatch):
+    # the connection and falling-factorial tables grow in loops: with the degree
+    # limit raised, a cold member, reconstruct and classical right side of a degree
+    # above the recursion limit each answer and agree with each other
+    from degbern.expansion import BasisExpansion, reconstruct
+    from degbern.identities import verify
+
+    n = 120
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", str(n))
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + n // 2)
+    try:
+        unit = (LambdaPoly.zero(),) * n + (LambdaPoly.one(),)
+        assert reconstruct(BasisExpansion(1, n, unit, ("unit",) * (n + 1))) == deg_bernoulli(n)
+        assert verify("ex_b_classical", {"n": n}).passed
+    finally:
+        sys.setrecursionlimit(limit)
+        clear_caches()
+    assert deg_bernoulli(n) == families._member("deg_bernoulli_r", 1, n)
+    assert deg_bernoulli(n).subs_lambda(0) == bernoulli_poly(n)
+
+
 def test_family_table_rejects_unknown_family():
     # the derived families and a key without its order are not table keys
     for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("scaled_bernoulli", 1), ("euler",)]:

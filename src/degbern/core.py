@@ -35,20 +35,22 @@ powers of l, run on packed rows instead (Kronecker substitution, as FLINT's
 ``fmpz_poly`` stores a polynomial). A caller states its int weights once to
 ``_packed_plan``, which keeps them with the l1 bound of their sums as an
 immutable plan, and hands the plan and p's coefficients to ``_packed_sums``.
-It puts them over their lcm denominator, and its int-row body ``_row_sums``
-turns each into one int, its numerators evaluated at l = 2^B, so a term is one
-int multiply-add and a power of l is a shift, and splits each result back
-exactly, with one gcd, at the slot width B its docstring's rule gives. The
-callers are ``expansion``'s stirling_sum and umbral_integral routes,
-``umbral.forward_diff``, whose Delta^k weights are also stirling_sum's first
-stage, and the falling factorials of ``families``' members and ``_appell``. The int Stirling triangles these weights read are kept here.
+It puts them over their lcm denominator and turns each into one int, its
+numerators evaluated at l = 2^B, so a term is one int multiply-add and a power
+of l is a shift, and splits each result back exactly, with one gcd, at the slot
+width B its docstring's rule gives. The callers are ``expansion``'s
+stirling_sum and umbral_integral routes and ``umbral.forward_diff``, whose
+Delta^k weights are also stirling_sum's first stage. The int Stirling
+triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
 ``_packed_products`` packs each of its 2(n+1) inputs once and splits each
-output into int slots once, with no gcd, so each of the n^2/2 terms of the
-Appell sum ``families._appell`` is one int product. ``_product_side`` prepares
-the side shared by many sums once, with the bounds that give the width in O(n).
+connection constant d_i of the Appell sum ``families._appell`` into int slots
+once, with no gcd, so each of its n^2/2 terms is one int product, its C(k,i)
+computed as it is read. ``_product_side`` prepares the number side once, with the
+bounds that give the width in O(n). ``_falling`` puts the d_i on the falling
+factorials (x)_(i,l) by Horner in x - i l, on packed ints too.
 
 Two rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``, and
@@ -68,8 +70,6 @@ n <= 2L (n + a for ex_g_iop), are stated here once:
     families._TABLE             None  numbers only; keys (kind, r), r <= L. Per r,
                                       ("bernoulli_r", r) to 2L and ("deg_bernoulli_r", r)
                                       with its sources to L: 10 MB in all
-    families._CONNECTION        None  the d_i's terms, to the largest degree read, 2L: 0.8 MB
-    families._FALLING           None  the falling-factorial plan's terms, to L: 0.1 MB
     families._number_side       128   numbers per (kind, r, n), 70 in the verify sweep; 0.16 MB at L: 20 MB
     families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
                                       Every order's degenerate members to L and
@@ -256,8 +256,8 @@ def _triangle(weight: Callable[[int, int], int], rows: Sequence[tuple[int, ...]]
     return rows
 
 
-#: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``,
-#: the degenerate numbers and the falling-factorial plan, and of the second kind
+#: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``
+#: and the degenerate numbers, and of the second kind
 #: S2(n, 0..n), the weights of ``forward_diff``, the routes and the identities' order-1 map.
 _stirling1_rows = _register(_Table(functools.partial(_triangle, lambda k, m: -k)))
 _stirling2_rows = _register(_Table(functools.partial(_triangle, lambda k, m: m)))
@@ -665,21 +665,17 @@ def _packed_plan(
 
 
 def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaPoly]:
-    """The outputs of plan over polys: ``_row_sums`` of their numerators over their lcm denominator."""
-    den = math.lcm(*(q._den for q in polys))
-    return _row_sums([[c * (den // q._den) for c in q._coeffs] for q in polys], den, plan)
+    """The outputs of plan over polys, on packed rows.
 
-
-def _row_sums(nums: Sequence[Sequence[int]], den: int, plan: _PackedPlan) -> list[LambdaPoly]:
-    """The outputs of plan over the polys nums[i] / den, for int rows nums and a
-    positive int den, on packed rows.
-
-    Each row is packed once, evaluated at l = 2^width as one int. A term is then
-    one int multiply-add and l^e a shift by e*width. A slot of an output is at
-    most max|numerator| times plan.l1; width is the bit length of that bound plus
+    Each poly's numerators over den, the lcm of their denominators, are packed
+    once, evaluated at l = 2^width as one int. A term is then one int
+    multiply-add and l^e a shift by e*width. A slot of an output is at most
+    max|numerator| times plan.l1; width is the bit length of that bound plus
     one, so every slot has magnitude below 2^(width-1) and ``_slots`` splits it
     back. Each output is reduced once, with one gcd.
     """
+    den = math.lcm(*(q._den for q in polys))
+    nums = [[c * (den // q._den) for c in q._coeffs] for q in polys]
     width = (max((abs(c) for row in nums for c in row), default=0) * plan.l1).bit_length() + 1
     packed = _pack(nums, width)
     w = [sum(c * packed[i] for i, c in row) for row in plan.rows]
@@ -690,6 +686,19 @@ def _row_sums(nums: Sequence[Sequence[int]], den: int, plan: _PackedPlan) -> lis
             acc = (acc << width) + s * w[j]
         out.append(LambdaPoly._make(_slots(acc, width), den * d))
     return out
+
+
+def _falling(rows: Sequence[Sequence[int]], den: int) -> list[LambdaPoly]:
+    """[x^j] of sum_i d_i (x)_(i,l) for the polys d_i = rows[i] / den (int rows, den > 0), by
+    Horner on packed ints, q <- d_i + (x - i l) q from i = n down, as (x)_(i+1,l) = (x)_(i,l) (x - i l).
+    [x^j] is sum_i s(i,j) l^(i-j) d_i, so its slots are at most max|numerator| times
+    sum_(i<=n) |s(i,j)| <= sum_(i<=n) i! <= 2 n!: that sets the width, as in ``_packed_sums``."""
+    n = len(rows) - 1
+    width = (max((abs(c) for row in rows for c in row), default=0) * 2 * math.factorial(n)).bit_length() + 1
+    packed, q = _pack(rows, width), []
+    for i in range(n, -1, -1):
+        q = [a - (i * b << width) for a, b in zip((packed[i], *q), (*q, 0))]
+    return [LambdaPoly._make(_slots(v, width), den) for v in q]
 
 
 def _low_rows(polys: Sequence[LambdaPoly]) -> tuple[list[list[int]], list[int], int]:
@@ -707,10 +716,10 @@ def _low_rows(polys: Sequence[LambdaPoly]) -> tuple[list[list[int]], list[int], 
 
 
 class _ProductSide(NamedTuple):
-    """The x side of ``_packed_products`` for some sums, prepared once: each x_t's
-    numerators over den, the lcm of the x_t's denominators, from its lowest nonzero
-    power of l, low[t], up; and bound[k] >= sum |w| |x_t|_1 over the terms (t, k, w)
-    of any one sum, in the l1 norm of those numerators."""
+    """The x side of ``_packed_products``, prepared once: each x_t's numerators over
+    den, the lcm of the x_t's denominators, from its lowest nonzero power of l,
+    low[t], up; and bound[k] = max_i C(k,i) |x_(k-i)|_1, the l1 norm of those
+    numerators, over every term with that k."""
 
     nums: tuple[tuple[int, ...], ...]
     low: tuple[int, ...]
@@ -718,52 +727,43 @@ class _ProductSide(NamedTuple):
     bound: tuple[int, ...]
 
 
-def _product_side(xs: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]) -> _ProductSide:
-    """xs prepared as the x side of ``_packed_products`` over sums."""
+def _product_side(xs: Sequence[LambdaPoly]) -> _ProductSide:
+    """xs prepared as the x side of ``_packed_products``."""
     nums, low, den = _low_rows(xs)
     l1 = [sum(map(abs, row)) for row in nums]
-    bound = [0] * (1 + max((k for terms in sums for _, k, _ in terms), default=-1))
-    for terms in sums:
-        own: dict[int, int] = {}
-        for t, k, w in terms:
-            own[k] = own.get(k, 0) + abs(w) * l1[t]
-        for k, b in own.items():
-            if b > bound[k]:
-                bound[k] = b
+    bound = [max(math.comb(k, i) * l1[k - i] for i in range(k + 1)) for k in range(len(xs))]
     return _ProductSide(tuple(map(tuple, nums)), tuple(low), den, tuple(bound))
 
 
-def _packed_products(
-    xs: _ProductSide, ys: Sequence[LambdaPoly], sums: Sequence[Sequence[tuple[int, int, int]]]
-) -> tuple[list[list[int]], int]:
-    """The outputs sum w x_t y_k over the (t, k, w) of each sums[i], for int w, on
-    packed rows: each as its int row of numerators over one denominator, the
-    product of the two sides' lcm denominators, which is returned with them. xs is
-    the x side, prepared for these sums by ``_product_side``.
+def _packed_products(xs: _ProductSide, ys: Sequence[LambdaPoly]) -> tuple[list[list[int]], int]:
+    """The connection sums d_i = sum_(k>=i) C(k,i) x_(k-i) y_k, i = 0..n for ys
+    y_0..y_n, on packed rows: each as its int row of numerators over one
+    denominator, the product of the two sides' lcm denominators, which is
+    returned with them. xs is the x side, prepared by ``_product_side``.
 
     Each x_t and y_k is packed once: its numerators over its side's denominator,
     from its lowest nonzero power of l up, evaluated at l = 2^width as one int.
-    A term is then one int product, shifted back by width times the two lowest
-    powers, so an l-monomial y_k costs one small multiply, and each output is
-    split into its slots once, with no gcd. A slot of x_t y_k is a sum of products
-    of slots, so its magnitude is at most |x_t|_1 |y_k|_inf in the l1 and max
-    norms of the numerators, and a slot of an output at most sum_k xs.bound[k]
-    |y_k|_inf, one O(n) sum. The width is its bit length plus one, so every slot
-    has magnitude below 2^(width-1) and ``_slots`` splits it back.
+    A term is then one int product, with C(k,i) from ``math.comb``, shifted back
+    by width times the two lowest powers, so an l-monomial y_k costs one small
+    multiply and a zero one nothing; each output is split into its slots once,
+    with no gcd. A slot of x_t y_k is a sum of products of slots, so its
+    magnitude is at most |x_t|_1 |y_k|_inf in the l1 and max norms of the
+    numerators, and a slot of an output at most sum_k xs.bound[k] |y_k|_inf,
+    one O(n) sum. The width is its bit length plus one, so every slot has
+    magnitude below 2^(width-1) and ``_slots`` splits it back.
     """
     yn, ylow, yden = _low_rows(ys)
     top = sum(b * max(map(abs, row), default=0) for b, row in zip(xs.bound, yn) if b)
     width = top.bit_length() + 1
     px, py = _pack(xs.nums, width), _pack(yn, width)
     lx = [width * e for e in xs.low]
-    ly = [width * e for e in ylow]
-    out = []
-    for terms in sums:
+    live = [(k, y, width * e) for k, (y, e) in enumerate(zip(py, ylow)) if y]
+    out, comb = [], math.comb
+    for i in range(len(py)):
         acc = 0
-        for t, k, w in terms:
-            v = py[k]
-            if v:
-                acc += px[t] * (w * v) << (lx[t] + ly[k])
+        for k, y, e in live:
+            if k >= i:
+                acc += px[k - i] * (comb(k, i) * y) << (lx[k - i] + e)
         out.append(_slots(acc, width))
     return out, xs.den * yden
 

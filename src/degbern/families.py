@@ -46,13 +46,12 @@ its numbers, sum_k a_k P_k(x) = sum_i d_i b_i with d_i = sum_(k>=i) C(k,i)
 c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum, both
 ``expansion.reconstruct`` and the identities' Bernoulli sums: the d_i are one
 ``core._packed_products`` over a number side kept per (kind, r, n), put on the
-falling factorials (x)_{i,l} = sum_m s(i,m) l^(i-m) x^m (``deg_falling``) by one
-``_row_sums`` plan. The terms of both are two tables grown to the largest degree
-read, whose rows each lower degree reads cut short. Member n is the row C(n,i)
-c_(n-i) (``_row``), through the same plan on the falling factorials; the scaled
-family is that row on the order-a Bernoulli numbers times l^(n-i). ``_member``
-keeps the 512 members read last; the table keeps numbers only. Stirling numbers
-of the second kind and harmonic numbers round out the kit.
+falling factorials (x)_{i,l} = x(x-l)...(x-(i-1)l) by ``core._falling``, Horner
+in x - i l. Member n is the row C(n,i) c_(n-i) (``_row``), through the same
+Horner on the falling factorials; the scaled family is that row on the order-a
+Bernoulli numbers times l^(n-i). ``_member`` keeps the 512 members read last;
+the table keeps numbers only. Stirling numbers of the second kind and harmonic
+numbers round out the kit.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ from operator import add
 from typing import Sequence
 
 from .core import (
-    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _over_lcm, _packed_products, _packed_sums, _PackedPlan,
-    _product_side, _ProductSide, _register, _row_sums, _stirling1_rows, _Table,
+    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _falling, _over_lcm, _packed_products, _product_side,
+    _ProductSide, _register, _stirling1_rows,
 )
 
 __all__ = [
@@ -248,51 +247,30 @@ def _row(kind: str, r: int, n: int, graded: bool = False) -> list[LambdaPoly]:
     return row
 
 
-def _grown(terms, rows: Sequence[tuple], n: int) -> tuple[tuple, ...]:
-    """rows grown through degree n, row i holding terms(k)[i] for k = i..n."""
-    new = [terms(k) for k in range(len(rows), n + 1)]  # terms(k) has k + 1 entries
-    rows = [*rows, *[()] * len(new)]
-    return tuple((*row, *[t[i] for t in new if i < len(t)]) for i, row in enumerate(rows))
-
-
-#: The terms (k - i, k, C(k,i)) of each d_i of ``_appell``, and (i, s(i,j)) of each [x^j]
-#: sum_i d_i (x)_(i,l) = sum_i s(i,j) l^(i-j) d_i: one table each, for every kind, r and degree.
-_CONNECTION = _register(_Table(partial(_grown, lambda k: [(k - i, k, comb(k, i)) for i in range(k + 1)])))
-_FALLING = _register(_Table(partial(_grown, lambda k: [(k, s) for s in _stirling1_rows(k)[k]])))
-
-
-def _degree(table: _Table, n: int) -> list[tuple]:
-    """Rows 0..n of table, row i cut at k = n: its terms at degree n."""
-    return [row[: n + 1 - i] for i, row in enumerate(table(n)[: n + 1])]
-
-
-def _falling_plan(n: int) -> _PackedPlan:
-    """The plan of [x^j] sum_i d_i (x)_(i,l) over d_0..d_n; l1 = 2 n! >= sum_(i<=n) sum_j |s(i,j)|."""
-    return _PackedPlan([((i, 1),) for i in range(n + 1)], [(1, t) for t in _degree(_FALLING, n)], 2 * factorial(n))
-
-
 @_cached(128)
 def _number_side(kind: str, r: int, n: int) -> _ProductSide:
     """c_0..c_n of (kind, r) as the number side of ``core._packed_products`` at degree n."""
-    return _product_side(_numbers(kind, r, n)[: n + 1], _degree(_CONNECTION, n))
+    return _product_side(_numbers(kind, r, n)[: n + 1])
 
 
 def _appell(kind: str, r: int, coeffs: Sequence[LambdaPoly]) -> XPoly:
     """sum_k a_k P_k(x) over the members of (kind, r), for coeffs a_0..a_n, from the numbers
     alone: sum_i d_i b_i, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k as int rows over one denominator,
-    fed straight to ``_falling_plan`` on the falling factorials: only the output gets a gcd."""
-    n = len(coeffs) - 1
-    d, den = _packed_products(_number_side(kind, r, n), coeffs, _degree(_CONNECTION, n))
+    fed straight to ``core._falling`` on the falling factorials: only the output gets a gcd."""
+    d, den = _packed_products(_number_side(kind, r, len(coeffs) - 1), coeffs)
     if _KINDS[kind][2]:
-        return XPoly._make(_row_sums(d, den, _falling_plan(n)))
+        return XPoly._make(_falling(d, den))
     return XPoly._make([LambdaPoly._make(row, den) for row in d])
 
 
 @_cached(512, lambda kind, r, n: (_check_index(n), _check_key((kind, r))))
 def _member(kind: str, r: int, n: int) -> XPoly:
-    """Member n of the table key (kind, r): its ``_row``, on the falling factorials through ``_falling_plan``."""
+    """Member n of the table key (kind, r): its ``_row``, on the falling factorials by ``core._falling``."""
     row = _row(kind, r, n)
-    return XPoly._make(_packed_sums(row, _falling_plan(n)) if _KINDS[kind][2] else row)
+    if not _KINDS[kind][2]:
+        return XPoly._make(row)
+    den = lcm(*(c._den for c in row))
+    return XPoly._make(_falling([[x * (den // c._den) for x in c._coeffs] for c in row], den))
 
 
 def bernoulli_poly(n: int) -> XPoly:

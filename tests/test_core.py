@@ -327,6 +327,7 @@ def test_packed_sums_of_zero_inputs_are_zero():
 
 
 def test_packed_products_match_the_products_over_q_l():
+    # the connection sums d_i = sum_(k>=i) C(k,i) x_(k-i) y_k against plain LambdaPoly sums
     rng = random.Random(83)
 
     def poly():
@@ -337,22 +338,20 @@ def test_packed_products_match_the_products_over_q_l():
             return LambdaPoly.monomial(rng.randint(0, 6), random_fraction(rng, 10**40) or 1)
         return random_lambda_poly(rng, 6, rng.choice([10**3, 10**12, 10**40]))
 
-    def weight():
-        return rng.choice([1, -1]) * rng.randint(1, 10 ** rng.randint(1, 20))
-
     for _ in range(150):
-        xs, ys = [poly() for _ in range(5)], [poly() for _ in range(6)]
-        sums = [[(rng.randrange(5), rng.randrange(6), weight()) for _ in range(rng.randint(0, 6))] for _ in range(4)]
-        expected = [_dot((xs[t], ys[k] * w) for t, k, w in terms) for terms in sums]
-        assert expected == [sum((xs[t] * ys[k] * w for t, k, w in terms), LambdaPoly.zero()) for terms in sums]
-        rows, den = _packed_products(_product_side(xs, sums), ys, sums)
+        n = rng.choice([0, 1, 2, rng.randint(3, 12)])
+        xs, ys = [poly() for _ in range(n + 1)], [poly() for _ in range(n + 1)]
+        expected = [
+            sum((xs[k - i] * ys[k] * math.comb(k, i) for k in range(i, n + 1)), LambdaPoly.zero()) for i in range(n + 1)
+        ]
+        assert expected == [_dot((xs[k - i], ys[k] * math.comb(k, i)) for k in range(i, n + 1)) for i in range(n + 1)]
+        rows, den = _packed_products(_product_side(xs), ys)
         # int rows with no trailing zero, over the product of the two sides' lcm denominators
         assert den == math.lcm(*(x._den for x in xs)) * math.lcm(*(y._den for y in ys))
         assert all(all(type(c) is int for c in row) and (not row or row[-1]) for row in rows)
         assert [LambdaPoly._make(row, den) for row in rows] == expected
     zero = LambdaPoly.zero()
-    sums = [[(0, 1, 5)], []]
-    assert _packed_products(_product_side([zero], sums), [zero, zero], sums) == ([[], []], 1)
+    assert _packed_products(_product_side([zero, zero]), [zero, zero]) == ([[], []], 1)
 
 
 # -- products over Q[l], each coefficient one kernel dot product -----------------------

@@ -29,6 +29,7 @@ from degbern.families import (
     deg_bernoulli_order,
     genocchi_poly,
 )
+from degbern.identities import verify_all
 from degbern.parser import max_degree_limit, parse_poly
 from degbern.umbral import forward_diff
 from helpers import classical_coeffs_higher, classical_coeffs_order1, member_reconstruct, random_xpoly, record_grows
@@ -452,16 +453,15 @@ def test_the_shared_difference_table_stays_crosschecked():
 
 def test_plan_caches_are_bounded_and_clearable():
     caches = (expansion._f_plan, expansion._g_plan, families._number_side)
-    for cache in (*caches, families._FALLING):
+    for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
     x = XPoly.x()
     for i in range(bound + 10):  # that many (degree, order) shapes
         expand(x ** (i % 37 + 2), 1 + i // 37)
 
-    # reconstruct keeps a number side per (order, degree) and one falling-factorial
-    # table, grown to the largest degree read: one basis member at every degree up
-    # to the limit, and member 3 at many orders, each read from that order's numbers
+    # reconstruct keeps a number side per (order, degree): one basis member at every
+    # degree up to the limit, and member 3 at many orders, each read from that order's numbers
     def member(n, r):
         return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
 
@@ -469,9 +469,9 @@ def test_plan_caches_are_bounded_and_clearable():
         assert member(n, 1).degree == n
     for r in range(1, bound + 10):
         assert member(3, r) == deg_bernoulli_order(3, r)
-    for cache in (*caches, families._FALLING):
+    for cache in caches:
         info = cache.cache_info()
-        assert info.currsize == (info.maxsize or max_degree_limit() + 1)
+        assert info.currsize == info.maxsize
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
 
@@ -512,28 +512,92 @@ def test_reconstruct_at_the_degree_limit_matches_the_member_composition():
         assert reconstruct(e) == member_reconstruct(e) == p, expr
 
 
-def test_crosscheck_rebuilds_p_and_catches_a_wrong_connection_constant(monkeypatch, capsys):
+def _plus_one_in_d4(monkeypatch):
     # reconstruct reads _packed_products through families._appell; no route reads it
     products = families._packed_products
 
-    def plus_one_in_output_4(xs, ys, sums):
-        rows, den = products(xs, ys, sums)
-        rows[4] = [(rows[4][0] if rows[4] else 0) + den, *rows[4][1:]]  # d_4 + 1
+    def patched(xs, ys):
+        rows, den = products(xs, ys)
+        if len(rows) > 4:  # d_4 + 1
+            rows[4] = [(rows[4][0] if rows[4] else 0) + den, *rows[4][1:]]
         return rows, den
 
-    p = parse_poly("x^12 + l*x^3")
-    assert reconstruct(crosscheck(p, 3)) == p
-    monkeypatch.setattr(families, "_packed_products", plus_one_in_output_4)
-    with pytest.raises(RouteMismatchError) as caught:
-        crosscheck(p, 3)
-    # d_4 + 1 adds (x)_(4,l) = x^4 - 6l x^3 + ..., whose lowest term is a multiple of x
-    assert (caught.value.k, caught.value.route_a, caught.value.route_b) == (1, "p", "reconstruct")
-    # k there is a power of x, and the message says so
-    assert str(caught.value).startswith("coefficient of x^1 differs between routes: p -> 0, reconstruct -> ")
-    capsys.readouterr()
-    assert cli.main(["expand", "--expr", "x^12 + l*x^3", "--order", "3", "--crosscheck"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "coefficient of x^1 differs" in err and "a_1" not in err
+    monkeypatch.setattr(families, "_packed_products", patched)
+
+
+def _plus_l_in_output_5(monkeypatch):
+    falling = families._falling
+
+    def patched(rows, den):
+        out = falling(rows, den)
+        if len(out) > 5:
+            out[5] += LAMBDA
+        return out
+
+    monkeypatch.setattr(families, "_falling", patched)
+
+
+def _plus_one_in_number_5(key):
+    def patch(monkeypatch):
+        # grown through 2L first, so that no later number is computed from the wrong one
+        numbers = list(families._TABLE.numbers(key, 2 * max_degree_limit()))
+        numbers[5] += 1
+        families._TABLE._numbers[key] = numbers
+
+    return patch
+
+
+_CHECKED = [(expr, r) for expr in ("x^12 + l*x^3", "(1+x+l)^10", "x^3 - 1/2*l*x + 2") for r in (1, 3)]
+_BY_RECONSTRUCT = {(expr, r): ("p", "reconstruct") for expr, r in _CHECKED[:4]}
+# one wrong entry of a table or kernel the Appell sum reads, patched where it is read:
+# the crosscheck cases that catch it, each as (route_a, route_b, k), and the number
+# of verify_all() cases that fail
+_WRONG = {
+    "packed_products-d4": (_plus_one_in_d4, {case: (*routes, 1) for case, routes in _BY_RECONSTRUCT.items()}, 216),
+    "falling-x5": (_plus_l_in_output_5, {case: (*routes, 5) for case, routes in _BY_RECONSTRUCT.items()}, 94),
+    "deg_bernoulli_r3-c5": (
+        _plus_one_in_number_5(("deg_bernoulli_r", 3)),
+        {("x^12 + l*x^3", 3): ("umbral_integral", "residual", 0), ("(1+x+l)^10", 3): ("umbral_integral", "residual", 0)},
+        0,
+    ),
+    "bernoulli_r1-c5": (
+        _plus_one_in_number_5(("bernoulli_r", 1)),
+        {
+            ("x^12 + l*x^3", 1): ("umbral_integral", "operator_functional", 0),
+            ("x^12 + l*x^3", 3): ("umbral_integral", "umbral_integral_op", 0),
+            ("(1+x+l)^10", 1): ("umbral_integral", "operator_functional", 0),
+            ("(1+x+l)^10", 3): ("umbral_integral", "umbral_integral_op", 0),
+        },
+        194,
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(_WRONG))
+def test_a_wrong_shared_table_is_caught(monkeypatch, capsys, row):
+    patch, want, failures = _WRONG[row]
+    for expr, r in _CHECKED:  # crosscheck rebuilds p from its expansion
+        assert reconstruct(crosscheck(parse_poly(expr), r)) == parse_poly(expr)
+    core.clear_caches()
+    try:
+        patch(monkeypatch)
+        caught = {}
+        for expr, r in _CHECKED:
+            try:
+                crosscheck(parse_poly(expr), r)
+            except RouteMismatchError as e:
+                caught[expr, r] = e
+        assert {case: (e.route_a, e.route_b, e.k) for case, e in caught.items()} == want
+        assert sum(not case.passed for case in verify_all()) == failures
+        for (expr, r), e in caught.items():
+            # with k a power of x, the message says so
+            of = f"of x^{e.k}" if e.route_a == "p" else f"a_{e.k}"
+            assert str(e).startswith(f"coefficient {of} differs between routes: {e.route_a} -> {e.value_a}, "), e
+        capsys.readouterr()
+        assert cli.main(["expand", "--expr", "x^12 + l*x^3", "--order", "3", "--crosscheck"]) == 2
+        assert capsys.readouterr() == ("", f"route disagreement: {caught['x^12 + l*x^3', 3]}\n")
+    finally:
+        core.clear_caches()
 
 
 # -- every registered route is cross-checked ------------------------------------

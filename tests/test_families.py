@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -537,26 +537,36 @@ def test_appell_sum_matches_the_member_composition(kind, r, data):
     assert families._appell(kind, r, coeffs) == member_sum(kind, r, coeffs)
 
 
-def test_appell_term_tables_read_each_degree_as_if_built_alone():
-    # one table each, grown to the largest degree read: every degree, read in any
-    # order, sees exactly the terms of that degree, and the falling-factorial
-    # plan's l1 bound holds its weights, within 4 bits to degree 2L
-    rng = random.Random(5)
-    degrees = [*range(0, 130, 7), 129, 3, 0, 64]
-    clear_caches()
-    for n in rng.sample(degrees, len(degrees)):
-        s1 = core._stirling1_rows(n)
-        want = core._packed_plan([[(i, 1)] for i in range(n + 1)], [(1, [(i, s1[i][j]) for i in range(j, n + 1)]) for j in range(n + 1)])
-        plan = families._falling_plan(n)
-        assert (tuple(map(tuple, plan.rows)), tuple(plan.sums)) == want[:2], n
-        assert want.l1 <= plan.l1 < 16 * want.l1, n
-        terms = [tuple((k - i, k, comb(k, i)) for k in range(i, n + 1)) for i in range(n + 1)]
-        assert families._degree(families._CONNECTION, n) == terms, n
-    assert families._FALLING.cache_info().currsize == families._CONNECTION.cache_info().currsize == 130
+_INT_ROWS = st.lists(st.lists(st.integers(-(10**30), 10**30), max_size=5) | st.just([]), min_size=1, max_size=40)
 
 
-def test_cold_appell_tables_grow_past_the_recursion_limit(monkeypatch):
-    # the connection and falling-factorial tables grow in loops: with the degree
+@settings(max_examples=60, deadline=None)
+@given(_INT_ROWS, st.integers(1, 10**12))
+def test_falling_is_the_sum_over_the_falling_factorials(rows, den):
+    # packed Horner in x - i*l against sum_i d_i (x)_(i,l), on rows with zero polys among them
+    expected = sum((deg_falling(i) * LambdaPoly._make(list(row), den) for i, row in enumerate(rows)), XPoly.zero())
+    assert XPoly._make(core._falling(rows, den)) == expected
+
+
+def test_falling_bound_holds_each_column_within_4_bits(monkeypatch):
+    # slots hold max|d| times 2 n!, which bounds sum_i |s(i,j)| in every column j,
+    # at most 4 bits over the largest of them, to degree 2L
+    widths = []
+    slots = core._slots
+    monkeypatch.setattr(core, "_slots", lambda v, w: widths.append(w) or slots(v, w))
+    columns = []  # sum_(i<=n) |s(i,j)| for each j
+    for n, row in enumerate(core._stirling1_rows(2 * 64)[: 2 * 64 + 1]):
+        columns = [a + abs(b) for a, b in zip([*columns, 0], row)]
+        column = max(columns)
+        assert column <= 2 * factorial(n) < 16 * column, n
+        if n in (0, 1, 2, 7, 64, 128):  # the width _falling takes from that bound
+            widths.clear()
+            core._falling([[1]] * (n + 1), 1)
+            assert set(widths) == {(2 * factorial(n)).bit_length() + 1}, n
+
+
+def test_cold_appell_sums_answer_past_the_recursion_limit(monkeypatch):
+    # the Appell sum and the members run in loops, not by degree: with the degree
     # limit raised, a cold member, reconstruct and classical right side of a degree
     # above the recursion limit each answer and agree with each other
     from degbern.expansion import BasisExpansion, reconstruct

@@ -52,24 +52,27 @@ computed as it is read. ``_product_side`` prepares the number side once, with th
 bounds that give the width in O(n). ``_falling`` puts the d_i on the falling
 factorials (x)_(i,l) by Horner in x - i l, on packed ints too.
 
-Two rules of the package live here once: ``_check_index`` checks every index,
-exponent and order in ``core``, ``families`` and ``umbral``, and
-``_signed_sum`` writes every sum of terms, the text of ``LambdaPoly`` and
-``XPoly`` and the CLI's LaTeX.
+Three rules of the package live here once: ``_check_index`` checks every index,
+exponent and order in ``core``, ``families`` and ``umbral``; ``check_size`` bounds
+every degree, order and sweep by the degree limit (``max_degree_limit``,
+DEGBERN_MAX_DEGREE); and ``_signed_sum`` writes every sum of terms, the text of
+``LambdaPoly`` and ``XPoly`` and the CLI's LaTeX.
 
 Every cache of the package is an entry of one registry here, and
 ``clear_caches()`` (``degbern.clear_caches()``) empties them all: each
-``lru_cache`` of ``_cached``, the family table, and each ``_Table``, grown to
-the largest index read. Each entry answers ``cache_clear()`` and
-``cache_info()`` (``maxsize``, ``currsize``). Its bound (None: never evicted)
+``lru_cache`` of ``_cached``, and each ``_Table``, whose keys each grow to the
+largest index read: the two Stirling triangles here, keyed (), and the family
+numbers, keyed (kind, r). Each entry answers ``cache_clear()`` and
+``cache_info()`` (``maxsize``, ``currsize``); a ``_Table`` counts its entries
+across keys, so a triangle reports its rows. Its bound (None: never evicted)
 and its worst case at the default degree limit L = 64, where readers ask for
 n <= 2L (n + a for ex_g_iop), are stated here once:
 
     core._stirling1_rows        None  rows to 2L: 0.6 MB
     core._stirling2_rows        None  rows to 2L: 0.5 MB
-    families._TABLE             None  numbers only; keys (kind, r), r <= L. Per r,
-                                      ("bernoulli_r", r) to 2L and ("deg_bernoulli_r", r)
-                                      with its sources to L: 10 MB in all
+    families._TABLE             None  numbers only; keys (kind, r), r <= L, checked as a
+                                      key grows. Per r, ("bernoulli_r", r) to 2L and
+                                      ("deg_bernoulli_r", r) with its sources to L: 10 MB in all
     families._number_side       128   numbers per (kind, r, n), 70 in the verify sweep; 0.16 MB at L: 20 MB
     families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
                                       Every order's degenerate members to L and
@@ -94,6 +97,13 @@ twins of an identity pair, and ex_g at every order with ex_d, read one left
 side and one term list, miki_poly at n reads ex_b's left side at 2n, and the
 Appell sums over one family at one degree read one number side. With them,
 ``verify --all --n-max 32 --r-max 8`` peaks at 53.3 MB RSS, 53.8 MB without.
+
+The package has one lock, ``_LOCK``, reentrant and taken only while a ``_Table``
+key grows: threads reading one cold key grow it once, and a grow reads its sources
+through the tables it needs. Every other read is unlocked, since a grown key is
+published wholesale and never mutated, and an ``lru_cache`` is safe to share.
+``umbral.OperatorSeries`` keeps its coefficients in a ``_Table`` of its own, outside
+the registry: an operator lives as long as its reader.
 """
 
 from __future__ import annotations
@@ -101,6 +111,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -140,6 +152,28 @@ def _check_index(n: int, name: str = "n", least: int = 0) -> int:
         need = "needs a positive" if least else "must be a non-negative"
         raise ValueError(f"{name} {need} integer, got {n!r}")
     return n
+
+
+def max_degree_limit() -> int:
+    """The active degree guard (DEGBERN_MAX_DEGREE overrides the default 64)."""
+    raw = os.environ.get("DEGBERN_MAX_DEGREE")
+    if raw is None:
+        return 64
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(f"DEGBERN_MAX_DEGREE must be an integer, got {raw!r}") from None
+    if limit < 0:
+        raise ValueError("DEGBERN_MAX_DEGREE must be non-negative")
+    return limit
+
+
+def check_size(name: str, value: int, low: int = 0) -> None:
+    """The one size guard for degrees, orders and sweep bounds: ValueError unless
+    value is an integer from low to max_degree_limit(), not a bool."""
+    limit = max_degree_limit()
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= limit:
+        raise ValueError(f"{name} must be between {low} and {limit} (DEGBERN_MAX_DEGREE), got {value!r}")
 
 
 def _signed_sum(terms: Iterable[tuple[bool, str, str]], times: str = "*") -> str:
@@ -226,25 +260,34 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
+#: The one lock of the package, taken only to grow a ``_Table`` key; reentrant, so a
+#: grow may read other keys, its sources, through the same or another table.
+_LOCK = threading.RLock()
+
+
 class _Table:
-    """Entries 0.. to the largest index read, grown by grow(entries, n) -> a new sequence through n
-    at least, published wholesale like a ``families.FamilyTable`` entry: unlocked readers are safe."""
+    """Entries 0.. per key, to the largest index read, grown by grow(entries, n, *key) -> a new
+    sequence through n at least. A key grows under ``_LOCK``, so threads reading one cold key grow
+    it once, and is published wholesale, never mutated: unlocked readers are safe."""
 
-    def __init__(self, grow: Callable[[Sequence, int], Sequence]) -> None:
-        self._grow, self._entries = grow, ()
+    def __init__(self, grow: Callable[..., Sequence]) -> None:
+        self._grow, self._entries = grow, {}
 
-    def __call__(self, n: int) -> Sequence:
-        """Entries 0..n, at least; not to be mutated."""
-        entries = self._entries
+    def __call__(self, n: int, key: tuple = ()) -> Sequence:
+        """Entries 0..n of key, at least; not to be mutated."""
+        entries = self._entries.get(key, ())
         if n >= len(entries):
-            entries = self._entries = self._grow(entries, n)
+            with _LOCK:
+                entries = self._entries.get(key, ())
+                if n >= len(entries):
+                    entries = self._entries[key] = self._grow(entries, n, *key)
         return entries
 
     def cache_clear(self) -> None:
-        self._entries = ()
+        self._entries = {}
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(None, len(self._entries))
+        return _CacheInfo(None, sum(map(len, self._entries.values())))
 
 
 def _triangle(weight: Callable[[int, int], int], rows: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
@@ -974,14 +1017,6 @@ class TruncSeries(_Ring):
         if not 0 <= k <= self._order:
             raise IndexError(f"coefficient index {k} outside truncation order {self._order}")
         return self._coeffs[k]
-
-    def truncated(self, order: int) -> "TruncSeries":
-        if order > self._order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self._ring, order, self._coeffs[: order + 1])
-
-    def map_coeffs(self, fn: Callable, ring: type | None = None) -> "TruncSeries":
-        return TruncSeries(ring or self._ring, self._order, [fn(c) for c in self._coeffs])
 
     def _check(self, other: "TruncSeries") -> None:
         if self._ring is not other._ring:

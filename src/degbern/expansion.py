@@ -87,9 +87,9 @@ from .core import (
     _packed_sums,
     _PackedPlan,
     _stirling2_rows,
+    check_size,
 )
 from .families import _appell, _numbers, deg_bernoulli_order, scaled_bernoulli
-from .parser import check_size
 from .umbral import (
     OperatorSeries,
     _diff_plan,

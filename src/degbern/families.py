@@ -56,7 +56,6 @@ numbers round out the kit.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, gcd, lcm
@@ -64,12 +63,11 @@ from operator import add
 from typing import Sequence
 
 from .core import (
-    LambdaPoly, XPoly, _cached, _CacheInfo, _check_index, _falling, _over_lcm, _packed_products, _product_side,
-    _ProductSide, _register, _stirling1_rows,
+    LambdaPoly, XPoly, _cached, _check_index, _falling, _over_lcm, _packed_products, _product_side, _ProductSide,
+    _register, _stirling1_rows, _Table, check_size,
 )
 
 __all__ = [
-    "FamilyTable",
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_order",
@@ -176,60 +174,28 @@ _KINDS = {
 def _check_key(key: tuple) -> None:
     """Refuse a key that is not (kind, r): checked on every read, since a cached
     ("bernoulli_r", 1) would also answer ("bernoulli_r", True)."""
-    if len(key) != 2 or key[0] not in _KINDS:
+    if key[0] not in _KINDS:
         raise ValueError(f"unknown family {key!r}")
     _check_index(key[1], "r")
 
 
-class FamilyTable:
-    """Append-only table of the module docstring's numbers c_0, c_1, ..., keyed by (kind, r).
-
-    ``_KINDS`` states each kind's rule and sources. A request past a cached end
-    grows the key's sources first, since the lock is not reentrant; then
-    ``_grow`` computes only the missing numbers, under one plain lock, and
-    replaces the cached list wholesale. Lists are never mutated in place, so
-    unlocked readers always see complete entries, and ``cache_clear()`` empties
-    the table under the same lock. It keeps no member: ``_member`` builds those.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._numbers: dict[tuple, list[LambdaPoly]] = {}
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._numbers.clear()
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(None, len(self._numbers))
-
-    def numbers(self, key: tuple, n: int) -> list[LambdaPoly]:
-        """The published numbers c_0.. of key, at least through c_n; not to be mutated."""
-        _check_index(n)
-        _check_key(key)
-        entry = self._numbers.get(key)
-        if entry is not None and n < len(entry):
-            return entry
-        r, (sources, rule, _) = key[1], _KINDS[key[0]]
-        theirs = [self.numbers((source, r), n) for source in sources]
-        return self._grow(key, n, lambda numbers: rule(numbers, r, n, *theirs))
-
-    def _grow(self, key: tuple, n: int, extend) -> list[LambdaPoly]:
-        """The numbers of key, at least through c_n: under the lock, a list still too short is
-        replaced by extend(list), a new list, and published wholesale."""
-        with self._lock:
-            entry = self._numbers.get(key, [])
-            if n >= len(entry):
-                entry = self._numbers[key] = extend(entry)
-            return entry
+def _grow_numbers(numbers: Sequence[LambdaPoly], n: int, kind: str, r: int) -> list[LambdaPoly]:
+    """The numbers of (kind, r) extended through c_n by the kind's rule, from its sources'
+    numbers through c_n, read through ``_TABLE``; r is bounded by the degree limit."""
+    check_size("order r", r)
+    sources, rule, _ = _KINDS[kind]
+    return rule(numbers, r, n, *(_TABLE(n, (source, r)) for source in sources))
 
 
-_TABLE = _register(FamilyTable())
+#: The module docstring's numbers c_0, c_1, ... keyed by (kind, r); it keeps no member.
+_TABLE = _register(_Table(_grow_numbers))
 
 
 def _numbers(kind: str, r: int, n: int) -> list[LambdaPoly]:
     """c_0..c_n, at least, of the table key (kind, r): the published list, read and never mutated."""
-    return _TABLE.numbers((kind, r), n)
+    _check_index(n)
+    _check_key(key := (kind, r))
+    return _TABLE(n, key)
 
 
 def _row(kind: str, r: int, n: int, graded: bool = False) -> list[LambdaPoly]:

@@ -66,7 +66,7 @@ from math import comb, factorial, inf, lcm, perm
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
-from .core import LambdaPoly, XPoly, _cached, _dot_products, _over_lcm, _stirling2_rows
+from .core import LambdaPoly, XPoly, _cached, _dot_products, _over_lcm, _stirling2_rows, check_size, max_degree_limit
 from .expansion import BasisExpansion, reconstruct
 from .families import (
     _appell,
@@ -80,7 +80,6 @@ from .families import (
     harmonic,
     scaled_bernoulli,
 )
-from .parser import check_size, max_degree_limit
 from .umbral import _integral_power, _jumps, forward_diff
 
 __all__ = [

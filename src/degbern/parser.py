@@ -19,10 +19,11 @@ Bernoulli polynomial (order r), E(n) the Euler and G(n) the Genocchi one.
 Each grammar rule returns the exact XPoly value of what it parsed; no
 syntax tree is built. A product or a power is checked before it is
 computed: it may not pass the degree limit in x or in l (default 64,
-overridable via the DEGBERN_MAX_DEGREE environment variable). check_size
-applies the same limit to every exponent (so a constant such as 2^65 is
-rejected although its degree is 0), to the arguments of B, E and G, to the
-order r of expand and to the CLI's size flags. A nesting-depth bound makes
+overridable via the DEGBERN_MAX_DEGREE environment variable). check_size,
+kept in ``core`` with max_degree_limit, applies the same limit to every
+exponent (so a constant such as 2^65 is rejected although its degree is 0), to
+the arguments of B, E and G, to the order r of expand and of every family
+table, and to the CLI's size flags. A nesting-depth bound makes
 malformed input fail fast.
 
 Errors come in source order. The whole input is tokenized first, so an
@@ -33,16 +34,14 @@ reports the ParseError.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-from .core import LAMBDA, XPoly
+from .core import LAMBDA, XPoly, check_size, max_degree_limit
 from .families import bernoulli_poly, bernoulli_poly_order, euler_poly, genocchi_poly
 
 __all__ = ["MAX_DEPTH", "ParseError", "check_size", "max_degree_limit", "parse_poly"]
 
 MAX_DEPTH = 256
-_DEFAULT_MAX_DEGREE = 64
 
 
 class ParseError(ValueError):
@@ -94,28 +93,6 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         i += 1
     tokens.append(("end", "", len(src)))
     return tokens
-
-
-def max_degree_limit() -> int:
-    """The active degree guard (DEGBERN_MAX_DEGREE overrides the default 64)."""
-    raw = os.environ.get("DEGBERN_MAX_DEGREE")
-    if raw is None:
-        return _DEFAULT_MAX_DEGREE
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"DEGBERN_MAX_DEGREE must be an integer, got {raw!r}") from None
-    if limit < 0:
-        raise ValueError("DEGBERN_MAX_DEGREE must be non-negative")
-    return limit
-
-
-def check_size(name: str, value: int, low: int = 0) -> None:
-    """The one size guard for degrees, orders and sweep bounds: ValueError unless
-    value is an integer from low to max_degree_limit(), not a bool."""
-    limit = max_degree_limit()
-    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= limit:
-        raise ValueError(f"{name} must be between {low} and {limit} (DEGBERN_MAX_DEGREE), got {value!r}")
 
 
 class _Parser:

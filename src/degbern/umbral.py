@@ -31,7 +31,7 @@ from typing import Any, Callable, Sequence
 
 from .core import (
     LambdaPoly, Scalar, TruncSeries, XPoly, _cached, _check_index, _dot, _packed_plan, _packed_sums, _PackedPlan,
-    _stirling2_rows,
+    _stirling2_rows, _Table,
 )
 
 __all__ = [
@@ -61,15 +61,14 @@ class OperatorSeries:
     """A power series over Q[l] used as an operator on XPoly.
 
     Wraps a builder ``order -> TruncSeries`` so truncation always extends
-    lazily to the operand's degree; the highest series built so far is
-    cached (a benign race at worst rebuilds it).
+    lazily to the operand's degree; the coefficients built so far are kept in
+    a ``core._Table``, so threads may read one operator at once.
     """
 
-    __slots__ = ("_build", "_cached")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, build: Callable[[int], TruncSeries]) -> None:
-        self._build = build
-        self._cached: TruncSeries | None = None
+        self._coeffs = _Table(lambda coeffs, order: build(order).coeffs)
 
     @classmethod
     def from_coeff_fn(cls, fn: Callable[[int], LambdaPoly | Scalar]) -> "OperatorSeries":
@@ -77,13 +76,7 @@ class OperatorSeries:
         return cls(lambda order: TruncSeries.from_fn(LambdaPoly, order, fn))
 
     def series(self, order: int) -> TruncSeries:
-        cached = self._cached
-        if cached is None or cached.order < order:
-            cached = self._build(order)
-            self._cached = cached
-        if cached.order == order:
-            return cached
-        return cached.truncated(order)
+        return TruncSeries(LambdaPoly, order, self._coeffs(order)[: order + 1])
 
     def coeff(self, k: int) -> LambdaPoly:
         return self.series(k).coeff(k)
@@ -140,7 +133,7 @@ def apply(f: OperatorSeries, p: XPoly) -> XPoly:
     """
     if p.is_zero:
         return XPoly.zero()
-    ts = f.series(p.degree).coeffs
+    ts = f._coeffs(p.degree)
     scaled = [c * factorial(j) for j, c in enumerate(p.coeffs)]
     return XPoly._make([_dot(zip(ts, scaled[i:])) / factorial(i) for i in range(len(scaled))])
 
@@ -150,7 +143,7 @@ def functional(f: OperatorSeries, p: XPoly) -> LambdaPoly:
     sum_k c_k k! [x^k]p as one kernel dot product."""
     if p.is_zero:
         return LambdaPoly.zero()
-    ts = f.series(p.degree).coeffs
+    ts = f._coeffs(p.degree)
     return _dot(zip(ts, (c * factorial(k) for k, c in enumerate(p.coeffs))))
 
 

@@ -25,25 +25,25 @@ from hypothesis import strategies as st
 from degbern import families
 from degbern.core import LambdaPoly, TruncSeries, XPoly, clear_caches
 from degbern.expansion import _alternating
-from degbern.families import FamilyTable, bernoulli_poly_order, genocchi_number
+from degbern.families import bernoulli_poly_order, genocchi_number
 from degbern.umbral import integral_I, sequence_diff, umbral_compose
 
 BOUND = 10**6
-_GROW = FamilyTable._grow
 
 
 def record_grows(monkeypatch) -> list[tuple]:
-    """Empty every cache, then record the key of each grow of a family table's
+    """Empty every cache, then record the key of each grow of the family table's
     numbers, in order, in the list returned; a key's sources grow, and are
     recorded, before it. A second call starts a new record."""
     clear_caches()
     grown: list[tuple] = []
 
-    def grow(table, key, n, extend):
-        grown.append(key)
-        return _GROW(table, key, n, extend)
+    def grow(numbers, n, kind, r):
+        numbers = families._grow_numbers(numbers, n, kind, r)
+        grown.append((kind, r))
+        return numbers
 
-    monkeypatch.setattr(FamilyTable, "_grow", grow)
+    monkeypatch.setattr(families._TABLE, "_grow", grow)
     return grown
 
 
@@ -344,7 +344,7 @@ def _euler_core(order: int) -> TruncSeries:
 
 def _lift(series: TruncSeries) -> TruncSeries:
     """Reinterpret a LambdaPoly series as an XPoly series of constants."""
-    return series.map_coeffs(XPoly.const, XPoly)
+    return TruncSeries(XPoly, series.order, [XPoly.const(c) for c in series.coeffs])
 
 
 def _extract(series: TruncSeries) -> list[XPoly]:
@@ -352,7 +352,7 @@ def _extract(series: TruncSeries) -> list[XPoly]:
 
 
 def series_family(key: tuple, n: int) -> list[XPoly]:
-    """Members 0..n of a FamilyTable key, or of the derived ("deg_falling",) or
+    """Members 0..n of a family table key, or of the derived ("deg_falling",) or
     ("genocchi",), as n! [t^n] of core^r times the basis series."""
     kind = key[0]
     if kind == "deg_falling":

@@ -32,7 +32,7 @@ def _member(n: int, r: int) -> XPoly:
     return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
 
 
-def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
+def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties(monkeypatch):
     bound = {cache: cache.cache_info().maxsize for cache in core._CACHES}
     stated = _stated_bounds()
     assert len(core._CACHES) == len(stated) and bound == stated
@@ -55,6 +55,7 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties():
     limit = max_degree_limit()
     keys = [(n, 1) for n in range(limit + 1)] + [(3, r) for r in range(2, bound[families._number_side] - limit + 10)]
     assert len(keys) > bound[families._number_side]
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", str(max(r for _, r in keys)))  # a family order is a size
     for n, r in keys:
         assert _member(n, r).degree == n
     # the identity corpus keeps its term lists and left sides per parameters, and

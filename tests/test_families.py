@@ -18,7 +18,6 @@ import degbern.families as families
 from degbern.core import LAMBDA, LambdaPoly, XPoly, clear_caches
 from degbern.expansion import expand
 from degbern.families import (
-    FamilyTable,
     bernoulli_number,
     bernoulli_poly,
     bernoulli_poly_order,
@@ -48,6 +47,11 @@ from helpers import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def _fresh_table() -> core._Table:
+    """A family table of its own, grown by the package's rule; its sources grow in the package's table."""
+    return core._Table(families._grow_numbers)
 
 BERNOULLI = {
     0: Fraction(1),
@@ -221,10 +225,10 @@ def test_deg_bernoulli_order_difference_lowers_order():
 
 def test_second_kind_numbers_match_the_series_oracle():
     # b_j^(r) = j! [t^j] (t/log(1+t))^r, the oracle's member j at x = 0
-    table = FamilyTable()
+    table = _fresh_table()
     for r in range(9):
         key = ("bernoulli2_r", r)
-        assert table.numbers(key, 20)[:21] == [p.eval_x(0) for p in series_family(key, 20)], r
+        assert table(20, key)[:21] == [p.eval_x(0) for p in series_family(key, 20)], r
 
 
 def test_second_kind_sums_collapse_for_m_at_least_r():
@@ -232,7 +236,7 @@ def test_second_kind_sums_collapse_for_m_at_least_r():
     # as (t/u)^r u^m = t^r u^(m-r) with u = log(1+lt)/l; in ints over b's lcm den
     rows = core._stirling1_rows(30)
     for r in range(9):
-        b, den = families._over_lcm([c.as_rational() for c in FamilyTable().numbers(("bernoulli2_r", r), 30)[:31]])
+        b, den = families._over_lcm([c.as_rational() for c in _fresh_table()(30, ("bernoulli2_r", r))[:31]])
         for n in range(r, 31):
             for m in range(r, n + 1):
                 lhs = sum(comb(n, j) * b[j] * rows[n - j][m] for j in range(n - m + 1))
@@ -241,7 +245,7 @@ def test_second_kind_sums_collapse_for_m_at_least_r():
 
 @pytest.mark.parametrize("r, n", [*((r, 24) for r in range(9)), (16, 64), (64, 64)])
 def test_deg_numbers_closed_form_matches_the_q_l_recurrence(r, n):
-    assert FamilyTable().numbers(("deg_bernoulli_r", r), n)[: n + 1] == miller_deg_numbers(r, n)
+    assert _fresh_table()(n, ("deg_bernoulli_r", r))[: n + 1] == miller_deg_numbers(r, n)
 
 
 def test_scaled_bernoulli_edges():
@@ -375,7 +379,7 @@ def test_cached_families_check_their_arguments_on_every_call():
         harmonic(2.0)
 
 
-_INDEXED = sorted(set(families.__all__) - {"FamilyTable"})
+_INDEXED = sorted(families.__all__)
 
 
 @pytest.mark.parametrize("name", _INDEXED)
@@ -432,26 +436,31 @@ def test_addition_formula_at_rational_second_argument():
 
 
 def test_family_table_concurrent_reads():
-    # threads reading one cold key all get the one list it publishes, and threads
-    # reading one cold member all get the serial member
-    table = FamilyTable()
+    # threads reading one cold key all get the one list it publishes, even from a
+    # grow slow enough that they all find the key cold, and threads reading one
+    # cold member all get the serial member
+    def slow_grow(*args):
+        time.sleep(0.01)
+        return families._grow_numbers(*args)
+
+    table = core._Table(slow_grow)
     key = ("deg_bernoulli_r", 1)
     clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        numbers = list(pool.map(lambda _: table.numbers(key, 10), range(16)))
+        numbers = list(pool.map(lambda _: table(10, key), range(16)))
         members = list(pool.map(lambda _: deg_bernoulli(10), range(16)))
     assert all(c is numbers[0] for c in numbers)
-    assert numbers[0][:11] == FamilyTable().numbers(key, 10)[:11]
+    assert numbers[0][:11] == _fresh_table()(10, key)[:11]
     assert all(p == members[0] for p in members)
     assert members[0] == _oracle(key)[10]
 
 
 def test_family_table_append_only_growth():
-    table = FamilyTable()
+    table = _fresh_table()
     key = ("deg_bernoulli_r", 0)
-    first = table.numbers(key, 3)
-    grown = table.numbers(key, 6)
-    assert table.numbers(key, 3) is grown
+    first = table(3, key)
+    grown = table(6, key)
+    assert table(3, key) is grown
     # growth replaced the list, it did not extend it, and kept each number it had
     assert len(first) == 4 and len(grown) == 7
     assert all(a is b for a, b in zip(first, grown))
@@ -491,9 +500,9 @@ def _requests(order: str) -> list[tuple[tuple, int]]:
 def test_family_table_matches_series_oracle(order):
     # the numbers of a fresh table, then the members built from cold caches, each
     # in the same request order: the bernoulli2_r members have no public function
-    table = FamilyTable()
+    table = _fresh_table()
     for key, n in _requests(order):
-        assert table.numbers(key, n)[n] == _oracle(key)[n].coeff(0), (key, n)
+        assert table(n, key)[n] == _oracle(key)[n].coeff(0), (key, n)
     clear_caches()
     for key, n in _requests(order):
         assert families._member(*key, n) == _oracle(key)[n], (key, n)
@@ -592,46 +601,63 @@ def test_cold_appell_sums_answer_past_the_recursion_limit(monkeypatch):
 
 
 def test_family_table_rejects_unknown_family():
-    # the derived families and a key without its order are not table keys
-    for key in [("fibonacci",), ("fibonacci", 1), ("deg_falling",), ("genocchi",), ("scaled_bernoulli", 1), ("euler",)]:
-        with pytest.raises(ValueError, match="unknown family"):
-            FamilyTable().numbers(key, 3)
+    # the derived families are not table kinds, and nothing is grown for them
+    clear_caches()
     for kind in ("fibonacci", "deg_falling", "genocchi", "scaled_bernoulli"):
-        with pytest.raises(ValueError, match="unknown family"):
-            families._member(kind, 1, 3)
+        for read in (families._numbers, families._member):
+            with pytest.raises(ValueError, match="unknown family"):
+                read(kind, 1, 3)
+    assert families._TABLE._entries == {}
 
 
 def test_family_table_checks_the_index_and_the_order():
     # n is checked on a grown table and past cached members as on empty ones,
     # before any read; an order that is not a non-negative int is refused before
     # anything is built. A bool is neither: True == 1 and hashes as 1
+    def numbers(key, n):
+        return families._numbers(*key, n)
+
     def member(key, n):
         return families._member(*key, n)
 
-    clear_caches()
-    grown = FamilyTable()
-    grown.numbers(("bernoulli_r", 1), 5)
-    for n in range(6):
-        member(("bernoulli_r", 1), n)
-    for read in (grown.numbers, FamilyTable().numbers, member):
-        for n in (-1, 2.0, True, False):
-            with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
-                read(("bernoulli_r", 1), n)
+    for grown in (True, False):
+        clear_caches()
+        if grown:
+            numbers(("bernoulli_r", 1), 5)
+            for n in range(6):
+                member(("bernoulli_r", 1), n)
+        for read in (numbers, member):
+            for n in (-1, 2.0, True, False):
+                with pytest.raises(ValueError, match=re.escape(f"n must be a non-negative integer, got {n!r}")):
+                    read(("bernoulli_r", 1), n)
     for order in (-1, 1.5, True, False):
         for kind in ("bernoulli_r", "deg_bernoulli_r"):
             clear_caches()
-            table = FamilyTable()
-            for read in (member, table.numbers):
+            for read in (member, numbers):
                 with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
                     read((kind, order), 3)
-            assert table._numbers == families._TABLE._numbers == {}
+            assert families._TABLE._entries == {}
             assert families._member.cache_info().currsize == 0
     # also on a table grown for the int a bool equals, where a lookup would hit
     for order in (True, False):
-        grown = FamilyTable()
-        grown.numbers(("bernoulli_r", int(order)), 5)
+        numbers(("bernoulli_r", int(order)), 5)
         with pytest.raises(ValueError, match=re.escape(f"r must be a non-negative integer, got {order!r}")):
-            grown.numbers(("bernoulli_r", order), 3)
+            numbers(("bernoulli_r", order), 3)
+
+
+def test_family_table_orders_are_bounded_by_the_degree_limit(monkeypatch):
+    # every kind's order is a size, checked as its key first grows: past the
+    # limit nothing is grown, and a raised limit admits it
+    limit = core.max_degree_limit()
+    clear_caches()
+    for kind in families._KINDS:
+        with pytest.raises(ValueError, match=f"order r must be between 0 and {limit} \\(DEGBERN_MAX_DEGREE\\)"):
+            families._numbers(kind, limit + 1, 3)
+    with pytest.raises(ValueError, match="DEGBERN_MAX_DEGREE"):
+        deg_bernoulli_order(3, limit + 1)
+    assert families._TABLE._entries == {} and families._member.cache_info().currsize == 0
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", str(limit + 1))
+    assert deg_bernoulli_order(3, limit + 1) == series_family(("deg_bernoulli_r", limit + 1), 3)[3]
 
 
 def test_a_cached_member_never_answers_a_bool():

@@ -393,9 +393,37 @@ def _g_delta_ops() -> list[OperatorSeries]:
     return [g**m * delta**k for m in (1, 2) for k in (0, 1, 2)]
 
 
+def test_one_operator_read_by_threads_gives_the_serial_series():
+    # eight threads read one cold operator at orders 0..32, each in its own order,
+    # while its coefficient table grows under the package's lock
+    serial = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
+    expected = {order: serial.series(order) for order in range(33)}
+    shared = unit_integral_op() * scaled_bernoulli_op(LAMBDA)
+    plans = [random.Random(t).sample(range(33), 33) for t in range(8)]
+    results: list = [None] * len(plans)
+    barrier = threading.Barrier(len(plans))
+
+    def worker(t: int) -> None:
+        barrier.wait(timeout=30)
+        results[t] = {order: shared.series(order) for order in plans[t]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(plans)
+
+
 def test_shared_operator_series_race_benignly():
-    # OperatorSeries caches its highest series without a lock; racing readers
-    # of mixed degree may rebuild it, but must always get the same answer.
+    # operators over shared factors, each keeping its coefficients in a table:
+    # racing readers of mixed degree must always get the serial answer.
     rng = random.Random(149)
     polys = [random_xpoly(rng, d, True, 20) for d in (2, 9, 4, 12, 6, 11, 3, 8)]
     jobs = [(i, j) for i in range(6) for j in range(len(polys))]

@@ -38,9 +38,9 @@ immutable plan, and hands the plan and p's coefficients to ``_packed_sums``.
 It puts them over their lcm denominator and turns each into one int, its
 numerators evaluated at l = 2^B, so a term is one int multiply-add and a power
 of l is a shift, and splits each result back exactly, with one gcd, at the slot
-width B its docstring's rule gives. The callers are ``expansion``'s
-stirling_sum and umbral_integral routes and ``umbral.forward_diff``, whose
-Delta^k weights are also stirling_sum's first stage. The int Stirling
+width B its docstring's rule gives. The callers are ``expansion``'s one pass of
+both default routes and ``umbral.forward_diff``, whose Delta^k weights are also
+that pass's stirling_sum rows. The int Stirling
 triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
@@ -81,9 +81,9 @@ n <= 2L (n + a for ex_g_iop), are stated here once:
     families.stirling2          4096  the triangle to n = 89: 1 MB
     families.harmonic           256   0.04 MB
     umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB
-    expansion._f_plan           64    plans of 0.4 MB, half of it the rows of the
-                                      _diff_plan at (n, r), shared while both are kept: 26 MB
-    expansion._g_plan           64    plans of 0.27 MB: 17 MB
+    expansion._pass_plan        64    plans of at most 0.31 MB of their own at degree L, beside the
+                                      _diff_plan rows at (n, r) and the family numbers they share:
+                                      18 MB with those, for every order at L
     identities._product_sum     128   left sides per (family, n), n <= 2L; 0.2 MB at 2L: 25 MB
     identities._ex_b_terms      64    term lists per n; 8 KB at L: 0.5 MB
     identities._ex_c_terms      64    22 KB at L: 1.4 MB

@@ -22,37 +22,45 @@ Branch f, with m = k - r:
 Branch g, with m = r - k, S = lt/(e^{lt}-1) and q_m = S^m p, that is p with
 x^i replaced by l^i B_i^(m)(x/l):
 
-    umbral_integral      a_k = Delta^r [A^m q_m](0) / k!,  A the antiderivative
+    umbral_integral      a_k = [S^m D^k Y](0) / k!,  Y = I^r p,  D = d/dx
     umbral_integral_op   a_k = Delta^k [(I S)^m p](0) / k!,  I q(x) = integral_x^{x+1} q
     stirling_op          a_k = Delta^k [sum_j S2(j+m,m) m!/(j+m)! q_m^(j)](0) / k!
     operator_functional  a_k = <g(t)^m (e^t-1)^k | p> / k! = <g(t)^r f(t)^k | p> / k!
     residual             a_k = [x^k](p - sum_{j>k} a_j beta_j^(r)), top down
 
-The first and the second g-routes agree because Delta^m A^m = I^m on
-polynomials and I commutes with S, so I^m q_m = (I S)^m p; the second
-takes its powers as one chain of r steps. stirling_op applies I^m as the
-series ((e^t-1)/t)^m. residual uses that beta_k^(r) is monic of degree k
-and reads the f-branch coefficients it is given. At r = 1 the f-branch
-gives a_k for k >= 1 from p(x+1)-p(x), and umbral_integral is
+The first and the second g-routes agree because Delta = D I, so
+I^m Delta^k = D^k I^r on polynomials (S. Roman, The Umbral Calculus, 1984),
+and S commutes with both: the first reads every a_k from the one polynomial
+Y, and the second takes its powers as one chain of r steps. stirling_op
+applies I^m as the series ((e^t-1)/t)^m. residual uses that beta_k^(r) is
+monic of degree k and reads the f-branch coefficients it is given. At r = 1
+the f-branch gives a_k for k >= 1 from p(x+1)-p(x), and umbral_integral is
 a_0 = integral_0^1 q_1.
 
 Every route is one entry of the table ``_ROUTES``, keyed by (branch, name).
 The ``*_ROUTES`` name tuples, the route checks, expand and crosscheck all
 read that table; the first route of each branch is its default.
 
-The two defaults are int linear maps of the coefficients p_i: stirling_sum
+The two defaults are int linear maps of the coefficients p_i, each a row
+stage and then sums over its rows. stirling_sum's rows are w_j = [x^j] Delta^r p,
 with weights C(i,j) r! S2(i-j,r), the rows of ``umbral.forward_diff``'s
-Delta^r, then S2(j,m) l^(j-m); umbral_integral with C(i,j) B_(i-j)^(m)
-l^(i-j), then (m+k)! S2(j+m,m+k) / (perm(j+m,m) k!), each over one lcm.
+Delta^r, and its sums S2(j,m) l^(j-m) w_j. umbral_integral's rows are
+Y_t = [x^t] I^r p, with weights C(i,t) r! S2(i-t+r,r) / perm(i-t+r,r) over
+one lcm, and a_k is the sum of B_t^(m) C(t+k,k) l^t Y_(t+k): every a_k with
+k < r reads the one polynomial Y, as [x^t] D^k Y / k! = C(t+k,k) Y_(t+k).
+Past r, D^r Y = Delta^r p, so Y_t = w_(t-r) / perm(t,r): that Y_t takes no row
+of its own where perm(t,r) divides the lcm, as at every t when r = 1.
 Those weights belong to the basis, not to p: they depend only on the degree
-and r, and p supplies the values they multiply. So each default builds them
-once into an immutable plan (``core._packed_plan``: the rows of weights and
-the l1 bound of their sums) and hands plan and p to ``core._packed_sums``,
-which sums them on packed rows: each p_i packed once into one int, each term
-one int multiply-add, each power of l a shift. ``_f_plan`` keeps a plan per
-(degree, r), whose rows are the row tuples of ``umbral._diff_plan`` at
-(degree, r), and ``_g_plan`` one per (degree, r, k). Every plan is dense, so
-p's zero coefficients take part as zeros, and the degree guard bounds it.
+and r, and p supplies the values they multiply. So ``_pass_plan`` builds
+both defaults' weights once per (degree, r), at most 64 plans, and ``expand``
+with both defaults makes one pass, ``_pass``: one ``core._packed_sums`` of
+the rows and every sum, on packed rows: p packed once into ints at one
+width, each term one int multiply-add, each power of l a shift. Its w rows
+are the row tuples of ``umbral._diff_plan`` at (degree, r), and it reads the
+Bernoulli numbers off the family table at each call. Each default route of
+``_ROUTES`` is its slice of the pass, the rows and sums its outputs read, so a
+default still pairs with any route of the other branch. Every plan is dense,
+so p's zero coefficients take part as zeros, and the degree guard bounds it.
 Every other route sums with ``core._dot``, except that delta_lambda,
 functional and umbral_integral_op take their unit differences
 (``forward_diff`` by 1, ``integral_I``) on the same packed Delta^k plans.
@@ -74,7 +82,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, perm
+from itertools import starmap
+from math import comb, factorial, lcm, perm
+from typing import NamedTuple, Sequence
 
 from .core import (
     LAMBDA,
@@ -208,19 +218,11 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
     return _functionals(monomial_op(0), forward_diff(p, 1, r), range(r, p.degree + 1))
 
 
-@_cached(64)
-def _f_plan(n: int, r: int) -> _PackedPlan:
-    """stirling_sum's weights at degree n and order r: the row tuples of
-    ``umbral._diff_plan(n, r)``, then the sums S2(j,m) l^(j-m) w_j."""
-    top = n - r  # [x^j] Delta^r p is 0 for j > top
-    s2 = _stirling2_rows(top)
-    sums = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
-    return _packed_plan(_diff_plan(n, r).rows, sums)
-
-
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
-    """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p, on packed rows."""
-    return _packed_sums(p.coeffs, _f_plan(p.degree, r))
+    """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p: the f slice
+    of ``_pass``, its Delta^r rows and f sums alone."""
+    plan = _pass_plan(p.degree, r)
+    return _packed_sums(p.coeffs, _PackedPlan(plan.delta, plan.f, plan.l1))
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
@@ -246,32 +248,12 @@ def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly
     return coeffs
 
 
-# 64 plans: one expand at the top order r = 64 reads one per a_k with k < r.
-@_cached(64)
-def _g_plan(n: int, r: int, k: int) -> _PackedPlan:
-    """umbral_integral's weights for a_k at degree n and order r: s_t l^t for the
-    sum and, for each t, the row C(i,t) cw_(i-t) over i = t..n."""
-    m = r - k
-    jump = _jumps(r, n + r + 1)
-    s, s_den = _over_lcm([c.coeff(0) for c in _numbers("bernoulli_r", m, n)[: n + 1]])
-    cw, cw_den = _over_lcm([Fraction(jump[j + m], perm(j + m, m) * factorial(k)) for j in range(n + 1)])
-    rows = [
-        [(i, cw[i - t] * comb(i, t)) for i in range(t, n + 1) if cw[i - t]] if st else []
-        for t, st in enumerate(s)
-    ]
-    return _packed_plan(rows, [(s_den * cw_den, list(enumerate(s)))])
-
-
 def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-    """a_k = Delta^(m+k) [A^m q_m](0) / k!, m = r - k, on packed rows.
-
-    A^m maps x^j to x^(j+m) j!/(j+m)!, Delta^(m+k) x^i at 0 is (m+k)! S2(i,m+k) and
-    [x^j] q_m = sum_i C(i,j) s_(i-j) l^(i-j) p_i with s_t = B_t^(m), so
-    a_k = sum_t s_t l^t y_t, y_t = sum_j cw_j C(j+t,j) p_(j+t) and
-    cw_j = r! S2(j+m,r) j! / ((j+m)! k!).
-    """
-    n = p.degree
-    return [a for k in range(min(r, n + 1)) for a in _packed_sums(p.coeffs, _g_plan(n, r, k))]
+    """a_k = sum_t B_t^(r-k) C(t+k,k) l^t Y_(t+k), Y = I^r p: the g slice of ``_pass``,
+    its rows and g sums alone."""
+    plan = _pass_plan(p.degree, r)
+    rows = _rows(plan.delta, plan.integral)
+    return _packed_sums(p.coeffs, _PackedPlan(rows, _g_sums(plan.den, plan.at, plan.g), plan.l1))
 
 
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
@@ -291,6 +273,97 @@ def _g_residual(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
         for j in range(min(k, count)):
             rest[j] = rest[j] - a * beta.coeff(j)
     return rest
+
+
+# -- the default pass: (p, r) -> [a_0, ..., a_n], both default routes at once -----
+
+
+class _PassPlan(NamedTuple):
+    """The weights of both default routes at degree n and order r, for ``_pass``.
+
+    delta: the row tuples of ``umbral._diff_plan(n, r)``, w_j = [x^j] Delta^r p, none
+    when r > n. integral: range(u, n+1) and the int weights of den Y_u on p_u, ...,
+    p_n, Y_u = [x^u] I^r p, for each u whose Y_u is a row of its own; no weights when
+    no sum reads Y_u. at: for each u, the row that gives den Y_u and its multiplier.
+    g: for each k < min(r, n+1), the order-(r-k) Bernoulli numbers its sum reads, the
+    family table's own list, and the lcm of their denominators. f: the sums of a_r,
+    ..., a_n on the delta rows, as ``core._packed_plan`` keeps them. l1 bounds every
+    output, as in ``core._PackedPlan``.
+    """
+
+    delta: tuple[tuple[tuple[int, int], ...], ...]
+    integral: tuple[tuple[range, tuple[int, ...]], ...]
+    at: tuple[tuple[int, int], ...]
+    den: int
+    g: tuple[tuple[int, Sequence[LambdaPoly]], ...]  # (lcm, numbers)
+    f: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    l1: int
+
+
+# 64 plans: a sweep over every order at one degree, or over every degree at one order.
+@_cached(64)
+def _pass_plan(n: int, r: int) -> _PassPlan:
+    """The weights of ``_pass`` at degree n and order r.
+
+    [x^t] I^r x^i = C(i,t) c_(i-t) with c_j = r! S2(j+r,r) / perm(j+r,r), over their
+    lcm den. Past r, D^r I^r = Delta^r gives Y_u = w_(u-r) / perm(u,r): where perm(u,r)
+    divides den, Y_u is read from that delta row, at no wider slot, and takes no row
+    of its own. a_k = sum_t B_t^(r-k) C(t+k,k) l^t Y_(t+k) for k < r, and
+    a_(m+r) = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j.
+    """
+    jump = _jumps(r, n + r + 1)
+    c, den = _over_lcm([Fraction(jump[j + r], perm(j + r, r)) for j in range(n + 1)])
+    g = []
+    for k in range(min(r, n + 1)):
+        numbers = _numbers("bernoulli_r", r - k, n)  # the table's list: B_0 .. B_(n-k) are read
+        g.append((lcm(*(b._den for b in numbers[: n - k + 1])), numbers))
+    read = {u for k, (_, numbers) in enumerate(g) for u, b in zip(range(k, n + 1), numbers) if b}
+    delta = _diff_plan(n, r).rows if r <= n else ()
+    at, integral = [], []
+    for u in range(n + 1):
+        if u >= r and den % perm(u, r) == 0:
+            at.append((u - r, den // perm(u, r)))
+        else:
+            at.append((len(delta) + len(integral), 1))
+            weights = tuple(c[i - u] * comb(i, u) for i in range(u, n + 1)) if u in read else ()
+            integral.append((range(u, n + 1), weights))
+    top = n - r  # [x^j] Delta^r p is 0 for j > top
+    s2 = _stirling2_rows(max(top, 0))
+    f = [(perm(m + r, r), [(j, s2[j][m]) for j in range(m, top + 1)]) for m in range(top + 1)]
+    plan = _packed_plan(_rows(delta, integral), [*_g_sums(den, at, g), *f])
+    return _PassPlan(delta, tuple(integral), tuple(at), den, tuple(g), plan.sums[len(g) :], plan.l1)
+
+
+def _g_sums(
+    den: int, at: Sequence[tuple[int, int]], g: Sequence[tuple[int, Sequence[LambdaPoly]]]
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The sums a_k = sum_t B_t^(r-k) C(t+k,k) l^t Y_(t+k) of a plan's den, at and g,
+    each B_t^(r-k) a numerator over d, the lcm of its denominators."""
+    sums = []
+    for k, (d, numbers) in enumerate(g):
+        terms = []
+        for u, b in zip(range(k, len(at)), numbers):
+            row, multiplier = at[u]
+            terms.append((row, b._coeffs[0] * (d // b._den) * comb(u, k) * multiplier if b._coeffs else 0))
+        sums.append((den * d, terms))
+    return sums
+
+
+def _pass(p: XPoly, r: int) -> list[LambdaPoly]:
+    """[a_0, ..., a_n] by both default routes, as one ``core._packed_sums``: p is packed
+    once, and every a_k with k < r reads one polynomial, Y = I^r p, since
+    I^(r-k) Delta^k = D^k I^r, and past r reads Y off the delta rows where that widens
+    no slot. The plan keeps Y's own rows as int weights alone, paired with their
+    indices at each call, and the g sums are taken from the family table's numbers at
+    each call, so that plans keep no int of them."""
+    plan = _pass_plan(p.degree, r)
+    sums = (*_g_sums(plan.den, plan.at, plan.g), *plan.f)
+    return _packed_sums(p.coeffs, _PackedPlan(_rows(plan.delta, plan.integral), sums, plan.l1))
+
+
+def _rows(delta: Sequence, integral: Sequence[tuple[range, tuple[int, ...]]]) -> tuple:
+    """A plan's rows: the Delta^r row tuples, then Y's own rows, their weights paired with i."""
+    return (*delta, *starmap(zip, integral))
 
 
 # -- the route table ------------------------------------------------------------
@@ -333,13 +406,17 @@ def expand(
         if (branch, name) not in _ROUTES:
             raise ValueError(f"unknown {branch}_route {name!r}; options: {_names(branch)}")
     n = _validated(p)
-    upper = _ROUTES["f", f_route](p, r) if r <= n else []
-    lower = _ROUTES["g", g_route](p, r, upper)
+    if (g_route, f_route) == (G_ROUTES[0], F_ROUTES[0]):
+        coeffs = _pass(p, r)
+    else:
+        upper = _ROUTES["f", f_route](p, r) if r <= n else []
+        coeffs = [*_ROUTES["g", g_route](p, r, upper), *upper]
+    count = min(r, n + 1)
     return BasisExpansion(
         order=r,
         degree=n,
-        coeffs=(*lower, *upper),
-        routes=(g_route,) * len(lower) + (f_route,) * len(upper),
+        coeffs=tuple(coeffs),
+        routes=(g_route,) * count + (f_route,) * (n + 1 - count),
         source=p,
     )
 

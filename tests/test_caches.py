@@ -35,7 +35,7 @@ def _member(n: int, r: int) -> XPoly:
 def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties(monkeypatch):
     bound = {cache: cache.cache_info().maxsize for cache in core._CACHES}
     stated = _stated_bounds()
-    assert len(core._CACHES) == len(stated) and bound == stated
+    assert len(core._CACHES) == len(stated) == 16 and bound == stated
     # fill each lru entry past its bound through its callers
     x = XPoly.x()
     for i in range(bound[stirling2] + 10):
@@ -46,9 +46,8 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties(monke
         deg_bernoulli_order(i % 9, i // 9)
     for n in range(1, bound[umbral._diff_plan] + 10):
         forward_diff(x**n, 1, 1)
-    # that many (degree, order) shapes: each expand reads its stirling_sum plan and
-    # one umbral_integral plan per k < r
-    for i in range(max(bound[expansion._f_plan], bound[expansion._g_plan]) + 10):
+    # that many (degree, order) shapes: each expand reads the one plan of its pass
+    for i in range(bound[expansion._pass_plan] + 10):
         expand(x ** (i % 37 + 2), 1 + i // 37)
     # reconstruct keeps a number side per (kind, order, degree): a member at every
     # degree up to the limit, then member 3 at more orders

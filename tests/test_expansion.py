@@ -282,9 +282,12 @@ def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r
     default = expand(p, r)
     for key, route in list(expansion._ROUTES.items()):
         monkeypatch.setitem(expansion._ROUTES, key, counting(key, route))
+    monkeypatch.setattr(expansion, "_pass", counting("pass", expansion._pass))
     assert crosscheck(p, r) == default
-    # every route once, the defaults inside expand; no f-route runs when r > deg p = 3
-    assert calls == Counter(key for key in expansion._ROUTES if key[0] == "g" or r <= 3)
+    # the defaults once, as expand's one pass, then every other route once; no
+    # f-route runs when r > deg p = 3
+    others = [key for key in expansion._ROUTES if key[1] not in (G_ROUTES[0], F_ROUTES[0])]
+    assert calls == Counter(["pass", *(key for key in others if key[0] == "g" or r <= 3)])
 
 
 def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
@@ -364,7 +367,7 @@ def test_packed_default_routes_match_the_dot_routes(p, r):
     assert expand(p, r).coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
 
 
-# -- the default routes' weight plans, one per (degree, r), k too for branch g ---
+# -- the default pass's weight plan, one per (degree, r) ---------------------------
 
 _NONZERO = st.builds(
     Fraction, st.integers(1, 10**40) | st.integers(-(10**40), -1), st.integers(1, 10**12)
@@ -390,7 +393,7 @@ def test_a_cached_plan_serves_every_poly_of_its_shape(support, r, data):
     top = data.draw(st.integers(2, 10**40) | st.integers(-(10**40), -2))
     later.append(poly([*values(len(support) - 1), LambdaPoly.const(top)]))
     def misses():
-        return expansion._f_plan.cache_info().misses, expansion._g_plan.cache_info().misses
+        return expansion._pass_plan.cache_info().misses
 
     widths = []
     with pytest.MonkeyPatch.context() as mp:
@@ -407,22 +410,22 @@ def test_a_cached_plan_serves_every_poly_of_its_shape(support, r, data):
 
 def test_one_plan_serves_every_support_of_its_degree():
     # a plan's weights belong to the basis: x^6 + x, x^6 + x^2 and their sum read
-    # the plans the first one built, and no term of the others is dropped
+    # the one plan the first one built, for every k, and no term of the others is dropped
     a, b = parse_poly("x^6 + x"), parse_poly("x^6 + x^2")
     core.clear_caches()
     expanded = [expand(p, 2) for p in (a, b, a + b)]
-    assert expansion._f_plan.cache_info().misses == 1
-    assert expansion._g_plan.cache_info().misses == 2  # one per k < r
+    assert expansion._pass_plan.cache_info().misses == 1
     for p, e in zip((a, b, a + b), expanded):
         assert e.coeffs == expand(p, 2, "umbral_integral_op", "functional").coeffs
 
 
 def test_the_shared_difference_table_stays_crosschecked():
-    # stirling_sum reads the row tuples of forward_diff's Delta^r plan, as
-    # delta_lambda and functional do, so a wrong weight in that one table moves
-    # all three alike; crosscheck must still fail, on a route of another kernel
+    # the default pass's Delta^r rows are the row tuples of forward_diff's Delta^r plan,
+    # which delta_lambda and functional read, so a wrong weight in that one table moves
+    # all three f-routes alike, and the g sums that read Y_u = w_(u-r) / perm(u,r) off
+    # those rows; crosscheck must still fail, on a route of another kernel
     for n, r in ((3, 1), (10, 2), (12, 3), (max_degree_limit(), 8)):
-        f_rows, d_rows = expansion._f_plan(n, r).rows, umbral._diff_plan(n, r).rows
+        f_rows, d_rows = expansion._pass_plan(n, r).delta, umbral._diff_plan(n, r).rows
         assert len(f_rows) == len(d_rows) and all(f is d for f, d in zip(f_rows, d_rows))
     diff_plan = umbral._diff_plan.__wrapped__
 
@@ -448,11 +451,11 @@ def test_the_shared_difference_table_stays_crosschecked():
                         crosscheck(p, r)
             finally:
                 core.clear_caches()
-            assert caught.value.route_b in ("residual", "binomial_sum")
+            assert caught.value.route_b in ("umbral_integral_op", "residual", "binomial_sum")
 
 
 def test_plan_caches_are_bounded_and_clearable(monkeypatch):
-    caches = (expansion._f_plan, expansion._g_plan, families._number_side)
+    caches = (expansion._pass_plan, families._number_side)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
@@ -475,6 +478,47 @@ def test_plan_caches_are_bounded_and_clearable(monkeypatch):
         assert info.currsize == info.maxsize
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
+
+
+def test_a_second_degree_sweep_builds_no_plan():
+    # one plan per (degree, order), and 64 kept: a sweep over every degree at one
+    # order reads, the second time, only plans the first one built
+    x = XPoly.x()
+    core.clear_caches()
+    degrees = range(1, max_degree_limit() + 1)
+    for n in degrees:
+        expand(x**n, 8)
+    built = expansion._pass_plan.cache_info().misses
+    for n in degrees:
+        expand(x**n, 8)
+    assert expansion._pass_plan.cache_info().misses == built == len(degrees)
+
+
+_SMALL_LAMBDA_POLYS = st.dictionaries(
+    st.integers(0, 3), st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**3)), max_size=3
+).map(LambdaPoly)
+_UP_TO_DEGREE_12 = st.lists(_SMALL_LAMBDA_POLYS, min_size=1, max_size=13).map(XPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_UP_TO_DEGREE_12, st.integers(0, 6), st.data())
+def test_integral_powers_after_differences_are_derivatives_of_one_integral_power(p, r, data):
+    # I^(r-k) Delta^k = D^k I^r on polynomials, as Delta = D I: the pass reads every
+    # a_k with k < r from the one polynomial I^r p. Built from umbral alone
+    k = data.draw(st.integers(0, r))
+
+    def integral_power(q, a):
+        return umbral._integral_power(q, a) if a else q
+
+    assert integral_power(forward_diff(p, 1, k), r - k) == integral_power(p, r).derivative(k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_UP_TO_DEGREE_12.filter(lambda p: not p.is_zero), st.data())
+def test_the_pass_matches_the_dot_routes_past_the_degree(p, data):
+    # r up to deg p + 2: past deg p the pass has no f part, and every a_k is a g sum
+    r = data.draw(st.integers(1, p.degree + 2))
+    assert expand(p, r).coeffs == expand(p, r, "umbral_integral_op", "functional").coeffs
 
 
 # -- reconstruct from the numbers alone ------------------------------------------
@@ -538,6 +582,21 @@ def _plus_l_in_output_5(monkeypatch):
     monkeypatch.setattr(families, "_falling", patched)
 
 
+def _plus_one_in_integral_row_r_minus_1(monkeypatch):
+    # + 1 in the weight of p_n in Y_(r-1) = [x^(r-1)] I^r p, a row of the pass's own,
+    # which every default a_k with k < r reads: B_(r-1-k)^(r-k) = (-1)^(r-1-k) (r-1-k)!
+    plan = expansion._pass_plan
+
+    def patched(n, r):
+        right = plan(n, r)
+        integral = list(right.integral)
+        span, weights = integral[r - 1]
+        integral[r - 1] = (span, (*weights[:-1], weights[-1] + 1))
+        return right._replace(integral=tuple(integral), l1=2 * right.l1)
+
+    monkeypatch.setattr(expansion, "_pass_plan", patched)
+
+
 def _plus_one_in(table, key, i, j=None):
     """+ 1 in entry i of the table key, or in its entry j if entry i is a row."""
 
@@ -598,6 +657,11 @@ _WRONG = {
         0,
     ),
     "euler1-c5": (_plus_one_in_number_5(("euler", 1)), {}, 86),  # no route reads it
+    "integral-row-Y(r-1)": (  # verify_all calls no expand
+        _plus_one_in_integral_row_r_minus_1,
+        {case: ("umbral_integral", "umbral_integral_op", 0) for case in _CHECKED},
+        0,
+    ),
 }
 
 
@@ -644,12 +708,21 @@ _PERTURBED = [(r, key[0], key) for r in (1, 2, 3) for key in expansion._ROUTES] 
     "r, label, key", _PERTURBED, ids=[f"r{r}-{label}-{key[1]}" for r, label, key in _PERTURBED]
 )
 def test_crosscheck_catches_a_wrong_route(monkeypatch, r, label, key):
-    route = expansion._ROUTES[key]
+    def off_by_one(route, i):
+        def wrong(*args):
+            coeffs = list(route(*args))
+            coeffs[i] += LambdaPoly.one()
+            return coeffs
 
-    def off_by_one(*args):
-        coeffs = route(*args)
-        return [coeffs[0] + LambdaPoly.one(), *coeffs[1:]]
+        return wrong
 
-    monkeypatch.setitem(expansion._ROUTES, key, off_by_one)
-    with pytest.raises(RouteMismatchError):
+    if key[1] in (G_ROUTES[0], F_ROUTES[0]):
+        # a default is its slice of the one pass expand makes: a_0 on, or a_r on
+        monkeypatch.setattr(expansion, "_pass", off_by_one(expansion._pass, 0 if key[0] == "g" else r))
+    else:
+        monkeypatch.setitem(expansion._ROUTES, key, off_by_one(expansion._ROUTES[key], 0))
+    with pytest.raises(RouteMismatchError) as caught:
         crosscheck(parse_poly("x^3 - 1/2*l*x + 2"), r)
+    if key[1] in (G_ROUTES[0], F_ROUTES[0]):
+        # the g slice is caught by the first g-route, the f slice by the g-route that reads it
+        assert caught.value.route_b == ("umbral_integral_op" if key[0] == "g" else "residual")

@@ -85,7 +85,7 @@ print(json.dumps({
 
 
 def test_threads_reading_every_name_at_once_share_one_import_of_each_module():
-    # every module runs once, so the cache registry ends with its 17 entries
+    # every module runs once, so the cache registry ends with its 16 entries
     script = """
 import json, random, sys, threading
 import degbern
@@ -111,4 +111,4 @@ print(json.dumps({
     "caches": len(core._CACHES),
 }))
 """
-    assert _run(script) == {"alive": 0, "same": True, "caches": 17}
+    assert _run(script) == {"alive": 0, "same": True, "caches": 16}

@@ -399,7 +399,7 @@ def expand(
     """Expand p in the order-r degenerate Bernoulli basis, 1 <= r <= the degree limit.
 
     Coefficients with k < r come from ``g_route``, those with k >= r from
-    ``f_route``.
+    ``f_route``; with both defaults, every coefficient comes from one ``_pass``.
     """
     check_size("order r", r, 1)
     for branch, name in (("g", g_route), ("f", f_route)):

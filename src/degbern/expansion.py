@@ -58,9 +58,10 @@ the rows and every sum, on packed rows: p packed once into ints at one
 width, each term one int multiply-add, each power of l a shift. Its w rows
 are the row tuples of ``umbral._diff_plan`` at (degree, r), and it reads the
 Bernoulli numbers off the family table at each call. Each default route of
-``_ROUTES`` is its slice of the pass, the rows and sums its outputs read, so a
-default still pairs with any route of the other branch. Every plan is dense,
-so p's zero coefficients take part as zeros, and the degree guard bounds it.
+``_ROUTES`` is its slice of the pass's output, so a default still pairs with
+any route of the other branch, and checking expand checks both slices. Every
+plan is dense, so p's zero coefficients take part as zeros, and the degree
+guard bounds it.
 Every other route sums with ``core._dot``, except that delta_lambda,
 functional and umbral_integral_op take their unit differences
 (``forward_diff`` by 1, ``integral_I``) on the same packed Delta^k plans.
@@ -220,9 +221,8 @@ def _f_functional(p: XPoly, r: int) -> list[LambdaPoly]:
 
 def _f_stirling_sum(p: XPoly, r: int) -> list[LambdaPoly]:
     """a_{m+r} = m!/(m+r)! sum_j S2(j,m) l^(j-m) w_j, w_j = [x^j] Delta^r p: the f slice
-    of ``_pass``, its Delta^r rows and f sums alone."""
-    plan = _pass_plan(p.degree, r)
-    return _packed_sums(p.coeffs, _PackedPlan(plan.delta, plan.f, plan.l1))
+    of ``_pass``."""
+    return _pass(p, r)[r:]
 
 
 # -- branch g: (p, r, [a_r, ..., a_n]) -> [a_0, ..., a_{min(r, n+1)-1}] -----------
@@ -249,11 +249,8 @@ def _g_stirling_op(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly
 
 
 def _g_umbral_integral(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
-    """a_k = sum_t B_t^(r-k) C(t+k,k) l^t Y_(t+k), Y = I^r p: the g slice of ``_pass``,
-    its rows and g sums alone."""
-    plan = _pass_plan(p.degree, r)
-    rows = _rows(plan.delta, plan.integral)
-    return _packed_sums(p.coeffs, _PackedPlan(rows, _g_sums(plan.den, plan.at, plan.g), plan.l1))
+    """a_k = sum_t B_t^(r-k) C(t+k,k) l^t Y_(t+k), Y = I^r p: the g slice of ``_pass``."""
+    return _pass(p, r)[:r]
 
 
 def _g_operator_functional(p: XPoly, r: int, upper: list[LambdaPoly]) -> list[LambdaPoly]:
@@ -448,10 +445,11 @@ def classical_limit(e: BasisExpansion) -> list[Fraction]:
 def crosscheck(p: XPoly, r: int = 1) -> BasisExpansion:
     """Expand p by every route and fail loudly on any mismatch.
 
-    The default expansion comes first and is returned. Every other route runs
-    once against it, a g-route reading its f-coefficients; no f-route runs
-    when r > deg p, where every a_k is in branch g. Last, reconstruct must
-    rebuild p from it; if not, k of the error is the lowest power of x that differs.
+    The default expansion comes first and is returned; both default routes are
+    its slices, so they are not run again. Every other route runs once against
+    it, a g-route reading its f-coefficients; no f-route runs when r > deg p,
+    where every a_k is in branch g. Last, reconstruct must rebuild p from it;
+    if not, k of the error is the lowest power of x that differs.
     """
     base = expand(p, r)
     upper = list(base.coeffs[r:])

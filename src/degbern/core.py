@@ -24,9 +24,8 @@ Q[l] (``_convolve``, through ``_dot_products``), for the product sums of the
 identity corpus, for ``XPoly.eval_x`` at a rational point, for
 ``umbral.apply``, ``umbral.functional`` and ``umbral.umbral_compose``, and
 for the differences at 0 in ``expansion``. The family numbers take no sum
-over Q[l]: ``families`` sums Miller's recurrence for its rational kinds and
-the closed form of the degenerate numbers in plain ints, with one gcd per
-number. ``XPoly.shift`` does it for every output coefficient at once,
+over Q[l]: ``families`` sums Miller's recurrence in plain ints, with one gcd
+per number. ``XPoly.shift`` does it for every output coefficient at once,
 one shift per term of c.
 
 The default expansion routes and ``umbral.forward_diff`` with a rational
@@ -39,9 +38,9 @@ It puts them over their lcm denominator and turns each into one int, its
 numerators evaluated at l = 2^B, so a term is one int multiply-add and a power
 of l is a shift, and splits each result back exactly, with one gcd, at the slot
 width B its docstring's rule gives. The callers are ``expansion``'s one pass of
-both default routes and ``umbral.forward_diff``, whose Delta^k weights are also
-that pass's stirling_sum rows. The int Stirling
-triangles these weights read are kept here.
+both default routes, ``umbral.forward_diff``, whose Delta^k weights are also
+that pass's stirling_sum rows, and ``families._appell`` on the degenerate kind.
+The int Stirling triangles these weights read are kept here.
 
 A lone product of two packed LambdaPolys, the Kronecker product, still loses to
 the int kernel above at every length. A sum of many such products wins:
@@ -49,8 +48,7 @@ the int kernel above at every length. A sum of many such products wins:
 connection constant d_i of the Appell sum ``families._appell`` into int slots
 once, with no gcd, so each of its n^2/2 terms is one int product, its C(k,i)
 computed as it is read. ``_product_side`` prepares the number side once, with the
-bounds that give the width in O(n). ``_falling`` puts the d_i on the falling
-factorials (x)_(i,l) by Horner in x - i l, on packed ints too.
+bounds that give the width in O(n).
 
 Three rules of the package live here once: ``_check_index`` checks every index,
 exponent and order in ``core``, ``families`` and ``umbral``; ``check_size`` bounds
@@ -72,12 +70,13 @@ n <= 2L (n + a for ex_g_iop), are stated here once:
     core._stirling2_rows        None  rows to 2L: 0.5 MB
     families._TABLE             None  numbers only; keys (kind, r), r <= L, checked as a
                                       key grows. Per r, ("bernoulli_r", r) to 2L and
-                                      ("deg_bernoulli_r", r) with its sources to L: 10 MB in all
-    families._number_side       128   numbers per (kind, r, n), 70 in the verify sweep; 0.16 MB at L: 20 MB
+                                      ("bernoulli2_r", r) to L: 2 MB in all
+    families._number_side       128   numbers per (kind, r, n), 24 in the verify sweep; 0.04 MB at 2L: 5 MB
+    families._t_plan            64    reconstruct plans per (n, r), 46 in the verify sweep; 0.54 MB at L: 35 MB
     families._member            512   members of degree L-7..L, r = 1..L: 59 MB.
                                       Every order's degenerate members to L and
                                       Bernoulli members to 2L, read in one process,
-                                      peak at 40 MB RSS; 299 MB with every member kept
+                                      peak at 33 MB RSS; 299 MB with every member kept
     families.stirling2          4096  the triangle to n = 89: 1 MB
     families.harmonic           256   0.04 MB
     umbral._diff_plan           64    plans of 0.9 MB at degree 2L: 58 MB
@@ -92,11 +91,11 @@ n <= 2L (n + a for ex_g_iop), are stated here once:
     identities._ex_e_terms      512   term lists per (m, n); 7 KB at m = n = L: 3.7 MB
     identities._ex_f_terms      512   15 KB at m = n = L: 7.7 MB
 
-The last seven and the number sides keep what the cases of a sweep share: the
-twins of an identity pair, and ex_g at every order with ex_d, read one left
-side and one term list, miki_poly at n reads ex_b's left side at 2n, and the
-Appell sums over one family at one degree read one number side. With them,
-``verify --all --n-max 32 --r-max 8`` peaks at 53.3 MB RSS, 53.8 MB without.
+The last seven, the number sides and the T plans keep what the cases of a sweep
+share: the twins of an identity pair, and ex_g at every order with ex_d, read one
+left side and one term list, miki_poly at n reads ex_b's left side at 2n, and the
+Appell sums over one family at one degree read one number side or T plan. With them,
+``verify --all --n-max 32 --r-max 8`` peaks at 56.4 MB RSS.
 
 The package has one lock, ``_LOCK``, reentrant and taken only while a ``_Table``
 key grows: threads reading one cold key grow it once, and a grow reads its sources
@@ -109,6 +108,7 @@ the registry: an operator lives as long as its reader.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import os
@@ -168,10 +168,11 @@ def max_degree_limit() -> int:
     return limit
 
 
-def check_size(name: str, value: int, low: int = 0) -> None:
+def check_size(name: str, value: int, low: int = 0, limit: int | None = None) -> None:
     """The one size guard for degrees, orders and sweep bounds: ValueError unless
-    value is an integer from low to max_degree_limit(), not a bool."""
-    limit = max_degree_limit()
+    value is an integer from low to limit, not a bool; limit defaults to
+    max_degree_limit(), which a caller with several checks reads once."""
+    limit = max_degree_limit() if limit is None else limit
     if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= limit:
         raise ValueError(f"{name} must be between {low} and {limit} (DEGBERN_MAX_DEGREE), got {value!r}")
 
@@ -300,7 +301,7 @@ def _triangle(weight: Callable[[int, int], int], rows: Sequence[tuple[int, ...]]
 
 
 #: The signed Stirling numbers of the first kind s(n, 0..n), read by ``deg_falling``
-#: and the degenerate numbers, and of the second kind
+#: and the degenerate family's T weights, and of the second kind
 #: S2(n, 0..n), the weights of ``forward_diff``, the routes and the identities' order-1 map.
 _stirling1_rows = _register(_Table(functools.partial(_triangle, lambda k, m: -k)))
 _stirling2_rows = _register(_Table(functools.partial(_triangle, lambda k, m: m)))
@@ -686,25 +687,29 @@ def _dot_products(pairs: Sequence[tuple[Sequence[LambdaPoly], Sequence[LambdaPol
 class _PackedPlan(NamedTuple):
     """The weights of some sums over polys, for ``_packed_sums``: the output for
     (d, [(j_0, s_0), (j_1, s_1), ...]) of sums is sum_e s_e l^e w_(j_e) / d, where
-    w_j = sum c polys[i] over the (i, c) of rows[j]; c and s_e are ints and d is a
-    positive int. l1 bounds the l1 norm of every output's weights."""
+    w_j = sum c polys[i] over the (i, c) of rows[j], or polys[j] itself if rows is
+    None; c and s_e are ints and d is a positive int. With cols, the output for each
+    (d, row) of cols is instead sum c S_m / d over the (m, c) of row, S_m the output
+    of sum m at d = 1. l1 bounds the l1 norm of every output's weights."""
 
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...] | None
     sums: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     l1: int
+    cols: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] | None = None
 
 
-def _packed_plan(
-    rows: Sequence[Sequence[tuple[int, int]]],
-    sums: Sequence[tuple[int, Sequence[tuple[int, int]]]],
-) -> _PackedPlan:
+def _packed_plan(rows: Sequence | None, sums: Sequence, cols: Sequence | None = None) -> _PackedPlan:
     """The immutable plan of these sums. An output's l1 norm is sum_e |s_e| times
-    sum |c| over rows[j_e]; the plan keeps the largest, so it holds for any polys."""
-    rows = tuple(map(tuple, rows))
+    sum |c| over rows[j_e], 1 without rows, and with cols sum |c| times that of S_m;
+    the plan keeps the largest, so it holds for any polys."""
+    rows = None if rows is None else tuple(map(tuple, rows))
     sums = tuple((d, tuple(terms)) for d, terms in sums)
-    norms = [sum(abs(c) for _, c in row) for row in rows]
-    l1 = max((sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums), default=0)
-    return _PackedPlan(rows, sums, l1)
+    norms = [1] * len(sums) if rows is None else [sum(abs(c) for _, c in row) for row in rows]
+    l1 = [sum(abs(s) * norms[j] for j, s in terms) for _, terms in sums]
+    if cols is not None:
+        cols = tuple((d, tuple(row)) for d, row in cols)
+        l1 = [sum(abs(c) * l1[m] for m, c in row) for _, row in cols]
+    return _PackedPlan(rows, sums, max(l1, default=0), cols)
 
 
 def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaPoly]:
@@ -719,29 +724,18 @@ def _packed_sums(polys: Sequence[LambdaPoly], plan: _PackedPlan) -> list[LambdaP
     """
     den = math.lcm(*(q._den for q in polys))
     nums = [[c * (den // q._den) for c in q._coeffs] for q in polys]
-    width = (max((abs(c) for row in nums for c in row), default=0) * plan.l1).bit_length() + 1
+    width = (max(map(abs, itertools.chain.from_iterable(nums)), default=0) * plan.l1).bit_length() + 1
     packed = _pack(nums, width)
-    w = [sum(c * packed[i] for i, c in row) for row in plan.rows]
+    w = packed if plan.rows is None else [sum(c * packed[i] for i, c in row) for row in plan.rows]
     out = []
     for d, terms in plan.sums:
         acc = 0
         for j, s in reversed(terms):  # Horner in l = 2^width
             acc = (acc << width) + s * w[j]
-        out.append(LambdaPoly._make(_slots(acc, width), den * d))
-    return out
-
-
-def _falling(rows: Sequence[Sequence[int]], den: int) -> list[LambdaPoly]:
-    """[x^j] of sum_i d_i (x)_(i,l) for the polys d_i = rows[i] / den (int rows, den > 0), by
-    Horner on packed ints, q <- d_i + (x - i l) q from i = n down, as (x)_(i+1,l) = (x)_(i,l) (x - i l).
-    [x^j] is sum_i s(i,j) l^(i-j) d_i, so its slots are at most max|numerator| times
-    sum_(i<=n) |s(i,j)| <= sum_(i<=n) i! <= 2 n!: that sets the width, as in ``_packed_sums``."""
-    n = len(rows) - 1
-    width = (max((abs(c) for row in rows for c in row), default=0) * 2 * math.factorial(n)).bit_length() + 1
-    packed, q = _pack(rows, width), []
-    for i in range(n, -1, -1):
-        q = [a - (i * b << width) for a, b in zip((packed[i], *q), (*q, 0))]
-    return [LambdaPoly._make(_slots(v, width), den) for v in q]
+        out.append((d, acc))
+    if plan.cols is not None:  # l-free sums of the sums, at the same width
+        out = [(d, sum(c * out[m][1] for m, c in row)) for d, row in plan.cols]
+    return [LambdaPoly._make(_slots(acc, width), den * d) for d, acc in out]
 
 
 def _low_rows(polys: Sequence[LambdaPoly]) -> tuple[list[list[int]], list[int], int]:
@@ -805,7 +799,7 @@ def _packed_products(xs: _ProductSide, ys: Sequence[LambdaPoly]) -> tuple[list[l
     for i in range(len(py)):
         acc = 0
         for k, y, e in live:
-            if k >= i:
+            if k >= i and px[k - i]:  # a zero number, as B_t^(0) for t > 0, costs nothing
                 acc += px[k - i] * (comb(k, i) * y) << (lx[k - i] + e)
         out.append(_slots(acc, width))
     return out, xs.den * yden
@@ -832,11 +826,11 @@ def _slots(v: int, width: int) -> list[int]:
     ArithmeticError instead of looping on.
     """
     half, full = 1 << (width - 1), 1 << width
-    nums = []
+    mask, nums = full - 1, []
     for _ in range(v.bit_length() // width + 2):
         if not v:
             return nums
-        c = v & (full - 1)
+        c = v & mask
         v >>= width
         if c >= half:  # a negative slot borrowed one from the slot above
             c -= full

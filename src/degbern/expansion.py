@@ -68,12 +68,12 @@ functional and umbral_integral_op take their unit differences
 binomial_sum, stirling_op, operator_functional and residual take no packed
 sum, so crosscheck still compares two independent kernels in each branch.
 
-reconstruct reads no member either: the basis is Appell in the degenerate
-falling factorials, with numbers c_t = beta_t^(r)(0), so sum_k a_k beta_k^(r)(x)
-= sum_i d_i (x)_(i,l) with d_i = sum_(k>=i) C(k,i) c_(k-i) a_k (S. Roman, The
-Umbral Calculus, 1984), the one Appell sum ``families._appell``. The residual
-g-route still reads the members, so crosscheck checks the same basis through
-them, and ends by rebuilding p with reconstruct.
+reconstruct reads no member either: each beta_k^(r) is the sum of order-r
+Bernoulli polynomials sum_m T(k,m) l^(k-m) B_m^(r)(x) (the ``families``
+docstring), so reconstruct is ``families._appell`` on the degenerate kind, one
+``core._packed_sums`` per (n, r) plan. The residual g-route reads the members,
+each that Bernoulli sum on its row of T, so crosscheck checks the same basis
+through them, and ends by rebuilding p with reconstruct.
 
 All divisions by powers of l are exact divisions; a failure raises
 ExactDivisionError and signals a formula-implementation bug.
@@ -99,6 +99,7 @@ from .core import (
     _PackedPlan,
     _stirling2_rows,
     check_size,
+    max_degree_limit,
 )
 from .families import _appell, _numbers, deg_bernoulli_order, scaled_bernoulli
 from .umbral import (
@@ -169,12 +170,12 @@ class BasisExpansion:
         return LambdaPoly.zero()
 
 
-def _validated(p: XPoly) -> int:
+def _validated(p: XPoly, limit: int) -> int:
     if not isinstance(p, XPoly):
         raise TypeError("expected an XPoly")
     if p.is_zero:
         raise ValueError("cannot expand the zero polynomial")
-    check_size("degree", p.degree)
+    check_size("degree", p.degree, 0, limit)
     return p.degree
 
 
@@ -398,11 +399,12 @@ def expand(
     Coefficients with k < r come from ``g_route``, those with k >= r from
     ``f_route``; with both defaults, every coefficient comes from one ``_pass``.
     """
-    check_size("order r", r, 1)
+    limit = max_degree_limit()
+    check_size("order r", r, 1, limit)
     for branch, name in (("g", g_route), ("f", f_route)):
         if (branch, name) not in _ROUTES:
             raise ValueError(f"unknown {branch}_route {name!r}; options: {_names(branch)}")
-    n = _validated(p)
+    n = _validated(p, limit)
     if (g_route, f_route) == (G_ROUTES[0], F_ROUTES[0]):
         coeffs = _pass(p, r)
     else:
@@ -428,8 +430,8 @@ def expand_order1(p: XPoly, ak_route: str, a0_route: str) -> BasisExpansion:
 
 
 def reconstruct(e: BasisExpansion) -> XPoly:
-    """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r numbers
-    alone, as ``families._appell``; the module docstring says how."""
+    """Rebuild the polynomial sum_k a_k beta_k^(order)(x) from the order-r Bernoulli
+    numbers and the T weights alone, as ``families._appell``; the module docstring says how."""
     return _appell("deg_bernoulli_r", e.order, e.coeffs)
 
 

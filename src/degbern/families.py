@@ -2,14 +2,14 @@
 
 Every polynomial family here is of Appell type: its generating function
 (EGF convention, ``family_n(x) = n! [t^n] F(t, x)``) is a core series
-``core(t)^r`` times a basis series in t and x, so member n is
-sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
+``core(t)^r`` times e^{xt}, so member n is sum_i C(n,i) c_{n-i} x^i, with
+numbers ``c_k = k! [t^k] core^r``:
 
-    table kind        family                        generating function         b_i
-    bernoulli_r       order-r Bernoulli             (t/(e^t-1))^r e^{xt}        x^i
-    bernoulli2_r      order-r, second kind          (t/log(1+t))^r e^{xt}       x^i
-    euler             Euler (r = 1)                 2/(e^t+1) e^{xt}            x^i
-    deg_bernoulli_r   order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t)   (x)_{i,l}
+    table kind        family                        generating function
+    bernoulli_r       order-r Bernoulli             (t/(e^t-1))^r e^{xt}
+    bernoulli2_r      order-r, second kind          (t/log(1+t))^r e^{xt}
+    euler             Euler (r = 1)                 2/(e^t+1) e^{xt}
+    (derived)         order-r degenerate Bernoulli  (t/(e_l(t)-1))^r e_l^x(t), the T sum below
     (derived)         scaled order-a Bernoulli      (lt/(e^{lt}-1))^a e^{xt}, order a with [x^i] times l^(n-i)
     (derived)         degenerate falling factorial  e_l^x(t), order-0 degenerate Bernoulli
     (derived)         Genocchi                      2t/(e^t+1) e^{xt}, so G_n(x) = n E_{n-1}(x)
@@ -17,54 +17,53 @@ sum_i C(n,i) c_{n-i} b_i, numbers ``c_k = k! [t^k] core^r`` times a basis:
 where e_l^x(t) = (1+lt)^{x/l}, e_l(t) = e_l^1(t), (x)_{i,l} is
 x(x-l)...(x-(i-1)l), order 1 gives the plain Bernoulli families and the
 scaled family is l^n B_n^(a)(x/l). The numbers, c_k being member k at
-x = 0, are a table's state; one entry of ``_KINDS`` per kind holds their
-rule, the kinds whose numbers it reads, and whether its basis is the falling
-factorials. Each rational core is A(t)^(-r) for a closed-form series A with
-A(0) = 1 ((e^t-1)/t, log(1+t)/t, (e^t+1)/2), so c_k follows from c_0..c_{k-1}
-by J. C. P. Miller's power recurrence, with int weights. The degenerate numbers
-take no recurrence over Q[l]. With u = log(1+lt)/l, e_l(t) = e^u and the core
-factors into two rational ones,
+x = 0, are a table's state; ``_KINDS`` holds each kind's rule. Each core is
+A(t)^(-r) for a closed-form series A with A(0) = 1 ((e^t-1)/t, log(1+t)/t,
+(e^t+1)/2), so c_k follows from c_0..c_{k-1} by J. C. P. Miller's power
+recurrence, with int weights.
+
+The degenerate family takes no table of its own. With u = log(1+lt)/l,
+e_l^x(t) = e^{xu} and the core factors into two rational ones,
 
     (t/(e_l(t)-1))^r = (lt/log(1+lt))^r (u/(e^u-1))^r,
 
 the second-kind core at lt, whose numbers are l^j b_j^(r), times the order-r
-Bernoulli core at u, whose numbers are B_m^(r). As u^m/m! is
-sum_N s(N,m) l^(N-m) t^N/N!, with s the signed Stirling numbers of the
-first kind,
+Bernoulli core at u. As u^m/m! is sum_N s(N,m) l^(N-m) t^N/N!, with s the
+signed Stirling numbers of the first kind, each member is a finite sum of
+order-r Bernoulli polynomials,
 
-    c_N = sum_(m=0..N) B_m^(r) T(N,m) l^(N-m),
+    beta_N^(r)(x) = sum_(m=0..N) T(N,m) l^(N-m) B_m^(r)(x),
     T(N,m) = sum_(j=0..N-m) C(N,j) b_j^(r) s(N-j,m)
            = perm(N,r)/perm(m,r) s(N-r,m-r)   for m >= r,
 
 the collapse because (t/u)^r u^m = t^r u^(m-r) (N. E. Norlund, Vorlesungen
 uber Differenzenrechnung, 1924; L. Carlitz, Degenerate Stirling, Bernoulli
-and Eulerian numbers, 1979). So each c_N is one int sum over the two order-r
-tables' denominators, with one gcd.
+and Eulerian numbers, 1979). ``_t_rows`` states T once, in ints.
 
-Every kind is Appell in its basis, so a sum over its members is one sum over
-its numbers, sum_k a_k P_k(x) = sum_i d_i b_i with d_i = sum_(k>=i) C(k,i)
-c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum, both
-``expansion.reconstruct`` and the identities' Bernoulli sums: the d_i are one
-``core._packed_products`` over a number side kept per (kind, r, n), put on the
-falling factorials (x)_{i,l} = x(x-l)...(x-(i-1)l) by ``core._falling``, Horner
-in x - i l. Member n is the row C(n,i) c_(n-i) (``_row``), through the same
-Horner on the falling factorials; the scaled family is that row on the order-a
-Bernoulli numbers times l^(n-i). ``_member`` keeps the 512 members read last;
-the table keeps numbers only. Stirling numbers of the second kind and harmonic
-numbers round out the kit.
+Every family is Appell in x, so a sum over its members is one sum over its
+numbers, sum_k a_k P_k(x) = sum_i d_i x^i with d_i = sum_(k>=i) C(k,i)
+c_(k-i) a_k (S. Roman, The Umbral Calculus, 1984). ``_appell`` is that sum: one
+``core._packed_products`` over a number side kept per (kind, r, n), and on the
+degenerate kind, as ``expansion.reconstruct``, one ``core._packed_sums`` on a
+plan kept per (n, r) that sums e_m = sum_(k>=m) T(k,m) l^(k-m) a_k and then,
+at the same width, the order-r Bernoulli sum of the e_m. Member n is the row
+C(n,i) c_(n-i) (``_row``), scaled member n that row on the order-a Bernoulli
+numbers times l^(n-i), and degenerate member n the order-r Bernoulli sum of
+row n of T. ``_member`` keeps the 512 members read last; the table keeps
+numbers only. Stirling numbers of the second kind and harmonic numbers round
+out the kit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
-    LambdaPoly, XPoly, _cached, _check_index, _falling, _over_lcm, _packed_products, _product_side, _ProductSide,
-    _register, _stirling1_rows, _Table, check_size,
+    LambdaPoly, XPoly, _cached, _check_index, _over_lcm, _packed_plan, _packed_products, _packed_sums, _PackedPlan,
+    _product_side, _ProductSide, _register, _stirling1_rows, _Table, check_size,
 )
 
 __all__ = [
@@ -120,71 +119,30 @@ def _miller(recip, numbers: list[LambdaPoly], r: int, n: int) -> list[LambdaPoly
     return out
 
 
-def _deg_numbers(numbers: list, r: int, n: int, bern: list, second: list) -> list[LambdaPoly]:
-    """The degenerate numbers extended through c_n by the module docstring's closed form,
-    from the order-r Bernoulli numbers B_m^(r) and second-kind numbers b_j^(r) through n.
-
-    Each c_N is summed in ints over D = bd sd (N-r)!, with bd and sd the lcm
-    denominators of the Bernoulli and the second-kind numbers. For m >= r the
-    (N-r)! cancels: perm(N,r)/perm(m,r) = perm(N,N-m) (m-r)!/(N-r)!. For m < r,
-    sd T(N,m) is an int dot product of C(N,j) sd b_j^(r) with column m of the
-    Stirling rows.
-    """
-    bn, bd = _over_lcm([c.as_rational() for c in bern[: n + 1]])
-    sn, sd = _over_lcm([c.as_rational() for c in second[: n + 1]])
-    rows, fact = _stirling1_rows(n), [factorial(i) for i in range(n + 1)]
-    out = list(numbers)
-    for N in range(len(numbers), n + 1):
-        nums = [0] * (N + 1)  # nums[N-m] holds the l^(N-m) term
-        scale = fact[N - r] if N >= r else 1
-        low = min(r, N + 1)
-        if low:  # m < r: sum over j of C(N,j) b_j^(r) s(N-j,m), for all such m at once
-            t = [0] * low
-            for j in range(N + 1):
-                w = comb(N, j) * sn[j]
-                if w:
-                    row = rows[N - j][:low]
-                    t[: len(row)] = map(add, t, [w * s for s in row])
-            for m in range(low):
-                nums[N - m] = bn[m] * scale * t[m]
-        if N >= r:  # m >= r: T(N,m) = perm(N,r)/perm(m,r) s(N-r,m-r)
-            row, w = rows[N - r], fact[N] * sd
-            for m in range(r, N + 1):
-                nums[N - m] = bn[m] * (w // fact[m]) * fact[m - r] * row[m - r]
-        out.append(LambdaPoly._make(nums, bd * sd * scale))
-    return out
-
-
-# kind -> (the kinds at the same r whose numbers its rule reads; its rule
-# (numbers, r, n, *their numbers) -> a new list of its numbers through c_n; whether
-# its basis b_i is (x)_{i,l}, else x^i). A rational kind's core is A^(-r), A(0) = 1,
-# and its rule is Miller's recurrence on the a_j = 1/recip(j) of A.
+# kind -> recip of A = sum_j t^j / recip(j), whose core A^(-r) gives the numbers by ``_miller``
 _KINDS = {
-    # A = (e^t-1)/t, a_j = 1/(j+1)!
-    "bernoulli_r": ((), partial(_miller, lambda j: factorial(j + 1)), False),
-    # A = log(1+t)/t, a_j = (-1)^j/(j+1): the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
-    "bernoulli2_r": ((), partial(_miller, lambda j: (-1) ** j * (j + 1)), False),
-    # A = (e^t+1)/2, a_0 = 1 and a_j = 1/(2 j!)
-    "euler": ((), partial(_miller, lambda j: 2 * factorial(j) if j else 1), False),
-    # core (t/(e_l(t)-1))^r: the closed form of ``_deg_numbers``
-    "deg_bernoulli_r": (("bernoulli_r", "bernoulli2_r"), _deg_numbers, True),
+    "bernoulli_r": lambda j: factorial(j + 1),  # A = (e^t-1)/t
+    # A = log(1+t)/t: the second-kind numbers b_j^(r) = j! [t^j] (t/log(1+t))^r
+    "bernoulli2_r": lambda j: (-1) ** j * (j + 1),
+    "euler": lambda j: 2 * factorial(j) if j else 1,  # A = (e^t+1)/2
 }
+#: The kinds with members and Appell sums: the table kinds and the degenerate one (T weights).
+_MEMBER_KINDS = (*_KINDS, "deg_bernoulli_r")
 
 
-def _check_key(key: tuple) -> None:
-    """Refuse a key that is not (kind, r): checked on every read, since a cached
-    ("bernoulli_r", 1) would also answer ("bernoulli_r", True)."""
-    if key[0] not in _KINDS:
-        raise ValueError(f"unknown family {key!r}")
+def _check_key(key: tuple, kinds: Sequence[str] = tuple(_KINDS)) -> None:
+    """Refuse a key that is not (kind, r) for one of kinds: checked on every read, since a
+    cached ("bernoulli_r", 1) would also answer ("bernoulli_r", True)."""
     _check_index(key[1], "r")
+    if key[0] not in kinds:
+        raise ValueError(f"unknown family {key!r}")
 
 
 def _grow_numbers(numbers: Sequence[LambdaPoly], n: int, kind: str, r: int) -> list[LambdaPoly]:
-    """The numbers of (kind, r) extended through c_n by the kind's rule, from its sources'
-    numbers through c_n, read through ``_TABLE``; r is bounded by the degree limit."""
+    """The numbers of (kind, r) extended through c_n by Miller's recurrence; r is bounded by
+    the degree limit."""
     check_size("order r", r)
-    sources, rule, _ = _KINDS[kind]
-    return rule(numbers, r, n, *(_TABLE(n, (source, r)) for source in sources))
+    return _miller(_KINDS[kind], numbers, r, n)
 
 
 #: The module docstring's numbers c_0, c_1, ... keyed by (kind, r); it keeps no member.
@@ -219,24 +177,65 @@ def _number_side(kind: str, r: int, n: int) -> _ProductSide:
     return _product_side(_numbers(kind, r, n)[: n + 1])
 
 
+def _t_rows(r: int, n: int, ks: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    """Row k of the module docstring's T for each k of ks, k <= n: T(k,m), m = 0..k, as an int
+    over dens[m] (m = 0..n). For m < r that is sd, the lcm denominator of b_0^(r)..b_n^(r),
+    over which T(k,m) is the dot product of C(k,j) sd b_j^(r) with column m of the Stirling
+    rows; for m >= r it is perm(m,r), over which T(k,m) is perm(k,r) s(k-r,m-r)."""
+    sn, sd = _over_lcm([c.as_rational() for c in _numbers("bernoulli2_r", r, n)[: n + 1]])
+    s1 = _stirling1_rows(n)
+    rows = []
+    for k in ks:
+        row = [0] * (k + 1)
+        low = min(r, k + 1)
+        for j in range(k + 1 if low else 0):  # m < r, for all such m at once
+            w = comb(k, j) * sn[j]
+            if w:
+                s = s1[k - j][:low]
+                row[: len(s)] = map(add, row, [w * x for x in s])
+        if k >= r:
+            w, s = perm(k, r), s1[k - r]
+            row[r:] = [w * x for x in s]
+        rows.append(row)
+    return [sd if m < r else perm(m, r) for m in range(n + 1)], rows
+
+
+# 64 plans of at most 0.54 MB (degree L): the verify sweep reads 46 (degree, r) pairs.
+@_cached(64)
+def _t_plan(n: int, r: int) -> _PackedPlan:
+    """The degenerate Appell sum at degree n as one ``core._packed_plan`` on a_0..a_n
+    themselves: its sums e_m dens[m] = sum_(k>=m) T(k,m) dens[m] l^(k-m) a_k in the ints of
+    ``_t_rows``, then its cols [x^i] = sum_(m>=i) C(m,i) B_(m-i)^(r) e_m, each weight over
+    bd dens[m] reduced first: C(m,i)/perm(m,r) is C(m-r,i-r)/perm(i,r) for i >= r."""
+    dens, rows = _t_rows(r, n, range(n + 1))
+    bn, bd = _over_lcm([c.as_rational() for c in _numbers("bernoulli_r", r, n)[: n + 1]])
+    cols = []
+    for i in range(n + 1):
+        terms = [(m, comb(m, i) * bn[m - i], dens[m]) for m in range(i, n + 1) if bn[m - i]]
+        terms = [(m, w // g, d // g) for m, w, d in terms for g in (gcd(w, d),)]
+        big = lcm(*(d for _, _, d in terms))
+        cols.append((bd * big, [(m, w * (big // d)) for m, w, d in terms]))
+    return _packed_plan(None, [(1, [(k, rows[k][m]) for k in range(m, n + 1)]) for m in range(n + 1)], cols)
+
+
 def _appell(kind: str, r: int, coeffs: Sequence[LambdaPoly]) -> XPoly:
     """sum_k a_k P_k(x) over the members of (kind, r), for coeffs a_0..a_n, from the numbers
-    alone: sum_i d_i b_i, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k as int rows over one denominator,
-    fed straight to ``core._falling`` on the falling factorials: only the output gets a gcd."""
+    alone: sum_i d_i x^i, d_i = sum_(k>=i) C(k,i) c_(k-i) a_k as int rows over one denominator,
+    so only the output gets a gcd. The degenerate kind is the one pass of ``_t_plan``."""
+    if kind == "deg_bernoulli_r":
+        return XPoly._make(_packed_sums(coeffs, _t_plan(len(coeffs) - 1, r)))
     d, den = _packed_products(_number_side(kind, r, len(coeffs) - 1), coeffs)
-    if _KINDS[kind][2]:
-        return XPoly._make(_falling(d, den))
     return XPoly._make([LambdaPoly._make(row, den) for row in d])
 
 
-@_cached(512, lambda kind, r, n: (_check_index(n), _check_key((kind, r))))
+@_cached(512, lambda kind, r, n: (_check_index(n), _check_key((kind, r), _MEMBER_KINDS)))
 def _member(kind: str, r: int, n: int) -> XPoly:
-    """Member n of the table key (kind, r): its ``_row``, on the falling factorials by ``core._falling``."""
-    row = _row(kind, r, n)
-    if not _KINDS[kind][2]:
-        return XPoly._make(row)
-    den = lcm(*(c._den for c in row))
-    return XPoly._make(_falling([[x * (den // c._den) for x in c._coeffs] for c in row], den))
+    """Member n of (kind, r): its ``_row`` on x^i, or for the degenerate kind the order-r
+    Bernoulli sum of row n of T, sum_m T(n,m) l^(n-m) B_m^(r)(x)."""
+    if kind != "deg_bernoulli_r":
+        return XPoly._make(_row(kind, r, n))
+    dens, (row,) = _t_rows(r, n, [n])
+    return _appell("bernoulli_r", r, [LambdaPoly._make([0] * (n - m) + [t], dens[m]) for m, t in enumerate(row)])
 
 
 def bernoulli_poly(n: int) -> XPoly:

@@ -62,13 +62,15 @@ class OperatorSeries:
 
     Wraps a builder ``order -> TruncSeries`` so truncation always extends
     lazily to the operand's degree; the coefficients built so far are kept in
-    a ``core._Table``, so threads may read one operator at once.
+    a ``core._Table``, so threads may read one operator at once. A cold table
+    is built to the order read, a held one to at least twice its order, so
+    reads at rising orders call the builder O(log order) times.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, build: Callable[[int], TruncSeries]) -> None:
-        self._coeffs = _Table(lambda coeffs, order: build(order).coeffs)
+        self._coeffs = _Table(lambda coeffs, order: build(max(order, 2 * len(coeffs) - 2)).coeffs)
 
     @classmethod
     def from_coeff_fn(cls, fn: Callable[[int], LambdaPoly | Scalar]) -> "OperatorSeries":

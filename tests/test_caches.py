@@ -35,7 +35,7 @@ def _member(n: int, r: int) -> XPoly:
 def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties(monkeypatch):
     bound = {cache: cache.cache_info().maxsize for cache in core._CACHES}
     stated = _stated_bounds()
-    assert len(core._CACHES) == len(stated) == 16 and bound == stated
+    assert len(core._CACHES) == len(stated) == 17 and bound == stated
     # fill each lru entry past its bound through its callers
     x = XPoly.x()
     for i in range(bound[stirling2] + 10):
@@ -49,8 +49,8 @@ def test_every_cache_is_a_bounded_registry_entry_that_clear_caches_empties(monke
     # that many (degree, order) shapes: each expand reads the one plan of its pass
     for i in range(bound[expansion._pass_plan] + 10):
         expand(x ** (i % 37 + 2), 1 + i // 37)
-    # reconstruct keeps a number side per (kind, order, degree): a member at every
-    # degree up to the limit, then member 3 at more orders
+    # reconstruct keeps a number side per (kind, order, degree) and a T plan per
+    # (degree, order): a member at every degree up to the limit, then member 3 at more orders
     limit = max_degree_limit()
     keys = [(n, 1) for n in range(limit + 1)] + [(3, r) for r in range(2, bound[families._number_side] - limit + 10)]
     assert len(keys) > bound[families._number_side]

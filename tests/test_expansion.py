@@ -293,9 +293,9 @@ def test_crosscheck_runs_each_route_once_beside_the_other_default(monkeypatch, r
 def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
     # every route reads order m as the ("bernoulli_r", m) table: scaled_bernoulli
     # is a view of it, and umbral_integral_op reads order 1 alone; the order-3
-    # degenerate numbers read the order-3 Bernoulli and second-kind numbers.
-    # The residual route reads its top member first, so the degenerate key
-    # grows once, not once per degree
+    # degenerate members and reconstruct read the order-3 Bernoulli and
+    # second-kind numbers. The residual route reads its top member first, so the
+    # second-kind key grows once, not once per degree
     grown = record_grows(monkeypatch)
     crosscheck(parse_poly("x^6 - 2/3*l*x^4 + l^2*x + 5"), 3)
     assert set(grown) == {
@@ -303,9 +303,8 @@ def test_crosscheck_reads_one_bernoulli_table_per_order(monkeypatch):
         ("bernoulli_r", 2),
         ("bernoulli_r", 3),
         ("bernoulli2_r", 3),
-        ("deg_bernoulli_r", 3),
     }
-    assert grown.count(("deg_bernoulli_r", 3)) == 1
+    assert grown.count(("bernoulli2_r", 3)) == 1
 
 
 def test_order_is_bounded_by_the_degree_limit(monkeypatch):
@@ -329,6 +328,21 @@ def test_order_is_bounded_by_the_degree_limit(monkeypatch):
             check(XPoly.monomial(4), 1)
     assert reconstruct(crosscheck(p, 3)) == p
     assert reconstruct(crosscheck(XPoly.monomial(3), 1)) == XPoly.monomial(3)
+
+
+def test_expand_reads_the_degree_limit_once(monkeypatch):
+    # the order and the degree are checked against one read of the limit, which is
+    # still read live on every expand
+    p = parse_poly("x^5 - 2*l*x + 1")
+    e = expand(p, 2)
+    reads = []
+    limit = core.max_degree_limit
+    for module in (core, expansion):
+        monkeypatch.setattr(module, "max_degree_limit", lambda: reads.append(1) or limit())
+    assert expand(p, 2) == e and len(reads) == 1
+    monkeypatch.setenv("DEGBERN_MAX_DEGREE", "4")
+    with pytest.raises(ValueError, match="degree must be between 0 and 4"):
+        expand(p, 2)
 
 
 def test_route_mismatch_error_payload():
@@ -455,7 +469,7 @@ def test_the_shared_difference_table_stays_crosschecked():
 
 
 def test_plan_caches_are_bounded_and_clearable(monkeypatch):
-    caches = (expansion._pass_plan, families._number_side)
+    caches = (expansion._pass_plan, families._number_side, families._t_plan)
     for cache in caches:
         cache.cache_clear()
     bound = max(cache.cache_info().maxsize for cache in caches)
@@ -463,8 +477,8 @@ def test_plan_caches_are_bounded_and_clearable(monkeypatch):
     for i in range(bound + 10):  # that many (degree, order) shapes
         expand(x ** (i % 37 + 2), 1 + i // 37)
 
-    # reconstruct keeps a number side per (order, degree): one basis member at every
-    # degree up to the limit, and member 3 at many orders, each read from that order's numbers
+    # reconstruct keeps a number side and a T plan per (order, degree): one basis member at
+    # every degree up to the limit, and member 3 at many orders, each read from that order's numbers
     def member(n, r):
         return reconstruct(BasisExpansion(r, n, (LambdaPoly.zero(),) * n + (LambdaPoly.one(),), ("unit",) * (n + 1)))
 
@@ -546,7 +560,8 @@ def test_a_cold_reconstruct_reads_numbers_and_builds_no_member(monkeypatch):
     grown = record_grows(monkeypatch)
     p = parse_poly("x^9 - 2/5*l*x^4 + 3")
     assert reconstruct(expand(p, 3)) == p
-    assert ("deg_bernoulli_r", 3) in grown and ("deg_bernoulli_r", 3) in families._TABLE._entries
+    assert ("bernoulli2_r", 3) in grown and ("bernoulli2_r", 3) in families._TABLE._entries
+    assert families._t_plan.cache_info().currsize == 1  # the T weights of (9, 3)
     assert families._member.cache_info().currsize == 0  # neither expand nor reconstruct built a member
 
 
@@ -558,7 +573,8 @@ def test_reconstruct_at_the_degree_limit_matches_the_member_composition():
 
 
 def _plus_one_in_d4(monkeypatch):
-    # reconstruct reads _packed_products through families._appell; no route reads it
+    # the table kinds' Appell sum reads _packed_products: the classical Bernoulli sums and the
+    # degenerate members, of which residual reads no x^4 at r <= 3
     products = families._packed_products
 
     def patched(xs, ys):
@@ -570,16 +586,41 @@ def _plus_one_in_d4(monkeypatch):
     monkeypatch.setattr(families, "_packed_products", patched)
 
 
-def _plus_l_in_output_5(monkeypatch):
-    falling = families._falling
+def _plus_one_in_output_1(monkeypatch):
+    # + 1 in output 1 of _packed_sums, read by the default pass, forward_diff and reconstruct
+    sums = core._packed_sums
 
-    def patched(rows, den):
-        out = falling(rows, den)
-        if len(out) > 5:
-            out[5] += LAMBDA
+    def patched(polys, plan):
+        out = sums(polys, plan)
+        if len(out) > 1:
+            out[1] += 1
         return out
 
-    monkeypatch.setattr(families, "_falling", patched)
+    for module in (expansion, umbral, families):
+        monkeypatch.setattr(module, "_packed_sums", patched)
+
+
+def _plus_one_in_dot(monkeypatch):
+    # + 1 in every _dot that expansion and umbral read: the dot-product routes and
+    # umbral's apply, functional and umbral_compose; core's own products are left right
+    dot = core._dot
+    for module in (expansion, umbral):
+        monkeypatch.setattr(module, "_dot", lambda terms: dot(terms) + 1)
+
+
+def _plus_one_in_t_5_1(monkeypatch):
+    # + 1 in the int weight of T(5,1), which reconstruct's T plan and the degenerate
+    # members both read from _t_rows
+    t_rows = families._t_rows
+
+    def patched(r, n, ks):
+        dens, rows = t_rows(r, n, ks)
+        for k, row in zip(ks, rows):
+            if k == 5:
+                row[1] += 1
+        return dens, rows
+
+    monkeypatch.setattr(families, "_t_rows", patched)
 
 
 def _plus_one_in_integral_row_r_minus_1(monkeypatch):
@@ -614,17 +655,25 @@ def _plus_one_in_number_5(key):
 
 
 _CHECKED = [(expr, r) for expr in ("x^12 + l*x^3", "(1+x+l)^10", "x^3 - 1/2*l*x + 2") for r in (1, 3)]
-_BY_RECONSTRUCT = {(expr, r): ("p", "reconstruct") for expr, r in _CHECKED[:4]}
 # one wrong entry of a shared table or kernel, patched where it is read: the crosscheck
 # cases that catch it, each as (route_a, route_b, k), and the number of verify_all()
 # cases that fail; one of the two must catch it
 _WRONG = {
-    "packed_products-d4": (_plus_one_in_d4, {case: (*routes, 1) for case, routes in _BY_RECONSTRUCT.items()}, 216),
-    "falling-x5": (_plus_l_in_output_5, {case: (*routes, 5) for case, routes in _BY_RECONSTRUCT.items()}, 94),
-    "deg_bernoulli_r3-c5": (
-        _plus_one_in_number_5(("deg_bernoulli_r", 3)),
-        {("x^12 + l*x^3", 3): ("umbral_integral", "residual", 0), ("(1+x+l)^10", 3): ("umbral_integral", "residual", 0)},
+    "packed_products-d4": (_plus_one_in_d4, {}, 108),
+    "packed_sums-out1": (  # a_1 of the pass is wrong at r = 1, and Y_1 of its I^r rows at r = 3
+        _plus_one_in_output_1,
+        {(expr, r): ("umbral_integral", "residual" if r == 1 else "umbral_integral_op", 0) for expr, r in _CHECKED},
+        135,
+    ),
+    "dot-+1": (  # verify_all reads no _dot of expansion or umbral
+        _plus_one_in_dot,
+        {case: ("umbral_integral", "umbral_integral_op", 0) for case in _CHECKED},
         0,
+    ),
+    "t-weight-T(5,1)": (  # the members of degree 5 up, for residual; reconstruct, for verify_all
+        _plus_one_in_t_5_1,
+        {case: ("umbral_integral", "residual", 0) for case in _CHECKED[:4]},
+        94,
     ),
     "bernoulli_r1-c5": (
         _plus_one_in_number_5(("bernoulli_r", 1)),
@@ -651,7 +700,7 @@ _WRONG = {
         {case: ("umbral_integral", "residual", 0) for case in _CHECKED[:4]},
         82,
     ),
-    "bernoulli2_r3-c5": (  # patched before ("deg_bernoulli_r", 3) grows from it
+    "bernoulli2_r3-c5": (  # read by the order-3 T weights
         _plus_one_in_number_5(("bernoulli2_r", 3)),
         {("x^12 + l*x^3", 3): ("umbral_integral", "residual", 0), ("(1+x+l)^10", 3): ("umbral_integral", "residual", 0)},
         0,

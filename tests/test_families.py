@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -245,7 +245,8 @@ def test_second_kind_sums_collapse_for_m_at_least_r():
 
 @pytest.mark.parametrize("r, n", [*((r, 24) for r in range(9)), (16, 64), (64, 64)])
 def test_deg_numbers_closed_form_matches_the_q_l_recurrence(r, n):
-    assert _fresh_table()(n, ("deg_bernoulli_r", r))[: n + 1] == miller_deg_numbers(r, n)
+    # the members at x = 0, sum_m T(N,m) l^(N-m) B_m^(r), against Miller's recurrence over Q[l]
+    assert [deg_bernoulli_order(k, r).eval_x(0) for k in range(n + 1)] == miller_deg_numbers(r, n)
 
 
 def test_scaled_bernoulli_edges():
@@ -444,7 +445,7 @@ def test_family_table_concurrent_reads():
         return families._grow_numbers(*args)
 
     table = core._Table(slow_grow)
-    key = ("deg_bernoulli_r", 1)
+    key = ("bernoulli2_r", 1)
     clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:
         numbers = list(pool.map(lambda _: table(10, key), range(16)))
@@ -452,12 +453,12 @@ def test_family_table_concurrent_reads():
     assert all(c is numbers[0] for c in numbers)
     assert numbers[0][:11] == _fresh_table()(10, key)[:11]
     assert all(p == members[0] for p in members)
-    assert members[0] == _oracle(key)[10]
+    assert members[0] == _oracle(("deg_bernoulli_r", 1))[10]
 
 
 def test_family_table_append_only_growth():
     table = _fresh_table()
-    key = ("deg_bernoulli_r", 0)
+    key = ("bernoulli_r", 2)
     first = table(3, key)
     grown = table(6, key)
     assert table(3, key) is grown
@@ -499,10 +500,12 @@ def _requests(order: str) -> list[tuple[tuple, int]]:
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_family_table_matches_series_oracle(order):
     # the numbers of a fresh table, then the members built from cold caches, each
-    # in the same request order: the bernoulli2_r members have no public function
+    # in the same request order: the bernoulli2_r members have no public function,
+    # and the degenerate kind keeps no numbers
     table = _fresh_table()
     for key, n in _requests(order):
-        assert table(n, key)[n] == _oracle(key)[n].coeff(0), (key, n)
+        if key[0] in families._KINDS:
+            assert table(n, key)[n] == _oracle(key)[n].coeff(0), (key, n)
     clear_caches()
     for key, n in _requests(order):
         assert families._member(*key, n) == _oracle(key)[n], (key, n)
@@ -529,7 +532,7 @@ def test_public_families_match_series_oracle():
             assert number(n) == _oracle(key)[n].coeff(0).as_rational(), (key, n)
 
 
-_APPELL_KEYS = [(kind, r) for kind in families._KINDS for r in (0, 1, 2, 3, 64)]
+_APPELL_KEYS = [(kind, r) for kind in families._MEMBER_KINDS for r in (0, 1, 2, 3, 64)]
 
 
 @pytest.mark.parametrize("kind, r", _APPELL_KEYS, ids=[f"{kind}-r{r}" for kind, r in _APPELL_KEYS])
@@ -537,41 +540,13 @@ _APPELL_KEYS = [(kind, r) for kind in families._KINDS for r in (0, 1, 2, 3, 64)]
 @given(data=st.data())
 def test_appell_sum_matches_the_member_composition(kind, r, data):
     # the one sum behind reconstruct and the Bernoulli sums, on every kind, against
-    # the members composed one by one: to the degree limit on the falling
-    # factorials, to twice it on x^i, on sparse lists with l-bearing entries
-    top = 64 if families._KINDS[kind][2] else 128
+    # the members composed one by one: to the degree limit on the degenerate kind,
+    # to twice it on the table kinds, on sparse lists with l-bearing entries
+    top = 128 if kind in families._KINDS else 64
     n = data.draw(st.integers(0, top) | st.just(top), label="n")
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     coeffs = [random_lambda_poly(rng) if rng.random() < 0.6 else LambdaPoly.zero() for _ in range(n + 1)]
     assert families._appell(kind, r, coeffs) == member_sum(kind, r, coeffs)
-
-
-_INT_ROWS = st.lists(st.lists(st.integers(-(10**30), 10**30), max_size=5) | st.just([]), min_size=1, max_size=40)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_INT_ROWS, st.integers(1, 10**12))
-def test_falling_is_the_sum_over_the_falling_factorials(rows, den):
-    # packed Horner in x - i*l against sum_i d_i (x)_(i,l), on rows with zero polys among them
-    expected = sum((deg_falling(i) * LambdaPoly._make(list(row), den) for i, row in enumerate(rows)), XPoly.zero())
-    assert XPoly._make(core._falling(rows, den)) == expected
-
-
-def test_falling_bound_holds_each_column_within_4_bits(monkeypatch):
-    # slots hold max|d| times 2 n!, which bounds sum_i |s(i,j)| in every column j,
-    # at most 4 bits over the largest of them, to degree 2L
-    widths = []
-    slots = core._slots
-    monkeypatch.setattr(core, "_slots", lambda v, w: widths.append(w) or slots(v, w))
-    columns = []  # sum_(i<=n) |s(i,j)| for each j
-    for n, row in enumerate(core._stirling1_rows(2 * 64)[: 2 * 64 + 1]):
-        columns = [a + abs(b) for a, b in zip([*columns, 0], row)]
-        column = max(columns)
-        assert column <= 2 * factorial(n) < 16 * column, n
-        if n in (0, 1, 2, 7, 64, 128):  # the width _falling takes from that bound
-            widths.clear()
-            core._falling([[1]] * (n + 1), 1)
-            assert set(widths) == {(2 * factorial(n)).bit_length() + 1}, n
 
 
 def test_cold_appell_sums_answer_past_the_recursion_limit(monkeypatch):
@@ -674,12 +649,18 @@ def test_a_cached_member_never_answers_a_bool():
 
 def test_family_table_threaded_growth_matches_serial():
     # kinds grow at once under the table's one lock, each thread reading numbers
-    # and cold members of each in its own order; the degenerate key grows its two
-    # sources while other threads read them directly
+    # and cold members of each in its own order; the degenerate members read the
+    # two order-2 kinds while other threads read them directly
     keys = [("deg_bernoulli_r", 2), ("euler", 1), ("bernoulli_r", 2), ("bernoulli2_r", 2)]
     plans = []
     for seed in range(8):
-        plan = [(key, n, read) for key in keys for n in range(17) for read in ("numbers", "member")]
+        plan = [
+            (key, n, read)
+            for key in keys
+            for n in range(17)
+            for read in ("numbers", "member")
+            if read == "member" or key[0] in families._KINDS
+        ]
         random.Random(seed).shuffle(plan)
         plans.append(plan)
 

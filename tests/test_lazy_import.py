@@ -111,4 +111,4 @@ print(json.dumps({
     "caches": len(core._CACHES),
 }))
 """
-    assert _run(script) == {"alive": 0, "same": True, "caches": 16}
+    assert _run(script) == {"alive": 0, "same": True, "caches": 17}

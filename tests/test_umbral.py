@@ -358,14 +358,14 @@ def test_umbral_compose_single_monomial():
 def test_umbral_compose_grows_a_cold_table_once(monkeypatch):
     # composing with deg_bernoulli_order(k, 3) for k = 0..n reads the members
     # from the top down; on a cold table that is one grow to number n, not one
-    # grow per member, and reconstruct grows the same numbers once; their two
-    # order-3 sources grow first, once each
+    # grow per member, and reconstruct grows the same numbers once: the order-3
+    # second-kind numbers of the T weights, then the order-3 Bernoulli numbers
     p = XPoly.monomial(12)
     e = expand(p, 3)
     for rebuild in (member_reconstruct, reconstruct):
         grown = record_grows(monkeypatch)
         assert rebuild(e) == p
-        assert grown == [("bernoulli_r", 3), ("bernoulli2_r", 3), ("deg_bernoulli_r", 3)]
+        assert grown == [("bernoulli2_r", 3), ("bernoulli_r", 3)]
 
 
 def test_umbral_compose_then_integrate_gives_scaled_number():
@@ -384,6 +384,21 @@ def test_operator_series_truncation_policy():
     narrow = f.series(3)
     assert narrow.order == 3
     assert wide.coeffs[:4] == narrow.coeffs
+
+
+def test_operator_series_read_at_rising_orders_builds_log_times():
+    # a cold table is built to the order read, a held one to at least twice its
+    # order: reads at orders 1..64 call the builder 7 times, not 64, and each
+    # series is the head of the one read at 64 alone
+    def g(order):
+        return (unit_integral_op() * scaled_bernoulli_op(LAMBDA)).series(order)
+
+    built = []
+    op = OperatorSeries(lambda order: built.append(order) or g(order))
+    rising = [op.series(n) for n in range(1, 65)]
+    assert built == [1, 2, 4, 8, 16, 32, 64]
+    whole = g(64)
+    assert rising[-1] == whole and all(s.coeffs == whole.coeffs[: s.order + 1] for s in rising)
 
 
 def _g_delta_ops() -> list[OperatorSeries]:
